@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench benchshards benchscale scalecheck microbench profile crashtest servetest maintaintest loadtest fmt vet
+.PHONY: build test race bench benchshards benchscale scalecheck microbench bench-smoke profile crashtest servetest maintaintest loadtest fmt vet
 
 build:
 	$(GO) build ./...
@@ -111,15 +111,26 @@ scalecheck:
 
 # microbench runs the hot-path microbenchmarks with allocation stats:
 # tokenization, repeated-group discovery, TF-IDF scoring, §5.4 text matching,
-# and collective resolution. These are the functions the extract/link/resolve
-# stages spend their time in; -benchmem makes allocation regressions visible
-# next to the ns/op numbers. The match benchmarks include *Reference
-# variants running the retained naive scorers, so the archived output shows
-# the pruned/blocked speedup alongside the absolute numbers.
+# collective resolution, and the maintenance upsert's target scan (200
+# incoming × 1000 stored records) with the profile pair score under it. These
+# are the functions the extract/link/resolve/upsert stages spend their time
+# in; -benchmem makes allocation regressions visible next to the ns/op
+# numbers. The match benchmarks include *Reference variants running the
+# retained naive scorers, so the archived output shows the pruned/blocked/
+# profiled speedup alongside the absolute numbers.
 microbench:
 	$(GO) test -run '^$$' \
-		-bench 'BenchmarkTokenize|BenchmarkTokenizeInto|BenchmarkTopTerms|BenchmarkRepeatedGroups|BenchmarkMatchTokens|BenchmarkResolve' \
+		-bench 'BenchmarkTokenize|BenchmarkTokenizeInto|BenchmarkTopTerms|BenchmarkRepeatedGroups|BenchmarkMatchTokens|BenchmarkResolve|BenchmarkUpsertScan|BenchmarkScoreProfiles' \
 		-benchmem ./internal/textproc/ ./internal/extract/ ./internal/match/ | tee bench-micro.txt
+
+# bench-smoke proves the repository's benchmark (bench/, a module of its own
+# that the root module's build and tests do not cover) still compiles against
+# the program and runs: vet, its tests, and every workload at smoke size. A
+# rename that breaks a symbol the benchmark calls fails here.
+bench-smoke:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
+	$(GO) run -C bench . -quick
 
 # loadtest smoke-drives a freshly built wocserve with wocload's
 # logsim-derived workload: two low QPS levels for a few seconds each, report

@@ -7,6 +7,7 @@ import (
 
 	"conceptweb/internal/classify"
 	"conceptweb/internal/lrec"
+	"conceptweb/internal/obs"
 	"conceptweb/internal/textproc"
 	"conceptweb/internal/webgen"
 	"conceptweb/internal/webgraph"
@@ -285,6 +286,7 @@ func TestRefreshAppliesChange(t *testing.T) {
 	webgen.RegisterConcepts(reg)
 	of := &overlayFetcher{w: w, overlay: map[string]string{}}
 	b := &Builder{Fetcher: of, Cfg: StandardConfig(reg, w.Cities(), nil)}
+	b.Cfg.Metrics = obs.NewRegistry()
 	woc, _, err := b.Build(w.SeedURLs())
 	if err != nil {
 		t.Fatal(err)
@@ -329,6 +331,18 @@ func TestRefreshAppliesChange(t *testing.T) {
 	}
 	if stats.RecordsCreated > 0 && stats.RecordsUpdated == 0 {
 		t.Errorf("change created a new record instead of updating: %+v", stats)
+	}
+	// The rebuilt record looked for its target among the stored restaurants:
+	// the pass reports how many of those pairs it scored and how many the
+	// bound skipped, in its stats and in the registry.
+	if stats.UpsertCompared == 0 || stats.UpsertPruned == 0 {
+		t.Errorf("upsert pairs compared %d, pruned %d: want both non-zero", stats.UpsertCompared, stats.UpsertPruned)
+	}
+	counters := b.Cfg.Metrics.Snapshot().Counters
+	if counters["refresh.upsert.compared"] != int64(stats.UpsertCompared) ||
+		counters["refresh.upsert.pruned"] != int64(stats.UpsertPruned) {
+		t.Errorf("registry refresh.upsert.compared/pruned = %d/%d, stats %d/%d", counters["refresh.upsert.compared"],
+			counters["refresh.upsert.pruned"], stats.UpsertCompared, stats.UpsertPruned)
 	}
 }
 

@@ -36,6 +36,11 @@ type RefreshStats struct {
 	// PagesRelinked counts changed free-text pages re-linked to a record by
 	// the semantic-link pass (the delta analogue of the build link stage).
 	PagesRelinked int
+	// UpsertCompared and UpsertPruned count the (incoming, stored) record
+	// pairs the upsert stage scored exactly and the pairs its upper bound
+	// ruled out unscored.
+	UpsertCompared int
+	UpsertPruned   int
 	// Workers annotates the pass with the worker-pool size the parallel
 	// refetch/extract stages ran at.
 	Workers int
@@ -88,6 +93,8 @@ func (b *Builder) Refresh(woc *WebOfConcepts, urls []string) (*RefreshStats, err
 		m.Counter("refresh.records.superseded").Add(int64(stats.RecordsSuperseded))
 		m.Counter("refresh.records.deleted").Add(int64(stats.RecordsDeleted))
 		m.Counter("refresh.pages.relinked").Add(int64(stats.PagesRelinked))
+		m.Counter("refresh.upsert.compared").Add(int64(stats.UpsertCompared))
+		m.Counter("refresh.upsert.pruned").Add(int64(stats.UpsertPruned))
 		b.updateIndexGauges(woc)
 	}()
 
@@ -349,8 +356,15 @@ func (b *Builder) applyCandidates(woc *WebOfConcepts, cg *conceptGroups, retired
 				toStore = append(toStore, cl.Rep)
 			}
 		}
+		// The table upsert scans for merge targets lives for this concept
+		// of this pass only: filled from the store here, kept in step with
+		// it by every upsert below.
+		var targets *match.Table
+		if m := b.Cfg.Matchers[concept]; m != nil && len(toStore) > 0 {
+			targets = storedProfiles(woc.Records, m, concept)
+		}
 		for _, rec := range toStore {
-			created, updated := b.upsert(woc, rec)
+			created, updated := b.upsert(woc, rec, targets)
 			if _, wasRetired := retired[rec.ID]; wasRetired && created == 1 {
 				// A rebuilt record is an update of the retired one, not a
 				// new entity.
@@ -361,6 +375,10 @@ func (b *Builder) applyCandidates(woc *WebOfConcepts, cg *conceptGroups, retired
 			if created+updated > 0 && linkable[concept] {
 				linkDirty = true
 			}
+		}
+		if targets != nil {
+			stats.UpsertCompared += targets.Compared
+			stats.UpsertPruned += targets.Pruned
 		}
 	}
 	return linkDirty
@@ -526,58 +544,52 @@ func (b *Builder) relinkPass(woc *WebOfConcepts, changed []*webgraph.Page, globa
 	}
 }
 
-// upsert folds one resolved record into the store: if entity matching finds
-// an existing record of the same concept, the values merge into it;
-// otherwise a new record is created.
-func (b *Builder) upsert(woc *WebOfConcepts, rec *lrec.Record) (created, updated int) {
-	if exist, err := woc.Records.Get(rec.ID); err == nil {
-		exist.Merge(rec) //nolint:errcheck // same concept
-		if woc.Records.Put(exist) == nil {
-			b.associate(woc, exist)
-			b.indexRecord(woc, exist)
-			return 0, 1
+// storedProfiles profiles every stored record of the concept for m. Scan
+// lends the store's own records, so nothing is cloned.
+func storedProfiles(store *lrec.Store, m *match.Matcher, concept string) *match.Table {
+	t := m.NewTable()
+	store.Scan(func(r *lrec.Record) bool {
+		if r.Concept == concept {
+			t.Put(r)
 		}
+		return true
+	})
+	return t
+}
+
+// upsert folds one resolved record into the store: into the stored record
+// with its ID, else into the stored record entity matching finds, else as a
+// new record. targets holds the profiles of the concept's stored records
+// (nil when the concept has no matcher) and is updated with what lands.
+//
+// The match is the stored record scoring highest against rec among those
+// reaching the matcher's Upper, the lowest ID among equal scores — pinned so
+// that delta refresh is deterministic and independent of how later records
+// were numbered.
+func (b *Builder) upsert(woc *WebOfConcepts, rec *lrec.Record, targets *match.Table) (created, updated int) {
+	exist, err := woc.Records.Get(rec.ID)
+	if err != nil && targets != nil {
+		if id, ok := targets.Best(rec); ok {
+			if exist, err = woc.Records.Get(id); err != nil {
+				return 0, 0
+			}
+		}
+	}
+	if err == nil {
+		exist.Merge(rec) //nolint:errcheck // same concept
+		rec, updated = exist, 1
+	} else {
+		created = 1
+	}
+	if woc.Records.Put(rec) != nil {
 		return 0, 0
 	}
-
-	if m := b.Cfg.Matchers[rec.Concept]; m != nil {
-		// Block against stored records of the concept and score. The
-		// tie-break is pinned: ByConcept iterates in ascending ID order and
-		// an incumbent is displaced only by a strictly higher score, so
-		// equal-scoring candidates resolve to the lowest ID — keeping delta
-		// refresh deterministic and independent of how later records were
-		// numbered. (The previous `>=` silently meant highest-ID-wins.)
-		var bestID string
-		var bestScore float64
-		for _, cand := range woc.Records.ByConcept(rec.Concept) {
-			s := m.Score(cand, rec)
-			if s < m.Upper {
-				continue
-			}
-			if bestID == "" || s > bestScore {
-				bestScore, bestID = s, cand.ID
-			}
-		}
-		if bestID != "" {
-			exist, err := woc.Records.Get(bestID)
-			if err == nil {
-				exist.Merge(rec) //nolint:errcheck
-				if woc.Records.Put(exist) == nil {
-					b.associate(woc, exist)
-					b.indexRecord(woc, exist)
-					return 0, 1
-				}
-			}
-			return 0, 0
-		}
+	if targets != nil {
+		targets.Put(rec)
 	}
-
-	if woc.Records.Put(rec) == nil {
-		b.associate(woc, rec)
-		b.indexRecord(woc, rec)
-		return 1, 0
-	}
-	return 0, 0
+	b.associate(woc, rec)
+	b.indexRecord(woc, rec)
+	return created, updated
 }
 
 func removeString(list []string, v string) []string {

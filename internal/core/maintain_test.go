@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
+	"hash/fnv"
 	"strings"
-	"sync"
 	"testing"
 
 	"conceptweb/internal/extract"
@@ -19,25 +19,26 @@ import (
 type flakyFetcher struct {
 	w    *webgen.World
 	gone map[string]bool
-	// failEvery fails every Nth distinct fetch during Build (0 = off).
-	failEvery int
-
-	mu    sync.Mutex
-	count int
+	// failEvery fails one URL in N, chosen by URL hash (0 = off). The
+	// choice must not depend on the order fetches arrive in: the crawler
+	// fans them out across goroutines, and with an arrival count scheduling
+	// decided whether a directory hub was among the failures — losing its
+	// whole subtree and failing the survival test one run in four. The
+	// residue picks a set without such a hub; the crawler does not retry,
+	// so a failed hub costs its subtree whatever the build does.
+	failEvery uint32
 }
 
-// Fetch must be safe for concurrent use: the crawler fans fetches out
-// across workers.
 func (f *flakyFetcher) Fetch(url string) (string, error) {
 	if f.gone[url] {
 		return "", fmt.Errorf("gone: %s", url)
 	}
-	f.mu.Lock()
-	f.count++
-	n := f.count
-	f.mu.Unlock()
-	if f.failEvery > 0 && n%f.failEvery == 0 {
-		return "", fmt.Errorf("transient failure: %s", url)
+	if f.failEvery > 0 {
+		h := fnv.New32a()
+		h.Write([]byte(url))
+		if h.Sum32()%f.failEvery == 1 {
+			return "", fmt.Errorf("transient failure: %s", url)
+		}
 	}
 	return f.w.Fetch(url)
 }
@@ -200,8 +201,8 @@ func TestRefreshResurrectsGonePage(t *testing.T) {
 
 // TestUpsertTieBreakLowestID pins the entity-match tie-break: when two
 // stored candidates score identically against an incoming record, the merge
-// must land on the lowest record ID — ByConcept iterates in ascending ID
-// order and an incumbent is displaced only by a strictly higher score.
+// must land on the lowest record ID, whatever order the candidates were
+// stored or scanned in.
 func TestUpsertTieBreakLowestID(t *testing.T) {
 	reg := lrec.NewRegistry()
 	reg.Register(lrec.Concept{Name: "widget", Domain: "test", Attrs: []lrec.AttrSpec{
@@ -241,7 +242,8 @@ func TestUpsertTieBreakLowestID(t *testing.T) {
 	c := extract.NewCandidate("widget", "w.example/x", "test")
 	c.Add("name", "Same Name", 1)
 	c.Add("color", "blue", 1)
-	created, updated := b.upsert(woc, c.ToRecord(c.SynthesizeID(), woc.Records.NextSeq()))
+	created, updated := b.upsert(woc, c.ToRecord(c.SynthesizeID(), woc.Records.NextSeq()),
+		storedProfiles(woc.Records, m, "widget"))
 	if created != 0 || updated != 1 {
 		t.Fatalf("upsert = (%d created, %d updated), want (0, 1)", created, updated)
 	}

@@ -76,6 +76,8 @@ type Totals struct {
 	RecordsSuperseded int
 	RecordsDeleted    int
 	RecordsReconciled int
+	UpsertCompared    int
+	UpsertPruned      int
 }
 
 // Status is a point-in-time snapshot of the loop, safe to read while a pass
@@ -344,4 +346,6 @@ func (l *Loop) accumulate(st woc.RefreshStats) {
 	t.RecordsCreated += st.RecordsCreated
 	t.RecordsSuperseded += st.RecordsSuperseded
 	t.RecordsDeleted += st.RecordsDeleted
+	t.UpsertCompared += st.UpsertCompared
+	t.UpsertPruned += st.UpsertPruned
 }

@@ -97,6 +97,21 @@ func neighborSortKey(r *lrec.Record) string {
 	return textproc.Normalize(name)
 }
 
+// clusterRep is a current cluster representative and its profile, built the
+// first time a block pairs it with anything and dropped with the
+// representative.
+type clusterRep struct {
+	rec  *lrec.Record
+	prof *profile
+}
+
+func (r *clusterRep) profile(s *scorer) *profile {
+	if r.prof == nil {
+		r.prof = s.profile(r.rec)
+	}
+	return r.prof
+}
+
 // forEachCandidatePair streams the within-block pairs of every blocker
 // partition to visit, one block at a time — no materialized global pair
 // slice, no cross-blocker dedup map; the caller's same-root check makes
@@ -104,12 +119,12 @@ func neighborSortKey(r *lrec.Record) string {
 // record-ID order (exactly the pairs BlockBy emits); larger blocks get the
 // sorted-neighborhood pass. Iteration order is deterministic: blockers in
 // argument order, block keys sorted, members sorted.
-func forEachCandidatePair(reps []*lrec.Record, blockers []func(*lrec.Record) string, maxBlock, window int, visit func(a, b *lrec.Record)) {
-	blocks := make(map[string][]*lrec.Record)
+func forEachCandidatePair(reps []*clusterRep, blockers []func(*lrec.Record) string, maxBlock, window int, visit func(a, b *clusterRep)) {
+	blocks := make(map[string][]*clusterRep)
 	for _, key := range blockers {
 		clear(blocks)
 		for _, r := range reps {
-			k := key(r)
+			k := key(r.rec)
 			if k == "" {
 				continue
 			}
@@ -123,7 +138,7 @@ func forEachCandidatePair(reps []*lrec.Record, blockers []func(*lrec.Record) str
 		for _, k := range bkeys {
 			members := blocks[k]
 			if len(members) <= maxBlock {
-				sort.Slice(members, func(i, j int) bool { return members[i].ID < members[j].ID })
+				sort.Slice(members, func(i, j int) bool { return members[i].rec.ID < members[j].rec.ID })
 				for i := 0; i < len(members); i++ {
 					for j := i + 1; j < len(members); j++ {
 						visit(members[i], members[j])
@@ -133,7 +148,7 @@ func forEachCandidatePair(reps []*lrec.Record, blockers []func(*lrec.Record) str
 			}
 			skeys := make([]string, len(members))
 			for i, r := range members {
-				skeys[i] = neighborSortKey(r)
+				skeys[i] = neighborSortKey(r.rec)
 			}
 			sort.Sort(&neighborOrder{keys: skeys, recs: members})
 			for i := 0; i < len(members); i++ {
@@ -149,7 +164,7 @@ func forEachCandidatePair(reps []*lrec.Record, blockers []func(*lrec.Record) str
 // together: key ascending, then ID ascending.
 type neighborOrder struct {
 	keys []string
-	recs []*lrec.Record
+	recs []*clusterRep
 }
 
 func (o *neighborOrder) Len() int { return len(o.recs) }
@@ -157,7 +172,7 @@ func (o *neighborOrder) Less(i, j int) bool {
 	if o.keys[i] != o.keys[j] {
 		return o.keys[i] < o.keys[j]
 	}
-	return o.recs[i].ID < o.recs[j].ID
+	return o.recs[i].rec.ID < o.recs[j].rec.ID
 }
 func (o *neighborOrder) Swap(i, j int) {
 	o.keys[i], o.keys[j] = o.keys[j], o.keys[i]
@@ -176,7 +191,9 @@ func (o *neighborOrder) Swap(i, j int) {
 // single-member cluster's representative is the input record itself, never
 // cloned). On the heavy-tail block-size distributions of aggregator sites
 // this turns the formerly quadratic within-block work into B×Window while
-// keeping the fixpoint deterministic at any block layout.
+// keeping the fixpoint deterministic at any block layout. Pairs are scored on
+// profiles, one per representative, so a representative met in many blocks is
+// normalised and tokenised once, and a rebuilt one once more.
 func Resolve(records []*lrec.Record, m *Matcher, opts CollectiveOptions) []Cluster {
 	if opts.MaxRounds <= 0 {
 		opts.MaxRounds = 3
@@ -198,19 +215,22 @@ func Resolve(records []*lrec.Record, m *Matcher, opts CollectiveOptions) []Clust
 	}
 
 	// Current cluster representatives. Input records double as their own
-	// initial representatives: blocking and Decide only read them.
-	reps := make([]*lrec.Record, len(records))
-	copy(reps, records)
+	// initial representatives: blocking and profiling only read them.
+	s := m.scorer()
+	reps := make([]*clusterRep, len(records))
+	for i, r := range records {
+		reps[i] = &clusterRep{rec: r}
+	}
 
 	for round := 0; round < opts.MaxRounds; round++ {
 		dirty := make(map[string]bool)
-		forEachCandidatePair(reps, opts.Blockers, opts.MaxBlock, opts.Window, func(a, b *lrec.Record) {
-			ra, rb := uf.find(a.ID), uf.find(b.ID)
+		forEachCandidatePair(reps, opts.Blockers, opts.MaxBlock, opts.Window, func(a, b *clusterRep) {
+			ra, rb := uf.find(a.rec.ID), uf.find(b.rec.ID)
 			if ra == rb {
 				return
 			}
-			if m.Decide(a, b) == Match {
-				uf.union(a.ID, b.ID)
+			if s.matches(a.profile(s), b.profile(s)) {
+				uf.union(a.rec.ID, b.rec.ID)
 				dirty[ra] = true
 				dirty[rb] = true
 			}
@@ -231,9 +251,9 @@ func Resolve(records []*lrec.Record, m *Matcher, opts CollectiveOptions) []Clust
 			}
 		}
 		kept := reps[:0]
-		for _, rep := range reps {
-			if !dirtyRoot[uf.find(rep.ID)] {
-				kept = append(kept, rep)
+		for _, r := range reps {
+			if !dirtyRoot[uf.find(r.rec.ID)] {
+				kept = append(kept, r)
 			}
 		}
 		roots := make([]string, 0, len(groups))
@@ -242,11 +262,11 @@ func Resolve(records []*lrec.Record, m *Matcher, opts CollectiveOptions) []Clust
 		}
 		sort.Strings(roots)
 		for _, root := range roots {
-			rep := lrec.NewRecord(root, groups[root][0].Concept)
+			merged := lrec.NewRecord(root, groups[root][0].Concept)
 			for _, r := range groups[root] {
-				rep.Merge(r) //nolint:errcheck // same concept by construction
+				merged.Merge(r) //nolint:errcheck // same concept by construction
 			}
-			kept = append(kept, rep)
+			kept = append(kept, &clusterRep{rec: merged})
 		}
 		reps = kept
 	}
@@ -287,10 +307,14 @@ func PairwiseResolve(records []*lrec.Record, m *Matcher, blockers ...func(*lrec.
 		byID[r.ID] = r
 		uf.find(r.ID)
 	}
+	s := m.scorer()
+	profs := make(map[string]*profile, len(records))
+	for _, r := range records {
+		profs[r.ID] = s.profile(r)
+	}
 	for _, p := range BlockBy(records, blockers...) {
-		a, b := byID[p.A], byID[p.B]
-		if m.Decide(a, b) == Match {
-			uf.union(a.ID, b.ID)
+		if s.matches(profs[p.A], profs[p.B]) {
+			uf.union(p.A, p.B)
 		}
 	}
 	groups := make(map[string][]string)

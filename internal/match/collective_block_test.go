@@ -12,7 +12,9 @@ import (
 // resolveReference is the pre-blocked-streaming Resolve: clone every record
 // up front, materialize the deduplicated pair list with BlockBy each round,
 // rebuild every cluster representative after any merge. Kept verbatim as
-// the equivalence oracle for the streaming, cap-or-split resolver.
+// the equivalence oracle for the streaming, cap-or-split resolver, deciding
+// each pair on the raw-string scorer (scoreReference) so that it shares no
+// code with the profiles Resolve scores on.
 func resolveReference(records []*lrec.Record, m *Matcher, opts CollectiveOptions) []Cluster {
 	if opts.MaxRounds <= 0 {
 		opts.MaxRounds = 3
@@ -44,7 +46,7 @@ func resolveReference(records []*lrec.Record, m *Matcher, opts CollectiveOptions
 			if a == nil || b == nil || uf.find(a.ID) == uf.find(b.ID) {
 				continue
 			}
-			if m.Decide(a, b) == Match {
+			if scoreReference(m, a, b) >= m.Upper {
 				uf.union(a.ID, b.ID)
 				merged = true
 			}

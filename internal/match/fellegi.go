@@ -174,33 +174,11 @@ func NewMatcher(comps []Comparator) *Matcher {
 
 // CompareAttr compares one attribute of two records.
 func CompareAttr(c Comparator, a, b *lrec.Record) Agreement {
-	av, aok := a.Best(c.Key)
-	bv, bok := b.Best(c.Key)
-	if !aok || !bok {
+	if !a.Has(c.Key) || !b.Has(c.Key) {
 		return AgreementMissing
 	}
-	_ = av
-	_ = bv
-	if c.MostSpecific {
-		if c.Sim(mostSpecific(a.All(c.Key)), mostSpecific(b.All(c.Key))) >= c.AgreeAt {
-			return Agree
-		}
-		return Disagree
-	}
-	// Compare against all values, take the best: multi-valued attributes
-	// agree if any pairing agrees.
-	best := 0.0
-	for _, x := range a.All(c.Key) {
-		for _, y := range b.All(c.Key) {
-			if s := c.Sim(x.Value, y.Value); s > best {
-				best = s
-			}
-		}
-	}
-	if best >= c.AgreeAt {
-		return Agree
-	}
-	return Disagree
+	p := prepare(c)
+	return p.agreement(p.profileAttr(a.All(c.Key)), p.profileAttr(b.All(c.Key)))
 }
 
 // mostSpecific picks the longest value (by token count, then length, then
@@ -222,11 +200,8 @@ func mostSpecific(vals []lrec.AttrValue) string {
 
 // Score returns the total log-likelihood ratio for the pair.
 func (m *Matcher) Score(a, b *lrec.Record) float64 {
-	var s float64
-	for _, c := range m.Comparators {
-		s += c.Weight(CompareAttr(c, a, b))
-	}
-	return s
+	s := m.scorer()
+	return s.score(s.profile(a), s.profile(b))
 }
 
 // Decide classifies the pair.

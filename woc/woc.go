@@ -460,6 +460,11 @@ type RefreshStats struct {
 	// PagesRelinked counts free-text pages whose concept link changed in
 	// the pass's relink stage.
 	PagesRelinked int
+	// UpsertCompared and UpsertPruned count the (rebuilt, stored) record
+	// pairs entity matching scored exactly and the pairs its upper bound
+	// skipped while looking for merge targets.
+	UpsertCompared int
+	UpsertPruned   int
 	// Epoch is the data generation after the pass; it advanced only if the
 	// pass changed visible state.
 	Epoch uint64
@@ -481,6 +486,7 @@ func (s *System) Refresh(urls []string) (RefreshStats, error) {
 		PagesChanged: st.PagesChanged, PagesGone: st.PagesGone,
 		RecordsUpdated: st.RecordsUpdated, RecordsCreated: st.RecordsCreated,
 		RecordsSuperseded: st.RecordsSuperseded, RecordsDeleted: st.RecordsDeleted,
+		UpsertCompared: st.UpsertCompared, UpsertPruned: st.UpsertPruned,
 		PagesRelinked: st.PagesRelinked, Epoch: st.Epoch,
 	}, nil
 }
