@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench benchshards benchscale scalecheck microbench bench-smoke profile crashtest servetest maintaintest loadtest fmt vet
+.PHONY: build test race bench benchshards benchscale scalecheck microbench bench-smoke profile crashtest servetest maintaintest querytest loadtest fmt vet
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,17 @@ crashtest:
 # re-proves the read/maintenance lock.
 servetest:
 	$(GO) test -race -count=1 -v ./internal/serving/ ./cmd/wocserve/
+
+# querytest re-proves the query path's two equivalences under the race
+# detector: the dense BM25F kernel against the retained map-and-sort
+# reference (score bits, order, nil-ness, posting adjacency, at 1/4/16
+# shards), and the shared-reference reads against the clone-everything
+# ConceptSearch/Trigger/Alternatives — plus the aliasing test, where readers
+# scribble over every returned record while a writer Puts the same IDs.
+querytest:
+	$(GO) test -race -count=1 -v \
+		-run 'KernelMatchesReference|SharedReadsMatch|AlternativesMatch|ReturnedRecordsAreCallersToKeep' \
+		./internal/index/ ./internal/search/ ./internal/session/
 
 # maintaintest runs the continuous-maintenance suites under the race
 # detector: the scheduler's cohort/sweep/gone-probe unit tests, the churn
@@ -111,17 +122,19 @@ scalecheck:
 
 # microbench runs the hot-path microbenchmarks with allocation stats:
 # tokenization, repeated-group discovery, TF-IDF scoring, §5.4 text matching,
-# collective resolution, and the maintenance upsert's target scan (200
-# incoming × 1000 stored records) with the profile pair score under it. These
-# are the functions the extract/link/resolve/upsert stages spend their time
-# in; -benchmem makes allocation regressions visible next to the ns/op
-# numbers. The match benchmarks include *Reference variants running the
-# retained naive scorers, so the archived output shows the pruned/blocked/
-# profiled speedup alongside the absolute numbers.
+# collective resolution, the maintenance upsert's target scan (200 incoming ×
+# 1000 stored records) with the profile pair score under it, and the query
+# path: one ranked BM25F query (heavy-tail 2k-page index, instance / set /
+# attribute forms, k = 60, 1 and 4 shards) and one Alternatives call. These
+# are the functions the extract/link/resolve/upsert stages and a cold query
+# spend their time in; -benchmem makes allocation regressions visible next to
+# the ns/op numbers. The match and index benchmarks include *Reference
+# variants running the retained naive scorers and the map-and-sort kernel, so
+# the archived output shows the speedup alongside the absolute numbers.
 microbench:
 	$(GO) test -run '^$$' \
-		-bench 'BenchmarkTokenize|BenchmarkTokenizeInto|BenchmarkTopTerms|BenchmarkRepeatedGroups|BenchmarkMatchTokens|BenchmarkResolve|BenchmarkUpsertScan|BenchmarkScoreProfiles' \
-		-benchmem ./internal/textproc/ ./internal/extract/ ./internal/match/ | tee bench-micro.txt
+		-bench 'BenchmarkTokenize|BenchmarkTokenizeInto|BenchmarkTopTerms|BenchmarkRepeatedGroups|BenchmarkMatchTokens|BenchmarkResolve|BenchmarkUpsertScan|BenchmarkScoreProfiles|BenchmarkIndexSearch|BenchmarkAlternatives' \
+		-benchmem ./internal/textproc/ ./internal/extract/ ./internal/match/ ./internal/index/ ./internal/session/ | tee bench-micro.txt
 
 # bench-smoke proves the repository's benchmark (bench/, a module of its own
 # that the root module's build and tests do not cover) still compiles against

@@ -10,7 +10,6 @@ package index
 
 import (
 	"errors"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -58,7 +57,8 @@ type Index struct {
 	extIDs   []string       // doc number -> external ID
 	byExt    map[string]int // external ID -> doc number
 	docLens  [][]int        // doc number -> field number -> token count
-	deleted  map[int]bool   // doc numbers removed from retrieval
+	dead     []bool         // doc number -> removed from retrieval (tombstone)
+	ndead    int            // tombstones in dead
 	fields   []fieldStats
 	fieldNum map[string]int
 	// BM25 parameters.
@@ -76,7 +76,6 @@ func New() *Index {
 	return &Index{
 		postings: make(map[string][]posting),
 		byExt:    make(map[string]int),
-		deleted:  make(map[int]bool),
 		fieldNum: make(map[string]int),
 		K1:       1.2,
 		B:        0.75,
@@ -136,15 +135,17 @@ func (ix *Index) AddPrepared(doc PreparedDoc) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	n, exists := ix.byExt[doc.ID]
-	if exists {
-		delete(ix.deleted, n)
-	}
 	if !exists {
 		n = len(ix.extIDs)
 		ix.extIDs = append(ix.extIDs, doc.ID)
 		ix.byExt[doc.ID] = n
 		ix.docLens = append(ix.docLens, nil)
+		ix.dead = append(ix.dead, false)
 	} else {
+		if ix.dead[n] {
+			ix.dead[n] = false
+			ix.ndead--
+		}
 		// Remove the doc's previous postings.
 		for t, ps := range ix.postings {
 			kept := ps[:0]
@@ -212,7 +213,7 @@ func (ix *Index) Postings() int {
 func (ix *Index) Len() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return len(ix.extIDs) - len(ix.deleted)
+	return len(ix.extIDs) - ix.ndead
 }
 
 // NDocs returns the live document count that BM25 statistics are computed
@@ -226,7 +227,7 @@ func (ix *Index) Has(id string) bool {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	n, ok := ix.byExt[id]
-	return ok && !ix.deleted[n]
+	return ok && !ix.dead[n]
 }
 
 // Remove drops the document from retrieval (§7.3: pages disappear) and
@@ -240,14 +241,15 @@ func (ix *Index) Has(id string) bool {
 func (ix *Index) Remove(id string) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if n, ok := ix.byExt[id]; ok && !ix.deleted[n] {
+	if n, ok := ix.byExt[id]; ok && !ix.dead[n] {
 		for f, l := range ix.docLens[n] {
 			ix.fields[f].totalLen -= l
 		}
 		// Nil the lengths so a later AddPrepared revival doesn't subtract
 		// them a second time.
 		ix.docLens[n] = nil
-		ix.deleted[n] = true
+		ix.dead[n] = true
+		ix.ndead++
 		ix.epoch.Add(1)
 		ix.maybeCompactLocked()
 	}
@@ -258,7 +260,7 @@ func (ix *Index) Remove(id string) {
 func (ix *Index) Tombstones() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return len(ix.deleted)
+	return ix.ndead
 }
 
 // compactMinTombstones and compactFraction gate automatic compaction: it
@@ -271,8 +273,8 @@ const (
 )
 
 func (ix *Index) maybeCompactLocked() {
-	if len(ix.deleted) >= compactMinTombstones &&
-		len(ix.deleted)*compactFraction >= len(ix.extIDs) {
+	if ix.ndead >= compactMinTombstones &&
+		ix.ndead*compactFraction >= len(ix.extIDs) {
 		ix.compactLocked()
 	}
 }
@@ -285,7 +287,7 @@ func (ix *Index) maybeCompactLocked() {
 func (ix *Index) CompactTombstones() {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if len(ix.deleted) > 0 {
+	if ix.ndead > 0 {
 		ix.compactLocked()
 	}
 }
@@ -296,7 +298,7 @@ func (ix *Index) compactLocked() {
 	renum := make([]int, len(ix.extIDs))
 	live := 0
 	for n := range ix.extIDs {
-		if ix.deleted[n] {
+		if ix.dead[n] {
 			renum[n] = -1
 			continue
 		}
@@ -325,7 +327,8 @@ func (ix *Index) compactLocked() {
 			ix.postings[t] = kept
 		}
 	}
-	ix.deleted = make(map[int]bool)
+	ix.dead = make([]bool, live)
+	ix.ndead = 0
 }
 
 // DF returns the document frequency of the query term (after normalization).
@@ -339,14 +342,20 @@ func (ix *Index) DF(term string) int {
 	return ix.df(toks[0])
 }
 
+// df counts the live documents holding t. A document's postings for one term
+// are adjacent (see searchLocked), so distinct documents are counted as runs.
 func (ix *Index) df(t string) int {
-	seen := make(map[int]bool)
-	for _, p := range ix.postings[t] {
-		if !ix.deleted[p.doc] {
-			seen[p.doc] = true
+	ps := ix.postings[t]
+	n, last := 0, -1
+	for i := range ps {
+		if d := ps[i].doc; d != last {
+			last = d
+			if !ix.dead[d] {
+				n++
+			}
 		}
 	}
-	return len(seen)
+	return n
 }
 
 // Result is one ranked retrieval hit.
@@ -366,11 +375,13 @@ type localStats struct {
 	fieldLen map[string]int // field name -> total token count
 }
 
-// statsLocked gathers this index's contribution to the query's corpus
-// statistics. Caller holds at least an RLock.
-func (ix *Index) statsLocked(toks []string) localStats {
+// searchStats gathers this index's contribution to the query's corpus
+// statistics, for the sharded wrapper.
+func (ix *Index) searchStats(toks []string) localStats {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
 	gs := localStats{
-		ndocs:    len(ix.extIDs) - len(ix.deleted),
+		ndocs:    len(ix.extIDs) - ix.ndead,
 		df:       make(map[string]int, len(toks)),
 		fieldLen: make(map[string]int, len(ix.fields)),
 	}
@@ -383,13 +394,6 @@ func (ix *Index) statsLocked(toks []string) localStats {
 		gs.fieldLen[fs.name] += fs.totalLen
 	}
 	return gs
-}
-
-// searchStats is statsLocked behind the lock, for the sharded wrapper.
-func (ix *Index) searchStats(toks []string) localStats {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.statsLocked(toks)
 }
 
 // mergeStats sums shard-local statistics into global ones. Every doc lives
@@ -408,86 +412,52 @@ func mergeStats(parts []localStats) localStats {
 	return gs
 }
 
-// searchLocked scores this index's documents against toks using the given
-// corpus statistics — which may span more shards than this one — and
-// returns up to k results. Caller holds at least an RLock. The arithmetic
-// is the original single-index BM25F loop with the document count, term
-// document frequencies, and field totals read from gs instead of local
-// state, so with gs = statsLocked the result is bitwise-identical to the
-// historical Search.
-func (ix *Index) searchLocked(toks []string, gs localStats, k int) []Result {
-	if gs.ndocs == 0 || len(ix.extIDs) == 0 {
-		return nil
-	}
-	ndocs := float64(gs.ndocs)
-	scores := make(map[int]float64)
-	for _, t := range toks {
-		ps := ix.postings[t]
-		if len(ps) == 0 {
-			continue
-		}
-		df := float64(gs.df[t])
-		idf := math.Log(1 + (ndocs-df+0.5)/(df+0.5))
-		// Accumulate boosted, length-normalized term frequency per doc.
-		wtf := make(map[int]float64)
-		for _, p := range ps {
-			if ix.deleted[p.doc] {
-				continue
-			}
-			fs := ix.fields[p.field]
-			avg := gs.fieldLen[fs.name]
-			if avg == 0 {
-				continue
-			}
-			avgLen := float64(avg) / ndocs
-			dl := 0.0
-			if p.field < len(ix.docLens[p.doc]) {
-				dl = float64(ix.docLens[p.doc][p.field])
-			}
-			norm := 1 - ix.B + ix.B*dl/avgLen
-			wtf[p.doc] += fs.boost * float64(p.freq) / norm
-		}
-		for d, tf := range wtf {
-			scores[d] += idf * tf / (ix.K1 + tf) * (ix.K1 + 1)
-		}
-	}
-	return ix.topK(scores, k)
-}
-
-// searchWithStats is searchLocked behind the lock, for the sharded wrapper.
-func (ix *Index) searchWithStats(toks []string, gs localStats, k int) []Result {
+// searchWithStats scores this shard against corpus statistics summed over
+// every shard, for the sharded wrapper.
+func (ix *Index) searchWithStats(toks []string, gs localStats, k int) ([]Result, Cost) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return ix.searchLocked(toks, gs, k)
+	if gs.ndocs == 0 || len(ix.extIDs) == 0 {
+		return nil, Cost{}
+	}
+	sc := getScratch(len(toks), len(ix.fields))
+	for i, t := range toks {
+		sc.df[i] = gs.df[t]
+	}
+	for f, fs := range ix.fields {
+		sc.fieldLen[f] = gs.fieldLen[fs.name]
+	}
+	return ix.searchLocked(sc, toks, gs.ndocs, k)
 }
 
 // Search runs a BM25F-ranked query and returns up to k results in
 // descending score order (ties broken by ID for determinism).
 func (ix *Index) Search(query string, k int) []Result {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	toks := tokenize(query)
-	if len(toks) == 0 || len(ix.extIDs) == 0 {
-		return nil
-	}
-	return ix.searchLocked(toks, ix.statsLocked(toks), k)
+	out, _ := ix.searchCost(query, k)
+	return out
 }
 
-func (ix *Index) topK(scores map[int]float64, k int) []Result {
-	out := make([]Result, 0, len(scores))
-	for d, s := range scores {
-		out = append(out, Result{ID: ix.extIDs[d], Score: s})
+// searchCost is Search plus the work it did, scoring against this index's
+// own statistics.
+func (ix *Index) searchCost(query string, k int) ([]Result, Cost) {
+	toks := tokenize(query)
+	if len(toks) == 0 {
+		return nil, Cost{}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].ID < out[j].ID
-	})
-	if k > 0 && len(out) > k {
-		out = out[:k]
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	ndocs := len(ix.extIDs) - ix.ndead
+	if ndocs == 0 {
+		return nil, Cost{}
 	}
-	return out
+	sc := getScratch(len(toks), len(ix.fields))
+	for i, t := range toks {
+		sc.df[i] = ix.df(t)
+	}
+	for f, fs := range ix.fields {
+		sc.fieldLen[f] = fs.totalLen
+	}
+	return ix.searchLocked(sc, toks, ndocs, k)
 }
 
 // SearchAll returns the IDs of documents containing all query terms
@@ -503,7 +473,7 @@ func (ix *Index) SearchAll(query string) []string {
 	for _, t := range toks {
 		cur := make(map[int]bool)
 		for _, p := range ix.postings[t] {
-			if !ix.deleted[p.doc] {
+			if !ix.dead[p.doc] {
 				cur[p.doc] = true
 			}
 		}
@@ -536,7 +506,7 @@ func (ix *Index) SearchAny(query string) []string {
 	acc := make(map[int]bool)
 	for _, t := range tokenize(query) {
 		for _, p := range ix.postings[t] {
-			if !ix.deleted[p.doc] {
+			if !ix.dead[p.doc] {
 				acc[p.doc] = true
 			}
 		}
@@ -565,7 +535,7 @@ func (ix *Index) SearchPhrase(phrase string) []string {
 	type slot struct{ doc, field int }
 	first := make(map[slot][]int)
 	for _, p := range ix.postings[toks[0]] {
-		if !ix.deleted[p.doc] {
+		if !ix.dead[p.doc] {
 			first[slot{p.doc, p.field}] = p.pos
 		}
 	}
@@ -597,7 +567,7 @@ func (ix *Index) searchAnyLocked(toks []string) []string {
 	acc := make(map[int]bool)
 	for _, t := range toks {
 		for _, p := range ix.postings[t] {
-			if !ix.deleted[p.doc] {
+			if !ix.dead[p.doc] {
 				acc[p.doc] = true
 			}
 		}

@@ -1,0 +1,201 @@
+package index
+
+import (
+	"math"
+	"sync"
+)
+
+// The BM25F query kernel. Every ranked query — Index.Search, each shard of a
+// Sharded.Search — ends in searchLocked, which scores exhaustively and
+// allocates only the result slice: accumulators are dense per-doc-slot
+// arrays from a pool, and the best k are kept in a bounded heap. Scores,
+// order and tie-breaks are bit-identical to the map-and-sort kernel it
+// replaced (kept as the test oracle in kernel_ref_test.go); DESIGN.md §12
+// gives the argument.
+
+// Cost is the work one ranked query did: documents scored and posting
+// entries walked, summed over shards.
+type Cost struct {
+	Touched  int
+	Postings int
+}
+
+// cand is one scored document awaiting selection.
+type cand struct {
+	score float64
+	doc   int32
+}
+
+// scratch is one query's working memory. Between uses hit is all false and
+// touched is empty; everything else is overwritten before it is read.
+type scratch struct {
+	score    []float64 // by doc slot; meaningful only where hit
+	hit      []bool    // by doc slot
+	touched  []int32   // doc slots scored, in first-touch order
+	df       []int     // by query token position, set by the caller
+	fieldLen []int     // by field number, set by the caller
+	avgLen   []float64 // by field number; 0 marks a field with no tokens
+	heap     []cand
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// getScratch returns a scratch whose df and fieldLen hold ntoks and nfields
+// entries for the caller to fill.
+func getScratch(ntoks, nfields int) *scratch {
+	sc := scratchPool.Get().(*scratch)
+	if cap(sc.df) < ntoks {
+		sc.df = make([]int, ntoks)
+	}
+	sc.df = sc.df[:ntoks]
+	if cap(sc.fieldLen) < nfields {
+		sc.fieldLen = make([]int, nfields)
+		sc.avgLen = make([]float64, nfields)
+	}
+	sc.fieldLen, sc.avgLen = sc.fieldLen[:nfields], sc.avgLen[:nfields]
+	return sc
+}
+
+// searchLocked scores this index's documents against toks and returns the
+// best k (all of them when k <= 0) by (score desc, ID asc). The corpus
+// statistics — ndocs, sc.df, sc.fieldLen — may span more shards than this
+// one. It consumes sc. Caller holds at least an RLock and has checked that
+// ndocs > 0 and the index has doc slots.
+//
+// The arithmetic relies on one invariant: a document's postings for a term
+// are adjacent in the term's list. AddPrepared appends all of them under one
+// lock hold after dropping the document's previous ones, and compaction
+// preserves order. So the boosted, length-normalized term frequency of a
+// document is the sum over one run, taken in posting order, and a document's
+// score grows by one addend per query token, in token order.
+func (ix *Index) searchLocked(sc *scratch, toks []string, ndocs, k int) ([]Result, Cost) {
+	if len(sc.hit) < len(ix.extIDs) {
+		sc.score = make([]float64, len(ix.extIDs))
+		sc.hit = make([]bool, len(ix.extIDs))
+	}
+	n := float64(ndocs)
+	for f, total := range sc.fieldLen {
+		sc.avgLen[f] = 0
+		if total != 0 {
+			sc.avgLen[f] = float64(total) / n
+		}
+	}
+	k1, b := ix.K1, ix.B
+	var cost Cost
+	for i, t := range toks {
+		ps := ix.postings[t]
+		if len(ps) == 0 {
+			continue
+		}
+		cost.Postings += len(ps)
+		df := float64(sc.df[i])
+		idf := math.Log(1 + (n-df+0.5)/(df+0.5))
+		for j := 0; j < len(ps); {
+			d := ps[j].doc
+			if ix.dead[d] {
+				for j++; j < len(ps) && ps[j].doc == d; j++ {
+				}
+				continue
+			}
+			lens := ix.docLens[d]
+			tf, scored := 0.0, false
+			for ; j < len(ps) && ps[j].doc == d; j++ {
+				p := &ps[j]
+				avgLen := sc.avgLen[p.field]
+				if avgLen == 0 {
+					continue
+				}
+				dl := 0.0
+				if p.field < len(lens) {
+					dl = float64(lens[p.field])
+				}
+				norm := 1 - b + b*dl/avgLen
+				tf += ix.fields[p.field].boost * float64(p.freq) / norm
+				scored = true
+			}
+			if !scored {
+				continue
+			}
+			if !sc.hit[d] {
+				sc.hit[d] = true
+				sc.score[d] = 0
+				sc.touched = append(sc.touched, int32(d))
+			}
+			sc.score[d] += idf * tf / (k1 + tf) * (k1 + 1)
+		}
+	}
+	cost.Touched = len(sc.touched)
+	out := ix.topK(sc, k)
+	for _, d := range sc.touched {
+		sc.hit[d] = false
+	}
+	sc.touched = sc.touched[:0]
+	scratchPool.Put(sc)
+	return out, cost
+}
+
+// ranksBelow reports whether a comes after b in (score desc, ID asc) order.
+// IDs are unique, so this is a strict total order and any correct selection
+// and sort under it returns one sequence.
+func (ix *Index) ranksBelow(a, b cand) bool {
+	if a.score != b.score {
+		return a.score < b.score
+	}
+	return ix.extIDs[a.doc] > ix.extIDs[b.doc]
+}
+
+// topK selects the best k touched documents (all when k <= 0) with a bounded
+// heap whose root is the lowest-ranked one kept, then heap-sorts it in place
+// into rank order.
+func (ix *Index) topK(sc *scratch, k int) []Result {
+	if k <= 0 || k > len(sc.touched) {
+		k = len(sc.touched)
+	}
+	h := sc.heap[:0]
+	for _, d := range sc.touched {
+		c := cand{score: sc.score[d], doc: d}
+		switch {
+		case len(h) < k:
+			h = append(h, c)
+			if len(h) == k {
+				for i := k/2 - 1; i >= 0; i-- {
+					ix.siftDown(h, i)
+				}
+			}
+		case ix.ranksBelow(h[0], c):
+			h[0] = c
+			ix.siftDown(h, 0)
+		}
+	}
+	sc.heap = h
+	// Moving the root (lowest rank) behind a shrinking heap leaves h in
+	// rank order, best first.
+	for end := len(h) - 1; end > 0; end-- {
+		h[0], h[end] = h[end], h[0]
+		ix.siftDown(h[:end], 0)
+	}
+	out := make([]Result, len(h))
+	for i, c := range h {
+		out[i] = Result{ID: ix.extIDs[c.doc], Score: c.score}
+	}
+	return out
+}
+
+// siftDown restores the heap property (parent ranks below its children)
+// under h[i].
+func (ix *Index) siftDown(h []cand, i int) {
+	for {
+		low := i
+		if l := 2*i + 1; l < len(h) && ix.ranksBelow(h[l], h[low]) {
+			low = l
+		}
+		if r := 2*i + 2; r < len(h) && ix.ranksBelow(h[r], h[low]) {
+			low = r
+		}
+		if low == i {
+			return
+		}
+		h[i], h[low] = h[low], h[i]
+		i = low
+	}
+}

@@ -1,0 +1,187 @@
+package index
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"strings"
+	"testing"
+)
+
+var propVocab = strings.Fields(`pizza pasta sushi noodle curry taco burger ramen
+	cupertino sunnyvale fremont oakland berkeley market street avenue house kitchen
+	grill garden palace golden dragon lucky star running walked tables reviews
+	menu phone rating best cheap open late family`)
+
+// propDoc draws a document with one to three fields; field names repeat
+// within a document now and then and boosts include the zero default.
+func propDoc(rng *rand.Rand, id string) Document {
+	names := []string{"title", "body", "tags"}
+	boosts := []float64{0, 1, 2.5, 3, 0.5}
+	d := Document{ID: id}
+	for f, nf := 0, 1+rng.Intn(3); f < nf; f++ {
+		words := make([]string, 1+rng.Intn(12))
+		for i := range words {
+			// Squaring skews draws toward the head of the vocabulary, so
+			// some terms touch most documents and some almost none.
+			u := rng.Float64()
+			words[i] = propVocab[int(u*u*float64(len(propVocab)))]
+		}
+		d.Fields = append(d.Fields, Field{
+			Name:  names[rng.Intn(len(names))],
+			Text:  strings.Join(words, " "),
+			Boost: boosts[rng.Intn(len(boosts))],
+		})
+	}
+	return d
+}
+
+func propQueries(rng *rand.Rand) []string {
+	qs := []string{"", "zzzunknown", "pizza pizza", "pizza zzzunknown cupertino", "the"}
+	for i := 0; i < 12; i++ {
+		words := make([]string, 1+rng.Intn(4))
+		for j := range words {
+			words[j] = propVocab[rng.Intn(len(propVocab))]
+		}
+		qs = append(qs, strings.Join(words, " "))
+	}
+	return qs
+}
+
+// sameResults compares by bit pattern, ID and nil-ness.
+func sameResults(got, want []Result) error {
+	if (got == nil) != (want == nil) {
+		return fmt.Errorf("nil-ness: got nil=%v want nil=%v", got == nil, want == nil)
+	}
+	if len(got) != len(want) {
+		return fmt.Errorf("len %d, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].ID != want[i].ID || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+			return fmt.Errorf("rank %d: got %s/%x want %s/%x", i,
+				got[i].ID, math.Float64bits(got[i].Score), want[i].ID, math.Float64bits(want[i].Score))
+		}
+	}
+	return nil
+}
+
+// checkAdjacent fails when some document's postings for a term are split
+// into more than one run — the invariant the kernel and df count on.
+func checkAdjacent(t *testing.T, ix *Index, when string) {
+	t.Helper()
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	for term, ps := range ix.postings {
+		closed := make(map[int]bool)
+		for i, p := range ps {
+			if i > 0 && ps[i-1].doc != p.doc {
+				closed[ps[i-1].doc] = true
+			}
+			if closed[p.doc] {
+				t.Fatalf("%s: term %q: postings of doc slot %d are not adjacent", when, term, p.doc)
+			}
+		}
+	}
+}
+
+func checkKernel(t *testing.T, s *Sharded, queries []string, when string) {
+	t.Helper()
+	for _, ix := range s.shards {
+		checkAdjacent(t, ix, when)
+		ix.mu.RLock()
+		for term := range ix.postings {
+			if got, want := ix.df(term), ix.refDF(term); got != want {
+				t.Fatalf("%s: df(%q) = %d, reference %d", when, term, got, want)
+			}
+		}
+		ix.mu.RUnlock()
+	}
+	for _, q := range queries {
+		// The reported cost is the work done: every scored document is a
+		// result at k = 0, and scoring one walks at least one posting.
+		all, cost := s.SearchCost(q, 0)
+		if cost.Touched != len(all) || cost.Postings < cost.Touched {
+			t.Fatalf("%s: shards=%d q=%q: cost %+v for %d results", when, s.NumShards(), q, cost, len(all))
+		}
+		for _, k := range []int{0, 1, 3, 10, 1 << 20} {
+			if err := sameResults(s.Search(q, k), s.refSearch(q, k)); err != nil {
+				t.Fatalf("%s: shards=%d q=%q k=%d: %v", when, s.NumShards(), q, k, err)
+			}
+		}
+	}
+}
+
+// TestKernelMatchesReference drives seeded random corpora through adds,
+// re-adds of live and removed IDs, removals up to and past the automatic
+// compaction threshold and a forced compaction, and at every stage compares
+// the dense kernel with the retained map-and-sort reference by score bits,
+// exact order and nil-ness, at 1, 4 and 16 shards.
+func TestKernelMatchesReference(t *testing.T) {
+	for _, shards := range []int{1, 4, 16} {
+		for seed := int64(1); seed <= 3; seed++ {
+			rng := rand.New(rand.NewSource(seed*100 + int64(shards)))
+			queries := propQueries(rng)
+			s := NewSharded(shards)
+			checkKernel(t, s, queries, "empty")
+
+			const n = 400
+			id := func(i int) string { return fmt.Sprintf("doc-%03d", i) }
+			for i := 0; i < n; i++ {
+				s.Add(propDoc(rng, id(i)))
+			}
+			// Prepared documents may carry boosts Prepare would have
+			// defaulted: a zero boost scores a touched document 0.
+			s.AddPrepared(PreparedDoc{ID: "zero-boost", Fields: []PreparedField{
+				{Name: "title", Boost: 0, Toks: tokenize("pizza cupertino")},
+			}})
+			checkKernel(t, s, queries, "after adds")
+
+			for i := 0; i < 60; i++ {
+				s.Add(propDoc(rng, id(rng.Intn(n))))
+			}
+			checkKernel(t, s, queries, "after re-adds")
+
+			for i := 0; i < 40; i++ {
+				s.Remove(id(rng.Intn(n)))
+			}
+			if s.Tombstones() == 0 {
+				t.Fatal("removals left no tombstones to score around")
+			}
+			checkKernel(t, s, queries, "after removals")
+
+			for i := 0; i < 15; i++ {
+				s.Add(propDoc(rng, id(rng.Intn(n)))) // revives some
+			}
+			checkKernel(t, s, queries, "after revivals")
+
+			s.CompactTombstones()
+			if s.Tombstones() != 0 {
+				t.Fatal("forced compaction left tombstones")
+			}
+			checkKernel(t, s, queries, "after forced compaction")
+
+			// Remove most documents: every shard crosses the automatic
+			// compaction gate (64 tombstones and 1/8 of its slots) at
+			// 1 and 4 shards; at 16 shards tombstones simply pile up.
+			before := s.Tombstones()
+			compacted := false
+			for i := 0; i < n*3/4; i++ {
+				s.Remove(id(i))
+				if s.Tombstones() < before {
+					compacted = true
+				}
+				before = s.Tombstones()
+			}
+			if shards <= 4 && !compacted {
+				t.Fatal("automatic compaction never ran")
+			}
+			checkKernel(t, s, queries, "after mass removal")
+
+			for i := 0; i < n; i++ {
+				s.Remove(id(i))
+			}
+			s.Remove("zero-boost")
+			checkKernel(t, s, queries, "all removed")
+		}
+	}
+}

@@ -205,28 +205,35 @@ func (s *Sharded) each(fn func(i int, ix *Index)) {
 // scoring reuses the exact single-index arithmetic, scores are identical
 // to the unsharded path bit for bit.
 func (s *Sharded) Search(query string, k int) []Result {
+	out, _ := s.SearchCost(query, k)
+	return out
+}
+
+// SearchCost is Search plus the work the query did, for callers that
+// publish it as a metric.
+func (s *Sharded) SearchCost(query string, k int) ([]Result, Cost) {
+	if len(s.shards) == 1 {
+		return s.shards[0].searchCost(query, k)
+	}
 	toks := tokenize(query)
 	if len(toks) == 0 {
-		return nil
-	}
-	if len(s.shards) == 1 {
-		ix := s.shards[0]
-		ix.mu.RLock()
-		defer ix.mu.RUnlock()
-		if len(ix.extIDs) == 0 {
-			return nil
-		}
-		return ix.searchLocked(toks, ix.statsLocked(toks), k)
+		return nil, Cost{}
 	}
 	parts := make([]localStats, len(s.shards))
 	s.each(func(i int, ix *Index) { parts[i] = ix.searchStats(toks) })
 	gs := mergeStats(parts)
 	if gs.ndocs == 0 {
-		return nil
+		return nil, Cost{}
 	}
 	lists := make([][]Result, len(s.shards))
-	s.each(func(i int, ix *Index) { lists[i] = ix.searchWithStats(toks, gs, k) })
-	return mergeRanked(lists, k)
+	costs := make([]Cost, len(s.shards))
+	s.each(func(i int, ix *Index) { lists[i], costs[i] = ix.searchWithStats(toks, gs, k) })
+	var cost Cost
+	for _, c := range costs {
+		cost.Touched += c.Touched
+		cost.Postings += c.Postings
+	}
+	return mergeRanked(lists, k), cost
 }
 
 // mergeIDs merges per-shard sorted ID lists; shards are disjoint, so

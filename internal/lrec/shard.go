@@ -397,8 +397,11 @@ func (sh *shardEngine) unindex(r *Record) {
 	}
 }
 
-// get returns a copy of the record with the given id.
-func (sh *shardEngine) get(id string) (*Record, error) {
+// view returns the installed record with the given id itself, not a copy.
+// Installed records are never mutated in place — applyPut swaps the pointer —
+// so the reference stays internally consistent after the lock is released;
+// the caller must not mutate it.
+func (sh *shardEngine) view(id string) (*Record, error) {
 	sh.metrics.Counter("lrec.gets").Inc()
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
@@ -406,7 +409,7 @@ func (sh *shardEngine) get(id string) (*Record, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
-	return r.Clone(), nil
+	return r, nil
 }
 
 func (sh *shardEngine) length() int {
@@ -434,15 +437,14 @@ func (sh *shardEngine) countByConcept(concept string) int {
 	return len(sh.byConcept[concept])
 }
 
-// byAttrClones returns copies of the shard's records with the given
-// normalized attribute value, sorted by ID.
-func (sh *shardEngine) byAttrClones(ak string) []*Record {
+// appendByAttr appends the shard's installed records with the given
+// normalized attribute value to out, in no particular order. The references
+// are shared; see view.
+func (sh *shardEngine) appendByAttr(out []*Record, ak string) []*Record {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	ids := sortedIDs(sh.byAttr[ak])
-	out := make([]*Record, len(ids))
-	for i, id := range ids {
-		out[i] = sh.recs[id].Clone()
+	for id := range sh.byAttr[ak] {
+		out = append(out, sh.recs[id])
 	}
 	return out
 }

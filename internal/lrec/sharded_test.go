@@ -27,14 +27,14 @@ func TestShardRoutingPlacement(t *testing.T) {
 			t.Fatal(err)
 		}
 		k := shard.Of(id, n)
-		if _, err := s.shards[k].get(id); err != nil {
+		if _, err := s.shards[k].view(id); err != nil {
 			t.Fatalf("%s missing from shard %d (its hash home): %v", id, k, err)
 		}
 		for j := 0; j < n; j++ {
 			if j == k {
 				continue
 			}
-			if _, err := s.shards[j].get(id); !errors.Is(err, ErrNotFound) {
+			if _, err := s.shards[j].view(id); !errors.Is(err, ErrNotFound) {
 				t.Fatalf("%s present on shard %d, belongs on %d", id, j, k)
 			}
 		}

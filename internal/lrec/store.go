@@ -402,7 +402,21 @@ func (s *Store) Delete(id string) error {
 
 // Get returns a copy of the record with the given id.
 func (s *Store) Get(id string) (*Record, error) {
-	return s.shardFor(id).get(id)
+	r, err := s.View(id)
+	if err != nil {
+		return nil, err
+	}
+	return r.Clone(), nil
+}
+
+// View returns the installed record with the given id itself — the read the
+// query path uses to filter and score without copying. The reference is
+// shared with the store and with other readers and must not be mutated;
+// Clone whatever is handed on to a caller that may. It stays valid and
+// unchanged after a later Put or Delete of the id, which install a new
+// record rather than editing this one.
+func (s *Store) View(id string) (*Record, error) {
+	return s.shardFor(id).view(id)
 }
 
 // Len returns the number of live records.
@@ -442,16 +456,20 @@ func (s *Store) CountByConcept(concept string) int {
 // ByAttr returns copies of the concept's records having the given attribute
 // value (compared after normalization), sorted by ID.
 func (s *Store) ByAttr(concept, key, value string) []*Record {
+	out := s.ViewByAttr(concept, key, value)
+	for i, r := range out {
+		out[i] = r.Clone()
+	}
+	return out
+}
+
+// ViewByAttr is ByAttr without the copies: the installed records themselves,
+// sorted by ID, under View's must-not-mutate contract.
+func (s *Store) ViewByAttr(concept, key, value string) []*Record {
 	ak := attrKey(concept, key, textproc.Normalize(value))
-	if len(s.shards) == 1 {
-		return s.shards[0].byAttrClones(ak)
-	}
-	var out []*Record
+	out := []*Record{}
 	for _, sh := range s.shards {
-		out = append(out, sh.byAttrClones(ak)...)
-	}
-	if out == nil {
-		out = []*Record{}
+		out = sh.appendByAttr(out, ak)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out

@@ -30,6 +30,16 @@ func TestWritePrometheusGolden(t *testing.T) {
 		h.Observe(v)
 	}
 
+	// Per-query index work, as published by the search engine: counts, not
+	// seconds, on power-of-four buckets.
+	work := []float64{1, 4, 16, 64, 256, 1024, 4096}
+	touched := r.HistogramWith("index.search.touched", work)
+	postings := r.HistogramWith("index.search.postings", work)
+	for _, q := range [][2]float64{{0, 0}, {3, 5}, {812, 1490}, {2100, 5300}} {
+		touched.Observe(q[0])
+		postings.Observe(q[1])
+	}
+
 	// Windowed instruments on a fake clock so the exposition is stable.
 	w := NewWindowedHistogram([]float64{0.001, 0.01, 0.1}, time.Second, 4, clk.Now)
 	for _, v := range []float64{0.002, 0.004, 0.09} {

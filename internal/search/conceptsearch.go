@@ -47,23 +47,39 @@ func (e *Engine) ConceptSearch(query string, filters []Filter, k int) []RecordHi
 		}
 		retrieval = strings.Join(parts, " ")
 	}
-	hits := e.Woc.RecIndex.Search(retrieval, k*6+30)
+	hits := e.ranked(e.Woc.RecIndex, retrieval, k*6+30)
+	set := parsed.Kind == IntentSet
+	wantCity, wantCategory := textproc.Normalize(parsed.City), textproc.Normalize(parsed.Category)
 	out := make([]RecordHit, 0, len(hits))
 	for _, h := range hits {
-		rec, err := e.Woc.Records.Get(h.ID)
+		// Filter and score on the store's own record; only the k returned
+		// are copied.
+		rec, err := e.Woc.Records.View(h.ID)
 		if err != nil {
 			continue
 		}
-		if !passesFilters(rec, parsed, filters) {
+		if !passesFilters(rec, filters) {
+			continue
+		}
+		cityMatch := parsed.City != "" && textproc.Normalize(rec.Get("city")) == wantCity
+		categoryMatch := parsed.Category != "" && textproc.Normalize(rec.Get("cuisine")) == wantCategory
+		// Hard geographic constraint for set queries: "pizza in San Jose" must
+		// not return Cupertino records, however well they score textually.
+		if set && parsed.City != "" && rec.Has("city") && !cityMatch {
+			continue
+		}
+		// Category-constrained set search returns only records known to be in
+		// the category (§5.2's "show only Chinese restaurants" refinement).
+		if set && parsed.Category != "" && !categoryMatch {
 			continue
 		}
 		score := h.Score
 		// Attribute-agreement bonuses: matching the parsed city/category is
 		// worth more than matching their tokens in passing.
-		if parsed.City != "" && textproc.Normalize(rec.Get("city")) == textproc.Normalize(parsed.City) {
+		if cityMatch {
 			score += 2
 		}
-		if parsed.Category != "" && textproc.Normalize(rec.Get("cuisine")) == textproc.Normalize(parsed.Category) {
+		if categoryMatch {
 			score += 2
 		}
 		out = append(out, RecordHit{Record: rec, Score: score})
@@ -77,10 +93,15 @@ func (e *Engine) ConceptSearch(query string, filters []Filter, k int) []RecordHi
 	if k > 0 && len(out) > k {
 		out = out[:k]
 	}
+	for i := range out {
+		out[i].Record = out[i].Record.Clone()
+	}
 	return out
 }
 
-func passesFilters(rec *lrec.Record, parsed Parsed, filters []Filter) bool {
+// passesFilters reports whether rec has, for every filter, a value equal to
+// the filter's after normalization.
+func passesFilters(rec *lrec.Record, filters []Filter) bool {
 	for _, f := range filters {
 		match := false
 		for _, v := range rec.All(f.Key) {
@@ -90,20 +111,6 @@ func passesFilters(rec *lrec.Record, parsed Parsed, filters []Filter) bool {
 			}
 		}
 		if !match {
-			return false
-		}
-	}
-	// Hard geographic constraint for set queries: "pizza in San Jose" must
-	// not return Cupertino records, however well they score textually.
-	if parsed.Kind == IntentSet && parsed.City != "" && rec.Has("city") {
-		if textproc.Normalize(rec.Get("city")) != textproc.Normalize(parsed.City) {
-			return false
-		}
-	}
-	// Category-constrained set search returns only records known to be in
-	// the category (§5.2's "show only Chinese restaurants" refinement).
-	if parsed.Kind == IntentSet && parsed.Category != "" {
-		if textproc.Normalize(rec.Get("cuisine")) != textproc.Normalize(parsed.Category) {
 			return false
 		}
 	}
@@ -121,7 +128,7 @@ func (e *Engine) SearchWithinConcept(recordID, query string, k int) []DocResult 
 	if len(member) == 0 {
 		return nil
 	}
-	raw := e.Woc.DocIndex.Search(query, 0)
+	raw := e.ranked(e.Woc.DocIndex, query, 0)
 	var out []DocResult
 	for _, h := range raw {
 		if member[h.ID] {

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"conceptweb/internal/core"
+	"conceptweb/internal/index"
 	"conceptweb/internal/lrec"
 	"conceptweb/internal/obs"
 	"conceptweb/internal/textproc"
@@ -111,7 +112,7 @@ func (e *Engine) Trigger(q Parsed) (*lrec.Record, float64) {
 	if q.City != "" {
 		lookup += " " + q.City
 	}
-	hits := e.Woc.RecIndex.Search(lookup, 3)
+	hits := e.ranked(e.Woc.RecIndex, lookup, 3)
 	if len(hits) == 0 {
 		// Misspelled navigational queries ("gouchi cupertino") retrieve
 		// nothing by token match; fall back to fuzzy name comparison.
@@ -121,21 +122,15 @@ func (e *Engine) Trigger(q Parsed) (*lrec.Record, float64) {
 	if len(hits) > 1 && hits[1].Score > 0 && hits[0].Score/hits[1].Score < margin {
 		return nil, 0 // ambiguous: no box
 	}
-	rec, err := e.Woc.Records.Get(hits[0].ID)
+	// Decide on the store's own record; only a record that triggers is
+	// copied, for the caller to keep.
+	rec, err := e.Woc.Records.View(hits[0].ID)
 	if err != nil {
 		return nil, 0
 	}
 	// The record must actually cover the name tokens: BM25 can surface a
 	// record matching only the city.
-	name := textproc.Normalize(rec.Get("name") + " " + rec.Get("title") + " " + rec.FlatText())
-	nameSet := textproc.TokenSet(textproc.StemAll(textproc.Tokenize(name)))
-	matched := 0
-	for _, t := range q.NameTokens {
-		if nameSet[textproc.Stem(t)] {
-			matched++
-		}
-	}
-	cover := float64(matched) / float64(len(q.NameTokens))
+	cover := nameCover(rec, q.NameTokens)
 	if cover < 0.5 {
 		return nil, 0
 	}
@@ -145,7 +140,55 @@ func (e *Engine) Trigger(q Parsed) (*lrec.Record, float64) {
 		return nil, 0
 	}
 	conf := 0.5 + 0.5*cover
-	return rec, conf
+	return rec.Clone(), conf
+}
+
+// nameCover is the share of the query's name tokens that occur, after
+// stemming, in the record's flattened text — its attribute keys and best
+// values, which include the name and title.
+func nameCover(rec *lrec.Record, nameTokens []string) float64 {
+	want := make([]string, len(nameTokens))
+	for i, t := range nameTokens {
+		want[i] = textproc.Stem(t)
+	}
+	found := make([]bool, len(want))
+	var toks []string
+	scan := func(s string) {
+		toks = textproc.TokenizeInto(s, toks[:0])
+		for _, t := range toks {
+			st := textproc.Stem(t)
+			for i, w := range want {
+				if st == w {
+					found[i] = true
+				}
+			}
+		}
+	}
+	for k := range rec.Attrs {
+		if v, ok := rec.Best(k); ok {
+			scan(k)
+			scan(v.Value)
+		}
+	}
+	matched := 0
+	for _, f := range found {
+		if f {
+			matched++
+		}
+	}
+	return float64(matched) / float64(len(nameTokens))
+}
+
+// workBuckets are the histogram bounds for per-query work counts.
+var workBuckets = []float64{1, 4, 16, 64, 256, 1024, 4096, 16384, 65536, 262144}
+
+// ranked runs a BM25F query against ix and publishes what it cost: documents
+// scored and postings walked, one observation each per query.
+func (e *Engine) ranked(ix *index.Sharded, query string, k int) []index.Result {
+	hits, cost := ix.SearchCost(query, k)
+	e.Metrics.HistogramWith("index.search.touched", workBuckets).Observe(float64(cost.Touched))
+	e.Metrics.HistogramWith("index.search.postings", workBuckets).Observe(float64(cost.Postings))
+	return hits
 }
 
 // fuzzyTrigger scans record names with trigram similarity — the recovery
@@ -157,6 +200,7 @@ func (e *Engine) fuzzyTrigger(q Parsed) (*lrec.Record, float64) {
 	if needle == "" {
 		return nil, 0
 	}
+	city := textproc.Normalize(q.City)
 	var best, second float64
 	var bestRec *lrec.Record
 	e.Woc.Records.Scan(func(r *lrec.Record) bool {
@@ -167,15 +211,14 @@ func (e *Engine) fuzzyTrigger(q Parsed) (*lrec.Record, float64) {
 		if name == "" {
 			return true
 		}
-		if q.City != "" && r.Has("city") &&
-			textproc.Normalize(r.Get("city")) != textproc.Normalize(q.City) {
+		if q.City != "" && r.Has("city") && textproc.Normalize(r.Get("city")) != city {
 			return true
 		}
 		s := textproc.TrigramSim(needle, textproc.Normalize(name))
 		switch {
 		case s > best:
 			second = best
-			best, bestRec = s, r.Clone()
+			best, bestRec = s, r
 		case s > second:
 			second = s
 		}
@@ -184,7 +227,7 @@ func (e *Engine) fuzzyTrigger(q Parsed) (*lrec.Record, float64) {
 	if bestRec == nil || best < 0.55 || (second > 0 && best-second < 0.1) {
 		return nil, 0
 	}
-	return bestRec, 0.4 + 0.4*best
+	return bestRec.Clone(), 0.4 + 0.4*best
 }
 
 func (e *Engine) buildBox(rec *lrec.Record, conf float64) *ConceptBox {
@@ -204,7 +247,7 @@ func (e *Engine) buildBox(rec *lrec.Record, conf float64) *ConceptBox {
 	}
 	box.Address = strings.Join(addr, ", ")
 	// Attach up to two linked reviews.
-	for _, rv := range e.Woc.Records.ByAttr("review", "about", rec.ID) {
+	for _, rv := range e.Woc.Records.ViewByAttr("review", "about", rec.ID) {
 		if t := rv.Get("text"); t != "" {
 			box.Reviews = append(box.Reviews, t)
 			if len(box.Reviews) == 2 {
@@ -228,7 +271,7 @@ func firstNonEmpty(ss ...string) string {
 // features: documents associated with the triggered record move up, and the
 // record's official homepage gets "preferential treatment by the ranker".
 func (e *Engine) rankDocs(q Parsed, triggered *lrec.Record, k int) []DocResult {
-	raw := e.Woc.DocIndex.Search(q.Raw, k*4+20)
+	raw := e.ranked(e.Woc.DocIndex, q.Raw, k*4+20)
 	var homepage string
 	if triggered != nil {
 		homepage = strings.TrimSuffix(triggered.Get("homepage"), "/")

@@ -39,51 +39,67 @@ type Recommender struct {
 func (rc *Recommender) Alternatives(recordID string, k int) ([]Recommendation, error) {
 	defer rc.Metrics.Time("rec.alternatives.latency")()
 	rc.Metrics.Counter("rec.alternatives.calls").Inc()
-	cur, err := rc.Woc.Records.Get(recordID)
+	// Candidates are filtered and scored on the store's own records; only
+	// the k returned are copied.
+	cur, err := rc.Woc.Records.View(recordID)
 	if err != nil {
 		return nil, err
 	}
 	curRating := parseRating(cur.Get("rating"))
+	city, cuisine := textproc.Normalize(cur.Get("city")), textproc.Normalize(cur.Get("cuisine"))
+	price, kind := textproc.Normalize(cur.Get("price")), textproc.Normalize(cur.Get("kind"))
 	var out []Recommendation
-	for _, cand := range rc.Woc.Records.ByConcept(cur.Concept) {
-		if cand.ID == cur.ID {
-			continue
-		}
-		score := 0.0
-		reason := ""
-		if eq(cand, cur, "city") {
-			score += 2
-			reason = "same city"
-		}
-		if eq(cand, cur, "cuisine") {
-			score += 2
-			if reason != "" {
-				reason += ", "
+	// A plausible substitute scores at least 2, so it equals cur on city,
+	// cuisine or kind — and is then in the store's attribute index under
+	// cur's value for that key (the index holds every value of a record, eq
+	// compares best values: a superset). Each candidate is taken from the
+	// first of the three sets whose key it equals cur on, so none is scored
+	// twice.
+	for i, key := range [...]string{"city", "cuisine", "kind"} {
+		for _, cand := range rc.Woc.Records.ViewByAttr(cur.Concept, key, cur.Get(key)) {
+			if cand.ID == cur.ID {
+				continue
 			}
-			reason += "same cuisine"
+			same := [...]bool{eq(cand, "city", city), eq(cand, "cuisine", cuisine), eq(cand, "kind", kind)}
+			if !same[i] || (i > 0 && same[0]) || (i > 1 && same[1]) {
+				continue
+			}
+			score := 0.0
+			reason := ""
+			if same[0] {
+				score += 2
+				reason = "same city"
+			}
+			if same[1] {
+				score += 2
+				if reason != "" {
+					reason += ", "
+				}
+				reason += "same cuisine"
+			}
+			if eq(cand, "price", price) {
+				score += 0.5
+			}
+			if same[2] { // products: same kind substitutes
+				score += 2
+				reason = "same kind"
+			}
+			// Suppression: an alternative rated clearly below the current
+			// record is not shown.
+			candRating := parseRating(cand.Get("rating"))
+			if curRating > 0 && candRating > 0 && candRating < curRating-0.5 {
+				continue
+			}
+			score += candRating / 5
+			out = append(out, Recommendation{Record: cand, Score: score, Reason: reason})
 		}
-		if eq(cand, cur, "price") {
-			score += 0.5
-		}
-		if eq(cand, cur, "kind") { // products: same kind substitutes
-			score += 2
-			reason = "same kind"
-		}
-		if score < 2 {
-			continue // not a plausible substitute
-		}
-		// Suppression: an alternative rated clearly below the current
-		// record is not shown.
-		candRating := parseRating(cand.Get("rating"))
-		if curRating > 0 && candRating > 0 && candRating < curRating-0.5 {
-			continue
-		}
-		score += candRating / 5
-		out = append(out, Recommendation{Record: cand, Score: score, Reason: reason})
 	}
 	sortRecs(out)
 	if k > 0 && len(out) > k {
 		out = out[:k]
+	}
+	for i := range out {
+		out[i].Record = out[i].Record.Clone()
 	}
 	return out, nil
 }
@@ -125,9 +141,11 @@ func (rc *Recommender) Augmentations(recordID string, k int) ([]Recommendation, 
 	return out, nil
 }
 
-func eq(a, b *lrec.Record, key string) bool {
-	av, bv := a.Get(key), b.Get(key)
-	return av != "" && textproc.Normalize(av) == textproc.Normalize(bv)
+// eq reports whether cand's best value for key is non-empty and normalizes
+// to want.
+func eq(cand *lrec.Record, key, want string) bool {
+	v := cand.Get(key)
+	return v != "" && textproc.Normalize(v) == want
 }
 
 func parseRating(s string) float64 {
