@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench benchshards benchscale scalecheck microbench bench-smoke profile crashtest servetest maintaintest querytest loadtest fmt vet
+.PHONY: build test race bench benchshards benchscale scalecheck microbench bench-smoke profile crashtest servetest maintaintest querytest fuzz-smoke loadtest fmt vet
 
 build:
 	$(GO) build ./...
@@ -50,14 +50,30 @@ querytest:
 # maintaintest runs the continuous-maintenance suites under the race
 # detector: the scheduler's cohort/sweep/gone-probe unit tests, the churn
 # stress (serving-layer readers hammering the system across >=3 full
-# background sweeps with a page loss and resurrection, p99 read bound), and
-# the delta-vs-rebuild equivalence matrix (incremental passes must land on
-# bit-identical store content and search results as a fresh build, at every
-# workers x shards combination). -count=1 defeats test caching.
+# background sweeps with a page loss and resurrection, p99 read bound), the
+# delta-vs-rebuild equivalence matrix (incremental passes — the four
+# scripted ones and the seeded random schedules — must land on bit-identical
+# store content and search results as a fresh build, at every workers x
+# shards combination), and the extraction memo against the retained
+# whole-site and whole-host extraction (seeded random page churn, candidate
+# for candidate). -count=1 defeats test caching.
 maintaintest:
 	$(GO) test -race -count=1 -v ./internal/maintain/
-	$(GO) test -race -count=1 -v -run 'TestDeltaRefreshConvergesToRebuild|TestRefresh|TestRemove|TestStoreDelete' \
-		./internal/core/ ./internal/index/ ./internal/webgraph/
+	$(GO) test -race -count=1 -v \
+		-run 'TestDeltaRefreshConvergesToRebuild|TestRefresh|TestRemove|TestStoreDelete|TestSiteMemo|TestSitePages|TestBuildStreamKeepsNoMemo' \
+		./internal/core/ ./internal/extract/ ./internal/index/ ./internal/webgraph/
+
+# fuzz-smoke runs every native fuzz target in the tree for a bounded time
+# (FUZZTIME each, one target per invocation as `go test -fuzz` requires).
+# A crasher lands in the package's testdata/fuzz/<target>/ directory; commit
+# it — the plain `go test` run then replays it as a regression seed.
+# -fuzzminimizetime is bounded in runs: the default (60 s of minimizing each
+# new 10 KB page that reaches new coverage) would spend the whole budget on
+# the first interesting input.
+FUZZTIME ?= 10s
+
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzSitePageMemo$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/extract/
 
 # bench runs the end-to-end construction benchmark at 1, 4, and 8 workers
 # (via -cpu, which also sets GOMAXPROCS and hence the default pool size) and
@@ -125,7 +141,9 @@ scalecheck:
 # collective resolution, the maintenance upsert's target scan (200 incoming ×
 # 1000 stored records) with the profile pair score under it, and the query
 # path: one ranked BM25F query (heavy-tail 2k-page index, instance / set /
-# attribute forms, k = 60, 1 and 4 shards) and one Alternatives call. These
+# attribute forms, k = 60, 1 and 4 shards), one Alternatives call, and one
+# index re-add at 2k and at 20k documents (the two must read alike: a re-add
+# costs what the document holds, not what the index holds). These
 # are the functions the extract/link/resolve/upsert stages and a cold query
 # spend their time in; -benchmem makes allocation regressions visible next to
 # the ns/op numbers. The match and index benchmarks include *Reference
@@ -133,7 +151,7 @@ scalecheck:
 # the archived output shows the speedup alongside the absolute numbers.
 microbench:
 	$(GO) test -run '^$$' \
-		-bench 'BenchmarkTokenize|BenchmarkTokenizeInto|BenchmarkTopTerms|BenchmarkRepeatedGroups|BenchmarkMatchTokens|BenchmarkResolve|BenchmarkUpsertScan|BenchmarkScoreProfiles|BenchmarkIndexSearch|BenchmarkAlternatives' \
+		-bench 'BenchmarkTokenize|BenchmarkTokenizeInto|BenchmarkTopTerms|BenchmarkRepeatedGroups|BenchmarkMatchTokens|BenchmarkResolve|BenchmarkUpsertScan|BenchmarkScoreProfiles|BenchmarkIndexSearch|BenchmarkIndexReAdd|BenchmarkAlternatives' \
 		-benchmem ./internal/textproc/ ./internal/extract/ ./internal/match/ ./internal/index/ ./internal/session/ | tee bench-micro.txt
 
 # bench-smoke proves the repository's benchmark (bench/, a module of its own

@@ -100,6 +100,11 @@ type WebOfConcepts struct {
 	// when a gone page resurrects with different content. Entries are
 	// cleared on resurrection; pages that never return keep theirs.
 	goneAssoc map[string][]string
+	// memo is the extraction memo (see extractMemo): what the last
+	// extraction of each host found, page by page, so that a maintenance
+	// pass re-analyses only the pages that changed. nil until an extract
+	// stage that keeps one has run; BuildStream never fills it.
+	memo *extractMemo
 
 	// epoch is the maintenance generation counter: 1 after Build, bumped by
 	// every maintenance pass that changes visible state (Refresh with
@@ -214,7 +219,7 @@ func (b *Builder) Build(seeds []string) (*WebOfConcepts, *BuildStats, error) {
 	cg := newConceptGroups(nil)
 	var analyses map[string]*extract.PageAnalysis
 	b.stage(ctx, "extract", func(context.Context) {
-		analyses = b.extractAll(woc.Pages, cg)
+		analyses, _ = b.extractHosts(woc, nil, cg)
 		stats.Candidates = cg.total
 	})
 	b.stage(ctx, "resolve", func(context.Context) {
@@ -306,89 +311,112 @@ func pipelineCtx(name string) (context.Context, *obs.Span) {
 	return obs.Start(ctx, name)
 }
 
-// extractAll runs domain-centric extraction over every site: list extraction
-// with template propagation, plus detail extraction on pages where no list
-// of the same concept was found (a page that lists five restaurants is not a
-// detail page about one).
+// extractStats says what one extract stage read and what it replayed.
+type extractStats struct {
+	// pagesAnalyzed counts pages read and analysed; pagesReplayed counts
+	// pages of the same hosts answered from the memo alone.
+	pagesAnalyzed, pagesReplayed int
+	// hostsReinduced counts hosts where a changed trusted-signature set sent
+	// some domain's propagate and detail passes back over the whole site.
+	hostsReinduced int
+}
+
+// extractHosts runs domain-centric extraction over the given hosts (nil =
+// every host): list extraction with template propagation, plus detail
+// extraction on pages where no list of the same concept was found (a page
+// that lists five restaurants is not a detail page about one). It goes
+// through the web of concepts' extraction memo, filling it for hosts it has
+// not seen: a page whose stored hash the memo holds is neither read nor
+// analysed, its candidates are replayed.
 //
 // The unit of parallelism is a (host, domain) pair — per-site extraction is
 // the embarrassingly parallel unit (§7.1). Each task reads only shared
 // immutable inputs (parsed pages, the Domain value; extractor instances are
-// created per task) and writes its own result slot; slots concatenate in
-// sorted-host, declared-domain order, so candidate order — and with it every
-// downstream seq assignment — is identical at any worker count.
+// created per task), owns its SiteMemo, and writes its own result slot.
+// Candidates fold into cg through the ordered fan-in, grouping per concept
+// (pre-merged by synthesized ID) as tasks complete instead of concatenating
+// into one corpus-sized slice. The fold preserves the full-build candidate
+// ordering — hosts sorted, then the config's domain order, then list,
+// propagated and detail candidates each in site-page order — so candidate
+// order, and with it every downstream seq assignment and the pre-merge value
+// dedupe, is identical at any worker count and between a host-restricted
+// delta extraction and a fresh build.
 //
-// One PageAnalysis is built per page and shared by every domain task of the
-// host (its lazy views are goroutine-safe), so the per-page DOM passes run
-// once instead of once per domain. The analyses also return to the caller:
-// the link stage reuses their main-text token streams.
-func (b *Builder) extractAll(pages *webgraph.Store, cg *conceptGroups) map[string]*extract.PageAnalysis {
-	return b.extractHosts(pages, nil, cg)
-}
-
-// extractHosts runs the extract stage over the given hosts (nil = every
-// host), folding each task's candidates into cg through the ordered fan-in:
-// candidates group per concept (pre-merged by synthesized ID) as tasks
-// complete instead of concatenating into one corpus-sized slice. The fold
-// preserves the full-build candidate ordering — hosts sorted, then the
-// config's domain order, then site-page order — so a host-restricted delta
-// extraction folds candidates in the same relative order a fresh build
-// would, which the pre-merge value dedupe depends on.
-func (b *Builder) extractHosts(pages *webgraph.Store, only map[string]bool, cg *conceptGroups) map[string]*extract.PageAnalysis {
-	hosts := pages.Hosts()
-	analyses := make(map[string]*extract.PageAnalysis)
-	type task struct {
-		sitePas []*extract.PageAnalysis
-		domain  extract.Domain
+// One PageAnalysis is built per page read and shared by every domain task
+// of the host, so the per-page DOM passes run once instead of once per
+// domain. The analyses also return to the caller: the link stage reuses
+// their main-text token streams.
+func (b *Builder) extractHosts(woc *WebOfConcepts, only map[string]bool, cg *conceptGroups) (map[string]*extract.PageAnalysis, extractStats) {
+	if woc.memo == nil {
+		woc.memo = newExtractMemo()
 	}
-	tasks := make([]task, 0, len(hosts)*len(b.Cfg.Domains))
-	for _, host := range hosts {
+	memo := woc.memo
+	memo.tick++
+	type task struct {
+		site   *hostSite
+		memo   *extract.SiteMemo
+		domain extract.Domain
+	}
+	type result struct {
+		cands     []*extract.Candidate
+		reinduced bool
+	}
+	var sites []*hostSite
+	var tasks []task
+	for _, host := range woc.Pages.Hosts() {
 		if only != nil && !only[host] {
 			continue
 		}
-		var sitePas []*extract.PageAnalysis
-		for _, u := range pages.HostPages(host) {
-			if p, err := pages.Get(u); err == nil {
-				pa := extract.Analyze(p)
-				sitePas = append(sitePas, pa)
-				analyses[p.URL] = pa
-			}
-		}
-		for _, d := range b.Cfg.Domains {
-			tasks = append(tasks, task{sitePas, d})
+		hs := newHostSite(woc.Pages, host)
+		sites = append(sites, hs)
+		hm := memo.host(host, len(b.Cfg.Domains))
+		for di, d := range b.Cfg.Domains {
+			tasks = append(tasks, task{hs, hm.sites[di], d})
 		}
 	}
+	reinduced := make(map[*hostSite]bool)
 	w := b.workers()
 	parallelEachOrdered(len(tasks), w, 4*w,
-		func(i int) []*extract.Candidate {
-			return b.extractSite(tasks[i].sitePas, tasks[i].domain)
+		func(i int) result {
+			cands, re := b.extractSite(tasks[i].memo, tasks[i].site.Site, tasks[i].domain)
+			return result{cands, re}
 		},
-		func(_ int, cands []*extract.Candidate) { cg.addAll(cands) })
-	return analyses
+		func(i int, r result) {
+			cg.addAll(r.cands)
+			if r.reinduced {
+				reinduced[tasks[i].site] = true
+			}
+		})
+	memo.evict()
+
+	analyses := make(map[string]*extract.PageAnalysis)
+	st := extractStats{hostsReinduced: len(reinduced)}
+	for _, hs := range sites {
+		for i, pa := range hs.pas {
+			if pa != nil {
+				analyses[hs.URLs[i]] = pa
+				st.pagesAnalyzed++
+			} else {
+				st.pagesReplayed++
+			}
+		}
+	}
+	return analyses, st
 }
 
 // extractSite is the body of one extract task: one domain's list extraction
-// with site propagation plus detail extraction over one site's pages.
-func (b *Builder) extractSite(sitePas []*extract.PageAnalysis, d extract.Domain) []*extract.Candidate {
+// with site propagation plus detail extraction over one site, page by page
+// through memo (a fresh one extracts the whole site).
+func (b *Builder) extractSite(memo *extract.SiteMemo, site extract.Site, d extract.Domain) (cands []*extract.Candidate, reinduced bool) {
 	prop := &extract.SitePropagator{Inner: &extract.ListExtractor{Domain: d}}
-	listCands := prop.ExtractSiteAnalyzed(sitePas)
-	listPages := make(map[string]int)
-	for _, c := range listCands {
-		listPages[c.SourceURL]++
-	}
-	all := listCands
 	det := &extract.DetailExtractor{Domain: d}
-	for _, pa := range sitePas {
+	return memo.Extract(prop, site, func(pa *extract.PageAnalysis) []*extract.Candidate {
 		p := pa.Page
-		if listPages[p.URL] >= 1 {
-			// The page yielded list records of this concept: it is a
-			// listing (even a single-result one), not a detail page.
-			continue
-		}
 		if b.Cfg.Gate != nil && !b.Cfg.Gate(d.Concept, p) {
-			continue // classification routed this page elsewhere
+			return nil // classification routed this page elsewhere
 		}
-		for _, c := range det.ExtractAnalyzed(pa) {
+		found := det.ExtractAnalyzed(pa)
+		for _, c := range found {
 			if p.Path == "/" {
 				// A detail page at a site root is the instance's own
 				// homepage.
@@ -397,10 +425,9 @@ func (b *Builder) extractSite(sitePas []*extract.PageAnalysis, d extract.Domain)
 			if hp := officialSiteLink(p); hp != "" {
 				c.Add("homepage", hp, 0.8)
 			}
-			all = append(all, c)
 		}
-	}
-	return all
+		return found
+	})
 }
 
 // officialSiteLink finds an outlink labeled as the official site.

@@ -344,6 +344,19 @@ func TestRefreshAppliesChange(t *testing.T) {
 		t.Errorf("registry refresh.upsert.compared/pruned = %d/%d, stats %d/%d", counters["refresh.upsert.compared"],
 			counters["refresh.upsert.pruned"], stats.UpsertCompared, stats.UpsertPruned)
 	}
+	// Build left the extraction memo behind, so of the re-extracted hosts'
+	// pages only the changed one was analysed; the rest were replayed.
+	if stats.PagesAnalyzed != 1 || stats.PagesReplayed == 0 || stats.HostsReinduced != 0 {
+		t.Errorf("extract stage analysed %d pages, replayed %d, re-induced %d hosts: want 1, some, 0",
+			stats.PagesAnalyzed, stats.PagesReplayed, stats.HostsReinduced)
+	}
+	if counters["refresh.extract.analyzed"] != int64(stats.PagesAnalyzed) ||
+		counters["refresh.extract.replayed"] != int64(stats.PagesReplayed) ||
+		counters["refresh.extract.reinduced"] != int64(stats.HostsReinduced) {
+		t.Errorf("registry refresh.extract.* = %d/%d/%d, stats %d/%d/%d", counters["refresh.extract.analyzed"],
+			counters["refresh.extract.replayed"], counters["refresh.extract.reinduced"],
+			stats.PagesAnalyzed, stats.PagesReplayed, stats.HostsReinduced)
+	}
 }
 
 func TestClassifierGateExcludesHotels(t *testing.T) {

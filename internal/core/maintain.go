@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"conceptweb/internal/extract"
@@ -41,6 +42,14 @@ type RefreshStats struct {
 	// ruled out unscored.
 	UpsertCompared int
 	UpsertPruned   int
+	// PagesAnalyzed counts the pages of the re-extracted hosts the extract
+	// stage read and analysed, PagesReplayed the pages it answered from the
+	// extraction memo. HostsReinduced counts re-extracted hosts whose
+	// trusted-signature set changed, sending the propagate and detail passes
+	// back over the whole site — the wrapper-drift signal.
+	PagesAnalyzed  int
+	PagesReplayed  int
+	HostsReinduced int
 	// Workers annotates the pass with the worker-pool size the parallel
 	// refetch/extract stages ran at.
 	Workers int
@@ -95,20 +104,36 @@ func (b *Builder) Refresh(woc *WebOfConcepts, urls []string) (*RefreshStats, err
 		m.Counter("refresh.pages.relinked").Add(int64(stats.PagesRelinked))
 		m.Counter("refresh.upsert.compared").Add(int64(stats.UpsertCompared))
 		m.Counter("refresh.upsert.pruned").Add(int64(stats.UpsertPruned))
+		m.Counter("refresh.extract.analyzed").Add(int64(stats.PagesAnalyzed))
+		m.Counter("refresh.extract.replayed").Add(int64(stats.PagesReplayed))
+		m.Counter("refresh.extract.reinduced").Add(int64(stats.HostsReinduced))
 		b.updateIndexGauges(woc)
 	}()
 
 	var changed []*webgraph.Page
 	b.stage(ctx, "refetch", func(context.Context) {
-		// Fetch + parse in parallel; apply results in input-URL order.
+		// Fetch in parallel, hashing each body against the page store's
+		// hash for the URL and parsing only the bodies that differ; apply
+		// results in input-URL order.
 		pages := make([]*webgraph.Page, len(urls))
+		same := make([]bool, len(urls))
 		parallelEach(len(urls), b.workers(), func(i int) {
-			if html, err := b.Fetcher.Fetch(urls[i]); err == nil {
-				pages[i] = webgraph.NewPage(urls[i], html)
+			html, err := b.Fetcher.Fetch(urls[i])
+			if err != nil {
+				return
 			}
+			if h, ok := woc.Pages.Hash(urls[i]); ok && h == webgraph.HashContent(html) {
+				same[i] = true
+				return
+			}
+			pages[i] = webgraph.NewPage(urls[i], html)
 		})
 		for i, u := range urls {
 			stats.PagesChecked++
+			if same[i] {
+				stats.PagesUnchanged++
+				continue
+			}
 			p := pages[i]
 			if p == nil {
 				// The page is gone ("restaurants close down", §7.3): drop it
@@ -121,17 +146,22 @@ func (b *Builder) Refresh(woc *WebOfConcepts, urls []string) (*RefreshStats, err
 				// reappearance supersedes it.
 				stats.PagesGone++
 				woc.Pages.Delete(u)
+				woc.memo.drop(u)
 				woc.DocIndex.Remove(u)
-				if len(woc.Assoc[u]) > 0 {
-					// Remember which records the dead page fed (the lineage
-					// ledger): if the page resurrects with different content,
-					// the supersede stage still needs to find and strip its
-					// stale contribution even though the live maps below are
-					// severed now.
-					if woc.goneAssoc == nil {
-						woc.goneAssoc = make(map[string][]string)
+				// Remember which records the dead page fed a value to (the
+				// lineage ledger): when the page resurrects, the supersede
+				// stage retires them even though the live maps below are
+				// severed now — and even if a rebuild in the page's absence
+				// has dropped its values from them meanwhile, because the
+				// rebuilt record then lacks what a fresh build over the
+				// resurrected corpus folds in first.
+				for _, id := range woc.Assoc[u] {
+					if rec, err := woc.Records.Get(id); err == nil && sourcedFrom(rec, u) {
+						if woc.goneAssoc == nil {
+							woc.goneAssoc = make(map[string][]string)
+						}
+						woc.goneAssoc[u] = append(woc.goneAssoc[u], id)
 					}
-					woc.goneAssoc[u] = append([]string(nil), woc.Assoc[u]...)
 				}
 				for _, id := range woc.Assoc[u] {
 					removeAssoc(woc.RevAssoc, id, u)
@@ -192,7 +222,10 @@ func (b *Builder) Refresh(woc *WebOfConcepts, urls []string) (*RefreshStats, err
 		for _, d := range docs {
 			woc.DocIndex.AddPrepared(d)
 		}
-		analyses = b.extractHosts(woc.Pages, hosts, cg)
+		var est extractStats
+		analyses, est = b.extractHosts(woc, hosts, cg)
+		stats.PagesAnalyzed, stats.PagesReplayed = est.pagesAnalyzed, est.pagesReplayed
+		stats.HostsReinduced = est.hostsReinduced
 	})
 
 	var linkDirty bool
@@ -244,8 +277,9 @@ func (b *Builder) retireAffected(woc *WebOfConcepts, changed []*webgraph.Page, s
 		u := p.URL
 		ids := append([]string(nil), woc.Assoc[u]...)
 		// A page resurrecting after a gone pass has empty live associations;
-		// the ledger stashed at removal still names its downstream records.
-		for _, id := range woc.goneAssoc[u] {
+		// the ledger stashed at removal still names the records it fed.
+		ledger := woc.goneAssoc[u]
+		for _, id := range ledger {
 			ids = appendUnique(ids, id)
 		}
 		delete(woc.goneAssoc, u)
@@ -266,8 +300,9 @@ func (b *Builder) retireAffected(woc *WebOfConcepts, changed []*webgraph.Page, s
 			}
 			// An association without a contributed value (a review page's
 			// subject, a homepage link harvested elsewhere) does not make the
-			// record stale: its content is independent of this page.
-			if id != revID && !sourcedFrom(rec, u) {
+			// record stale: its content is independent of this page. The
+			// ledger holds only records the page did contribute to.
+			if id != revID && !sourcedFrom(rec, u) && !slices.Contains(ledger, id) {
 				continue
 			}
 			retired[id] = rec

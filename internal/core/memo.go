@@ -1,0 +1,139 @@
+package core
+
+import (
+	"sort"
+	"strings"
+	"sync"
+
+	"conceptweb/internal/extract"
+	"conceptweb/internal/webgraph"
+)
+
+// memoCandidateBudget caps the candidates the extraction memo holds across
+// all hosts, at roughly 0.6 KiB a candidate with its share of the per-page
+// bookkeeping. Over it, whole hosts are evicted, least recently extracted
+// first; an evicted host re-extracts in full the next time a pass touches
+// it.
+const memoCandidateBudget = 1 << 17
+
+// extractMemo is the web of concepts' extraction memo: per host, one
+// extract.SiteMemo per configured domain. It lives beside the page store and
+// answers for the pages whose stored hash it was filled under; the extract
+// stage of Build fills it as a by-product and Refresh on first touch of a
+// host. It is valid for the Config (domains, gate) of the builder that
+// filled it, and is touched only from the maintenance goroutine and, during
+// the extract fan-out, one task per SiteMemo.
+type extractMemo struct {
+	hosts  map[string]*hostMemo
+	budget int
+	tick   uint64 // extract stages run; hostMemo.used is the last that touched the host
+}
+
+type hostMemo struct {
+	sites []*extract.SiteMemo // by Config.Domains index
+	used  uint64
+}
+
+func newExtractMemo() *extractMemo {
+	return &extractMemo{hosts: make(map[string]*hostMemo), budget: memoCandidateBudget}
+}
+
+// host returns the host's memo for an extract stage over ndomains domains,
+// empty when the host is new or was evicted.
+func (m *extractMemo) host(host string, ndomains int) *hostMemo {
+	hm := m.hosts[host]
+	if hm == nil || len(hm.sites) != ndomains {
+		hm = &hostMemo{sites: make([]*extract.SiteMemo, ndomains)}
+		for i := range hm.sites {
+			hm.sites[i] = new(extract.SiteMemo)
+		}
+		m.hosts[host] = hm
+	}
+	hm.used = m.tick
+	return hm
+}
+
+// drop forgets a page that left the page store.
+func (m *extractMemo) drop(url string) {
+	if m == nil {
+		return
+	}
+	host, _, _ := strings.Cut(url, "/")
+	if hm := m.hosts[host]; hm != nil {
+		for _, sm := range hm.sites {
+			sm.Drop(url)
+		}
+	}
+}
+
+func (hm *hostMemo) candidates() int {
+	n := 0
+	for _, sm := range hm.sites {
+		n += sm.Candidates()
+	}
+	return n
+}
+
+// evict drops whole hosts, least recently extracted first (host name breaks
+// ties, so eviction is deterministic), until the memo is within budget.
+func (m *extractMemo) evict() {
+	total := 0
+	for _, hm := range m.hosts {
+		total += hm.candidates()
+	}
+	if total <= m.budget {
+		return
+	}
+	hosts := make([]string, 0, len(m.hosts))
+	for h := range m.hosts {
+		hosts = append(hosts, h)
+	}
+	sort.Slice(hosts, func(i, j int) bool {
+		a, b := m.hosts[hosts[i]], m.hosts[hosts[j]]
+		if a.used != b.used {
+			return a.used < b.used
+		}
+		return hosts[i] < hosts[j]
+	})
+	for _, h := range hosts {
+		if total <= m.budget {
+			return
+		}
+		total -= m.hosts[h].candidates()
+		delete(m.hosts, h)
+	}
+}
+
+// hostSite is one host's pages as the extract stage hands them to
+// extract.SiteMemo: URLs and stored hashes up front, each page read and
+// analysed at most once, on first demand, and shared by every domain task of
+// the host (the analysis's lazy views are goroutine-safe).
+type hostSite struct {
+	extract.Site
+	pages *webgraph.Store
+	once  []sync.Once
+	pas   []*extract.PageAnalysis
+}
+
+func newHostSite(pages *webgraph.Store, host string) *hostSite {
+	urls := pages.HostPages(host)
+	hs := &hostSite{
+		pages: pages,
+		once:  make([]sync.Once, len(urls)),
+		pas:   make([]*extract.PageAnalysis, len(urls)),
+	}
+	hs.URLs, hs.Hashes, hs.Analysis = urls, make([]uint64, len(urls)), hs.analysis
+	for i, u := range urls {
+		hs.Hashes[i], _ = pages.Hash(u)
+	}
+	return hs
+}
+
+func (hs *hostSite) analysis(i int) *extract.PageAnalysis {
+	hs.once[i].Do(func() {
+		if p, err := hs.pages.Get(hs.URLs[i]); err == nil {
+			hs.pas[i] = extract.Analyze(p)
+		}
+	})
+	return hs.pas[i]
+}

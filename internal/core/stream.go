@@ -134,18 +134,15 @@ func (b *Builder) BuildStream(src PageSource) (*WebOfConcepts, *BuildStats, erro
 	return woc, stats, nil
 }
 
-// extractHostStreaming runs every configured domain over one host. The
-// host's analyses are local to the call and die with it.
+// extractHostStreaming runs every configured domain over one host, each
+// through a throwaway memo: the host's analyses and what the memos hold are
+// local to the call and die with it.
 func (b *Builder) extractHostStreaming(pages *webgraph.Store, host string) []*extract.Candidate {
-	var sitePas []*extract.PageAnalysis
-	for _, u := range pages.HostPages(host) {
-		if p, err := pages.Get(u); err == nil {
-			sitePas = append(sitePas, extract.Analyze(p))
-		}
-	}
+	hs := newHostSite(pages, host)
 	var all []*extract.Candidate
 	for _, d := range b.Cfg.Domains {
-		all = append(all, b.extractSite(sitePas, d)...)
+		cands, _ := b.extractSite(new(extract.SiteMemo), hs.Site, d)
+		all = append(all, cands...)
 	}
 	return all
 }

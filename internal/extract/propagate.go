@@ -1,7 +1,6 @@
 package extract
 
 import (
-	"conceptweb/internal/htmlx"
 	"conceptweb/internal/textproc"
 	"conceptweb/internal/webgraph"
 )
@@ -15,13 +14,15 @@ import (
 // extraction efforts across sources within a site" idea of §7.2 applied at
 // the smallest scale.
 //
-// Concurrency audit (for the parallel build pipeline): ExtractSite keeps all
-// mutable state — the trusted-signature set, the dedup set, the leftovers
-// list — local to the call; the propagator itself holds only the Inner
-// extractor. One SitePropagator value must not be shared across concurrent
-// ExtractSite calls for different sites only because callers conventionally
-// construct one per (site, domain) task; nothing in the struct would break,
-// but per-task construction keeps the invariant obvious and free.
+// The work is per page: the list pass reads one page and says which
+// signatures it vouches for, the propagate pass reads one page and the
+// site's trusted set. SiteMemo strings the passes over a site and remembers
+// their output page by page.
+//
+// Concurrency audit (for the parallel build pipeline): the propagator holds
+// only the Inner extractor, and both passes keep their mutable state local
+// to the call, so one value may serve concurrent calls; callers construct
+// one per (site, domain) task anyway.
 type SitePropagator struct {
 	Inner *ListExtractor
 }
@@ -29,74 +30,84 @@ type SitePropagator struct {
 // Name identifies the operator in lineage chains.
 func (s *SitePropagator) Name() string { return s.Inner.Name() + "+propagate" }
 
-// ExtractSite runs two passes over one site's pages: first normal list
-// extraction (which also learns the accepted item signatures), then a sweep
-// that applies those signatures to unrepeated items. Candidates are deduped
-// by (source URL, name, evidence values).
+// ExtractSite runs list extraction with propagation over one site's pages:
+// every page's list candidates, then every page's propagated candidates,
+// deduped per page by (source URL, name, evidence values).
 func (s *SitePropagator) ExtractSite(pages []*webgraph.Page) []*Candidate {
-	return s.ExtractSiteAnalyzed(AnalyzeAll(pages))
+	site := Site{URLs: make([]string, len(pages)), Hashes: make([]uint64, len(pages))}
+	for i, p := range pages {
+		site.URLs[i], site.Hashes[i] = p.URL, p.Hash
+	}
+	pas := AnalyzeAll(pages)
+	site.Analysis = func(i int) *PageAnalysis { return pas[i] }
+	cands, _ := new(SiteMemo).Extract(s, site, nil)
+	return cands
 }
 
-// ExtractSiteAnalyzed is ExtractSite over shared page analyses, so the
-// repeated-group detection, item spans, and signature computations are done
-// once per page no matter how many domains sweep the site.
-func (s *SitePropagator) ExtractSiteAnalyzed(pas []*PageAnalysis) []*Candidate {
-	trusted := make(map[string]bool)
-	var out []*Candidate
+// dedupeKey identifies a candidate within its page: two items of one page
+// with the same name and evidence values are one record.
+func (s *SitePropagator) dedupeKey(c *Candidate) string {
+	return c.SourceURL + "\x00" + textproc.Normalize(c.Get(s.Inner.Domain.NameKey)) +
+		"\x00" + textproc.Normalize(c.Get("zip")) + textproc.Normalize(c.Get("phone"))
+}
+
+func (s *SitePropagator) minItems() int {
+	if s.Inner.MinItems < 2 {
+		return 2
+	}
+	return s.Inner.MinItems
+}
+
+// listPage is the list pass over one page: repetition-based extraction of
+// every repeated group, deduped, plus the class-path signatures of the
+// groups that yielded candidates — the page's contribution to the site's
+// trusted set.
+func (s *SitePropagator) listPage(pa *PageAnalysis) (cands []*Candidate, sigs []string) {
 	seen := make(map[string]bool)
-
-	add := func(c *Candidate) {
-		key := c.SourceURL + "\x00" + textproc.Normalize(c.Get(s.Inner.Domain.NameKey)) +
-			"\x00" + textproc.Normalize(c.Get("zip")) + textproc.Normalize(c.Get("phone"))
-		if seen[key] {
-			return
-		}
-		seen[key] = true
-		out = append(out, c)
-	}
-
-	// Pass 1: repetition-based extraction; learn trusted signatures.
-	minItems := s.Inner.MinItems
-	if minItems < 2 {
-		minItems = 2
-	}
-	type pending struct {
-		pa    *PageAnalysis
-		items []*htmlx.Node
-		cps   []string // class-path signatures aligned with items
-	}
-	var leftovers []pending
-	for _, pa := range pas {
-		groups, sigs := pa.GroupsWithSigs(minItems)
-		for gi, group := range groups {
-			cands := s.Inner.extractGroup(pa, group)
-			for _, c := range cands {
-				add(c)
-			}
-			if len(cands) > 0 {
-				trusted[sigs[gi]] = true
+	groups, gsigs := pa.GroupsWithSigs(s.minItems())
+	for gi, group := range groups {
+		found := s.Inner.extractGroup(pa, group)
+		for _, c := range found {
+			if key := s.dedupeKey(c); !seen[key] {
+				seen[key] = true
+				cands = append(cands, c)
 			}
 		}
-		// Collect singleton items (pre-sorted by the analysis) for pass 2.
-		items, cps := pa.Singles(minItems)
-		leftovers = append(leftovers, pending{pa, items, cps})
+		if len(found) > 0 {
+			sigs = append(sigs, gsigs[gi])
+		}
 	}
+	return cands, sigs
+}
 
+// propagatePage is the propagate pass over one page: unrepeated items whose
+// signature the site trusts are parsed as records, deduped among themselves
+// and against the page's list candidates.
+func (s *SitePropagator) propagatePage(pa *PageAnalysis, trusted map[string]bool, list []*Candidate) []*Candidate {
 	if len(trusted) == 0 {
-		return out
+		return nil
 	}
-
-	// Pass 2: apply trusted signatures to unrepeated items.
-	for _, lo := range leftovers {
-		for i, item := range lo.items {
-			if !trusted[lo.cps[i]] {
-				continue
+	var out []*Candidate
+	var seen map[string]bool
+	items, cps := pa.Singles(s.minItems())
+	for i, item := range items {
+		if !trusted[cps[i]] {
+			continue
+		}
+		cand, hasEvidence, ok := s.Inner.parseItem(pa, item)
+		if !ok || !hasEvidence {
+			continue
+		}
+		if seen == nil {
+			seen = make(map[string]bool, len(list)+1)
+			for _, c := range list {
+				seen[s.dedupeKey(c)] = true
 			}
-			cand, hasEvidence, ok := s.Inner.parseItem(lo.pa, item)
-			if !ok || !hasEvidence {
-				continue
-			}
-			add(cand.Chain("propagate", 0.9))
+		}
+		c := cand.Chain("propagate", 0.9)
+		if key := s.dedupeKey(c); !seen[key] {
+			seen[key] = true
+			out = append(out, c)
 		}
 	}
 	return out

@@ -8,15 +8,17 @@ import (
 	"conceptweb/internal/webgraph"
 )
 
-// heavyTailFixture is the document index of a 2k-page heavy-tail world — the
-// build pipeline's title (boost 2.5) + body documents — plus the three §5.1
-// query forms made from the world's own restaurants. Aggregator hosts carry
-// about half the pages, so a "cuisine city" or "name city" query touches
+// heavyTailFixture is the document index of a heavy-tail world of about the
+// given number of pages — the build pipeline's title (boost 2.5) + body
+// documents, also returned as prepared — plus the three §5.1 query forms
+// made from the world's own restaurants. Aggregator hosts carry about half
+// the pages, so at 2k pages a "cuisine city" or "name city" query touches
 // well over a thousand documents to rank sixty.
-func heavyTailFixture(tb testing.TB, shards int) (*Sharded, map[string][]string) {
+func heavyTailFixture(tb testing.TB, pages, shards int) (*Sharded, []PreparedDoc, map[string][]string) {
 	tb.Helper()
-	w := webgen.NewStreamWorld(webgen.HeavyTailConfig(2000))
+	w := webgen.NewStreamWorld(webgen.HeavyTailConfig(pages))
 	s := NewSharded(shards)
+	var docs []PreparedDoc
 	queries := map[string][]string{}
 	seen := map[string]bool{}
 	err := w.EachPage(func(p *webgen.Page) error {
@@ -25,10 +27,12 @@ func heavyTailFixture(tb testing.TB, shards int) (*Sharded, map[string][]string)
 		if t := page.Doc.FindFirst("title"); t != nil {
 			title = t.Text()
 		}
-		s.Add(Document{ID: p.URL, Fields: []Field{
+		d := Prepare(Document{ID: p.URL, Fields: []Field{
 			{Name: "title", Text: title, Boost: 2.5},
 			{Name: "body", Text: page.Doc.Text()},
 		}})
+		s.AddPrepared(d)
+		docs = append(docs, d)
 		name, city, cuisine := p.Truth.Attrs["name"], p.Truth.Attrs["city"], p.Truth.Attrs["cuisine"]
 		if p.Truth.Kind != "biz" || name == "" || city == "" || seen[name] {
 			return nil
@@ -42,14 +46,14 @@ func heavyTailFixture(tb testing.TB, shards int) (*Sharded, map[string][]string)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return s, queries
+	return s, docs, queries
 }
 
 var benchResults []Result
 
 func benchSearch(b *testing.B, search func(s *Sharded, query string, k int) []Result) {
 	for _, shards := range []int{1, 4} {
-		s, queries := heavyTailFixture(b, shards)
+		s, _, queries := heavyTailFixture(b, 2000, shards)
 		for _, form := range []string{"instance", "set", "attribute"} {
 			qs := queries[form]
 			b.Run(fmt.Sprintf("shards=%d/%s", shards, form), func(b *testing.B) {
@@ -72,4 +76,21 @@ func BenchmarkIndexSearch(b *testing.B) {
 // map-and-sort kernel.
 func BenchmarkIndexSearchReference(b *testing.B) {
 	benchSearch(b, (*Sharded).refSearch)
+}
+
+// BenchmarkIndexReAdd replaces one already-indexed document per iteration
+// (the maintenance pass's index write: a changed page, an upserted record),
+// walking the corpus with a stride so that aggregator and tail pages mix.
+// Tokenization is outside the loop; automatic compaction is inside it. The
+// cost must not grow with the index: 20k pages should read like 2k.
+func BenchmarkIndexReAdd(b *testing.B) {
+	for _, pages := range []int{2000, 20000} {
+		s, docs, _ := heavyTailFixture(b, pages, 1)
+		b.Run(fmt.Sprintf("pages=%d", pages), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s.AddPrepared(docs[i*7919%len(docs)])
+			}
+		})
+	}
 }

@@ -121,10 +121,12 @@ func Prepare(doc Document) PreparedDoc {
 	return pd
 }
 
-// Add indexes doc. Re-adding an existing ID replaces the old version
-// logically: the old postings remain but are remapped away, so callers that
-// churn heavily should rebuild; the maintenance layer (§7.3) tracks changes
-// at a higher level. Add is Prepare + AddPrepared.
+// Add indexes doc. Re-adding an existing ID replaces the old version: the
+// old doc slot is tombstoned exactly as Remove would and the new version
+// takes a fresh slot, so a re-add costs what the document holds, not what
+// the index holds. The tombstoned slot's postings linger until the automatic
+// compaction rule reclaims them (see CompactTombstones); queries skip them
+// meanwhile. Add is Prepare + AddPrepared.
 func (ix *Index) Add(doc Document) {
 	ix.AddPrepared(Prepare(doc))
 }
@@ -134,37 +136,14 @@ func (ix *Index) Add(doc Document) {
 func (ix *Index) AddPrepared(doc PreparedDoc) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	n, exists := ix.byExt[doc.ID]
-	if !exists {
-		n = len(ix.extIDs)
-		ix.extIDs = append(ix.extIDs, doc.ID)
-		ix.byExt[doc.ID] = n
-		ix.docLens = append(ix.docLens, nil)
-		ix.dead = append(ix.dead, false)
-	} else {
-		if ix.dead[n] {
-			ix.dead[n] = false
-			ix.ndead--
-		}
-		// Remove the doc's previous postings.
-		for t, ps := range ix.postings {
-			kept := ps[:0]
-			for _, p := range ps {
-				if p.doc != n {
-					kept = append(kept, p)
-				}
-			}
-			if len(kept) == 0 {
-				delete(ix.postings, t)
-			} else {
-				ix.postings[t] = kept
-			}
-		}
-		for f, l := range ix.docLens[n] {
-			ix.fields[f].totalLen -= l
-		}
-		ix.docLens[n] = nil
+	if old, ok := ix.byExt[doc.ID]; ok {
+		ix.tombstoneLocked(old)
 	}
+	n := len(ix.extIDs)
+	ix.extIDs = append(ix.extIDs, doc.ID)
+	ix.byExt[doc.ID] = n
+	ix.docLens = append(ix.docLens, nil)
+	ix.dead = append(ix.dead, false)
 	for _, f := range doc.Fields {
 		fn, ok := ix.fieldNum[f.Name]
 		if !ok {
@@ -189,6 +168,22 @@ func (ix *Index) AddPrepared(doc PreparedDoc) {
 		}
 	}
 	ix.epoch.Add(1)
+	ix.maybeCompactLocked()
+}
+
+// tombstoneLocked takes doc slot n out of retrieval and out of the corpus
+// statistics, reporting whether it was live.
+func (ix *Index) tombstoneLocked(n int) bool {
+	if ix.dead[n] {
+		return false
+	}
+	for f, l := range ix.docLens[n] {
+		ix.fields[f].totalLen -= l
+	}
+	ix.docLens[n] = nil
+	ix.dead[n] = true
+	ix.ndead++
+	return true
 }
 
 // Epoch returns the index's mutation counter; it advances on every add and
@@ -237,26 +232,18 @@ func (ix *Index) Has(id string) bool {
 // The doc-number slot itself is tombstoned and its postings linger until
 // enough tombstones accumulate to trigger compaction (see
 // CompactTombstones); queries skip them meanwhile. Removing an unknown ID
-// is a no-op; re-Adding the ID revives it.
+// is a no-op; re-Adding the ID indexes it afresh.
 func (ix *Index) Remove(id string) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if n, ok := ix.byExt[id]; ok && !ix.dead[n] {
-		for f, l := range ix.docLens[n] {
-			ix.fields[f].totalLen -= l
-		}
-		// Nil the lengths so a later AddPrepared revival doesn't subtract
-		// them a second time.
-		ix.docLens[n] = nil
-		ix.dead[n] = true
-		ix.ndead++
+	if n, ok := ix.byExt[id]; ok && ix.tombstoneLocked(n) {
 		ix.epoch.Add(1)
 		ix.maybeCompactLocked()
 	}
 }
 
-// Tombstones returns the number of removed doc slots not yet reclaimed by
-// compaction.
+// Tombstones returns the number of doc slots — removed documents and
+// replaced versions of re-added ones — not yet reclaimed by compaction.
 func (ix *Index) Tombstones() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -265,8 +252,10 @@ func (ix *Index) Tombstones() int {
 
 // compactMinTombstones and compactFraction gate automatic compaction: it
 // runs once at least 64 tombstones have accumulated AND they make up at
-// least 1/8 of all doc slots. Small indexes under churn compact eagerly
-// enough, large ones amortize the O(postings) sweep.
+// least 1/8 of all doc slots, after a removal or a re-add. Small indexes
+// under churn compact eagerly enough, large ones amortize the O(postings)
+// sweep; between compactions slots stay under 8/7 of the live documents
+// plus 64.
 const (
 	compactMinTombstones = 64
 	compactFraction      = 8

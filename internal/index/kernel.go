@@ -64,8 +64,9 @@ func getScratch(ntoks, nfields int) *scratch {
 //
 // The arithmetic relies on one invariant: a document's postings for a term
 // are adjacent in the term's list. AddPrepared appends all of them under one
-// lock hold after dropping the document's previous ones, and compaction
-// preserves order. So the boosted, length-normalized term frequency of a
+// lock hold to a doc slot of their own (a re-added document's previous
+// version keeps its old, tombstoned slot), and compaction preserves order.
+// So the boosted, length-normalized term frequency of a
 // document is the sum over one run, taken in posting order, and a document's
 // score grows by one addend per query token, in token order.
 func (ix *Index) searchLocked(sc *scratch, toks []string, ndocs, k int) ([]Result, Cost) {

@@ -84,6 +84,31 @@ func checkAdjacent(t *testing.T, ix *Index, when string) {
 	}
 }
 
+// checkSlotBound fails when a shard holds tombstones the automatic
+// compaction rule should have reclaimed, or more doc slots than 8/7 of its
+// live documents plus 64 — the pooled query scratch is sized to slots. It
+// counts a compaction in compactions[shard] whenever a shard's tombstones
+// fell below lastDead[shard], which it keeps up to date.
+func checkSlotBound(t *testing.T, s *Sharded, lastDead, compactions []int) {
+	t.Helper()
+	for si, ix := range s.shards {
+		ix.mu.RLock()
+		slots, dead := len(ix.extIDs), ix.ndead
+		ix.mu.RUnlock()
+		live := slots - dead
+		if dead >= compactMinTombstones && dead*compactFraction >= slots {
+			t.Fatalf("shard %d: %d tombstones in %d slots survived the compaction rule", si, dead, slots)
+		}
+		if slots*7 > live*8+7*64 {
+			t.Fatalf("shard %d: %d slots for %d live documents", si, slots, live)
+		}
+		if dead < lastDead[si] {
+			compactions[si]++
+		}
+		lastDead[si] = dead
+	}
+}
+
 func checkKernel(t *testing.T, s *Sharded, queries []string, when string) {
 	t.Helper()
 	for _, ix := range s.shards {
@@ -113,7 +138,8 @@ func checkKernel(t *testing.T, s *Sharded, queries []string, when string) {
 
 // TestKernelMatchesReference drives seeded random corpora through adds,
 // re-adds of live and removed IDs, removals up to and past the automatic
-// compaction threshold and a forced compaction, and at every stage compares
+// compaction threshold, a forced compaction and a long re-add-only phase
+// that compacts on its own, and at every stage compares
 // the dense kernel with the retained map-and-sort reference by score bits,
 // exact order and nil-ness, at 1, 4 and 16 shards.
 func TestKernelMatchesReference(t *testing.T) {
@@ -159,6 +185,27 @@ func TestKernelMatchesReference(t *testing.T) {
 				t.Fatal("forced compaction left tombstones")
 			}
 			checkKernel(t, s, queries, "after forced compaction")
+
+			// Re-add only, no Remove, long enough that every shard — 25
+			// documents each at 16 shards — piles up the 64 replaced slots
+			// that trigger automatic compaction, several times over.
+			lastDead, compactions := make([]int, shards), make([]int, shards)
+			for i := 0; i < 4000; i++ {
+				s.Add(propDoc(rng, id(rng.Intn(n))))
+				checkSlotBound(t, s, lastDead, compactions)
+				if i%500 == 499 {
+					checkKernel(t, s, queries, "during re-adds")
+				}
+			}
+			for si, c := range compactions {
+				if c == 0 {
+					t.Fatalf("shards=%d: shard %d never compacted under re-adds", shards, si)
+				}
+			}
+			if s.Len() != n+1 {
+				t.Fatalf("re-adds changed the live count: %d, want %d", s.Len(), n+1)
+			}
+			checkKernel(t, s, queries, "after re-add churn")
 
 			// Remove most documents: every shard crosses the automatic
 			// compaction gate (64 tombstones and 1/8 of its slots) at

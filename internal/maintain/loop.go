@@ -78,6 +78,9 @@ type Totals struct {
 	RecordsReconciled int
 	UpsertCompared    int
 	UpsertPruned      int
+	PagesAnalyzed     int
+	PagesReplayed     int
+	HostsReinduced    int
 }
 
 // Status is a point-in-time snapshot of the loop, safe to read while a pass
@@ -348,4 +351,7 @@ func (l *Loop) accumulate(st woc.RefreshStats) {
 	t.RecordsDeleted += st.RecordsDeleted
 	t.UpsertCompared += st.UpsertCompared
 	t.UpsertPruned += st.UpsertPruned
+	t.PagesAnalyzed += st.PagesAnalyzed
+	t.PagesReplayed += st.PagesReplayed
+	t.HostsReinduced += st.HostsReinduced
 }

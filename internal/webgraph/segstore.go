@@ -508,6 +508,13 @@ func (b *diskBackend) has(url string) bool {
 	return ok
 }
 
+func (b *diskBackend) hash(url string) (uint64, bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	ref, ok := b.refs[url]
+	return ref.hash, ok
+}
+
 func (b *diskBackend) count() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()

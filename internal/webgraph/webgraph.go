@@ -7,7 +7,6 @@ package webgraph
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strings"
 	"sync"
@@ -52,11 +51,16 @@ func splitURL(url string) (host, path string) {
 	return url, "/"
 }
 
-// HashContent returns the FNV-1a hash of a page body.
+// HashContent returns the 64-bit FNV-1a hash of a page body, computed in
+// place: a maintenance pass hashes every fetched body, and hash/fnv would
+// copy each one to a byte slice first.
 func HashContent(html string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(html))
-	return h.Sum64()
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(html); i++ {
+		h ^= uint64(html[i])
+		h *= 1099511628211
+	}
+	return h
 }
 
 // NewPage parses raw HTML into a Page: DOM, resolved outlinks, content hash.
@@ -107,6 +111,7 @@ type backend interface {
 	delete(url string) bool
 	get(url string) (*Page, error)
 	has(url string) bool
+	hash(url string) (uint64, bool)
 	count() int
 	urls() []string
 	hosts() []string
@@ -143,6 +148,12 @@ func (s *Store) Get(url string) (*Page, error) { return s.b.get(url) }
 // is an index lookup — no segment read, no parse — so membership checks
 // (link-graph pruning, maintenance scheduling) stay cheap at corpus scale.
 func (s *Store) Has(url string) bool { return s.b.has(url) }
+
+// Hash returns the content hash of the page stored at url, like Has without
+// a read or a parse. The maintenance pass compares it with the hash of a
+// fetched body to skip parsing pages that did not change, and the extraction
+// memo keys a page's candidates by it.
+func (s *Store) Hash(url string) (uint64, bool) { return s.b.hash(url) }
 
 // Len returns the number of stored pages.
 func (s *Store) Len() int { return s.b.count() }
@@ -243,6 +254,16 @@ func (s *memBackend) has(url string) bool {
 	defer s.mu.RUnlock()
 	_, ok := s.pages[url]
 	return ok
+}
+
+func (s *memBackend) hash(url string) (uint64, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	p, ok := s.pages[url]
+	if !ok {
+		return 0, false
+	}
+	return p.Hash, true
 }
 
 func (s *memBackend) count() int {

@@ -3,7 +3,9 @@ package webgraph
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"reflect"
+	"strings"
 	"testing"
 
 	"conceptweb/internal/webgen"
@@ -245,5 +247,17 @@ func TestCrawlDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(run(), run()) {
 		t.Error("crawl not deterministic")
+	}
+}
+
+// TestHashContentIsFNV1a pins the in-place hash to hash/fnv's 64-bit FNV-1a:
+// stored page hashes and hash-derived record IDs must not move.
+func TestHashContentIsFNV1a(t *testing.T) {
+	for _, s := range []string{"", "a", "<html><body>café — 95014</body></html>", strings.Repeat("x\x00y", 1000)} {
+		h := fnv.New64a()
+		h.Write([]byte(s))
+		if got, want := HashContent(s), h.Sum64(); got != want {
+			t.Errorf("HashContent(%q...) = %x, fnv-1a %x", s[:min(len(s), 8)], got, want)
+		}
 	}
 }

@@ -465,6 +465,14 @@ type RefreshStats struct {
 	// skipped while looking for merge targets.
 	UpsertCompared int
 	UpsertPruned   int
+	// PagesAnalyzed and PagesReplayed split the pages of the re-extracted
+	// hosts into those the pass read and analysed and those it answered
+	// from the extraction memo. HostsReinduced counts re-extracted hosts
+	// whose trusted template signatures changed, so that the whole site
+	// went through the propagate and detail passes again: wrapper drift.
+	PagesAnalyzed  int
+	PagesReplayed  int
+	HostsReinduced int
 	// Epoch is the data generation after the pass; it advanced only if the
 	// pass changed visible state.
 	Epoch uint64
@@ -487,7 +495,9 @@ func (s *System) Refresh(urls []string) (RefreshStats, error) {
 		RecordsUpdated: st.RecordsUpdated, RecordsCreated: st.RecordsCreated,
 		RecordsSuperseded: st.RecordsSuperseded, RecordsDeleted: st.RecordsDeleted,
 		UpsertCompared: st.UpsertCompared, UpsertPruned: st.UpsertPruned,
-		PagesRelinked: st.PagesRelinked, Epoch: st.Epoch,
+		PagesAnalyzed: st.PagesAnalyzed, PagesReplayed: st.PagesReplayed,
+		HostsReinduced: st.HostsReinduced,
+		PagesRelinked:  st.PagesRelinked, Epoch: st.Epoch,
 	}, nil
 }
 
