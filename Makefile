@@ -54,13 +54,17 @@ querytest:
 # delta-vs-rebuild equivalence matrix (incremental passes — the four
 # scripted ones and the seeded random schedules — must land on bit-identical
 # store content and search results as a fresh build, at every workers x
-# shards combination), and the extraction memo against the retained
-# whole-site and whole-host extraction (seeded random page churn, candidate
-# for candidate). -count=1 defeats test caching.
+# shards combination), the extraction memo against the retained whole-site
+# and whole-host extraction (seeded random page churn, candidate for
+# candidate), the page-task extract stage against the same whole-host oracle
+# (workers 1/2/8 x windows of one host, 64 pages and the whole corpus; fresh,
+# memo-less, host-restricted and re-induction extractions), and the
+# recognise-once scan memo against the retained per-call recognisers.
+# -count=1 defeats test caching.
 maintaintest:
 	$(GO) test -race -count=1 -v ./internal/maintain/
 	$(GO) test -race -count=1 -v \
-		-run 'TestDeltaRefreshConvergesToRebuild|TestRefresh|TestRemove|TestStoreDelete|TestSiteMemo|TestSitePages|TestBuildStreamKeepsNoMemo' \
+		-run 'TestDeltaRefreshConvergesToRebuild|TestRefresh|TestRemove|TestStoreDelete|TestSiteMemo|TestSitePages|TestBuildStreamKeepsNoMemo|TestWindowScheduler|TestRecognizeOnce|TestParsersMatchPerCall' \
 		./internal/core/ ./internal/extract/ ./internal/index/ ./internal/webgraph/
 
 # fuzz-smoke runs every native fuzz target in the tree for a bounded time
@@ -71,9 +75,13 @@ maintaintest:
 # new 10 KB page that reaches new coverage) would spend the whole budget on
 # the first interesting input.
 FUZZTIME ?= 10s
+FUZZ_TARGETS = FuzzSitePageMemo FuzzRecognizeOnce
 
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzSitePageMemo$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/extract/
+	@set -e; for target in $(FUZZ_TARGETS); do \
+		echo "fuzz $$target ($(FUZZTIME))"; \
+		$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/extract/; \
+	done
 
 # bench runs the end-to-end construction benchmark at 1, 4, and 8 workers
 # (via -cpu, which also sets GOMAXPROCS and hence the default pool size) and
@@ -149,10 +157,15 @@ scalecheck:
 # the ns/op numbers. The match and index benchmarks include *Reference
 # variants running the retained naive scorers and the map-and-sort kernel, so
 # the archived output shows the speedup alongside the absolute numbers.
+# BenchmarkExtractStage is the whole extract stage over the heavy-tail 2k-page
+# world at GOMAXPROCS 1 and 2: pages/s, and busy-workers (summed page-task
+# time over stage wall time), so the stage's parallel efficiency is a line in
+# the archive and not a claim.
 microbench:
 	$(GO) test -run '^$$' \
 		-bench 'BenchmarkTokenize|BenchmarkTokenizeInto|BenchmarkTopTerms|BenchmarkRepeatedGroups|BenchmarkMatchTokens|BenchmarkResolve|BenchmarkUpsertScan|BenchmarkScoreProfiles|BenchmarkIndexSearch|BenchmarkIndexReAdd|BenchmarkAlternatives' \
 		-benchmem ./internal/textproc/ ./internal/extract/ ./internal/match/ ./internal/index/ ./internal/session/ | tee bench-micro.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkExtractStage' -cpu 1,2 -benchtime 5x -benchmem ./internal/core/ | tee -a bench-micro.txt
 
 # bench-smoke proves the repository's benchmark (bench/, a module of its own
 # that the root module's build and tests do not cover) still compiles against

@@ -8,8 +8,8 @@ import (
 )
 
 // conceptGroups folds the extraction stage's candidate stream into
-// per-concept, pre-merged record groups incrementally, as hosts finish
-// extracting — the streamed replacement for collecting every candidate into
+// per-concept, pre-merged record groups incrementally, as windows of hosts
+// finish extracting — the streamed replacement for collecting every candidate into
 // one corpus-sized slice and grouping it afterwards. Candidates that
 // pre-merge into an existing record (same synthesized ID) die immediately;
 // only one record per distinct ID stays resident.
@@ -39,8 +39,8 @@ func newConceptGroups(filter func(c *extract.Candidate, id string) bool) *concep
 	return &conceptGroups{filter: filter, groups: make(map[string]*conceptGroup)}
 }
 
-// add folds one candidate. Not safe for concurrent use: callers fold from
-// the ordered fan-in's consume phase or a plain loop.
+// add folds one candidate. Not safe for concurrent use: the extract stage
+// folds serially, after each window's page tasks have returned.
 func (cg *conceptGroups) add(c *extract.Candidate) {
 	cg.total++
 	id := c.SynthesizeID()

@@ -10,9 +10,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
+	"time"
 	"unicode/utf8"
 
 	"conceptweb/internal/extract"
@@ -194,6 +196,9 @@ type Builder struct {
 
 	// assocSeen is associate's reused per-record dedupe set; see associate.
 	assocSeen map[string]bool
+	// extractWindow, when positive, replaces extractWindowPages: the tests'
+	// way to force one host per window or the whole corpus in one.
+	extractWindow int
 }
 
 // Build crawls from seeds and constructs the web of concepts. Each pipeline
@@ -319,98 +324,164 @@ type extractStats struct {
 	// hostsReinduced counts hosts where a changed trusted-signature set sent
 	// some domain's propagate and detail passes back over the whole site.
 	hostsReinduced int
+	// taskTime is the summed wall time of the stage's page tasks; over the
+	// stage's own wall time it is how many workers the stage kept busy.
+	taskTime time.Duration
 }
 
-// extractHosts runs domain-centric extraction over the given hosts (nil =
-// every host): list extraction with template propagation, plus detail
-// extraction on pages where no list of the same concept was found (a page
-// that lists five restaurants is not a detail page about one). It goes
-// through the web of concepts' extraction memo, filling it for hosts it has
-// not seen: a page whose stored hash the memo holds is neither read nor
-// analysed, its candidates are replayed.
-//
-// The unit of parallelism is a (host, domain) pair — per-site extraction is
-// the embarrassingly parallel unit (§7.1). Each task reads only shared
-// immutable inputs (parsed pages, the Domain value; extractor instances are
-// created per task), owns its SiteMemo, and writes its own result slot.
-// Candidates fold into cg through the ordered fan-in, grouping per concept
-// (pre-merged by synthesized ID) as tasks complete instead of concatenating
-// into one corpus-sized slice. The fold preserves the full-build candidate
-// ordering — hosts sorted, then the config's domain order, then list,
-// propagated and detail candidates each in site-page order — so candidate
-// order, and with it every downstream seq assignment and the pre-merge value
-// dedupe, is identical at any worker count and between a host-restricted
-// delta extraction and a fresh build.
-//
-// One PageAnalysis is built per page read and shared by every domain task
-// of the host, so the per-page DOM passes run once instead of once per
-// domain. The analyses also return to the caller: the link stage reuses
-// their main-text token streams.
+// extractWindowPages is the size at which the extract stage closes a window
+// of hosts: it walks the sorted hosts and cuts after the first host that
+// brings the window to this many pages. A constant, not a setting: the
+// stage's resident analyses are at most one window, a window is at most this
+// many pages short of a host boundary plus that host, and so the largest
+// host alone remains the memory bound whatever the value; it only has to be
+// large enough that the two barriers a window costs are noise beside its
+// page tasks, and 256 pages are some tens of milliseconds of work.
+const extractWindowPages = 256
+
+// extractHosts runs the extract stage over the given hosts (nil = every
+// host) through the web of concepts' extraction memo, filling it for hosts
+// it has not seen: a page whose stored hash the memo holds is neither read
+// nor analysed, its candidates are replayed. The analyses of the pages that
+// were read return to the caller: the link stage reuses their main-text
+// token streams.
 func (b *Builder) extractHosts(woc *WebOfConcepts, only map[string]bool, cg *conceptGroups) (map[string]*extract.PageAnalysis, extractStats) {
 	if woc.memo == nil {
 		woc.memo = newExtractMemo()
 	}
-	memo := woc.memo
-	memo.tick++
-	type task struct {
-		site   *hostSite
-		memo   *extract.SiteMemo
-		domain extract.Domain
+	woc.memo.tick++
+	hosts := woc.Pages.Hosts()
+	if only != nil {
+		hosts = slices.DeleteFunc(hosts, func(h string) bool { return !only[h] })
 	}
-	type result struct {
-		cands     []*extract.Candidate
-		reinduced bool
-	}
-	var sites []*hostSite
-	var tasks []task
-	for _, host := range woc.Pages.Hosts() {
-		if only != nil && !only[host] {
-			continue
-		}
-		hs := newHostSite(woc.Pages, host)
-		sites = append(sites, hs)
-		hm := memo.host(host, len(b.Cfg.Domains))
-		for di, d := range b.Cfg.Domains {
-			tasks = append(tasks, task{hs, hm.sites[di], d})
-		}
-	}
-	reinduced := make(map[*hostSite]bool)
-	w := b.workers()
-	parallelEachOrdered(len(tasks), w, 4*w,
-		func(i int) result {
-			cands, re := b.extractSite(tasks[i].memo, tasks[i].site.Site, tasks[i].domain)
-			return result{cands, re}
-		},
-		func(i int, r result) {
-			cg.addAll(r.cands)
-			if r.reinduced {
-				reinduced[tasks[i].site] = true
-			}
-		})
-	memo.evict()
-
 	analyses := make(map[string]*extract.PageAnalysis)
-	st := extractStats{hostsReinduced: len(reinduced)}
-	for _, hs := range sites {
-		for i, pa := range hs.pas {
-			if pa != nil {
-				analyses[hs.URLs[i]] = pa
-				st.pagesAnalyzed++
-			} else {
-				st.pagesReplayed++
-			}
-		}
-	}
+	st := b.extractPages(woc.Pages, hosts, woc.memo, cg, analyses)
+	woc.memo.evict()
 	return analyses, st
 }
 
-// extractSite is the body of one extract task: one domain's list extraction
-// with site propagation plus detail extraction over one site, page by page
-// through memo (a fresh one extracts the whole site).
-func (b *Builder) extractSite(memo *extract.SiteMemo, site extract.Site, d extract.Domain) (cands []*extract.Candidate, reinduced bool) {
+// extractPages is the extract stage of Build, BuildStream and Refresh:
+// domain-centric extraction over the sorted hosts — per domain, list
+// extraction with site-level template propagation, plus detail extraction on
+// pages where no list of the same concept was found (a page that lists five
+// restaurants is not a detail page about one).
+//
+// The unit of work is a page, not a site. Site sizes are heavy-tailed (five
+// aggregator hosts hold 45 % of an 8k-page corpus's pages and most of its
+// extract time), so a site per task leaves the pool idle behind whichever
+// worker drew the giant; but a site's extraction is two per-page passes
+// around one site-wide fact, the trusted signature set (extract.SiteRun),
+// so the pages can be dealt out singly. Hosts are taken in windows (see
+// extractWindowPages). Within a window every page is one task per pass: the
+// list pass of every configured domain over the page, a barrier at which
+// each (host, domain) unions its trusted set, then the propagate and detail
+// passes of every domain over the page. One PageAnalysis serves all domains
+// and both passes of its page and is touched by one task at a time. Tasks
+// read shared immutable inputs (the Domain values; extractor instances are
+// per (host, domain)) and write their own page's slots.
+//
+// After the second pass the window folds into cg serially, in the order a
+// whole-corpus serial extraction would produce: hosts sorted, then the
+// config's domain order, then list, propagated and detail candidates each in
+// site-page order. Candidate order, and with it every downstream seq
+// assignment and the pre-merge value dedupe, is therefore identical at any
+// worker count and window size, and between a host-restricted delta
+// extraction and a fresh build. Folding per window also means candidates
+// that pre-merge into an already-folded record die a window later at most,
+// instead of riding a corpus-sized slice to the resolve stage.
+//
+// memo, when non-nil, is read and filled per (host, domain); nil extracts
+// memo-less (the streamed build). analyses, when non-nil, collects the
+// analysis of every page read; otherwise a window's analyses die with it.
+func (b *Builder) extractPages(pages *webgraph.Store, hosts []string, memo *extractMemo, cg *conceptGroups, analyses map[string]*extract.PageAnalysis) extractStats {
+	type pageTask struct{ site, page int32 }
+	var st extractStats
+	window := extractWindowPages
+	if b.extractWindow > 0 {
+		window = b.extractWindow
+	}
+	w := b.workers()
+	domains := b.Cfg.Domains
+	noMemo := make([]*extract.SiteMemo, len(domains)) // every domain's memo when memo is nil
+	for lo := 0; lo < len(hosts); {
+		var sites []*hostSite
+		var runs [][]*extract.SiteRun // by site, then by domain
+		var tasks []pageTask
+		hi := lo
+		for ; hi < len(hosts) && len(tasks) < window; hi++ {
+			hs := newHostSite(pages, hosts[hi])
+			for p := range hs.URLs {
+				tasks = append(tasks, pageTask{int32(len(sites)), int32(p)})
+			}
+			held := noMemo
+			if memo != nil {
+				held = memo.host(hosts[hi], len(domains)).sites
+			}
+			rs := make([]*extract.SiteRun, len(domains))
+			for di, d := range domains {
+				rs[di] = b.beginSite(held[di], hs.Site, d)
+			}
+			sites, runs = append(sites, hs), append(runs, rs)
+		}
+
+		spent := make([]time.Duration, len(tasks))
+		parallelEach(len(tasks), w, func(i int) {
+			start := time.Now()
+			for _, r := range runs[tasks[i].site] {
+				r.ListPage(int(tasks[i].page))
+			}
+			spent[i] = time.Since(start)
+		})
+		for _, rs := range runs {
+			for _, r := range rs {
+				r.Induce()
+			}
+		}
+		parallelEach(len(tasks), w, func(i int) {
+			start := time.Now()
+			for _, r := range runs[tasks[i].site] {
+				r.FinishPage(int(tasks[i].page))
+			}
+			spent[i] += time.Since(start)
+		})
+		for _, d := range spent {
+			st.taskTime += d
+		}
+
+		for si, hs := range sites {
+			hostReinduced := false
+			for _, r := range runs[si] {
+				cands, reinduced := r.Commit()
+				cg.addAll(cands)
+				hostReinduced = hostReinduced || reinduced
+			}
+			if hostReinduced {
+				st.hostsReinduced++
+			}
+			for i, pa := range hs.pas {
+				if pa == nil {
+					st.pagesReplayed++
+					continue
+				}
+				st.pagesAnalyzed++
+				if analyses != nil {
+					analyses[hs.URLs[i]] = pa
+				}
+			}
+		}
+		lo = hi
+		b.progress("extract", hi, len(hosts))
+	}
+	return st
+}
+
+// beginSite opens one domain's extraction of one site: list extraction with
+// site propagation plus detail extraction, page by page through memo (nil
+// keeps none).
+func (b *Builder) beginSite(memo *extract.SiteMemo, site extract.Site, d extract.Domain) *extract.SiteRun {
 	prop := &extract.SitePropagator{Inner: &extract.ListExtractor{Domain: d}}
 	det := &extract.DetailExtractor{Domain: d}
-	return memo.Extract(prop, site, func(pa *extract.PageAnalysis) []*extract.Candidate {
+	return memo.Begin(prop, site, func(pa *extract.PageAnalysis) []*extract.Candidate {
 		p := pa.Page
 		if b.Cfg.Gate != nil && !b.Cfg.Gate(d.Concept, p) {
 			return nil // classification routed this page elsewhere
@@ -578,15 +649,15 @@ func (b *Builder) linkText(woc *WebOfConcepts, stats *BuildStats, analyses map[s
 	urls := woc.Pages.URLs()
 	hits := make([]*hit, len(urls))
 	parallelEach(len(urls), b.workers(), func(i int) {
-		p, err := woc.Pages.Get(urls[i])
-		if err != nil {
-			return
+		if len(woc.Assoc[urls[i]]) > 0 {
+			return // already associated through extraction: not read, not parsed
 		}
-		if len(woc.Assoc[p.URL]) > 0 {
-			return // already associated through extraction
-		}
-		pa := analyses[p.URL]
+		pa := analyses[urls[i]]
 		if pa == nil {
+			p, err := woc.Pages.Get(urls[i])
+			if err != nil {
+				return
+			}
 			pa = extract.Analyze(p)
 		}
 		text := pa.MainText()
@@ -597,7 +668,7 @@ func (b *Builder) linkText(woc *WebOfConcepts, stats *BuildStats, analyses map[s
 		if !ok {
 			return
 		}
-		hits[i] = &hit{url: p.URL, recID: best.ID, snippet: truncateBytes(text, 280)}
+		hits[i] = &hit{url: urls[i], recID: best.ID, snippet: truncateBytes(text, 280)}
 	})
 
 	for _, h := range hits {

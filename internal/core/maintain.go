@@ -194,7 +194,7 @@ func (b *Builder) Refresh(woc *WebOfConcepts, urls []string) (*RefreshStats, err
 	// Re-extract the affected hosts through the build's own extract stage
 	// (list extraction with site propagation plus detail extraction), and
 	// bring the document index up to date for the changed pages. Candidates
-	// fold into the per-concept collector as hosts finish, filtered at fold
+	// fold into the per-concept collector as windows of hosts finish, filtered at fold
 	// time to the affected set (retired IDs, changed pages' output, and IDs
 	// absent from the store — members that entity resolution had merged
 	// away). The store is not mutated between the supersede stage and the

@@ -3,7 +3,6 @@ package core
 import (
 	"sort"
 	"strings"
-	"sync"
 
 	"conceptweb/internal/extract"
 	"conceptweb/internal/webgraph"
@@ -21,8 +20,9 @@ const memoCandidateBudget = 1 << 17
 // answers for the pages whose stored hash it was filled under; the extract
 // stage of Build fills it as a by-product and Refresh on first touch of a
 // host. It is valid for the Config (domains, gate) of the builder that
-// filled it, and is touched only from the maintenance goroutine and, during
-// the extract fan-out, one task per SiteMemo.
+// filled it, and is touched only from the maintenance goroutine; during the
+// extract fan-out its SiteMemos are read by the page tasks and written at the
+// serial fold.
 type extractMemo struct {
 	hosts  map[string]*hostMemo
 	budget int
@@ -105,13 +105,14 @@ func (m *extractMemo) evict() {
 }
 
 // hostSite is one host's pages as the extract stage hands them to
-// extract.SiteMemo: URLs and stored hashes up front, each page read and
-// analysed at most once, on first demand, and shared by every domain task of
-// the host (the analysis's lazy views are goroutine-safe).
+// extract.SiteRun: URLs and stored hashes up front, each page read and
+// analysed at most once, on first demand, and shared by every domain's run
+// over the host. A page's analysis is asked for only from the task running
+// that page's step, one task at a time, so the slots need no lock.
 type hostSite struct {
 	extract.Site
 	pages *webgraph.Store
-	once  []sync.Once
+	tried []bool
 	pas   []*extract.PageAnalysis
 }
 
@@ -119,7 +120,7 @@ func newHostSite(pages *webgraph.Store, host string) *hostSite {
 	urls := pages.HostPages(host)
 	hs := &hostSite{
 		pages: pages,
-		once:  make([]sync.Once, len(urls)),
+		tried: make([]bool, len(urls)),
 		pas:   make([]*extract.PageAnalysis, len(urls)),
 	}
 	hs.URLs, hs.Hashes, hs.Analysis = urls, make([]uint64, len(urls)), hs.analysis
@@ -130,10 +131,11 @@ func newHostSite(pages *webgraph.Store, host string) *hostSite {
 }
 
 func (hs *hostSite) analysis(i int) *extract.PageAnalysis {
-	hs.once[i].Do(func() {
+	if !hs.tried[i] {
+		hs.tried[i] = true
 		if p, err := hs.pages.Get(hs.URLs[i]); err == nil {
 			hs.pas[i] = extract.Analyze(p)
 		}
-	})
+	}
 	return hs.pas[i]
 }

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -369,4 +372,179 @@ func TestBuildStreamKeepsNoMemo(t *testing.T) {
 	if st.PagesAnalyzed != 1 || st.PagesReplayed != touched-1 {
 		t.Errorf("second touch analysed %d and replayed %d pages, want 1 and %d", st.PagesAnalyzed, st.PagesReplayed, touched-1)
 	}
+}
+
+// corruptStoredPage flips one byte of url's stored HTML in the disk page
+// store's segment files, so that reading the page fails its checksum while
+// the store's index still lists it: an unreadable page.
+func corruptStoredPage(t testing.TB, dir, url, html string) {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segment files in %s (%v)", dir, err)
+	}
+	needle := []byte(url + html)
+	for _, seg := range segs {
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if at := bytes.Index(data, needle); at >= 0 {
+			data[at+len(url)+len(html)/2] ^= 0x20
+			if err := os.WriteFile(seg, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+	}
+	t.Fatalf("frame of %s not found in %d segments", url, len(segs))
+}
+
+// TestWindowSchedulerMatchesWholeHost: the page-task extract stage against
+// the retained whole-host extraction, candidate for candidate, at 1, 2 and 8
+// workers with the window forced to a single host (closing after one page),
+// to 64 pages (five aggregator hosts are larger, and the tail hosts share
+// windows) and to the whole corpus. The corpus is the heavy-tail world on a
+// disk page store plus a run of six 1-page hosts, and one stored page is
+// unreadable. Each point extracts, in turn: everything through a fresh memo
+// (a build), everything memo-less (a streamed build), one host after a text
+// edit on it (a maintenance pass's host-restricted extraction, all but one
+// page replayed), and one host after a listing moved to another layout
+// variant so that its trusted set changed (a re-induction pass).
+func TestWindowSchedulerMatchesWholeHost(t *testing.T) {
+	w, corpus, byKind := heavyTailCorpus(t)
+	reg := lrec.NewRegistry()
+	webgen.RegisterScaleConcepts(reg)
+	cfg := ScaleConfig(reg, w.Cities(), webgen.Cuisines())
+	cfg.Gate = scaleGate(t, w, corpus, byKind[webgen.SitePortal])
+
+	// A run of 1-page hosts, adjacent in host order: a one-item listing that
+	// only propagation could read (with no sibling page to vouch for its
+	// template, nothing does), detail pages, a review.
+	agg := byKind[webgen.SiteAggRestaurant][0]
+	var listing, unreadable string
+	solo := 0
+	for _, u := range sortedKeys(corpus) {
+		if !strings.HasPrefix(u, agg+"/") {
+			continue
+		}
+		switch {
+		case strings.Contains(u, "/dir/") && listing == "":
+			listing = u
+			corpus[fmt.Sprintf("solo-%04d.example/", solo)] = webgen.SingleResult(corpus[u])
+			solo++
+		case !strings.Contains(u, "/dir/") && solo < 6:
+			if unreadable == "" {
+				unreadable = u
+			}
+			corpus[fmt.Sprintf("solo-%04d.example/", solo)] = corpus[u]
+			solo++
+		}
+	}
+	if solo < 6 || listing == "" {
+		t.Fatalf("%s gave %d solo pages and listing %q", agg, solo, listing)
+	}
+	urls := sortedKeys(corpus)
+
+	newStore := func() *webgraph.Store {
+		dir := t.TempDir()
+		ps, err := webgraph.OpenDiskStore(dir, webgraph.DiskOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ps.Close() })
+		for _, u := range urls {
+			ps.PutRaw(u, corpus[u])
+		}
+		if err := ps.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		corruptStoredPage(t, dir, unreadable, corpus[unreadable])
+		if _, err := ps.Get(unreadable); err == nil {
+			t.Fatalf("%s still readable", unreadable)
+		}
+		return ps
+	}
+
+	// What every point must reproduce, computed once by the oracle.
+	oracle := &Builder{Cfg: cfg}
+	ref := newStore()
+	wantFresh := oracle.refExtractHosts(ref, nil)
+	edited := webgen.EditText(corpus[listing], "Edited under the window scheduler.")
+	ref.PutRaw(listing, edited)
+	wantEdit := oracle.refExtractHosts(ref, map[string]bool{agg: true})
+	relaid := webgen.Relayout(edited, 5)
+	if relaid == edited {
+		relaid = webgen.Relayout(edited, 6)
+	}
+	ref.PutRaw(listing, relaid)
+	wantRelaid := oracle.refExtractHosts(ref, map[string]bool{agg: true})
+	if len(wantFresh) == 0 || len(wantEdit) == 0 || relaid == edited {
+		t.Fatalf("oracle gave %d and %d candidates: the test would prove nothing", len(wantFresh), len(wantEdit))
+	}
+
+	for _, workers := range []int{1, 2, 8} {
+		for _, window := range []int{1, 64, 1 << 30} {
+			point := fmt.Sprintf("workers %d, window %d", workers, window)
+			cfg.Workers = workers
+			cfg.PageStore = newStore()
+			b := &Builder{Cfg: cfg, extractWindow: window}
+			woc, _, err := b.newWoc()
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			var streamed []*extract.Candidate
+			cg := newConceptGroups(func(c *extract.Candidate, _ string) bool {
+				streamed = append(streamed, c)
+				return false
+			})
+			st := b.extractPages(woc.Pages, woc.Pages.Hosts(), nil, cg, nil)
+			if err := sameCandidates(streamed, wantFresh); err != nil {
+				t.Fatalf("%s, memo-less: %v", point, err)
+			}
+			if st.pagesAnalyzed != len(urls)-1 || st.pagesReplayed != 1 {
+				t.Fatalf("%s, memo-less: analysed %d and skipped %d of %d pages, one of them unreadable",
+					point, st.pagesAnalyzed, st.pagesReplayed, len(urls))
+			}
+
+			got, st := extractCaptured(b, woc, nil)
+			if err := sameCandidates(got, wantFresh); err != nil {
+				t.Fatalf("%s, fresh memo: %v", point, err)
+			}
+			if st.pagesAnalyzed != len(urls)-1 || st.hostsReinduced != 0 {
+				t.Fatalf("%s, fresh memo: %+v", point, st)
+			}
+
+			woc.Pages.PutRaw(listing, edited)
+			got, st = extractCaptured(b, woc, map[string]bool{agg: true})
+			if err := sameCandidates(got, wantEdit); err != nil {
+				t.Fatalf("%s, host-restricted pass: %v", point, err)
+			}
+			// The unreadable page is asked for again: the memo holds nothing
+			// for it.
+			if st.pagesAnalyzed != 1 || st.hostsReinduced != 0 {
+				t.Fatalf("%s, host-restricted pass over one edited page: %+v", point, st)
+			}
+
+			woc.Pages.PutRaw(listing, relaid)
+			got, st = extractCaptured(b, woc, map[string]bool{agg: true})
+			if err := sameCandidates(got, wantRelaid); err != nil {
+				t.Fatalf("%s, re-induction pass: %v", point, err)
+			}
+			if st.hostsReinduced != 1 || st.pagesReplayed != 1 {
+				t.Fatalf("%s, re-induction pass: %+v", point, st)
+			}
+			woc.Close()
+		}
+	}
+}
+
+func sortedKeys(m corpusFetcher) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

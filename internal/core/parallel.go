@@ -8,8 +8,9 @@ import (
 
 // Parallel construction (§7.1): the paper's pipeline is a web-scale batch
 // system, and its three dominant post-crawl stages — extraction, semantic
-// linking, and indexing — are embarrassingly parallel over sites, pages,
-// and documents respectively. The stages fan out over a worker pool and fan
+// linking, and indexing — are embarrassingly parallel over pages (two passes
+// around a per-site barrier, see extractPages), pages, and documents
+// respectively. The stages fan out over a worker pool and fan
 // back in deterministically: every task writes its result into a pre-sized
 // slice at its own index, and the single-threaded apply/merge phase consumes
 // that slice in order. Same seed and corpus therefore yield byte-identical
@@ -30,76 +31,6 @@ func (b *Builder) workers() int {
 // result only into slot i of a pre-sized slice and merging after return.
 // With w <= 1 (or n <= 1) it degenerates to a plain sequential loop on the
 // calling goroutine, so Workers=1 exercises the exact single-threaded path.
-// parallelEachOrdered runs fn(i) for every i in [0, n) across at most w
-// goroutines and feeds each result to consume in index order, calling
-// consume serially. Unlike the pre-sized-slice fan-in, at most lookahead
-// results are ever buffered: a worker may not start task i until
-// i < next+lookahead, where next is the lowest unconsumed index — the
-// backpressure that keeps a slow early task (the giant aggregator host)
-// from letting every later result pile up in memory. With w <= 1 it
-// degenerates to fn-then-consume in a plain loop.
-func parallelEachOrdered[T any](n, w, lookahead int, fn func(i int) T, consume func(i int, v T)) {
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			consume(i, fn(i))
-		}
-		return
-	}
-	if lookahead < w {
-		lookahead = w
-	}
-	var (
-		mu      sync.Mutex
-		cond    = sync.NewCond(&mu)
-		issued  int
-		next    int
-		pending = make(map[int]T, lookahead)
-	)
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				for issued < n && issued >= next+lookahead {
-					cond.Wait()
-				}
-				if issued >= n {
-					mu.Unlock()
-					return
-				}
-				i := issued
-				issued++
-				mu.Unlock()
-
-				v := fn(i)
-
-				mu.Lock()
-				pending[i] = v
-				for {
-					pv, ok := pending[next]
-					if !ok {
-						break
-					}
-					delete(pending, next)
-					// consume runs under the lock: it is serial and in order
-					// by construction, and the workers it blocks are exactly
-					// the ones the lookahead gate would park anyway.
-					consume(next, pv)
-					next++
-				}
-				cond.Broadcast()
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 func parallelEach(n, w int, fn func(i int)) {
 	if w > n {
 		w = n

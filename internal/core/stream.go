@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"conceptweb/internal/extract"
 	"conceptweb/internal/index"
-	"conceptweb/internal/webgraph"
 )
 
 // PageSource streams a corpus page by page. Implementations (such as
@@ -28,14 +26,16 @@ const indexChunk = 1024
 // Build in exactly the ways unbounded state hides in the full pipeline:
 //
 //   - Pages are ingested straight into the page store as the source emits
-//     them (pair with Config.PageStore = webgraph.OpenDiskStore(...) to keep
-//     page bytes on disk). There is no crawl frontier and no []Page slice.
-//   - Extraction runs host by host; each host's PageAnalysis values die when
-//     its task returns. Build's build-wide analyses map — every DOM and
-//     token stream in the corpus, alive until the link stage — is the single
-//     largest resident structure in a full build and does not exist here.
-//     Candidate order still matches Build exactly (sorted hosts, declared
-//     domain order within a host), so resolution output is identical.
+//     them, unparsed (pair with Config.PageStore = webgraph.OpenDiskStore(...)
+//     to keep page bytes on disk). There is no crawl frontier and no []Page
+//     slice.
+//   - Extraction runs the shared page-task stage (extractPages) memo-less,
+//     a window of hosts at a time; a window's PageAnalysis values die when
+//     it has folded. Build's build-wide analyses map — every DOM and token
+//     stream in the corpus, alive until the link stage — is the single
+//     largest resident structure in a full build and does not exist here,
+//     and neither does the extraction memo. Candidate order still matches
+//     Build exactly, so resolution output is identical.
 //   - The document index is filled in bounded chunks instead of one
 //     corpus-sized []PreparedDoc.
 //   - No link graph is built: Graph remains nil. BuildGraph's output is
@@ -62,7 +62,7 @@ func (b *Builder) BuildStream(src PageSource) (*WebOfConcepts, *BuildStats, erro
 	b.stage(ctx, "ingest", func(context.Context) {
 		n := 0
 		ingestErr = src.StreamPages(func(url, html string) error {
-			woc.Pages.Put(webgraph.NewPage(url, html))
+			woc.Pages.PutRaw(url, html)
 			if err := woc.Pages.Err(); err != nil {
 				return err
 			}
@@ -84,23 +84,9 @@ func (b *Builder) BuildStream(src PageSource) (*WebOfConcepts, *BuildStats, erro
 
 	cg := newConceptGroups(nil)
 	b.stage(ctx, "extract", func(context.Context) {
-		hosts := woc.Pages.Hosts()
-		w := b.workers()
-		// The ordered fan-in folds each host's candidates into the
-		// per-concept collector as soon as every earlier host has folded; at
-		// most 4·w host results are ever resident, and candidates that
-		// pre-merge into an already-folded record die immediately instead of
-		// riding a corpus-sized slice to the resolve stage.
-		parallelEachOrdered(len(hosts), w, 4*w,
-			func(i int) []*extract.Candidate {
-				return b.extractHostStreaming(woc.Pages, hosts[i])
-			},
-			func(i int, cands []*extract.Candidate) {
-				cg.addAll(cands)
-				if d := i + 1; d%64 == 0 || d == len(hosts) {
-					b.progress("extract", d, len(hosts))
-				}
-			})
+		// No memo and no analyses kept: what a window of hosts holds dies
+		// when the window has folded.
+		b.extractPages(woc.Pages, woc.Pages.Hosts(), nil, cg, nil)
 		stats.Candidates = cg.total
 	})
 
@@ -132,19 +118,6 @@ func (b *Builder) BuildStream(src PageSource) (*WebOfConcepts, *BuildStats, erro
 	m.Counter("build.records.stored").Add(int64(stats.RecordsStored))
 	m.Counter("build.pages.linked").Add(int64(stats.PagesLinked))
 	return woc, stats, nil
-}
-
-// extractHostStreaming runs every configured domain over one host, each
-// through a throwaway memo: the host's analyses and what the memos hold are
-// local to the call and die with it.
-func (b *Builder) extractHostStreaming(pages *webgraph.Store, host string) []*extract.Candidate {
-	hs := newHostSite(pages, host)
-	var all []*extract.Candidate
-	for _, d := range b.Cfg.Domains {
-		cands, _ := b.extractSite(new(extract.SiteMemo), hs.Site, d)
-		all = append(all, cands...)
-	}
-	return all
 }
 
 // buildIndexesChunked is buildIndexes with the page side bounded: prepared

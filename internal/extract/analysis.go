@@ -13,23 +13,29 @@ import (
 // PageAnalysis caches the per-page DOM passes that every extraction operator
 // used to redo independently: repeated-sibling groups, singleton template
 // slots, per-item text spans (with precomputed normalizations for gazetteer
-// matching), the boilerplate-free body and main text, and label/value pairs.
-// One analysis is computed per page and shared across all operators and all
-// domains running over that page — at two domains per page, that alone
-// halves the DOM-walk cost of the extract stage.
+// matching), the boilerplate-free body and main text, and label/value pairs —
+// and what every recognizer found in those texts (scanMemo). One analysis is
+// computed per page and shared across all operators and all domains running
+// over that page: the DOM walks run once instead of once per domain, and a
+// recognizer two domains carry (phone, street, the city gazetteer) scans each
+// text once.
 //
 // Every derived view is built lazily under a sync.Once and is immutable
-// afterwards, so a single PageAnalysis may be shared by operators running on
-// different goroutines (the parallel build fans one site's analyses out to
-// one task per domain).
+// afterwards, and the recognizer memo is guarded by a mutex, so a single
+// PageAnalysis may be shared by operators running on different goroutines.
 type PageAnalysis struct {
 	Page *webgraph.Page
 
 	groupsOnce sync.Once
-	groups     [][]*htmlx.Node          // repeated groups at minItems=2
-	groupCPS   []string                 // ClassPathSignature of each group's first item
-	spans      map[*htmlx.Node][]span   // text spans of every group member
-	itemTexts  map[*htmlx.Node]itemText // full text + normalization of every group member
+	groups     [][]*htmlx.Node // repeated groups at minItems=2
+	groupCPS   []string        // ClassPathSignature of each group's first item
+
+	// scanMu guards items (once groupsOnce has run), every item's scans and
+	// bodyScans. The item parser and the detail extractor hold it for the
+	// length of one item or one body.
+	scanMu    sync.Mutex
+	items     map[*htmlx.Node]*itemAnalysis // every group member, and each other item parsed so far
+	bodyScans scanMemo                      // what recognizers found in BodyText
 
 	singlesOnce sync.Once
 	singles     []*htmlx.Node // singleton template slots at minItems=2, sorted
@@ -55,11 +61,25 @@ type PageAnalysis struct {
 	pairs     [][2]string // label/value pairs from th/td rows and dt/dd runs
 }
 
-// itemText is a list item's full text and its normalization, computed once
-// and reused by every recognizer and constraint check that scans the item.
-type itemText struct {
-	full string
-	norm string
+// itemAnalysis is one list item as every recognizer and constraint check
+// reads it: its full text and text spans with their normalizations, computed
+// once, and the memo of what recognizers found in them (slot 0 the full
+// text, slot 1+j span j).
+type itemAnalysis struct {
+	full  string
+	norm  string
+	spans []span
+	scans scanMemo
+}
+
+func analyzeItem(item *htmlx.Node) *itemAnalysis {
+	spans := itemSpans(item)
+	for i := range spans {
+		spans[i].norm = textproc.Normalize(spans[i].text)
+	}
+	full := item.Text()
+	return &itemAnalysis{full: full, norm: textproc.Normalize(full), spans: spans,
+		scans: scanMemo{bits: make([]uint64, 2*(1+len(spans)))}}
 }
 
 // Analyze wraps p in a fresh analysis. All views are computed on first use.
@@ -81,17 +101,13 @@ func (pa *PageAnalysis) ensureGroups() {
 	pa.groupsOnce.Do(func() {
 		pa.groups = repeatedGroups(pa.Page.Doc, 2)
 		pa.groupCPS = make([]string, len(pa.groups))
-		pa.spans = make(map[*htmlx.Node][]span)
-		pa.itemTexts = make(map[*htmlx.Node]itemText)
+		pa.items = make(map[*htmlx.Node]*itemAnalysis)
 		for gi, g := range pa.groups {
 			pa.groupCPS[gi] = g[0].ClassPathSignature()
 			for _, item := range g {
-				if _, ok := pa.spans[item]; ok {
-					continue
+				if _, ok := pa.items[item]; !ok {
+					pa.items[item] = analyzeItem(item)
 				}
-				pa.spans[item] = analyzeSpans(item)
-				full := item.Text()
-				pa.itemTexts[item] = itemText{full: full, norm: textproc.Normalize(full)}
 			}
 		}
 	})
@@ -124,37 +140,24 @@ func (pa *PageAnalysis) Groups(minItems int) [][]*htmlx.Node {
 	return g
 }
 
-// itemSpansOf returns the cached spans for a group member, or computes them
-// fresh for other nodes (pass-2 propagation singles) without mutating the
-// shared cache.
-func (pa *PageAnalysis) itemSpansOf(item *htmlx.Node) []span {
+// itemOf returns the item's analysis, building it on first sight for nodes
+// that are not group members (pass-2 propagation singles). Callers hold
+// scanMu.
+func (pa *PageAnalysis) itemOf(item *htmlx.Node) *itemAnalysis {
 	pa.ensureGroups()
-	if s, ok := pa.spans[item]; ok {
-		return s
+	it := pa.items[item]
+	if it == nil {
+		it = analyzeItem(item)
+		pa.items[item] = it
 	}
-	return analyzeSpans(item)
+	return it
 }
 
-// analyzeSpans computes an item's spans with their normalizations filled in
-// (plain itemSpans leaves norm empty for callers that never run gazetteer
-// recognizers over spans).
-func analyzeSpans(item *htmlx.Node) []span {
-	spans := itemSpans(item)
-	for i := range spans {
-		spans[i].norm = textproc.Normalize(spans[i].text)
-	}
-	return spans
-}
-
-// itemTextOf returns the cached full text and normalization for a group
-// member, computing them fresh for other nodes.
-func (pa *PageAnalysis) itemTextOf(item *htmlx.Node) itemText {
-	pa.ensureGroups()
-	if t, ok := pa.itemTexts[item]; ok {
-		return t
-	}
-	full := item.Text()
-	return itemText{full: full, norm: textproc.Normalize(full)}
+// itemText returns the item's full text.
+func (pa *PageAnalysis) itemText(item *htmlx.Node) string {
+	pa.scanMu.Lock()
+	defer pa.scanMu.Unlock()
+	return pa.itemOf(item).full
 }
 
 // Singles returns the page's singleton template slots — element children

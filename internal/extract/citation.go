@@ -45,7 +45,7 @@ func (e *CitationExtractor) ExtractAnalyzed(pa *PageAnalysis) []*Candidate {
 }
 
 func (e *CitationExtractor) extractItem(pa *PageAnalysis, item *htmlx.Node) *Candidate {
-	text := pa.itemTextOf(item).full
+	text := pa.itemText(item)
 	tokens := TokenizeCitation(text)
 	if len(tokens) < 5 {
 		return nil

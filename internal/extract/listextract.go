@@ -4,7 +4,6 @@ import (
 	"strings"
 
 	"conceptweb/internal/htmlx"
-	"conceptweb/internal/textproc"
 	"conceptweb/internal/webgraph"
 )
 
@@ -92,9 +91,9 @@ func isHeaderGroup(g []*htmlx.Node) bool {
 	return ths > 0 && ths == len(g[0].ChildElements())
 }
 
-// span is one text fragment inside a list item. norm, when filled by
-// analyzeSpans, is the precomputed textproc.Normalize(text) that gazetteer
-// recognizers match against (shared across every domain run on the page).
+// span is one text fragment inside a list item. norm, filled by analyzeItem,
+// is the precomputed textproc.Normalize(text) that gazetteer recognizers
+// match against (shared across every domain run on the page).
 type span struct {
 	text   string
 	anchor bool
@@ -173,26 +172,28 @@ func (e *ListExtractor) extractGroup(pa *PageAnalysis, group []*htmlx.Node) []*C
 }
 
 // parseItem extracts one item's attributes. ok is false if the item violates
-// a multiplicity constraint (it is probably not a single record).
+// a multiplicity constraint (it is probably not a single record). Every
+// recognizer scan goes through the item's memo on the page analysis, so a
+// text is scanned once however many checks and domains ask.
 func (e *ListExtractor) parseItem(pa *PageAnalysis, item *htmlx.Node) (cand *Candidate, hasEvidence, ok bool) {
-	d := e.Domain
-	spans := pa.itemSpansOf(item)
-	it := pa.itemTextOf(item)
-	full := it.full
+	d := &e.Domain
+	pa.scanMu.Lock()
+	defer pa.scanMu.Unlock()
+	it := pa.itemOf(item)
+	spans, scans := it.spans, &it.scans
 
 	// Statistical constraints: more distinct values than allowed means the
 	// "item" actually spans several records.
 	for _, c := range d.Constraints {
-		if rec, found := recognizerFor(d, c.Key); found {
-			if distinctExceeds(rec, full, c.MaxValues) {
-				return nil, false, false
-			}
+		if rec := recognizerFor(d, c.Key); rec != nil && scans.exceeds(rec, it.full, it.norm, c.MaxValues) {
+			return nil, false, false
 		}
 	}
 
 	cand = NewCandidate(d.Concept, pa.Page.URL, e.Name())
 	matched := make(map[string]bool) // span texts consumed by recognizers
-	for _, rec := range d.Recognizers {
+	for ri := range d.Recognizers {
+		rec := &d.Recognizers[ri]
 		// Prefer span-local matches (more precise provenance), fall back to
 		// the full item text. A span counts as consumed only when the match
 		// covers most of it — a cuisine word inside "Blue Palm American
@@ -200,7 +201,7 @@ func (e *ListExtractor) parseItem(pa *PageAnalysis, item *htmlx.Node) (cand *Can
 		found := false
 		for i := range spans {
 			sp := &spans[i]
-			if v, okm := rec.matchSpan(sp); okm {
+			if v, okm := scans.first(rec, 1+i, sp.text, sp.norm); okm {
 				cand.Add(rec.Key, v, attrConf(rec.Weight))
 				if len(v)*2 >= len(strings.TrimSpace(sp.text)) {
 					matched[sp.text] = true
@@ -210,7 +211,7 @@ func (e *ListExtractor) parseItem(pa *PageAnalysis, item *htmlx.Node) (cand *Can
 			}
 		}
 		if !found {
-			if v, okm := rec.matchNormalized(full, it.norm); okm {
+			if v, okm := scans.first(rec, 0, it.full, it.norm); okm {
 				cand.Add(rec.Key, v, attrConf(rec.Weight)*0.9)
 			}
 		}
@@ -229,7 +230,7 @@ func (e *ListExtractor) parseItem(pa *PageAnalysis, item *htmlx.Node) (cand *Can
 	case "first-span":
 		for i := range spans {
 			sp := &spans[i]
-			if !matched[sp.text] && !recognizedByAnySpan(d, sp) {
+			if !matched[sp.text] && !recognizedByAny(d, scans, 1+i, sp) {
 				cand.Add(d.NameKey, sp.text, 0.85)
 				break
 			}
@@ -262,83 +263,25 @@ func scaleConfidence(c *Candidate, listScore float64) *Candidate {
 	return c.Chain("listscore", factor)
 }
 
-func recognizerFor(d Domain, key string) (Recognizer, bool) {
-	for _, r := range d.Recognizers {
-		if r.Key == key {
-			return r, true
+// recognizerFor returns the domain's recognizer for key, nil if it has none.
+func recognizerFor(d *Domain, key string) *Recognizer {
+	for i := range d.Recognizers {
+		if d.Recognizers[i].Key == key {
+			return &d.Recognizers[i]
 		}
 	}
-	return Recognizer{}, false
+	return nil
 }
 
-func recognizedByAny(d Domain, text string) bool {
-	for _, r := range d.Recognizers {
-		if v, ok := r.Match(text); ok {
-			// Only treat as recognized if the match covers most of the span;
-			// "Pizza My Heart 95014" should still yield a name.
-			if len(v)*2 >= len(strings.TrimSpace(text)) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// recognizedByAnySpan is recognizedByAny over an analyzed span, letting
-// gazetteer recognizers reuse the span's precomputed normalization.
-func recognizedByAnySpan(d Domain, sp *span) bool {
-	for _, r := range d.Recognizers {
-		if v, ok := r.matchSpan(sp); ok {
+// recognizedByAny reports whether some recognizer of the domain matches most
+// of the span at slot — "Pizza My Heart 95014" should still yield a name.
+func recognizedByAny(d *Domain, scans *scanMemo, slot int, sp *span) bool {
+	for i := range d.Recognizers {
+		if v, ok := scans.first(&d.Recognizers[i], slot, sp.text, sp.norm); ok {
 			if len(v)*2 >= len(strings.TrimSpace(sp.text)) {
 				return true
 			}
 		}
-	}
-	return false
-}
-
-// countDistinct counts distinct normalized values of rec in text (bounded at
-// 64 match scans). Constraint checks use distinctExceeds instead, which
-// stops as soon as the limit is crossed.
-func countDistinct(rec Recognizer, text string) int {
-	seen := make(map[string]bool)
-	rest := text
-	for i := 0; i < 64; i++ { // bound the scan
-		v, ok := rec.Match(rest)
-		if !ok {
-			break
-		}
-		seen[textproc.Normalize(v)] = true
-		idx := strings.Index(rest, v)
-		if idx < 0 {
-			break
-		}
-		rest = rest[idx+len(v):]
-	}
-	return len(seen)
-}
-
-// distinctExceeds reports whether text holds more than max distinct
-// normalized values of rec. It decides exactly like counting all distinct
-// values (bounded at 64 match scans) and comparing, but returns as soon as
-// the limit is crossed instead of scanning out the rest of the text.
-func distinctExceeds(rec Recognizer, text string, max int) bool {
-	seen := make(map[string]bool)
-	rest := text
-	for i := 0; i < 64; i++ { // bound the scan
-		v, ok := rec.Match(rest)
-		if !ok {
-			break
-		}
-		seen[textproc.Normalize(v)] = true
-		if len(seen) > max {
-			return true
-		}
-		idx := strings.Index(rest, v)
-		if idx < 0 {
-			break
-		}
-		rest = rest[idx+len(v):]
 	}
 	return false
 }
@@ -361,29 +304,35 @@ func (e *DetailExtractor) Extract(p *webgraph.Page) []*Candidate {
 	return e.ExtractAnalyzed(Analyze(p))
 }
 
-// ExtractAnalyzed implements Operator over a shared page analysis.
+// ExtractAnalyzed implements Operator over a shared page analysis. Like the
+// item parser it reads recognizers through the analysis's scan memo: the
+// body is the longest text on the page, and every domain's detail pass and
+// every constraint on it would otherwise scan it again.
 func (e *DetailExtractor) ExtractAnalyzed(pa *PageAnalysis) []*Candidate {
-	d := e.Domain
+	d := &e.Domain
 	full := pa.BodyText()
+	// norm is the body's normalization for the recognizers that match over
+	// one; it is not computed for a page only regular expressions read.
+	norm := func(rec *Recognizer) string {
+		if rec.MatchNorm == nil {
+			return ""
+		}
+		return pa.BodyNorm()
+	}
+	pa.scanMu.Lock()
+	defer pa.scanMu.Unlock()
+	scans := &pa.bodyScans
 
 	for _, c := range d.Constraints {
-		if rec, found := recognizerFor(d, c.Key); found {
-			if distinctExceeds(rec, full, c.MaxValues) {
-				return nil
-			}
+		if rec := recognizerFor(d, c.Key); rec != nil && scans.exceeds(rec, full, norm(rec), c.MaxValues) {
+			return nil
 		}
 	}
 
 	cand := NewCandidate(d.Concept, pa.Page.URL, e.Name())
-	for _, rec := range d.Recognizers {
-		var v string
-		var ok bool
-		if rec.MatchNorm != nil {
-			v, ok = rec.MatchNorm(pa.BodyNorm())
-		} else {
-			v, ok = rec.Match(full)
-		}
-		if ok {
+	for i := range d.Recognizers {
+		rec := &d.Recognizers[i]
+		if v, ok := scans.first(rec, 0, full, norm(rec)); ok {
 			cand.Add(rec.Key, v, attrConf(rec.Weight))
 		}
 	}

@@ -49,10 +49,12 @@ func (c *Candidate) Add(key, value string, conf float64) {
 		return
 	}
 	vals := c.Attrs[key]
-	norm := textproc.Normalize(value)
-	for _, v := range vals {
-		if textproc.Normalize(v.Value) == norm {
-			return
+	if len(vals) > 0 { // the first value of a key, the usual case, has nothing to duplicate
+		norm := textproc.Normalize(value)
+		for _, v := range vals {
+			if textproc.Normalize(v.Value) == norm {
+				return
+			}
 		}
 	}
 	c.Attrs[key] = append(vals, lrec.AttrValue{

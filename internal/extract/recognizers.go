@@ -2,6 +2,7 @@ package extract
 
 import (
 	"regexp"
+	"strconv"
 	"strings"
 
 	"conceptweb/internal/lrec"
@@ -28,29 +29,10 @@ type Recognizer struct {
 	// candidate lists (anchor fields like zip/phone weigh more than, say,
 	// free-text names).
 	Weight float64
-}
-
-// matchSpan matches against one analyzed text span, preferring the span's
-// precomputed normalization for recognizers that want normalized input. The
-// span is read-only: it may be shared across goroutines.
-func (r Recognizer) matchSpan(sp *span) (string, bool) {
-	if r.MatchNorm == nil {
-		return r.Match(sp.text)
-	}
-	norm := sp.norm
-	if norm == "" && sp.text != "" {
-		norm = textproc.Normalize(sp.text)
-	}
-	return r.MatchNorm(norm)
-}
-
-// matchNormalized matches against a full text whose normalization the caller
-// has already computed.
-func (r Recognizer) matchNormalized(text, norm string) (string, bool) {
-	if r.MatchNorm != nil {
-		return r.MatchNorm(norm)
-	}
-	return r.Match(text)
+	// id names the rule for the per-text scan memo (see scan.go): equal ids
+	// promise equal Match and MatchNorm results. The constructors below set
+	// it; 0, a hand-assembled recognizer's, means its scans are not shared.
+	id uint8
 }
 
 var (
@@ -72,31 +54,9 @@ var streetSuffixes = []string{
 var streetRe = regexp.MustCompile(`\b[0-9]{1,5} (?:[0-9]{1,2}(?:st|nd|rd|th) )?(?:[A-Z][A-Za-z .]*? )?(` +
 	strings.Join(streetSuffixes, "|") + `)\b`)
 
-// matchRe adapts a regexp into a Match func.
-func matchRe(re *regexp.Regexp) func(string) (string, bool) {
-	return func(text string) (string, bool) {
-		if m := re.FindString(text); m != "" {
-			return m, true
-		}
-		return "", false
-	}
-}
-
-// matchReDigit is matchRe for regexps every match of which contains an ASCII
-// digit: text without one is rejected by a byte scan before the regexp
-// engine starts, which is the common case for short spans.
-func matchReDigit(re *regexp.Regexp) func(string) (string, bool) {
-	return func(text string) (string, bool) {
-		if !hasDigit(text) {
-			return "", false
-		}
-		if m := re.FindString(text); m != "" {
-			return m, true
-		}
-		return "", false
-	}
-}
-
+// hasDigit reports whether s holds an ASCII digit. Every match of every
+// regexp above contains one, so text without a digit is rejected by a byte
+// scan before the regexp engine starts — the common case for short spans.
 func hasDigit(s string) bool {
 	for i := 0; i < len(s); i++ {
 		if s[i] >= '0' && s[i] <= '9' {
@@ -106,66 +66,58 @@ func hasDigit(s string) bool {
 	return false
 }
 
-// ZipRecognizer recognizes 5-digit California-range zip codes.
-func ZipRecognizer() Recognizer {
-	return Recognizer{Key: "zip", Kind: lrec.KindZip, Match: matchReDigit(zipRe), Weight: 1.0}
+// regexpRecognizer recognizes by regular expression, yielding the whole
+// match or, when group is 1, its first submatch.
+func regexpRecognizer(key string, kind lrec.ValueKind, re *regexp.Regexp, group int, weight float64) Recognizer {
+	match := func(text string) (string, bool) {
+		if !hasDigit(text) {
+			return "", false
+		}
+		if group == 0 {
+			m := re.FindString(text)
+			return m, m != ""
+		}
+		if m := re.FindStringSubmatch(text); m != nil {
+			return m[group], true
+		}
+		return "", false
+	}
+	return Recognizer{Key: key, Kind: kind, Match: match, Weight: weight,
+		id: scanID("regexp\x00" + re.String() + "\x00" + strconv.Itoa(group))}
 }
+
+// ZipRecognizer recognizes 5-digit California-range zip codes.
+func ZipRecognizer() Recognizer { return regexpRecognizer("zip", lrec.KindZip, zipRe, 0, 1.0) }
 
 // PhoneRecognizer recognizes North-American phone numbers in the formats
 // used across the corpus.
-func PhoneRecognizer() Recognizer {
-	return Recognizer{Key: "phone", Kind: lrec.KindPhone, Match: matchReDigit(phoneRe), Weight: 1.0}
-}
+func PhoneRecognizer() Recognizer { return regexpRecognizer("phone", lrec.KindPhone, phoneRe, 0, 1.0) }
 
 // PriceRecognizer recognizes dollar amounts.
-func PriceRecognizer() Recognizer {
-	return Recognizer{Key: "price", Kind: lrec.KindPrice, Match: matchReDigit(priceRe), Weight: 0.8}
-}
+func PriceRecognizer() Recognizer { return regexpRecognizer("price", lrec.KindPrice, priceRe, 0, 0.8) }
 
 // StreetRecognizer recognizes street addresses by number + suffix shape.
 func StreetRecognizer() Recognizer {
-	return Recognizer{Key: "street", Kind: lrec.KindAddress, Match: matchReDigit(streetRe), Weight: 0.9}
+	return regexpRecognizer("street", lrec.KindAddress, streetRe, 0, 0.9)
 }
 
 // YearRecognizer recognizes plausible publication years.
-func YearRecognizer() Recognizer {
-	return Recognizer{Key: "year", Kind: lrec.KindDate, Match: matchReDigit(yearRe), Weight: 0.6}
-}
+func YearRecognizer() Recognizer { return regexpRecognizer("year", lrec.KindDate, yearRe, 0, 0.6) }
 
 // DateRecognizer recognizes ISO dates.
-func DateRecognizer() Recognizer {
-	return Recognizer{Key: "date", Kind: lrec.KindDate, Match: matchReDigit(dateRe), Weight: 0.9}
-}
+func DateRecognizer() Recognizer { return regexpRecognizer("date", lrec.KindDate, dateRe, 0, 0.9) }
 
 // RatingRecognizer recognizes "4.2 stars"-style ratings.
 func RatingRecognizer() Recognizer {
-	return Recognizer{Key: "rating", Kind: lrec.KindNumber, Match: func(text string) (string, bool) {
-		if !hasDigit(text) {
-			return "", false
-		}
-		if m := ratingRe.FindStringSubmatch(text); m != nil {
-			return m[1], true
-		}
-		return "", false
-	}, Weight: 0.5}
+	return regexpRecognizer("rating", lrec.KindNumber, ratingRe, 1, 0.5)
 }
 
 // HoursRecognizer recognizes opening-hours strings.
-func HoursRecognizer() Recognizer {
-	return Recognizer{Key: "hours", Kind: lrec.KindText, Match: matchReDigit(hoursRe), Weight: 0.5}
-}
+func HoursRecognizer() Recognizer { return regexpRecognizer("hours", lrec.KindText, hoursRe, 0, 0.5) }
 
 // MegapixelRecognizer recognizes camera resolutions.
 func MegapixelRecognizer() Recognizer {
-	return Recognizer{Key: "megapixels", Kind: lrec.KindNumber, Match: func(text string) (string, bool) {
-		if !hasDigit(text) {
-			return "", false
-		}
-		if m := mpRe.FindStringSubmatch(text); m != nil {
-			return m[1], true
-		}
-		return "", false
-	}, Weight: 0.7}
+	return regexpRecognizer("megapixels", lrec.KindNumber, mpRe, 1, 0.7)
 }
 
 // GazetteerRecognizer recognizes values from a closed vocabulary (cities,
@@ -196,7 +148,8 @@ func GazetteerRecognizer(key string, kind lrec.ValueKind, vocab []string, weight
 		MatchNorm: matchNorm,
 		Match: func(text string) (string, bool) {
 			return matchNorm(textproc.Normalize(text))
-		}}
+		},
+		id: scanID("gazetteer\x00" + strings.Join(vocab, "\x00"))}
 }
 
 // containsTokenRun reports whether the normalized text norm contains k as a

@@ -96,10 +96,10 @@ func TestDomainConstructors(t *testing.T) {
 	if d.Concept != "restaurant" || len(d.Recognizers) < 5 {
 		t.Errorf("restaurant domain = %+v", d)
 	}
-	if _, ok := recognizerFor(d, "zip"); !ok {
+	if recognizerFor(&d, "zip") == nil {
 		t.Error("zip recognizer missing")
 	}
-	if _, ok := recognizerFor(d, "nope"); ok {
+	if recognizerFor(&d, "nope") != nil {
 		t.Error("bogus recognizer found")
 	}
 	for _, dom := range []Domain{MenuDomain(), PublicationDomain([]string{"PODS"}), ProductDomain()} {
@@ -111,10 +111,10 @@ func TestDomainConstructors(t *testing.T) {
 
 func TestCountDistinct(t *testing.T) {
 	r := ZipRecognizer()
-	if n := countDistinct(r, "zips 95014 and 95112 and 95014 again"); n != 2 {
+	if n := refCountDistinct(r, "zips 95014 and 95112 and 95014 again"); n != 2 {
 		t.Errorf("distinct = %d", n)
 	}
-	if n := countDistinct(r, "no zips here"); n != 0 {
+	if n := refCountDistinct(r, "no zips here"); n != 0 {
 		t.Errorf("distinct = %d", n)
 	}
 }

@@ -129,80 +129,158 @@ func (m *SiteMemo) Drop(url string) {
 // change made a signature appear on the site or vanish from it — both passes
 // re-run over the whole site; reinduced reports that, for a memo that held
 // pages before the call.
+//
+// Extract is the steps of a SiteRun in order on the calling goroutine.
 func (m *SiteMemo) Extract(prop *SitePropagator, site Site, detail func(*PageAnalysis) []*Candidate) (cands []*Candidate, reinduced bool) {
-	// found[i] is page i's candidates as this call returns them: what the
-	// passes just produced, or the memo's entry unpacked.
-	type pageCands struct{ list, propagated, detail []*Candidate }
-	found := make([]pageCands, len(site.URLs))
-	entries := make([]*pageMemo, len(site.URLs))
-	fresh := make([]bool, len(site.URLs))
-	trusted := make(map[string]bool, len(m.trusted))
-	for i, u := range site.URLs {
-		e := m.pages[u]
-		if e == nil || e.hash != site.Hashes[i] {
-			pa := site.Analysis(i)
-			if pa == nil {
-				continue
-			}
-			e = &pageMemo{hash: site.Hashes[i]}
-			found[i].list, e.sigs = prop.listPage(pa)
-			e.list = pack(found[i].list)
-			fresh[i] = true
-		} else {
-			found[i].list = unpack(e.list)
+	r := m.Begin(prop, site, detail)
+	for i := range site.URLs {
+		r.ListPage(i)
+	}
+	r.Induce()
+	for i := range site.URLs {
+		r.FinishPage(i)
+	}
+	return r.Commit()
+}
+
+// SiteRun is one extraction of a site through its memo, cut at the page: the
+// two per-page passes as steps a scheduler can fan out over a worker pool,
+// and the two serial points between and after them. The order is ListPage
+// for every page, Induce, FinishPage for every page, Commit. ListPage and
+// FinishPage read shared state and write only their own page's slot, so
+// calls for different pages may run concurrently; a page's own calls, and
+// every call of Site.Analysis for it, come from the one goroutine running
+// its step. Induce and Commit need every call of the pass before them to
+// have returned.
+type SiteRun struct {
+	m      *SiteMemo
+	prop   *SitePropagator
+	site   Site
+	detail func(*PageAnalysis) []*Candidate
+
+	// Per page: its candidates as this run returns them (what the passes
+	// just produced, or the memo's entry unpacked), its memo entry (nil for
+	// a page that cannot be read), and whether the list pass ran on it.
+	found   []pageCands
+	entries []*pageMemo
+	fresh   []bool
+
+	trusted map[string]bool // set by Induce: the union of the pages' signatures
+	whole   bool            // set by Induce: the memo was filled under another trusted set
+}
+
+type pageCands struct{ list, propagated, detail []*Candidate }
+
+// Begin opens an extraction of site for prop's domain. A nil memo keeps
+// nothing: every page is analysed, nothing is packed, and the candidates
+// Commit returns are all that is left of the run — the streamed build's
+// mode, where the memory a memo costs buys no second extraction.
+func (m *SiteMemo) Begin(prop *SitePropagator, site Site, detail func(*PageAnalysis) []*Candidate) *SiteRun {
+	n := len(site.URLs)
+	return &SiteRun{m: m, prop: prop, site: site, detail: detail,
+		found: make([]pageCands, n), entries: make([]*pageMemo, n), fresh: make([]bool, n)}
+}
+
+// ListPage is the list pass over page i: run on the page's analysis when the
+// memo does not hold the page under its current hash, replayed otherwise.
+func (r *SiteRun) ListPage(i int) {
+	var e *pageMemo
+	if r.m != nil {
+		e = r.m.pages[r.site.URLs[i]]
+	}
+	if e == nil || e.hash != r.site.Hashes[i] {
+		pa := r.site.Analysis(i)
+		if pa == nil {
+			return
 		}
-		entries[i] = e
-		for _, sig := range e.sigs {
-			trusted[sig] = true
+		e = &pageMemo{hash: r.site.Hashes[i]}
+		r.found[i].list, e.sigs = r.prop.listPage(pa)
+		if r.m != nil {
+			e.list = pack(r.found[i].list)
+		}
+		r.fresh[i] = true
+	} else {
+		r.found[i].list = unpack(e.list)
+	}
+	r.entries[i] = e
+}
+
+// Induce is the barrier between the passes: the site's trusted set is the
+// union of what its pages vouch for, and if the memo's propagated and detail
+// candidates were computed under another, none of them can be replayed.
+func (r *SiteRun) Induce() {
+	r.trusted = make(map[string]bool)
+	for _, e := range r.entries {
+		if e != nil {
+			for _, sig := range e.sigs {
+				r.trusted[sig] = true
+			}
 		}
 	}
+	r.whole = r.m != nil && !maps.Equal(r.trusted, r.m.trusted)
+}
 
-	whole := !maps.Equal(trusted, m.trusted)
-	reinduced = whole && len(m.pages) > 0
-	for i, e := range entries {
-		if e == nil {
-			continue
-		}
-		if !fresh[i] && !whole {
-			found[i].propagated, found[i].detail = unpack(e.propagated), unpack(e.detail)
-			continue
-		}
-		pa := site.Analysis(i)
-		if pa == nil {
-			entries[i] = nil
-			continue
-		}
-		f := &found[i]
-		f.propagated, f.detail = prop.propagatePage(pa, trusted, f.list), nil
-		if detail != nil && len(f.list)+len(f.propagated) == 0 {
-			f.detail = detail(pa)
-		}
+// FinishPage is the propagate pass and, on a page that yielded no list or
+// propagated candidate, the detail pass over page i: run when the list pass
+// just ran on the page or the trusted set moved, replayed otherwise.
+func (r *SiteRun) FinishPage(i int) {
+	e, f := r.entries[i], &r.found[i]
+	if e == nil {
+		return
+	}
+	if !r.fresh[i] && !r.whole {
+		f.propagated, f.detail = unpack(e.propagated), unpack(e.detail)
+		return
+	}
+	pa := r.site.Analysis(i)
+	if pa == nil {
+		r.entries[i] = nil
+		return
+	}
+	f.propagated, f.detail = r.prop.propagatePage(pa, r.trusted, f.list), nil
+	if r.detail != nil && len(f.list)+len(f.propagated) == 0 {
+		f.detail = r.detail(pa)
+	}
+	if r.m != nil {
 		e.propagated, e.detail = pack(f.propagated), pack(f.detail)
 	}
+}
 
-	m.trusted = trusted
-	m.pages = make(map[string]*pageMemo, len(entries))
-	m.cands = 0
-	for i, e := range entries {
+// Commit installs what the run found in the memo and returns the site's
+// candidates — list, then propagated, then detail, each in site-page order —
+// and whether a memo that held pages had its propagate and detail passes
+// re-run over the whole site.
+func (r *SiteRun) Commit() (cands []*Candidate, reinduced bool) {
+	n := 0
+	for i, e := range r.entries {
 		if e != nil {
-			m.pages[site.URLs[i]] = e
-			m.cands += len(e.list) + len(e.propagated) + len(e.detail)
+			n += len(r.found[i].list) + len(r.found[i].propagated) + len(r.found[i].detail)
 		}
 	}
-	cands = make([]*Candidate, 0, m.cands)
-	for i, e := range entries {
-		if e != nil {
-			cands = append(cands, found[i].list...)
+	if m := r.m; m != nil {
+		reinduced = r.whole && len(m.pages) > 0
+		m.trusted, m.cands = r.trusted, n
+		m.pages = make(map[string]*pageMemo, len(r.entries))
+		for i, e := range r.entries {
+			if e != nil {
+				m.pages[r.site.URLs[i]] = e
+			}
 		}
 	}
-	for i, e := range entries {
+	cands = make([]*Candidate, 0, n)
+	for i, e := range r.entries {
 		if e != nil {
-			cands = append(cands, found[i].propagated...)
+			cands = append(cands, r.found[i].list...)
 		}
 	}
-	for i, e := range entries {
+	for i, e := range r.entries {
 		if e != nil {
-			cands = append(cands, found[i].detail...)
+			cands = append(cands, r.found[i].propagated...)
+		}
+	}
+	for i, e := range r.entries {
+		if e != nil {
+			cands = append(cands, r.found[i].detail...)
 		}
 	}
 	return cands, reinduced

@@ -277,14 +277,24 @@ func (tm *TextMatcher) matchTokens(all []string, k int, minScore float64) []Scor
 	}
 	sc.touched = touched
 	n := float64(len(tokens))
-	for _, i := range touched {
-		sc.acc[i] = (base + sc.acc[i]) / n
-	}
 	// Upper bound on |approx − exact| on the mean-per-token scale. The true
 	// error of re-associating ≤ 2·len(tokens)+1 summands of total magnitude
 	// ≤ 3T, plus the delta and division roundings, is below ~11·ε·(T+1);
 	// 64 leaves ≥5× headroom (DESIGN.md §15 has the derivation).
 	slack := 64 * 0x1p-52 * (maxSum + 1)
+	// A candidate whose upper bound is below minScore can never be rescored:
+	// phase 2's bar is at least minScore, and in descending order such a
+	// candidate sorts after the one the loop breaks at. Dropping it here
+	// keeps it out of the sort, which on a large corpus is most of the cost
+	// (the touched set is every record sharing any token with the page).
+	live := touched[:0]
+	for _, i := range touched {
+		sc.acc[i] = (base + sc.acc[i]) / n
+		if !(sc.acc[i]+slack < minScore) {
+			live = append(live, i)
+		}
+	}
+	touched = live
 
 	// Candidates in approximate-score order (best first), index ascending on
 	// ties, so the prune threshold rises as fast as possible and the visit

@@ -435,19 +435,44 @@ func (b *diskBackend) cacheDrop(url string) {
 func (b *diskBackend) put(p *Page) (bool, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	ref, ok := b.refs[p.URL]
-	if ok && ref.hash == p.Hash {
+	changed, err := b.appendPut(p.URL, p.Host, p.HTML, p.Hash)
+	if changed {
+		b.cachePut(p)
+	}
+	return changed, err
+}
+
+// putRaw stores a page without parsing it: hash, frame append, index entry.
+// Nothing enters the parse cache (a cached parse of the URL's previous bytes
+// leaves it), so bulk ingest neither pays for a DOM per page nor sweeps the
+// LRU with pages nobody has asked for yet.
+func (b *diskBackend) putRaw(url, html string) (bool, error) {
+	host, _ := splitURL(url)
+	hash := HashContent(html)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	changed, err := b.appendPut(url, host, html, hash)
+	if changed {
+		b.cacheDrop(url)
+	}
+	return changed, err
+}
+
+// appendPut appends the page's frame and moves its index entry, unless the
+// stored hash says the bytes are unchanged. Callers hold b.mu.
+func (b *diskBackend) appendPut(url, host, html string, hash uint64) (bool, error) {
+	ref, ok := b.refs[url]
+	if ok && ref.hash == hash {
 		return false, nil
 	}
-	seg, off, err := b.writeFrame(framePut, p.URL, p.HTML)
+	seg, off, err := b.writeFrame(framePut, url, html)
 	if err != nil {
 		return false, err
 	}
 	if !ok {
-		b.byHost[p.Host] = append(b.byHost[p.Host], p.URL)
+		b.byHost[host] = append(b.byHost[host], url)
 	}
-	b.refs[p.URL] = pageRef{seg: seg, off: off, hash: p.Hash}
-	b.cachePut(p)
+	b.refs[url] = pageRef{seg: seg, off: off, hash: hash}
 	return true, nil
 }
 

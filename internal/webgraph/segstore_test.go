@@ -377,3 +377,45 @@ func sortedStrings(s []string) bool {
 	}
 	return true
 }
+
+// TestPutRawMatchesPut: a page stored from its bytes alone reads back as the
+// page Put would have stored — on both backends — and on the disk backend
+// storing it neither parses nor touches the parse cache, except to drop a
+// cached parse of the URL's previous bytes.
+func TestPutRawMatchesPut(t *testing.T) {
+	const u = "raw.example/page"
+	v1 := `<html><body><h1>One</h1><a href="/next">next</a></body></html>`
+	v2 := `<html><body><h1>Two</h1></body></html>`
+	disk, err := OpenDiskStore(t.TempDir(), DiskOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	for name, s := range map[string]*Store{"memory": NewStore(), "disk": disk} {
+		if !s.PutRaw(u, v1) || s.PutRaw(u, v1) {
+			t.Errorf("%s: PutRaw must report a new page as changed and the same bytes as unchanged", name)
+		}
+		if h, ok := s.Hash(u); !ok || h != HashContent(v1) {
+			t.Errorf("%s: stored hash %x, %v", name, h, ok)
+		}
+		got, err := s.Get(u)
+		if want := NewPage(u, v1); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Get after PutRaw = %+v, %v; want %+v", name, got, err, want)
+		}
+		// The Get above cached a parse of v1; new bytes must not be served it.
+		if !s.PutRaw(u, v2) {
+			t.Errorf("%s: PutRaw of new bytes reported unchanged", name)
+		}
+		if got, err := s.Get(u); err != nil || got.HTML != v2 || got.Hash != HashContent(v2) {
+			t.Errorf("%s: Get after second PutRaw = %+v, %v", name, got, err)
+		}
+		if hp := s.HostPages("raw.example"); !reflect.DeepEqual(hp, []string{u}) {
+			t.Errorf("%s: host pages %v", name, hp)
+		}
+	}
+	db := disk.b.(*diskBackend)
+	disk.PutRaw("raw.example/uncached", v1)
+	if _, cached := db.cache["raw.example/uncached"]; cached {
+		t.Error("disk: PutRaw put a page in the parse cache")
+	}
+}

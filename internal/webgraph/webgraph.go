@@ -108,6 +108,7 @@ type Store struct {
 // must be safe for concurrent use.
 type backend interface {
 	put(p *Page) (changed bool, err error)
+	putRaw(url, html string) (changed bool, err error)
 	delete(url string) bool
 	get(url string) (*Page, error)
 	has(url string) bool
@@ -131,6 +132,15 @@ func NewStore() *Store {
 // failure latches the store (see Err) and Put reports false.
 func (s *Store) Put(p *Page) (changed bool) {
 	changed, _ = s.b.put(p)
+	return changed
+}
+
+// PutRaw is Put for a caller that holds only the page's bytes and has no use
+// for the parse: a streamed ingest. The disk backend hashes and appends
+// without parsing; the memory backend, which keeps every page parsed, parses
+// as Put's caller would have.
+func (s *Store) PutRaw(url, html string) (changed bool) {
+	changed, _ = s.b.putRaw(url, html)
 	return changed
 }
 
@@ -215,6 +225,8 @@ func (s *memBackend) put(p *Page) (bool, error) {
 	s.pages[p.URL] = p
 	return true, nil
 }
+
+func (s *memBackend) putRaw(url, html string) (bool, error) { return s.put(NewPage(url, html)) }
 
 func (s *memBackend) delete(url string) bool {
 	s.mu.Lock()
