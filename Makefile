@@ -41,10 +41,12 @@ servetest:
 # reference (score bits, order, nil-ness, posting adjacency, at 1/4/16
 # shards), and the shared-reference reads against the clone-everything
 # ConceptSearch/Trigger/Alternatives — plus the aliasing test, where readers
-# scribble over every returned record while a writer Puts the same IDs.
+# scribble over every returned record while a writer Puts the same IDs — and
+# the index's write side: Prepare's grouped positions merged by AddPrepared
+# against the retained token-stream merge, posting for posting.
 querytest:
 	$(GO) test -race -count=1 -v \
-		-run 'KernelMatchesReference|SharedReadsMatch|AlternativesMatch|ReturnedRecordsAreCallersToKeep' \
+		-run 'KernelMatchesReference|PreparedMergeMatchesReference|SharedReadsMatch|AlternativesMatch|ReturnedRecordsAreCallersToKeep' \
 		./internal/index/ ./internal/search/ ./internal/session/
 
 # maintaintest runs the continuous-maintenance suites under the race
@@ -58,29 +60,35 @@ querytest:
 # and whole-host extraction (seeded random page churn, candidate for
 # candidate), the page-task extract stage against the same whole-host oracle
 # (workers 1/2/8 x windows of one host, 64 pages and the whole corpus; fresh,
-# memo-less, host-restricted and re-induction extractions), and the
-# recognise-once scan memo against the retained per-call recognisers.
+# memo-less, host-restricted and re-induction extractions), the
+# recognise-once scan memo against the retained per-call recognisers, and the
+# document index fed from the page tasks against a serial Add loop (workers x
+# windows x shards) with the streamed build's one-parse-per-page count.
 # -count=1 defeats test caching.
 maintaintest:
 	$(GO) test -race -count=1 -v ./internal/maintain/
 	$(GO) test -race -count=1 -v \
-		-run 'TestDeltaRefreshConvergesToRebuild|TestRefresh|TestRemove|TestStoreDelete|TestSiteMemo|TestSitePages|TestBuildStreamKeepsNoMemo|TestWindowScheduler|TestRecognizeOnce|TestParsersMatchPerCall' \
+		-run 'TestDeltaRefreshConvergesToRebuild|TestRefresh|TestRemove|TestStoreDelete|TestSiteMemo|TestSitePages|TestBuildStreamKeepsNoMemo|TestWindowScheduler|TestRecognizeOnce|TestParsersMatchPerCall|TestDocIndexOrder|TestStreamedBuildParses' \
 		./internal/core/ ./internal/extract/ ./internal/index/ ./internal/webgraph/
 
 # fuzz-smoke runs every native fuzz target in the tree for a bounded time
 # (FUZZTIME each, one target per invocation as `go test -fuzz` requires).
-# A crasher lands in the package's testdata/fuzz/<target>/ directory; commit
-# it — the plain `go test` run then replays it as a regression seed.
+# FUZZ_TARGETS lists them as package:Target, so a target anywhere in the tree
+# joins by adding an entry. A crasher lands in the package's
+# testdata/fuzz/<target>/ directory; commit it — the plain `go test` run then
+# replays it as a regression seed.
 # -fuzzminimizetime is bounded in runs: the default (60 s of minimizing each
 # new 10 KB page that reaches new coverage) would spend the whole budget on
 # the first interesting input.
 FUZZTIME ?= 10s
-FUZZ_TARGETS = FuzzSitePageMemo FuzzRecognizeOnce
+FUZZ_TARGETS = ./internal/extract/:FuzzSitePageMemo ./internal/extract/:FuzzRecognizeOnce \
+	./internal/index/:FuzzPrepare
 
 fuzz-smoke:
-	@set -e; for target in $(FUZZ_TARGETS); do \
-		echo "fuzz $$target ($(FUZZTIME))"; \
-		$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/extract/; \
+	@set -e; for entry in $(FUZZ_TARGETS); do \
+		pkg=$${entry%%:*}; target=$${entry##*:}; \
+		echo "fuzz $$pkg $$target ($(FUZZTIME))"; \
+		$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 10x $$pkg; \
 	done
 
 # bench runs the end-to-end construction benchmark at 1, 4, and 8 workers
@@ -151,7 +159,9 @@ scalecheck:
 # path: one ranked BM25F query (heavy-tail 2k-page index, instance / set /
 # attribute forms, k = 60, 1 and 4 shards), one Alternatives call, and one
 # index re-add at 2k and at 20k documents (the two must read alike: a re-add
-# costs what the document holds, not what the index holds). These
+# costs what the document holds, not what the index holds), and the index
+# build of the same 2k pages (Prepare + AddPreparedBatch at 1 and 4 shards,
+# with the merge's share as merge-us/doc). These
 # are the functions the extract/link/resolve/upsert stages and a cold query
 # spend their time in; -benchmem makes allocation regressions visible next to
 # the ns/op numbers. The match and index benchmarks include *Reference
@@ -163,7 +173,7 @@ scalecheck:
 # the archive and not a claim.
 microbench:
 	$(GO) test -run '^$$' \
-		-bench 'BenchmarkTokenize|BenchmarkTokenizeInto|BenchmarkTopTerms|BenchmarkRepeatedGroups|BenchmarkMatchTokens|BenchmarkResolve|BenchmarkUpsertScan|BenchmarkScoreProfiles|BenchmarkIndexSearch|BenchmarkIndexReAdd|BenchmarkAlternatives' \
+		-bench 'BenchmarkTokenize|BenchmarkTokenizeInto|BenchmarkTopTerms|BenchmarkRepeatedGroups|BenchmarkMatchTokens|BenchmarkResolve|BenchmarkUpsertScan|BenchmarkScoreProfiles|BenchmarkIndexSearch|BenchmarkIndexReAdd|BenchmarkIndexBuild|BenchmarkAlternatives' \
 		-benchmem ./internal/textproc/ ./internal/extract/ ./internal/match/ ./internal/index/ ./internal/session/ | tee bench-micro.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkExtractStage' -cpu 1,2 -benchtime 5x -benchmem ./internal/core/ | tee -a bench-micro.txt
 

@@ -170,6 +170,9 @@ func main() {
 		if stats.Trace != nil {
 			fmt.Printf("\nworkers: %d\n%s\n", stats.Workers, stats.Trace.Table())
 		}
+		ps := woc.Pages.Stats()
+		fmt.Printf("pages:   %d parsed by the build (page store: %d gets, %d parses, %d cache hits)\n",
+			stats.PageParses, ps.Gets, ps.Parses, ps.CacheHits)
 		for _, c := range woc.Records.Concepts() {
 			fmt.Printf("  %-12s %d records\n", c, woc.Records.CountByConcept(c))
 		}
@@ -191,6 +194,7 @@ func main() {
 			"profile":        *profile,
 			"pages_planned":  worldPages,
 			"pages":          stats.PagesFetched,
+			"page_parses":    stats.PageParses,
 			"wall_ms":        wall.Milliseconds(),
 			"peak_rss_bytes": rss,
 			"candidates":     stats.Candidates,

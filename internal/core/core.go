@@ -166,8 +166,14 @@ func (woc *WebOfConcepts) PagesOf(id string) []string { return woc.RevAssoc[id] 
 
 // BuildStats reports what a build did.
 type BuildStats struct {
-	PagesFetched   int
-	FetchFailures  int
+	PagesFetched  int
+	FetchFailures int
+	// PageParses counts the HTML parses the build paid for: one per crawled
+	// page, plus every parse the page store performed on the build's behalf
+	// (a disk store's reads that missed its parse cache, a memory store's
+	// raw puts). A streamed build over a disk store parses each page once in
+	// the extract stage and the link stage's candidates once more.
+	PageParses     int
 	Candidates     int
 	RecordsStored  int
 	ClustersMerged int // candidate records absorbed into clusters
@@ -212,19 +218,22 @@ func (b *Builder) Build(seeds []string) (*WebOfConcepts, *BuildStats, error) {
 	}
 	stats := &BuildStats{Workers: b.workers(), StoreRecovery: storeRecovery}
 	ctx, root := pipelineCtx("build")
+	parsed := woc.Pages.Stats().Parses
 
 	b.stage(ctx, "crawl", func(context.Context) {
 		crawler := &webgraph.Crawler{
 			Fetcher: b.Fetcher, Store: woc.Pages, MaxPages: b.Cfg.MaxPages,
 		}
 		stats.PagesFetched, stats.FetchFailures = crawler.Crawl(seeds)
+		stats.PageParses = stats.PagesFetched // the crawler parses what it fetches
 		woc.Graph = webgraph.BuildGraph(woc.Pages)
 	})
 
 	cg := newConceptGroups(nil)
+	feed := feedDocIndex(woc.DocIndex, nil)
 	var analyses map[string]*extract.PageAnalysis
 	b.stage(ctx, "extract", func(context.Context) {
-		analyses, _ = b.extractHosts(woc, nil, cg)
+		analyses, _ = b.extractHosts(woc, nil, cg, feed)
 		stats.Candidates = cg.total
 	})
 	b.stage(ctx, "resolve", func(context.Context) {
@@ -233,20 +242,28 @@ func (b *Builder) Build(seeds []string) (*WebOfConcepts, *BuildStats, error) {
 	b.stage(ctx, "link", func(context.Context) {
 		b.linkText(woc, stats, analyses)
 	})
-	b.stage(ctx, "index", func(context.Context) {
-		b.buildIndexes(woc)
+	b.stage(ctx, "index", func(sctx context.Context) {
+		b.finishIndexes(sctx, woc, feed)
 	})
 
+	b.finishBuild(woc, stats, root, parsed)
+	return woc, stats, nil
+}
+
+// finishBuild closes a build's trace and publishes its statistics. parsed is
+// the page store's parse count when the build began.
+func (b *Builder) finishBuild(woc *WebOfConcepts, stats *BuildStats, root *obs.Span, parsed uint64) {
 	root.End()
 	stats.Trace = root.Report()
 	stats.Epoch = woc.BumpEpoch()
+	stats.PageParses += int(woc.Pages.Stats().Parses - parsed)
 	m := b.Cfg.Metrics
 	m.Counter("build.runs").Inc()
 	m.Counter("build.pages.fetched").Add(int64(stats.PagesFetched))
+	m.Counter("build.pages.parsed").Add(int64(stats.PageParses))
 	m.Counter("build.candidates").Add(int64(stats.Candidates))
 	m.Counter("build.records.stored").Add(int64(stats.RecordsStored))
 	m.Counter("build.pages.linked").Add(int64(stats.PagesLinked))
-	return woc, stats, nil
 }
 
 // newWoc assembles the empty artifact a build fills: the record store
@@ -345,7 +362,7 @@ const extractWindowPages = 256
 // nor analysed, its candidates are replayed. The analyses of the pages that
 // were read return to the caller: the link stage reuses their main-text
 // token streams.
-func (b *Builder) extractHosts(woc *WebOfConcepts, only map[string]bool, cg *conceptGroups) (map[string]*extract.PageAnalysis, extractStats) {
+func (b *Builder) extractHosts(woc *WebOfConcepts, only map[string]bool, cg *conceptGroups, feed *docFeed) (map[string]*extract.PageAnalysis, extractStats) {
 	if woc.memo == nil {
 		woc.memo = newExtractMemo()
 	}
@@ -355,7 +372,7 @@ func (b *Builder) extractHosts(woc *WebOfConcepts, only map[string]bool, cg *con
 		hosts = slices.DeleteFunc(hosts, func(h string) bool { return !only[h] })
 	}
 	analyses := make(map[string]*extract.PageAnalysis)
-	st := b.extractPages(woc.Pages, hosts, woc.memo, cg, analyses)
+	st := b.extractPages(woc.Pages, hosts, woc.memo, cg, analyses, feed)
 	woc.memo.evict()
 	return analyses, st
 }
@@ -390,10 +407,18 @@ func (b *Builder) extractHosts(woc *WebOfConcepts, only map[string]bool, cg *con
 // that pre-merge into an already-folded record die a window later at most,
 // instead of riding a corpus-sized slice to the resolve stage.
 //
+// The task that finishes a page also prepares its document for the document
+// index while the DOM it just walked is in hand (feed, when non-nil; see
+// docFeed): the index is a by-product of the one read and one parse a page
+// gets, not a second pass over the corpus. The window's documents go to the
+// feed at the fold, in task order — sorted host, then site-page order — which
+// is what fixes the index's doc numbering at any worker count, shard count
+// and window size.
+//
 // memo, when non-nil, is read and filled per (host, domain); nil extracts
 // memo-less (the streamed build). analyses, when non-nil, collects the
 // analysis of every page read; otherwise a window's analyses die with it.
-func (b *Builder) extractPages(pages *webgraph.Store, hosts []string, memo *extractMemo, cg *conceptGroups, analyses map[string]*extract.PageAnalysis) extractStats {
+func (b *Builder) extractPages(pages *webgraph.Store, hosts []string, memo *extractMemo, cg *conceptGroups, analyses map[string]*extract.PageAnalysis, feed *docFeed) extractStats {
 	type pageTask struct{ site, page int32 }
 	var st extractStats
 	window := extractWindowPages
@@ -437,10 +462,17 @@ func (b *Builder) extractPages(pages *webgraph.Store, hosts []string, memo *extr
 				r.Induce()
 			}
 		}
+		var docs []index.PreparedDoc // by task; zero where the feed wants none
+		if feed != nil {
+			docs = make([]index.PreparedDoc, len(tasks))
+		}
 		parallelEach(len(tasks), w, func(i int) {
 			start := time.Now()
 			for _, r := range runs[tasks[i].site] {
 				r.FinishPage(int(tasks[i].page))
+			}
+			if feed != nil {
+				docs[i] = feed.prepare(sites[tasks[i].site], int(tasks[i].page))
 			}
 			spent[i] += time.Since(start)
 		})
@@ -448,6 +480,9 @@ func (b *Builder) extractPages(pages *webgraph.Store, hosts []string, memo *extr
 			st.taskTime += d
 		}
 
+		if feed != nil {
+			feed.queue <- docs // merges beside the fold below and the next window
+		}
 		for si, hs := range sites {
 			hostReinduced := false
 			for _, r := range runs[si] {
@@ -707,32 +742,90 @@ func truncateBytes(s string, max int) string {
 	return s[:cut]
 }
 
-// buildIndexes fills the document and record inverted indexes. Analysis
-// (DOM text flattening + tokenization, the expensive part) fans out over the
-// worker pool via index.Prepare; the prepared postings then merge with one
-// writer per index shard, each adding its shard's documents in sorted
-// doc-ID order, so internal doc and field numbering — and hence serialized
-// index state and every score — is identical at any (workers × shards)
-// combination.
-func (b *Builder) buildIndexes(woc *WebOfConcepts) {
-	w := b.workers()
+// docFeedWindows bounds the document feed's queue, in extract windows.
+const docFeedWindows = 2
 
-	urls := woc.Pages.URLs()
-	docs := make([]index.PreparedDoc, len(urls))
-	parallelEach(len(urls), w, func(i int) {
-		p, err := woc.Pages.Get(urls[i])
-		if err != nil {
-			return
-		}
-		docs[i] = index.Prepare(pageDocument(p))
-	})
-	woc.DocIndex.AddPreparedBatch(docs, w)
-	b.indexRecords(woc, w)
+// docFeed fills the document index behind the pipeline. The extract stage's
+// page tasks prepare documents (prepare) and its fold queues them a window at
+// a time; one merger goroutine takes the windows in order and merges them into
+// the index with a single writer, beside the remaining extract windows, the
+// serial resolve stage and link. Nothing a build stage reads depends on the
+// document index, so the only synchronization is the join before the build
+// returns. The queue holds at most docFeedWindows windows: a fold that finds
+// it full waits, so the prepared documents resident are bounded by the
+// windows, not the corpus.
+type docFeed struct {
+	// only, when non-nil, restricts indexing to these URLs: a maintenance
+	// pass re-extracts whole hosts but re-indexes only the pages that changed.
+	only  map[string]bool
+	queue chan []index.PreparedDoc
+	done  chan struct{}
+	busy  time.Duration // the merger's time in the index; read after join
 }
 
-// indexRecords fills the record inverted index; shared by the full-batch and
-// chunked (BuildStream) page-indexing paths.
-func (b *Builder) indexRecords(woc *WebOfConcepts, w int) {
+// feedDocIndex starts the merger goroutine of ix. The caller queues windows
+// through extractPages and must join.
+func feedDocIndex(ix *index.Sharded, only map[string]bool) *docFeed {
+	f := &docFeed{
+		only:  only,
+		queue: make(chan []index.PreparedDoc, docFeedWindows),
+		done:  make(chan struct{}),
+	}
+	go func() {
+		defer close(f.done)
+		for docs := range f.queue {
+			start := time.Now()
+			ix.AddPreparedBatch(docs, 1)
+			f.busy += time.Since(start)
+		}
+	}()
+	return f
+}
+
+// prepare is a page task's share of indexing: the page's prepared document,
+// or the zero document when the feed does not want the page or it cannot be
+// read.
+func (f *docFeed) prepare(hs *hostSite, page int) index.PreparedDoc {
+	if f.only != nil && !f.only[hs.URLs[page]] {
+		return index.PreparedDoc{}
+	}
+	pa := hs.analysis(page)
+	if pa == nil {
+		return index.PreparedDoc{}
+	}
+	return index.Prepare(pageDocument(pa.Page))
+}
+
+// join waits until the merger has merged everything queued and records, as
+// child spans of ctx, the time the merger spent in the index over the whole
+// pipeline (docindex.merge: work that ran behind other stages) and the time
+// this call waited for it (docindex.wait: the part that did not hide).
+func (f *docFeed) join(ctx context.Context) {
+	start := time.Now()
+	close(f.queue)
+	<-f.done
+	obs.Record(ctx, "docindex.merge", f.busy)
+	obs.Record(ctx, "docindex.wait", time.Since(start))
+}
+
+// finishIndexes is the index stage of Build and BuildStream: the document
+// index was fed from the extract stage's page tasks and merged behind the
+// pipeline, so what is left is joining the merger and filling the record
+// index.
+func (b *Builder) finishIndexes(ctx context.Context, woc *WebOfConcepts, feed *docFeed) {
+	feed.join(ctx)
+	n := woc.DocIndex.Len()
+	b.progress("index", n, n)
+	b.indexRecords(woc)
+}
+
+// indexRecords fills the record inverted index. Analysis fans out over the
+// worker pool via index.Prepare; the prepared documents then merge with one
+// writer per index shard, each adding its shard's records in store scan
+// order, so internal doc and field numbering is identical at any (workers ×
+// shards) combination.
+func (b *Builder) indexRecords(woc *WebOfConcepts) {
+	w := b.workers()
 	var recs []*lrec.Record
 	woc.Records.Scan(func(r *lrec.Record) bool {
 		if r.Concept != "review" { // reviews are reachable via their subject

@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"conceptweb/internal/extract"
-	"conceptweb/internal/index"
 	"conceptweb/internal/lrec"
 	"conceptweb/internal/match"
 	"conceptweb/internal/obs"
@@ -210,20 +209,17 @@ func (b *Builder) Refresh(woc *WebOfConcepts, urls []string) (*RefreshStats, err
 		}
 		// The candidate re-asserts an untouched record from an unchanged
 		// page: nothing to fold.
-		_, err := woc.Records.Get(id)
+		_, err := woc.Records.View(id)
 		return err != nil
 	})
 	var analyses map[string]*extract.PageAnalysis
-	b.stage(ctx, "extract", func(context.Context) {
-		docs := make([]index.PreparedDoc, len(changed))
-		parallelEach(len(changed), b.workers(), func(i int) {
-			docs[i] = index.Prepare(pageDocument(changed[i]))
-		})
-		for _, d := range docs {
-			woc.DocIndex.AddPrepared(d)
-		}
+	b.stage(ctx, "extract", func(sctx context.Context) {
+		// The changed pages' hosts are all among the re-extracted ones, so
+		// the page tasks that re-analyse them also re-index them.
+		feed := feedDocIndex(woc.DocIndex, changedSet)
 		var est extractStats
-		analyses, est = b.extractHosts(woc, hosts, cg)
+		analyses, est = b.extractHosts(woc, hosts, cg, feed)
+		feed.join(sctx)
 		stats.PagesAnalyzed, stats.PagesReplayed = est.pagesAnalyzed, est.pagesReplayed
 		stats.HostsReinduced = est.hostsReinduced
 	})
@@ -246,7 +242,7 @@ func (b *Builder) Refresh(woc *WebOfConcepts, urls []string) (*RefreshStats, err
 	// records that came back were superseded in place, the rest are gone.
 	stats.RecordsSuperseded, stats.RecordsDeleted = 0, 0
 	for id := range retired {
-		if _, err := woc.Records.Get(id); err != nil {
+		if _, err := woc.Records.View(id); err != nil {
 			stats.RecordsDeleted++
 		} else {
 			stats.RecordsSuperseded++
@@ -477,7 +473,7 @@ func (b *Builder) relinkPass(woc *WebOfConcepts, changed []*webgraph.Page, globa
 				pending = append(pending, u)
 				continue
 			}
-			if _, err := woc.Records.Get(revIDOf(u)); err == nil {
+			if _, err := woc.Records.View(revIDOf(u)); err == nil {
 				pending = append(pending, u)
 			}
 		}
@@ -507,12 +503,14 @@ func (b *Builder) relinkPass(woc *WebOfConcepts, changed []*webgraph.Page, globa
 	}
 	hits := make([]*hit, len(pending))
 	parallelEach(len(pending), b.workers(), func(i int) {
-		p, err := woc.Pages.Get(pending[i])
-		if err != nil {
-			return
-		}
-		pa := analyses[p.URL]
+		// A page the extract stage of this pass analysed is neither read nor
+		// parsed again.
+		pa := analyses[pending[i]]
 		if pa == nil {
+			p, err := woc.Pages.Get(pending[i])
+			if err != nil {
+				return
+			}
 			pa = extract.Analyze(p)
 		}
 		text := pa.MainText()

@@ -126,7 +126,7 @@ func extractCaptured(b *Builder, woc *WebOfConcepts, only map[string]bool) ([]*e
 		got = append(got, c)
 		return false
 	})
-	_, st := b.extractHosts(woc, only, cg)
+	_, st := b.extractHosts(woc, only, cg, nil)
 	return got, st
 }
 
@@ -499,7 +499,7 @@ func TestWindowSchedulerMatchesWholeHost(t *testing.T) {
 				streamed = append(streamed, c)
 				return false
 			})
-			st := b.extractPages(woc.Pages, woc.Pages.Hosts(), nil, cg, nil)
+			st := b.extractPages(woc.Pages, woc.Pages.Hosts(), nil, cg, nil, nil)
 			if err := sameCandidates(streamed, wantFresh); err != nil {
 				t.Fatalf("%s, memo-less: %v", point, err)
 			}

@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-
-	"conceptweb/internal/index"
 )
 
 // PageSource streams a corpus page by page. Implementations (such as
@@ -14,12 +12,6 @@ import (
 type PageSource interface {
 	StreamPages(emit func(url, html string) error) error
 }
-
-// indexChunk is how many pages the streamed index stage prepares per batch.
-// Chunks are processed in sorted-URL order and AddPreparedBatch preserves
-// relative order per shard, so chunked indexing assigns identical doc
-// numbering to the one-shot path.
-const indexChunk = 1024
 
 // BuildStream constructs the web of concepts from a streamed page source
 // with memory bounded by a site, never the corpus (ISSUE 9). It differs from
@@ -36,15 +28,16 @@ const indexChunk = 1024
 //     largest resident structure in a full build and does not exist here,
 //     and neither does the extraction memo. Candidate order still matches
 //     Build exactly, so resolution output is identical.
-//   - The document index is filled in bounded chunks instead of one
-//     corpus-sized []PreparedDoc.
 //   - No link graph is built: Graph remains nil. BuildGraph's output is
 //     itself O(corpus) resident memory, which contradicts a bounded build;
 //     callers needing relational classification run the in-memory path.
 //
-// The semantic-link and resolve stages are shared with Build, so for a
-// corpus whose pages are all crawl-reachable the two paths produce
-// identical stores, associations, and indexes (see stream_test.go).
+// The extract, resolve, semantic-link and index stages are shared with
+// Build, so for a corpus whose pages are all crawl-reachable the two paths
+// produce identical stores, associations, and indexes (see
+// buildstream_test.go). In both, the document index is fed from the extract
+// stage's page tasks (docFeed), so prepared documents are resident a few
+// windows at a time and never as one corpus-sized slice.
 func (b *Builder) BuildStream(src PageSource) (*WebOfConcepts, *BuildStats, error) {
 	woc, storeRecovery, err := b.newWoc()
 	if err != nil {
@@ -52,6 +45,7 @@ func (b *Builder) BuildStream(src PageSource) (*WebOfConcepts, *BuildStats, erro
 	}
 	stats := &BuildStats{Workers: b.workers(), StoreRecovery: storeRecovery}
 	ctx, root := pipelineCtx("build")
+	parsed := woc.Pages.Stats().Parses
 
 	totalPages := 0
 	if p, ok := src.(interface{ PlannedPages() int }); ok {
@@ -83,10 +77,11 @@ func (b *Builder) BuildStream(src PageSource) (*WebOfConcepts, *BuildStats, erro
 	}
 
 	cg := newConceptGroups(nil)
+	feed := feedDocIndex(woc.DocIndex, nil)
 	b.stage(ctx, "extract", func(context.Context) {
 		// No memo and no analyses kept: what a window of hosts holds dies
 		// when the window has folded.
-		b.extractPages(woc.Pages, woc.Pages.Hosts(), nil, cg, nil)
+		b.extractPages(woc.Pages, woc.Pages.Hosts(), nil, cg, nil, feed)
 		stats.Candidates = cg.total
 	})
 
@@ -104,43 +99,10 @@ func (b *Builder) BuildStream(src PageSource) (*WebOfConcepts, *BuildStats, erro
 		b.linkText(woc, stats, nil)
 	})
 
-	b.stage(ctx, "index", func(context.Context) {
-		b.buildIndexesChunked(woc)
+	b.stage(ctx, "index", func(sctx context.Context) {
+		b.finishIndexes(sctx, woc, feed)
 	})
 
-	root.End()
-	stats.Trace = root.Report()
-	stats.Epoch = woc.BumpEpoch()
-	m := b.Cfg.Metrics
-	m.Counter("build.runs").Inc()
-	m.Counter("build.pages.fetched").Add(int64(stats.PagesFetched))
-	m.Counter("build.candidates").Add(int64(stats.Candidates))
-	m.Counter("build.records.stored").Add(int64(stats.RecordsStored))
-	m.Counter("build.pages.linked").Add(int64(stats.PagesLinked))
+	b.finishBuild(woc, stats, root, parsed)
 	return woc, stats, nil
-}
-
-// buildIndexesChunked is buildIndexes with the page side bounded: prepared
-// docs are batched indexChunk pages at a time in sorted-URL order.
-func (b *Builder) buildIndexesChunked(woc *WebOfConcepts) {
-	w := b.workers()
-	urls := woc.Pages.URLs()
-	for lo := 0; lo < len(urls); lo += indexChunk {
-		hi := lo + indexChunk
-		if hi > len(urls) {
-			hi = len(urls)
-		}
-		chunk := urls[lo:hi]
-		docs := make([]index.PreparedDoc, len(chunk))
-		parallelEach(len(chunk), w, func(i int) {
-			p, err := woc.Pages.Get(chunk[i])
-			if err != nil {
-				return
-			}
-			docs[i] = index.Prepare(pageDocument(p))
-		})
-		woc.DocIndex.AddPreparedBatch(docs, w)
-		b.progress("index", hi, len(urls))
-	}
-	b.indexRecords(woc, w)
 }

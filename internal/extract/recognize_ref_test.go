@@ -3,6 +3,7 @@ package extract
 import (
 	"fmt"
 	"math/rand"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -95,6 +96,34 @@ func refDistinctExceeds(rec Recognizer, text string, max int) bool {
 		rest = rest[idx+len(v):]
 	}
 	return false
+}
+
+// ungated pairs each regexp recogniser with its bare expression and submatch
+// group: what the recogniser returned before any byte gate (a digit, a rule's
+// required byte) stood in front of the regexp engine.
+var ungated = []struct {
+	rec   Recognizer
+	re    *regexp.Regexp
+	group int
+}{
+	{ZipRecognizer(), zipRe, 0}, {PhoneRecognizer(), phoneRe, 0}, {PriceRecognizer(), priceRe, 0},
+	{StreetRecognizer(), streetRe, 0}, {YearRecognizer(), yearRe, 0}, {DateRecognizer(), dateRe, 0},
+	{RatingRecognizer(), ratingRe, 1}, {HoursRecognizer(), hoursRe, 0}, {MegapixelRecognizer(), mpRe, 1},
+}
+
+// checkGates fails when a regexp recogniser's byte gates change what the
+// bare expression finds in text: the gates are necessary conditions only.
+func checkGates(t testing.TB, text string) {
+	t.Helper()
+	for _, u := range ungated {
+		want, wok := "", false
+		if m := u.re.FindStringSubmatch(text); m != nil && (u.group > 0 || m[0] != "") {
+			want, wok = m[u.group], true
+		}
+		if got, ok := u.rec.Match(text); got != want || ok != wok {
+			t.Fatalf("%s in %q: gated (%q, %v), bare expression (%q, %v)", u.rec.Key, text, got, ok, want, wok)
+		}
+	}
 }
 
 // refParseItem is the item parser over fresh per-call scans.
@@ -349,9 +378,17 @@ func TestParsersMatchPerCall(t *testing.T) {
 			}
 			singles, _ := pa.Singles(2)
 			nodes = append(nodes, singles...)
+			checkGates(t, pa.BodyText())
 			for di := range domains {
 				le := &ListExtractor{Domain: domains[di]}
 				for _, n := range nodes {
+					if di == 0 {
+						ia := analyzeItem(n)
+						checkGates(t, ia.full)
+						for _, sp := range ia.spans {
+							checkGates(t, sp.text)
+						}
+					}
 					gc, ge, gok := le.parseItem(pa, n)
 					wc, we, wok := refParseItem(le, u, n)
 					if ge != we || gok != wok || sameCandidates([]*Candidate{gc}, []*Candidate{wc}) != nil {
@@ -394,5 +431,8 @@ func FuzzRecognizeOnce(f *testing.F) {
 			ops[i] = rng.Uint32()
 		}
 		checkScans(t, domains, texts, ops)
+		for _, s := range texts {
+			checkGates(t, s)
+		}
 	})
 }

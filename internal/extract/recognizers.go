@@ -67,10 +67,13 @@ func hasDigit(s string) bool {
 }
 
 // regexpRecognizer recognizes by regular expression, yielding the whole
-// match or, when group is 1, its first submatch.
-func regexpRecognizer(key string, kind lrec.ValueKind, re *regexp.Regexp, group int, weight float64) Recognizer {
+// match or, when group is 1, its first submatch. need, when non-zero, is a
+// byte every match of re contains besides a digit (the ':' of an opening
+// hour): like hasDigit, a necessary condition checked by a byte scan before
+// the regexp engine starts.
+func regexpRecognizer(key string, kind lrec.ValueKind, re *regexp.Regexp, group int, weight float64, need byte) Recognizer {
 	match := func(text string) (string, bool) {
-		if !hasDigit(text) {
+		if !hasDigit(text) || (need != 0 && strings.IndexByte(text, need) < 0) {
 			return "", false
 		}
 		if group == 0 {
@@ -87,37 +90,43 @@ func regexpRecognizer(key string, kind lrec.ValueKind, re *regexp.Regexp, group 
 }
 
 // ZipRecognizer recognizes 5-digit California-range zip codes.
-func ZipRecognizer() Recognizer { return regexpRecognizer("zip", lrec.KindZip, zipRe, 0, 1.0) }
+func ZipRecognizer() Recognizer { return regexpRecognizer("zip", lrec.KindZip, zipRe, 0, 1.0, 0) }
 
 // PhoneRecognizer recognizes North-American phone numbers in the formats
 // used across the corpus.
-func PhoneRecognizer() Recognizer { return regexpRecognizer("phone", lrec.KindPhone, phoneRe, 0, 1.0) }
+func PhoneRecognizer() Recognizer {
+	return regexpRecognizer("phone", lrec.KindPhone, phoneRe, 0, 1.0, 0)
+}
 
 // PriceRecognizer recognizes dollar amounts.
-func PriceRecognizer() Recognizer { return regexpRecognizer("price", lrec.KindPrice, priceRe, 0, 0.8) }
+func PriceRecognizer() Recognizer {
+	return regexpRecognizer("price", lrec.KindPrice, priceRe, 0, 0.8, 0)
+}
 
 // StreetRecognizer recognizes street addresses by number + suffix shape.
 func StreetRecognizer() Recognizer {
-	return regexpRecognizer("street", lrec.KindAddress, streetRe, 0, 0.9)
+	return regexpRecognizer("street", lrec.KindAddress, streetRe, 0, 0.9, 0)
 }
 
 // YearRecognizer recognizes plausible publication years.
-func YearRecognizer() Recognizer { return regexpRecognizer("year", lrec.KindDate, yearRe, 0, 0.6) }
+func YearRecognizer() Recognizer { return regexpRecognizer("year", lrec.KindDate, yearRe, 0, 0.6, 0) }
 
 // DateRecognizer recognizes ISO dates.
-func DateRecognizer() Recognizer { return regexpRecognizer("date", lrec.KindDate, dateRe, 0, 0.9) }
+func DateRecognizer() Recognizer { return regexpRecognizer("date", lrec.KindDate, dateRe, 0, 0.9, 0) }
 
 // RatingRecognizer recognizes "4.2 stars"-style ratings.
 func RatingRecognizer() Recognizer {
-	return regexpRecognizer("rating", lrec.KindNumber, ratingRe, 1, 0.5)
+	return regexpRecognizer("rating", lrec.KindNumber, ratingRe, 1, 0.5, 0)
 }
 
 // HoursRecognizer recognizes opening-hours strings.
-func HoursRecognizer() Recognizer { return regexpRecognizer("hours", lrec.KindText, hoursRe, 0, 0.5) }
+func HoursRecognizer() Recognizer {
+	return regexpRecognizer("hours", lrec.KindText, hoursRe, 0, 0.5, ':')
+}
 
 // MegapixelRecognizer recognizes camera resolutions.
 func MegapixelRecognizer() Recognizer {
-	return regexpRecognizer("megapixels", lrec.KindNumber, mpRe, 1, 0.7)
+	return regexpRecognizer("megapixels", lrec.KindNumber, mpRe, 1, 0.7, 0)
 }
 
 // GazetteerRecognizer recognizes values from a closed vocabulary (cities,

@@ -3,6 +3,7 @@ package index
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"conceptweb/internal/webgen"
 	"conceptweb/internal/webgraph"
@@ -10,15 +11,15 @@ import (
 
 // heavyTailFixture is the document index of a heavy-tail world of about the
 // given number of pages — the build pipeline's title (boost 2.5) + body
-// documents, also returned as prepared — plus the three §5.1 query forms
+// documents, also returned — plus the three §5.1 query forms
 // made from the world's own restaurants. Aggregator hosts carry about half
 // the pages, so at 2k pages a "cuisine city" or "name city" query touches
 // well over a thousand documents to rank sixty.
-func heavyTailFixture(tb testing.TB, pages, shards int) (*Sharded, []PreparedDoc, map[string][]string) {
+func heavyTailFixture(tb testing.TB, pages, shards int) (*Sharded, []Document, map[string][]string) {
 	tb.Helper()
 	w := webgen.NewStreamWorld(webgen.HeavyTailConfig(pages))
 	s := NewSharded(shards)
-	var docs []PreparedDoc
+	var docs []Document
 	queries := map[string][]string{}
 	seen := map[string]bool{}
 	err := w.EachPage(func(p *webgen.Page) error {
@@ -27,11 +28,11 @@ func heavyTailFixture(tb testing.TB, pages, shards int) (*Sharded, []PreparedDoc
 		if t := page.Doc.FindFirst("title"); t != nil {
 			title = t.Text()
 		}
-		d := Prepare(Document{ID: p.URL, Fields: []Field{
+		d := Document{ID: p.URL, Fields: []Field{
 			{Name: "title", Text: title, Boost: 2.5},
 			{Name: "body", Text: page.Doc.Text()},
-		}})
-		s.AddPrepared(d)
+		}}
+		s.Add(d)
 		docs = append(docs, d)
 		name, city, cuisine := p.Truth.Attrs["name"], p.Truth.Attrs["city"], p.Truth.Attrs["cuisine"]
 		if p.Truth.Kind != "biz" || name == "" || city == "" || seen[name] {
@@ -86,11 +87,43 @@ func BenchmarkIndexSearchReference(b *testing.B) {
 func BenchmarkIndexReAdd(b *testing.B) {
 	for _, pages := range []int{2000, 20000} {
 		s, docs, _ := heavyTailFixture(b, pages, 1)
+		prepared := make([]PreparedDoc, len(docs))
+		for i, d := range docs {
+			prepared[i] = Prepare(d)
+		}
 		b.Run(fmt.Sprintf("pages=%d", pages), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				s.AddPrepared(docs[i*7919%len(docs)])
+				s.AddPrepared(prepared[i*7919%len(prepared)])
 			}
+		})
+	}
+}
+
+// BenchmarkIndexBuild fills an empty index with the 2k-page heavy-tail
+// documents the way the build does: Prepare each document, then merge them
+// all with AddPreparedBatch, one writer per shard. Besides the whole, it
+// reports the merge alone (merge-us/doc): the part that holds an index lock
+// and, on one shard, runs on one goroutine.
+func BenchmarkIndexBuild(b *testing.B) {
+	_, docs, _ := heavyTailFixture(b, 2000, 1)
+	for _, shards := range []int{1, 4} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			b.ReportAllocs()
+			var merge time.Duration
+			for i := 0; i < b.N; i++ {
+				s := NewSharded(shards)
+				prepared := make([]PreparedDoc, len(docs))
+				for j, d := range docs {
+					prepared[j] = Prepare(d)
+				}
+				start := time.Now()
+				s.AddPreparedBatch(prepared, shards)
+				merge += time.Since(start)
+			}
+			n := float64(b.N * len(docs))
+			b.ReportMetric(n/b.Elapsed().Seconds(), "docs/s")
+			b.ReportMetric(float64(merge.Microseconds())/n, "merge-us/doc")
 		})
 	}
 }

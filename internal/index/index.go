@@ -10,7 +10,9 @@ package index
 
 import (
 	"errors"
+	"hash/maphash"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -88,18 +90,30 @@ func tokenize(s string) []string {
 	return textproc.StemInPlace(textproc.Tokenize(s))
 }
 
-// PreparedField is one analyzed field of a PreparedDoc.
+// PreparedTerm is one distinct term of a prepared field and the ascending
+// token positions it occurs at.
+type PreparedTerm struct {
+	Term string
+	Pos  []int
+}
+
+// PreparedField is one analyzed field of a PreparedDoc: its token count and
+// its distinct terms in first-occurrence order. The Pos slices of one field
+// are consecutive, exactly-sized cuts of a single array.
 type PreparedField struct {
 	Name  string
 	Boost float64
-	Toks  []string
+	Len   int
+	Terms []PreparedTerm
 }
 
-// PreparedDoc is a document analyzed outside the index lock: Prepare runs
-// tokenization (the expensive part of Add) and AddPrepared merges the
-// result. Parallel builders analyze documents across workers and call
-// AddPrepared in sorted doc-ID order so internal doc and field numbering
-// stays deterministic regardless of worker count.
+// PreparedDoc is a document analyzed outside the index lock. Prepare does
+// everything that depends on the document alone — tokenization, stemming and
+// the grouping of each field's tokens into per-term position lists — and
+// AddPrepared is left with slot bookkeeping and one posting append per
+// (term, field). Builders prepare documents on any goroutine and merge them
+// in a fixed order, so internal doc and field numbering stays deterministic
+// regardless of worker count.
 type PreparedDoc struct {
 	ID     string
 	Fields []PreparedField
@@ -108,17 +122,91 @@ type PreparedDoc struct {
 // Prepare analyzes doc for a later AddPrepared. It touches no index state
 // and is safe to call from any goroutine.
 func Prepare(doc Document) PreparedDoc {
-	pd := PreparedDoc{ID: doc.ID, Fields: make([]PreparedField, 0, len(doc.Fields))}
-	for _, f := range doc.Fields {
+	pd := PreparedDoc{ID: doc.ID, Fields: make([]PreparedField, len(doc.Fields))}
+	g := grouperPool.Get().(*grouper)
+	for i, f := range doc.Fields {
 		boost := f.Boost
 		if boost <= 0 {
 			boost = 1
 		}
-		pd.Fields = append(pd.Fields, PreparedField{
-			Name: f.Name, Boost: boost, Toks: tokenize(f.Text),
-		})
+		pd.Fields[i] = g.field(f.Name, boost, tokenize(f.Text))
 	}
+	grouperPool.Put(g)
 	return pd
+}
+
+// grouper is the working memory of one Prepare call, reused through a pool:
+// an open-addressing table from term to its number within the field being
+// grouped, the term number of each token, and per term its occurrence count
+// and first position. A table slot belongs to the current field when it
+// carries the current generation, so starting a field clears nothing.
+type grouper struct {
+	seed   maphash.Seed
+	slots  []groupSlot // length a power of two, at least twice the field's tokens
+	gen    uint32
+	ids    []int32 // by token position
+	counts []int32 // by term number
+	first  []int32 // by term number
+}
+
+type groupSlot struct {
+	gen uint32
+	id  int32
+}
+
+// grouperKeepSlots is the largest table that goes back to the pool.
+const grouperKeepSlots = 1 << 16
+
+var grouperPool = sync.Pool{New: func() any { return &grouper{seed: maphash.MakeSeed()} }}
+
+// field groups toks, a field's token stream, by term. Two passes: the first
+// numbers the distinct terms in first-occurrence order and counts them, the
+// second deals the positions 0..len(toks)-1 into one array cut at the counts'
+// running sums, so each term's positions are ascending and exactly sized and
+// the field costs two allocations however many terms it has.
+func (g *grouper) field(name string, boost float64, toks []string) PreparedField {
+	pf := PreparedField{Name: name, Boost: boost, Len: len(toks)}
+	if len(toks) == 0 {
+		return pf
+	}
+	g.gen++
+	if need := 2 * len(toks); len(g.slots) < need || g.gen == 0 {
+		size := max(64, len(g.slots))
+		for size < need {
+			size *= 2
+		}
+		g.slots, g.gen = make([]groupSlot, size), 1
+	}
+	slots, mask := g.slots, uint64(len(g.slots)-1)
+	ids, counts, first := g.ids[:0], g.counts[:0], g.first[:0]
+	for i, t := range toks {
+		h := maphash.String(g.seed, t) & mask
+		for slots[h].gen == g.gen && toks[first[slots[h].id]] != t {
+			h = (h + 1) & mask
+		}
+		if slots[h].gen != g.gen {
+			slots[h] = groupSlot{gen: g.gen, id: int32(len(counts))}
+			counts, first = append(counts, 0), append(first, int32(i))
+		}
+		id := slots[h].id
+		counts[id]++
+		ids = append(ids, id)
+	}
+	pf.Terms = make([]PreparedTerm, len(counts))
+	pos := make([]int, len(toks))
+	off := 0
+	for id, c := range counts {
+		pf.Terms[id] = PreparedTerm{Term: toks[first[id]], Pos: pos[off : off : off+int(c)]}
+		off += int(c)
+	}
+	for i, id := range ids {
+		pf.Terms[id].Pos = append(pf.Terms[id].Pos, i)
+	}
+	g.ids, g.counts, g.first = ids, counts, first
+	if len(g.slots) > grouperKeepSlots {
+		g.slots = nil
+	}
+	return pf
 }
 
 // Add indexes doc. Re-adding an existing ID replaces the old version: the
@@ -132,7 +220,10 @@ func (ix *Index) Add(doc Document) {
 }
 
 // AddPrepared indexes a document analyzed earlier with Prepare, holding the
-// lock only for the merge.
+// lock only for the merge: a doc slot, the field length statistics, and one
+// posting per (term, field) whose positions are the prepared slice itself.
+// A term's list gains the document's postings in field order, adjacent, as
+// the query kernel requires (see searchLocked).
 func (ix *Index) AddPrepared(doc PreparedDoc) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -142,8 +233,8 @@ func (ix *Index) AddPrepared(doc PreparedDoc) {
 	n := len(ix.extIDs)
 	ix.extIDs = append(ix.extIDs, doc.ID)
 	ix.byExt[doc.ID] = n
-	ix.docLens = append(ix.docLens, nil)
 	ix.dead = append(ix.dead, false)
+	top := -1
 	for _, f := range doc.Fields {
 		fn, ok := ix.fieldNum[f.Name]
 		if !ok {
@@ -151,22 +242,30 @@ func (ix *Index) AddPrepared(doc PreparedDoc) {
 			ix.fieldNum[f.Name] = fn
 			ix.fields = append(ix.fields, fieldStats{name: f.Name, boost: f.Boost})
 		}
-		toks := f.Toks
-		for len(ix.docLens[n]) <= fn {
-			ix.docLens[n] = append(ix.docLens[n], 0)
-		}
-		ix.docLens[n][fn] += len(toks)
-		ix.fields[fn].totalLen += len(toks)
-		occ := make(map[string][]int)
-		for i, t := range toks {
-			occ[t] = append(occ[t], i)
-		}
-		for t, positions := range occ {
-			ix.postings[t] = append(ix.postings[t], posting{
-				doc: n, field: fn, freq: len(positions), pos: positions,
+		top = max(top, fn)
+	}
+	var lens []int // by field number, up to the highest the document has
+	if top >= 0 {
+		lens = make([]int, top+1)
+	}
+	for _, f := range doc.Fields {
+		fn := ix.fieldNum[f.Name]
+		lens[fn] += f.Len
+		ix.fields[fn].totalLen += f.Len
+		for _, t := range f.Terms {
+			term := t.Term
+			ps, known := ix.postings[term]
+			if !known {
+				// A token is a cut of its field's text, and a map key lives
+				// as long as the term does: keep the term, not the text.
+				term = strings.Clone(term)
+			}
+			ix.postings[term] = append(ps, posting{
+				doc: n, field: fn, freq: len(t.Pos), pos: t.Pos,
 			})
 		}
 	}
+	ix.docLens = append(ix.docLens, lens)
 	ix.epoch.Add(1)
 	ix.maybeCompactLocked()
 }

@@ -158,7 +158,7 @@ func TestKernelMatchesReference(t *testing.T) {
 			// Prepared documents may carry boosts Prepare would have
 			// defaulted: a zero boost scores a touched document 0.
 			s.AddPrepared(PreparedDoc{ID: "zero-boost", Fields: []PreparedField{
-				{Name: "title", Boost: 0, Toks: tokenize("pizza cupertino")},
+				grouperPool.Get().(*grouper).field("title", 0, tokenize("pizza cupertino")),
 			}})
 			checkKernel(t, s, queries, "after adds")
 

@@ -26,6 +26,16 @@ func Start(ctx context.Context, name string) (context.Context, *Span) {
 	return context.WithValue(ctx, spanKey{}, s), s
 }
 
+// Record attaches an already-measured child span named name and lasting d to
+// the span ctx carries (a no-op without one). It is for work timed where it
+// ran — summed over a background goroutine's bursts, say — that belongs in
+// the tree next to the stage that waited for it.
+func Record(ctx context.Context, name string, d time.Duration) {
+	if parent, ok := ctx.Value(spanKey{}).(*Span); ok && parent != nil {
+		parent.attach(&Span{name: name, start: time.Now().Add(-d), dur: d, ended: true})
+	}
+}
+
 // Span is one timed stage. Safe for concurrent child attachment.
 type Span struct {
 	name  string

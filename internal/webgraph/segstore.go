@@ -107,6 +107,7 @@ type diskBackend struct {
 
 	latched  error
 	recovery DiskRecovery
+	stats    *storeCounters
 }
 
 type cacheEntry struct {
@@ -145,6 +146,7 @@ func OpenDiskStore(dir string, opts DiskOptions) (*Store, error) {
 		cache:    make(map[string]*list.Element),
 		lru:      list.New(),
 		cacheCap: cacheCap,
+		stats:    new(storeCounters),
 	}
 	if err := b.replay(); err != nil {
 		return nil, err
@@ -152,7 +154,7 @@ func OpenDiskStore(dir string, opts DiskOptions) (*Store, error) {
 	if err := b.openAppend(); err != nil {
 		return nil, err
 	}
-	return &Store{b: b}, nil
+	return &Store{b: b, stats: b.stats}, nil
 }
 
 // DiskRecovery returns what the last OpenDiskStore replay found; the zero
@@ -498,6 +500,7 @@ func (b *diskBackend) get(url string) (*Page, error) {
 		b.lru.MoveToFront(el)
 		p := el.Value.(*cacheEntry).page
 		b.mu.Unlock()
+		b.stats.hits.Add(1)
 		return p, nil
 	}
 	ref, ok := b.refs[url]
@@ -520,6 +523,7 @@ func (b *diskBackend) get(url string) (*Page, error) {
 		return nil, err
 	}
 	p := NewPage(url, html)
+	b.stats.parses.Add(1)
 	b.mu.Lock()
 	b.cachePut(p)
 	b.mu.Unlock()

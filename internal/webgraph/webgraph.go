@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"conceptweb/internal/htmlx"
 )
@@ -102,6 +103,29 @@ func NewPage(url, html string) *Page {
 // backend is invisible to callers: Get/Put/Delete/Scan behave identically.
 type Store struct {
 	b backend
+	// stats is shared with the backend, which counts what only it can see.
+	stats *storeCounters
+}
+
+// storeCounters are the page store's read-path counters. Every Get is either
+// a hit (the parsed page was resident: always, for a memory store; in the
+// parse cache, for a disk store) or a parse, or fails. A memory store also
+// parses on PutRaw, the only other place a store parses on a caller's behalf.
+type storeCounters struct {
+	gets, parses, hits atomic.Uint64
+}
+
+// StoreStats is a snapshot of a store's read-path counters since it was
+// opened: Get calls, HTML parses the store performed (a disk store's reads
+// that missed its parse cache; a memory store's PutRaw), and Gets answered
+// with an already-parsed page.
+type StoreStats struct {
+	Gets, Parses, CacheHits uint64
+}
+
+// Stats returns the store's read-path counters.
+func (s *Store) Stats() StoreStats {
+	return StoreStats{Gets: s.stats.gets.Load(), Parses: s.stats.parses.Load(), CacheHits: s.stats.hits.Load()}
 }
 
 // backend is the storage contract behind the Store facade. Implementations
@@ -124,7 +148,8 @@ type backend interface {
 
 // NewStore returns an empty in-memory page store.
 func NewStore() *Store {
-	return &Store{b: &memBackend{pages: make(map[string]*Page), byHost: make(map[string][]string)}}
+	c := new(storeCounters)
+	return &Store{b: &memBackend{pages: make(map[string]*Page), byHost: make(map[string][]string), stats: c}, stats: c}
 }
 
 // Put adds or replaces a page. It reports whether the content changed
@@ -152,7 +177,10 @@ func (s *Store) PutRaw(url, html string) (changed bool) {
 func (s *Store) Delete(url string) bool { return s.b.delete(url) }
 
 // Get returns the page at url.
-func (s *Store) Get(url string) (*Page, error) { return s.b.get(url) }
+func (s *Store) Get(url string) (*Page, error) {
+	s.stats.gets.Add(1)
+	return s.b.get(url)
+}
 
 // Has reports whether a page is stored at url. On a disk-backed store this
 // is an index lookup — no segment read, no parse — so membership checks
@@ -210,6 +238,7 @@ type memBackend struct {
 	mu     sync.RWMutex
 	pages  map[string]*Page
 	byHost map[string][]string
+	stats  *storeCounters
 }
 
 func (s *memBackend) put(p *Page) (bool, error) {
@@ -226,7 +255,10 @@ func (s *memBackend) put(p *Page) (bool, error) {
 	return true, nil
 }
 
-func (s *memBackend) putRaw(url, html string) (bool, error) { return s.put(NewPage(url, html)) }
+func (s *memBackend) putRaw(url, html string) (bool, error) {
+	s.stats.parses.Add(1)
+	return s.put(NewPage(url, html))
+}
 
 func (s *memBackend) delete(url string) bool {
 	s.mu.Lock()
@@ -258,6 +290,7 @@ func (s *memBackend) get(url string) (*Page, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, url)
 	}
+	s.stats.hits.Add(1)
 	return p, nil
 }
 
