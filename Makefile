@@ -17,16 +17,19 @@ test:
 race:
 	$(GO) test -race ./...
 
-# crashtest runs the store's fault-injection and crash-recovery suites under
-# the race detector: crash-at-every-truncation-point replay, write kills at
-# every byte offset, syscall faults on every Compact step, the codec
-# corruption matrix, and the per-shard fault isolation suite (a write kill
-# in one shard's WAL must latch only that shard). -count=1 defeats test
-# caching so CI always re-proves the durability contract.
+# crashtest runs the fault-injection and crash-recovery suites of both
+# stores and of the framed log under them, under the race detector:
+# crash-at-every-truncation-point replay, write kills at every byte offset,
+# syscall faults on every Compact step, the codec corruption matrix, the
+# per-shard fault isolation suite (a write kill in one shard's WAL must
+# latch only that shard), the page store's torn-tail, crash-mid-write,
+# corrupt-segment and old-format suites, the forged-length allocation
+# bounds, and the fuzz targets' seed corpora. -count=1 defeats test caching
+# so CI always re-proves the durability contract.
 crashtest:
 	$(GO) test -race -count=1 -v \
-		-run 'Crash|Fault|Torn|Recovery|Corrupt|Degraded|Killed|Seq|Frame|Shard|Manifest|Legacy' \
-		./internal/lrec/
+		-run 'Crash|Fault|Torn|Recovery|Corrupt|Degraded|Killed|Seq|Frame|Shard|Manifest|Legacy|Compact|DiskStore|Alloc|Decode' \
+		./internal/framelog/ ./internal/lrec/ ./internal/webgraph/
 
 # servetest runs the serving-layer suites under the race detector: concurrent
 # Search/Aggregate traffic hammered against in-flight Refresh and Reconcile,
@@ -82,7 +85,7 @@ maintaintest:
 # the first interesting input.
 FUZZTIME ?= 10s
 FUZZ_TARGETS = ./internal/extract/:FuzzSitePageMemo ./internal/extract/:FuzzRecognizeOnce \
-	./internal/index/:FuzzPrepare
+	./internal/index/:FuzzPrepare ./internal/framelog/:FuzzFrames ./internal/lrec/:FuzzDecodeRecord
 
 fuzz-smoke:
 	@set -e; for entry in $(FUZZ_TARGETS); do \

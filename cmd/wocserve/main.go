@@ -99,10 +99,6 @@ func main() {
 		"pause between background maintenance passes (0 disables the loop)")
 	refreshBatch := flag.Int("refresh-batch", 64,
 		"pages re-checked per maintenance pass, least-recently-checked first")
-	computeDelay := flag.Duration("compute-delay", 0,
-		"inject artificial latency into each cache-miss computation (load-testing aid: "+
-			"emulates production-scale corpora where computes cost milliseconds, so admission "+
-			"control and shedding can be exercised against the small synthetic world)")
 	flag.Parse()
 
 	cfg := webgen.DefaultConfig()
@@ -121,12 +117,7 @@ func main() {
 		log.Printf("build stages:\n%s", tr.Table())
 	}
 
-	var src serving.Source = sys
-	if *computeDelay > 0 {
-		log.Printf("load-testing: +%s per cache-miss computation", *computeDelay)
-		src = &delaySource{Source: sys, d: *computeDelay}
-	}
-	svc := serving.New(src, serving.Options{
+	svc := serving.New(sys, serving.Options{
 		CacheSize:   *cacheSize,
 		CacheTTL:    *cacheTTL,
 		MaxInflight: *maxInflight,

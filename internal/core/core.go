@@ -87,7 +87,6 @@ type WebOfConcepts struct {
 	Registry *lrec.Registry
 	Records  *lrec.Store
 	Pages    *webgraph.Store
-	Graph    *webgraph.Graph
 	// DocIndex indexes page text; RecIndex indexes flattened lrecs — the
 	// paper's stipulation that concept retrieval ride on inverted indexes.
 	// Both are hash-sharded (1 shard unless Config.Shards says otherwise).
@@ -226,7 +225,6 @@ func (b *Builder) Build(seeds []string) (*WebOfConcepts, *BuildStats, error) {
 		}
 		stats.PagesFetched, stats.FetchFailures = crawler.Crawl(seeds)
 		stats.PageParses = stats.PagesFetched // the crawler parses what it fetches
-		woc.Graph = webgraph.BuildGraph(woc.Pages)
 	})
 
 	cg := newConceptGroups(nil)

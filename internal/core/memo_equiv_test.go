@@ -379,7 +379,7 @@ func TestBuildStreamKeepsNoMemo(t *testing.T) {
 // the store's index still lists it: an unreadable page.
 func corruptStoredPage(t testing.TB, dir, url, html string) {
 	t.Helper()
-	segs, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+	segs, err := filepath.Glob(filepath.Join(dir, "pages-*.log"))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no segment files in %s (%v)", dir, err)
 	}

@@ -28,9 +28,6 @@ type PageSource interface {
 //     largest resident structure in a full build and does not exist here,
 //     and neither does the extraction memo. Candidate order still matches
 //     Build exactly, so resolution output is identical.
-//   - No link graph is built: Graph remains nil. BuildGraph's output is
-//     itself O(corpus) resident memory, which contradicts a bounded build;
-//     callers needing relational classification run the in-memory path.
 //
 // The extract, resolve, semantic-link and index stages are shared with
 // Build, so for a corpus whose pages are all crawl-reachable the two paths

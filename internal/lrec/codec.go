@@ -1,31 +1,22 @@
 package lrec
 
 import (
-	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"math"
+
+	"conceptweb/internal/framelog"
 )
 
-// Binary codec for records. The store's log and snapshot files are sequences
-// of length-prefixed, CRC-protected frames, each containing one encoded
-// record operation. The format is:
+// Binary codec for records. The store's log and snapshot files are
+// framelog logs (frame format, replay and torn-tail repair live there);
+// each frame's payload is one encoded record operation:
 //
-//	frame  := length(u32 LE) crc32(u32 LE, of payload) payload
 //	payload := op(u8) record
 //	record := id concept version(uvarint) deleted(u8) nattrs(uvarint)
 //	          { key nvals(uvarint) { value conf(f64) prov } * } *
 //	prov   := sourceURL seq(uvarint) nops(uvarint) { op } *
 //	string := len(uvarint) bytes
-//
-// A torn final frame (short read or CRC mismatch with nothing valid after
-// it) terminates replay cleanly and is truncated away before new appends —
-// the standard write-ahead-log recovery contract. A bad frame *followed by*
-// valid frames is mid-log corruption and refuses to open (ErrCorrupt):
-// truncating there would silently discard acknowledged writes.
 
 // Operation codes in log frames.
 const (
@@ -39,14 +30,9 @@ const (
 	opSeq = 3
 )
 
-// Frame geometry shared by writeFrame, readFrame, and the recovery scanner.
-const (
-	frameHdrSize = 8       // length(u32) + crc32(u32)
-	maxFrameLen  = 1 << 28 // sanity bound on payload length
-)
-
-// ErrCorrupt reports a damaged (non-torn-tail) frame.
-var ErrCorrupt = errors.New("lrec: corrupt frame")
+// ErrCorrupt reports damage that is not a torn tail: mid-log corruption, a
+// damaged snapshot, or a payload that does not decode.
+var ErrCorrupt = framelog.ErrCorrupt
 
 type encoder struct {
 	buf []byte
@@ -163,7 +149,17 @@ func (d *decoder) u8() byte {
 	return b
 }
 
-const maxCount = 1 << 20 // sanity bound on decoded collection sizes
+// count reads a collection size. Every entry takes at least one byte, so a
+// count above the bytes left is corrupt — refused before anything is
+// allocated for it.
+func (d *decoder) count(what string) uint64 {
+	n := d.uvarint()
+	if left := uint64(len(d.buf) - d.pos); n > left {
+		d.fail("%s count %d exceeds the %d bytes left", what, n, left)
+		return 0
+	}
+	return n
+}
 
 func (d *decoder) record() *Record {
 	r := &Record{
@@ -173,18 +169,10 @@ func (d *decoder) record() *Record {
 		Deleted: d.u8() == 1,
 		Attrs:   make(map[string][]AttrValue),
 	}
-	nattrs := d.uvarint()
-	if nattrs > maxCount {
-		d.fail("attr count %d", nattrs)
-		return r
-	}
+	nattrs := d.count("attr")
 	for i := uint64(0); i < nattrs && d.err == nil; i++ {
 		k := d.str()
-		nvals := d.uvarint()
-		if nvals > maxCount {
-			d.fail("value count %d", nvals)
-			return r
-		}
+		nvals := d.count("value")
 		vals := make([]AttrValue, 0, nvals)
 		for j := uint64(0); j < nvals && d.err == nil; j++ {
 			var v AttrValue
@@ -193,11 +181,7 @@ func (d *decoder) record() *Record {
 			v.Support = int(d.uvarint())
 			v.Prov.SourceURL = d.str()
 			v.Prov.Seq = d.uvarint()
-			nops := d.uvarint()
-			if nops > maxCount {
-				d.fail("op count %d", nops)
-				return r
-			}
+			nops := d.count("op")
 			for o := uint64(0); o < nops && d.err == nil; o++ {
 				v.Prov.Operators = append(v.Prov.Operators, d.str())
 			}
@@ -225,83 +209,22 @@ func DecodeRecord(b []byte) (*Record, error) {
 	return r, nil
 }
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// writeFrame writes one length-prefixed CRC-protected frame, reporting the
-// frame's full on-disk size so callers can track the WAL offset.
-func writeFrame(w io.Writer, op byte, r *Record) (int, error) {
-	e := encoder{buf: make([]byte, 0, 256)}
+// encodeOp returns one logged operation as a sealed frame, appended with a
+// single Write.
+func encodeOp(op byte, r *Record) []byte {
+	e := encoder{buf: framelog.NewFrame(256)}
 	e.u8(op)
 	e.record(r)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(e.buf)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(e.buf, crcTable))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return 0, err
-	}
-	if _, err := w.Write(e.buf); err != nil {
-		return 0, err
-	}
-	return frameHdrSize + len(e.buf), nil
+	return framelog.Seal(e.buf)
 }
 
-// errTornTail signals a clean end-of-log (torn final frame), not corruption.
-var errTornTail = errors.New("lrec: torn tail")
-
-// readFrame reads one frame, reporting its on-disk size n on success.
-// io.EOF means a clean end; errTornTail means the bytes at the current
-// offset are not a complete valid frame (short read, implausible length, or
-// CRC mismatch). Whether that is a true torn tail (crash mid-append — safe
-// to truncate) or mid-log corruption (valid frames follow — must refuse to
-// open) is decided by the caller, which can see the rest of the file.
-func readFrame(br *bufio.Reader) (op byte, r *Record, n int64, err error) {
-	var hdr [frameHdrSize]byte
-	if _, err := io.ReadFull(br, hdr[:1]); err != nil {
-		return 0, nil, 0, io.EOF
-	}
-	if _, err := io.ReadFull(br, hdr[1:]); err != nil {
-		return 0, nil, 0, errTornTail
-	}
-	length := binary.LittleEndian.Uint32(hdr[0:])
-	wantCRC := binary.LittleEndian.Uint32(hdr[4:])
-	if length == 0 || length > maxFrameLen {
-		return 0, nil, 0, errTornTail
-	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return 0, nil, 0, errTornTail
-	}
-	if crc32.Checksum(payload, crcTable) != wantCRC {
-		return 0, nil, 0, errTornTail
-	}
+// decodeOp inverts encodeOp's payload.
+func decodeOp(payload []byte) (byte, *Record, error) {
 	d := decoder{buf: payload}
-	op = d.u8()
-	rec := d.record()
+	op := d.u8()
+	r := d.record()
 	if d.err != nil {
-		return 0, nil, 0, d.err
+		return 0, nil, d.err
 	}
-	return op, rec, int64(frameHdrSize) + int64(length), nil
-}
-
-// scanValidFrame reports the offset of the first complete CRC-valid frame in
-// rem, scanning from offset 1 (offset 0 is where frame parsing just failed),
-// or -1 if none exists. A CRC-valid frame after a bad one is conclusive
-// evidence of mid-log corruption rather than a torn tail: truncating there
-// would discard acknowledged writes, so recovery must refuse instead.
-func scanValidFrame(rem []byte) int64 {
-	for i := 1; i+frameHdrSize <= len(rem); i++ {
-		length := binary.LittleEndian.Uint32(rem[i:])
-		if length == 0 || length > maxFrameLen {
-			continue
-		}
-		end := i + frameHdrSize + int(length)
-		if end > len(rem) {
-			continue
-		}
-		want := binary.LittleEndian.Uint32(rem[i+4:])
-		if crc32.Checksum(rem[i+frameHdrSize:end], crcTable) == want {
-			return int64(i)
-		}
-	}
-	return -1
+	return op, r, nil
 }

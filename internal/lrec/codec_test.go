@@ -1,33 +1,67 @@
 package lrec
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
+	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+
+	"conceptweb/internal/framelog"
 )
 
 // frameBytes encodes one framed op for corruption tests.
 func frameBytes(t *testing.T, op byte, r *Record) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if _, err := writeFrame(&buf, op, r); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return encodeOp(op, r)
 }
 
-func readFrameFrom(b []byte) (byte, *Record, int64, error) {
-	return readFrame(bufio.NewReader(bytes.NewReader(b)))
+// errTornTail is readFrameFrom's report that replay found a torn tail.
+var errTornTail = errors.New("torn tail")
+
+// replayBytes replays b as a whole WAL, exactly as Open replays a shard's
+// log (torn tail cut, mid-log corruption refused), and returns every op it
+// decoded plus what the replay found.
+func replayBytes(t *testing.T, b []byte) (ops []byte, recs []*Record, sizes []int64, rec framelog.Recovery, err error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), logName)
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rec, err = framelog.Replay(framelog.OS{}, path, false, func(_ int64, p []byte) error {
+		op, r, err := decodeOp(p)
+		ops, recs, sizes = append(ops, op), append(recs, r), append(sizes, int64(framelog.HeaderSize+len(p)))
+		return err
+	})
+	return ops, recs, sizes, rec, err
+}
+
+// readFrameFrom returns the first frame of b replayed as a WAL and its
+// on-disk size: io.EOF for an empty log, errTornTail when replay cut a torn
+// tail before any complete frame.
+func readFrameFrom(t *testing.T, b []byte) (byte, *Record, int64, error) {
+	t.Helper()
+	ops, recs, sizes, rec, err := replayBytes(t, b)
+	switch {
+	case err != nil:
+		return 0, nil, 0, err
+	case len(ops) > 0:
+		return ops[0], recs[0], sizes[0], nil
+	case rec.TornTail:
+		return 0, nil, 0, errTornTail
+	}
+	return 0, nil, 0, io.EOF
 }
 
 func TestReadFrameReportsSize(t *testing.T) {
 	enc := frameBytes(t, opPut, testRecord("id", "Name", "City"))
-	op, r, n, err := readFrameFrom(enc)
+	op, r, n, err := readFrameFrom(t, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,10 +78,10 @@ func TestReadFrameReportsSize(t *testing.T) {
 // truncatable tail or refusal, based on what follows).
 func TestReadFrameCRCFlip(t *testing.T) {
 	enc := frameBytes(t, opPut, testRecord("id", "Gochi", "Cupertino"))
-	for i := frameHdrSize; i < len(enc); i++ {
+	for i := framelog.HeaderSize; i < len(enc); i++ {
 		bad := append([]byte(nil), enc...)
 		bad[i] ^= 0x01
-		if _, _, _, err := readFrameFrom(bad); err != errTornTail {
+		if _, _, _, err := readFrameFrom(t, bad); err != errTornTail {
 			t.Fatalf("flip at %d: err = %v, want errTornTail", i, err)
 		}
 	}
@@ -57,10 +91,10 @@ func TestReadFrameCRCFlip(t *testing.T) {
 // never be accepted, whatever it decodes to.
 func TestReadFrameHeaderCorruption(t *testing.T) {
 	enc := frameBytes(t, opPut, testRecord("id", "Gochi", "Cupertino"))
-	for i := 0; i < frameHdrSize; i++ {
+	for i := 0; i < framelog.HeaderSize; i++ {
 		bad := append([]byte(nil), enc...)
 		bad[i] ^= 0xFF
-		if _, _, _, err := readFrameFrom(bad); err == nil {
+		if _, _, _, err := readFrameFrom(t, bad); err == nil {
 			t.Fatalf("header flip at %d accepted", i)
 		}
 	}
@@ -69,11 +103,11 @@ func TestReadFrameHeaderCorruption(t *testing.T) {
 // TestReadFrameOversizeLength: an implausible length prefix (zero, or past
 // the sanity bound) is rejected without attempting a giant allocation.
 func TestReadFrameOversizeLength(t *testing.T) {
-	for _, length := range []uint32{0, maxFrameLen + 1, 1<<32 - 1} {
-		var hdr [frameHdrSize]byte
+	for _, length := range []uint32{0, 1<<28 + 1, 1<<32 - 1} {
+		var hdr [framelog.HeaderSize]byte
 		binary.LittleEndian.PutUint32(hdr[0:], length)
 		binary.LittleEndian.PutUint32(hdr[4:], 0xDEADBEEF)
-		if _, _, _, err := readFrameFrom(hdr[:]); err != errTornTail {
+		if _, _, _, err := readFrameFrom(t, hdr[:]); err != errTornTail {
 			t.Errorf("length %d: err = %v, want errTornTail", length, err)
 		}
 	}
@@ -85,7 +119,7 @@ func TestReadFrameOversizeLength(t *testing.T) {
 func TestReadFrameTruncationEveryBoundary(t *testing.T) {
 	enc := frameBytes(t, opPut, testRecord("id", "café 饺子馆", "Cupertino"))
 	for cut := 0; cut < len(enc); cut++ {
-		_, _, _, err := readFrameFrom(enc[:cut])
+		_, _, _, err := readFrameFrom(t, enc[:cut])
 		switch {
 		case cut == 0:
 			if err != io.EOF {
@@ -99,12 +133,12 @@ func TestReadFrameTruncationEveryBoundary(t *testing.T) {
 	}
 	// Two frames cut inside the second: first survives, second is torn.
 	two := append(append([]byte(nil), enc...), enc...)
-	br := bufio.NewReader(bytes.NewReader(two[:len(enc)+5]))
-	if _, _, _, err := readFrame(br); err != nil {
-		t.Fatalf("first frame: %v", err)
+	ops, _, _, rec, err := replayBytes(t, two[:len(enc)+5])
+	if err != nil || len(ops) != 1 {
+		t.Fatalf("first frame: %d frames, %v", len(ops), err)
 	}
-	if _, _, _, err := readFrame(br); err != errTornTail {
-		t.Fatalf("second frame: err = %v, want errTornTail", err)
+	if !rec.TornTail {
+		t.Fatal("second frame: no torn tail reported")
 	}
 }
 
@@ -135,7 +169,7 @@ func TestEncodeDecodeMultibyte(t *testing.T) {
 		t.Fatalf("round trip mismatch:\n in: %#v\nout: %#v", r, got)
 	}
 
-	op, fr, _, err := readFrameFrom(frameBytes(t, opDelete, r))
+	op, fr, _, err := readFrameFrom(t, frameBytes(t, opDelete, r))
 	if err != nil || op != opDelete {
 		t.Fatalf("framed round trip: op=%d err=%v", op, err)
 	}
@@ -148,29 +182,108 @@ func TestEncodeDecodeMultibyte(t *testing.T) {
 // payload does not decode is ErrCorrupt — real damage, not a torn tail.
 func TestReadFrameValidCRCBadPayload(t *testing.T) {
 	payload := []byte{opPut, 0xFF} // truncated uvarint for the ID length
-	var buf bytes.Buffer
-	var hdr [frameHdrSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, crcTable))
-	buf.Write(hdr[:])
-	buf.Write(payload)
-	if _, _, _, err := readFrameFrom(buf.Bytes()); !errors.Is(err, ErrCorrupt) {
+	frame := framelog.Seal(append(framelog.NewFrame(len(payload)), payload...))
+	if _, _, _, err := readFrameFrom(t, frame); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("err = %v, want ErrCorrupt", err)
 	}
 }
 
+// TestScanValidFrame: a CRC-valid frame after a bad one makes the bad one
+// mid-log corruption; garbage, or garbage before a torn frame, is a tail.
 func TestScanValidFrame(t *testing.T) {
 	frame := frameBytes(t, opPut, testRecord("id", "N", "C"))
 	garbage := []byte{0x01, 0x02, 0x03, 0x04, 0x05}
 
-	if off := scanValidFrame(append(append([]byte(nil), garbage...), frame...)); off != int64(len(garbage)) {
-		t.Errorf("offset = %d, want %d", off, len(garbage))
+	_, _, _, _, err := replayBytes(t, append(append([]byte(nil), garbage...), frame...))
+	if want := fmt.Sprintf("valid frame at %d", len(garbage)); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
+		t.Errorf("garbage then frame: err = %v, want ErrCorrupt naming %q", err, want)
 	}
-	if off := scanValidFrame(garbage); off != -1 {
-		t.Errorf("garbage-only offset = %d, want -1", off)
+	if _, _, _, rec, err := replayBytes(t, garbage); err != nil || !rec.TornTail {
+		t.Errorf("garbage only: %+v, %v; want a torn tail", rec, err)
 	}
 	// A torn prefix of a frame must not count as valid.
-	if off := scanValidFrame(append(append([]byte(nil), garbage...), frame[:len(frame)-1]...)); off != -1 {
-		t.Errorf("torn-frame offset = %d, want -1", off)
+	if _, _, _, rec, err := replayBytes(t, append(append([]byte(nil), garbage...), frame[:len(frame)-1]...)); err != nil || !rec.TornTail {
+		t.Errorf("garbage then torn frame: %+v, %v; want a torn tail", rec, err)
 	}
+}
+
+// allocBytes reports the bytes fn allocated on the heap.
+func allocBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestDecodeRecordForgedCountAllocBounded: a 12-byte payload declaring 2^20
+// values for one attribute is ErrCorrupt before anything is allocated for
+// them. It used to reserve 80 MiB of AttrValues.
+func TestDecodeRecordForgedCountAllocBounded(t *testing.T) {
+	// id "", concept "", version 0, live, 1 attr: key "", nvals = 1<<20.
+	payload := []byte{0, 0, 0, 0, 1, 0, 0x80, 0x80, 0x40, 0, 0, 0}
+	var err error
+	n := allocBytes(func() { _, err = DecodeRecord(payload) })
+	if !errors.Is(err, ErrCorrupt) {
+		t.Errorf("err = %v, want ErrCorrupt", err)
+	}
+	if n >= 1<<20 {
+		t.Errorf("DecodeRecord allocated %d bytes for a 12-byte payload, want < 1 MiB", n)
+	}
+}
+
+// FuzzDecodeRecord: arbitrary payload bytes either fail to decode with
+// ErrCorrupt or give a record whose encoding is a fixed point of
+// EncodeRecord ∘ DecodeRecord. Seeded with the record payloads of a real
+// WAL and snapshot.
+func FuzzDecodeRecord(f *testing.F) {
+	dir := f.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, op := range crashScript {
+		if op.del {
+			err = s.Delete(op.id)
+		} else {
+			err = s.Put(testRecord(op.id, op.name, "C"))
+		}
+		if err != nil {
+			f.Fatal(err)
+		}
+		if op.id == "c" {
+			if err := s.Compact(); err != nil {
+				f.Fatal(err)
+			}
+		}
+	}
+	if err := s.Close(); err != nil {
+		f.Fatal(err)
+	}
+	for _, name := range []string{snapName, logName} {
+		_, err := framelog.Replay(framelog.OS{}, filepath.Join(dir, name), true, func(_ int64, p []byte) error {
+			f.Add(append([]byte(nil), p[1:]...)) // the record, without the op byte
+			return nil
+		})
+		if err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		r, err := DecodeRecord(b)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("decode error %v is not ErrCorrupt", err)
+			}
+			return
+		}
+		enc := EncodeRecord(r)
+		r2, err := DecodeRecord(enc)
+		if err != nil {
+			t.Fatalf("re-decoding an encoded record: %v", err)
+		}
+		if enc2 := EncodeRecord(r2); !bytes.Equal(enc, enc2) {
+			t.Fatalf("EncodeRecord∘DecodeRecord is not a fixed point:\n%x\n%x", enc, enc2)
+		}
+	})
 }

@@ -1,11 +1,14 @@
 package lrec
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"conceptweb/internal/framelog"
 )
 
 // readLog returns the raw bytes of dir's log.
@@ -255,7 +258,7 @@ func TestMidLogCorruptionRefusesOpen(t *testing.T) {
 		}
 		data := readLog(t, dir)
 		// Flip one payload byte inside the chosen frame.
-		data[sizes[frame]+frameHdrSize+2] ^= 0xFF
+		data[sizes[frame]+framelog.HeaderSize+2] ^= 0xFF
 		if err := os.WriteFile(filepath.Join(dir, logName), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -291,7 +294,7 @@ func TestLastFrameCRCFlipTreatedAsTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := readLog(t, dir)
-	data[last+frameHdrSize+2] ^= 0xFF
+	data[last+framelog.HeaderSize+2] ^= 0xFF
 	if err := os.WriteFile(filepath.Join(dir, logName), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -413,5 +416,42 @@ func TestRecoveryStatsClean(t *testing.T) {
 	rec := s2.Recovery()
 	if rec.SnapshotRecords != 4 || rec.LogFrames != 1 || rec.TornTail || rec.TruncatedBytes != 0 {
 		t.Errorf("recovery = %+v, want 4 snapshot records, 1 log frame, no repair", rec)
+	}
+}
+
+// TestOpenForgedFrameLengthAllocBounded: an 8-byte garbage tail declaring a
+// 250 MiB frame is a torn tail, cut without allocating what it declares. It
+// used to make Open allocate 250 MiB.
+func TestOpenForgedFrameLengthAllocBounded(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := s.Put(testRecord(fmt.Sprintf("r%d", i), "N", "C")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var tail [8]byte
+	binary.LittleEndian.PutUint32(tail[0:], 250<<20)
+	binary.LittleEndian.PutUint32(tail[4:], 0xDEADBEEF)
+	if err := os.WriteFile(filepath.Join(dir, logName), append(readLog(t, dir), tail[:]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var s2 *Store
+	n := allocBytes(func() { s2, err = Open(dir) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if n >= 1<<20 {
+		t.Errorf("Open allocated %d bytes over an 8-byte forged tail, want < 1 MiB", n)
+	}
+	if rec := s2.Recovery(); !rec.TornTail || rec.TruncatedBytes != 8 || s2.Len() != 3 {
+		t.Errorf("recovery = %+v with %d records, want the 8-byte tail cut and 3 records", rec, s2.Len())
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"conceptweb/internal/framelog"
 )
 
 // faultFS is the fault-injection filesystem: it can fail any operation by
@@ -14,7 +16,7 @@ import (
 // budget — writing the allowed prefix and then failing, exactly like a disk
 // filling up or a process dying mid-write.
 type faultFS struct {
-	osFS
+	framelog.OS
 	mu         sync.Mutex
 	writeLimit int64 // total writable bytes across all files; <0 = unlimited
 	written    int64
@@ -75,58 +77,55 @@ func (f *faultFS) check(op, name string) error {
 	return nil
 }
 
-func (f *faultFS) Create(name string) (storeFile, error) {
+func (f *faultFS) Create(name string) (framelog.File, error) {
 	if err := f.check("create", name); err != nil {
 		return nil, err
 	}
-	sf, err := f.osFS.Create(name)
+	sf, err := f.OS.Create(name)
 	if err != nil {
 		return nil, err
 	}
-	return &faultFile{fs: f, f: sf, name: filepath.Base(name)}, nil
+	return &faultFile{File: sf, fs: f, name: filepath.Base(name)}, nil
 }
 
-func (f *faultFS) OpenFile(name string, flag int, perm os.FileMode) (storeFile, error) {
+func (f *faultFS) OpenFile(name string, flag int, perm os.FileMode) (framelog.File, error) {
 	if err := f.check("openfile", name); err != nil {
 		return nil, err
 	}
-	sf, err := f.osFS.OpenFile(name, flag, perm)
+	sf, err := f.OS.OpenFile(name, flag, perm)
 	if err != nil {
 		return nil, err
 	}
-	return &faultFile{fs: f, f: sf, name: filepath.Base(name)}, nil
+	return &faultFile{File: sf, fs: f, name: filepath.Base(name)}, nil
 }
 
 func (f *faultFS) Rename(oldpath, newpath string) error {
 	if err := f.check("rename", newpath); err != nil {
 		return err
 	}
-	return f.osFS.Rename(oldpath, newpath)
+	return f.OS.Rename(oldpath, newpath)
 }
 
 func (f *faultFS) Truncate(name string, size int64) error {
 	if err := f.check("truncate", name); err != nil {
 		return err
 	}
-	return f.osFS.Truncate(name, size)
+	return f.OS.Truncate(name, size)
 }
 
 func (f *faultFS) SyncDir(dir string) error {
 	if err := f.check("syncdir", dir); err != nil {
 		return err
 	}
-	return f.osFS.SyncDir(dir)
+	return f.OS.SyncDir(dir)
 }
 
 // faultFile enforces the byte budgets on writes and injects sync faults.
 type faultFile struct {
+	framelog.File
 	fs   *faultFS
-	f    storeFile
 	name string // base name, for per-file budgets
 }
-
-func (w *faultFile) Read(p []byte) (int, error) { return w.f.Read(p) }
-func (w *faultFile) Close() error               { return w.f.Close() }
 
 func (w *faultFile) Write(p []byte) (int, error) {
 	w.fs.mu.Lock()
@@ -144,7 +143,7 @@ func (w *faultFile) Write(p []byte) (int, error) {
 	}
 	w.fs.written += int64(allowed)
 	w.fs.mu.Unlock()
-	n, err := w.f.Write(p[:allowed])
+	n, err := w.File.Write(p[:allowed])
 	if err != nil {
 		return n, err
 	}
@@ -158,7 +157,7 @@ func (w *faultFile) Sync() error {
 	if err := w.fs.check("sync", ""); err != nil {
 		return err
 	}
-	return w.f.Sync()
+	return w.File.Sync()
 }
 
 func max(a, b int64) int64 {

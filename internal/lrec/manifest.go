@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+
+	"conceptweb/internal/framelog"
 )
 
 // The manifest pins a sharded directory's partition count. Routing is
@@ -27,7 +29,7 @@ const (
 )
 
 // readManifest returns the pinned shard count, or 0 if dir has no manifest.
-func readManifest(fs storeFS, dir string) (int, error) {
+func readManifest(fs framelog.FS, dir string) (int, error) {
 	f, err := fs.Open(filepath.Join(dir, manifestName))
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -55,37 +57,15 @@ func readManifest(fs storeFS, dir string) (int, error) {
 	return n, nil
 }
 
-// writeManifest durably pins n as dir's shard count: temp file, fsync,
-// rename, directory fsync — the same discipline as snapshots, so a crash
-// during first create leaves either no manifest (and no shard WALs yet) or
-// a complete one.
-func writeManifest(fs storeFS, dir string, n int) error {
-	path := filepath.Join(dir, manifestName)
-	tmp := path + ".tmp"
-	f, err := fs.Create(tmp)
+// writeManifest durably pins n as dir's shard count, replacing the file
+// atomically like a snapshot, so a crash during first create leaves either
+// no manifest (and no shard WALs yet) or a complete one.
+func writeManifest(fs framelog.FS, dir string, n int) error {
+	err := framelog.WriteFile(fs, filepath.Join(dir, manifestName), func(w io.Writer) error {
+		_, err := fmt.Fprintf(w, "%s\nshards %d\n", manifestHeader, n)
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("lrec: manifest: %w", err)
-	}
-	fail := func(err error) error {
-		f.Close()
-		fs.Remove(tmp)
-		return fmt.Errorf("lrec: manifest: %w", err)
-	}
-	if _, err := fmt.Fprintf(f, "%s\nshards %d\n", manifestHeader, n); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		fs.Remove(tmp)
-		return fmt.Errorf("lrec: manifest: %w", err)
-	}
-	if err := fs.Rename(tmp, path); err != nil {
-		fs.Remove(tmp)
-		return fmt.Errorf("lrec: manifest: %w", err)
-	}
-	if err := fs.SyncDir(dir); err != nil {
 		return fmt.Errorf("lrec: manifest: %w", err)
 	}
 	return nil
@@ -97,7 +77,7 @@ func writeManifest(fs storeFS, dir string, n int) error {
 // conflicting explicit request is an error; an existing legacy layout is
 // pinned at 1 the same way; otherwise the directory is fresh and the
 // request (durably recorded for n > 1) decides.
-func resolveShardCount(fs storeFS, dir string, requested int) (int, error) {
+func resolveShardCount(fs framelog.FS, dir string, requested int) (int, error) {
 	pinned, err := readManifest(fs, dir)
 	if err != nil {
 		return 0, err
@@ -128,7 +108,7 @@ func resolveShardCount(fs storeFS, dir string, requested int) (int, error) {
 
 // legacyLayout reports whether dir already holds a pre-sharding single-WAL
 // store (lrec.log or lrec.snap present).
-func legacyLayout(fs storeFS, dir string) bool {
+func legacyLayout(fs framelog.FS, dir string) bool {
 	for _, name := range []string{logName, snapName} {
 		if f, err := fs.Open(filepath.Join(dir, name)); err == nil {
 			f.Close()

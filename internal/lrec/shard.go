@@ -2,7 +2,6 @@ package lrec
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -11,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"conceptweb/internal/framelog"
 	"conceptweb/internal/obs"
 	"conceptweb/internal/textproc"
 )
@@ -44,8 +44,8 @@ type shardEngine struct {
 	dir      string
 	logName  string
 	snapName string
-	fs       storeFS
-	logFile  storeFile
+	fs       framelog.FS
+	logFile  framelog.File
 	logW     *bufio.Writer
 	walOff   int64 // bytes appended to the current log (buffered included)
 
@@ -82,27 +82,26 @@ func newShard(id int, s *Store) *shardEngine {
 }
 
 // open replays this shard's snapshot and log from dir and opens the log for
-// appending, repairing a torn tail exactly like the unsharded store did.
+// appending. A snapshot is sealed (written whole, then renamed into place),
+// so any bad frame in it fails the open; the log's torn tail is cut back to
+// the last good frame so appends resume exactly where replay will next time.
 func (sh *shardEngine) open(dir string) error {
 	sh.dir = dir
-	if err := sh.replaySnapshot(filepath.Join(dir, sh.snapName)); err != nil {
-		return err
+	if _, err := framelog.Replay(sh.fs, filepath.Join(dir, sh.snapName), true, sh.replayFrame); err != nil {
+		return fmt.Errorf("lrec: replay snapshot: %w", err)
 	}
+	sh.recovery.SnapshotRecords = len(sh.recs) // a snapshot holds one put per live record
 	logPath := filepath.Join(dir, sh.logName)
-	good, size, err := sh.replayLog(logPath)
+	rec, err := framelog.Replay(sh.fs, logPath, false, sh.replayFrame)
 	if err != nil {
-		return err
+		return fmt.Errorf("lrec: replay log: %w", err)
 	}
-	if good < size {
-		// Torn tail: cut the log back to the last good frame so appends
-		// resume exactly where replay will next time.
-		if err := sh.fs.Truncate(logPath, good); err != nil {
-			return fmt.Errorf("lrec: open: truncate torn tail: %w", err)
-		}
-		sh.recovery.TornTail = true
-		sh.recovery.TruncatedBytes = size - good
+	sh.recovery.LogFrames = rec.Frames
+	sh.recovery.TornTail = rec.TornTail
+	sh.recovery.TruncatedBytes = rec.TruncatedBytes
+	if rec.TornTail {
 		sh.metrics.Counter("lrec.recovery.torn_tails").Inc()
-		sh.metrics.Counter("lrec.recovery.truncated_bytes").Add(size - good)
+		sh.metrics.Counter("lrec.recovery.truncated_bytes").Add(rec.TruncatedBytes)
 	}
 	f, err := sh.fs.OpenFile(logPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -115,7 +114,7 @@ func (sh *shardEngine) open(dir string) error {
 	}
 	sh.logFile = f
 	sh.logW = bufio.NewWriter(f)
-	sh.setWALBytes(good)
+	sh.setWALBytes(rec.Size)
 	return nil
 }
 
@@ -148,9 +147,13 @@ func (sh *shardEngine) latch(err error) {
 	}
 }
 
-// applyFrame applies one replayed operation and advances the clock. opSeq
-// frames carry only a Version and exist purely to advance the clock.
-func (sh *shardEngine) applyFrame(op byte, r *Record) {
+// replayFrame decodes and applies one replayed operation and advances the
+// clock. opSeq frames carry only a Version and exist purely to advance it.
+func (sh *shardEngine) replayFrame(_ int64, payload []byte) error {
+	op, r, err := decodeOp(payload)
+	if err != nil {
+		return err
+	}
 	switch op {
 	case opPut:
 		sh.applyPut(r)
@@ -160,80 +163,7 @@ func (sh *shardEngine) applyFrame(op byte, r *Record) {
 	if r.Version > sh.seq {
 		sh.seq = r.Version
 	}
-}
-
-// replaySnapshot applies the snapshot at path. Snapshots are written to a
-// temp file, fsynced, and renamed into place, so a valid one is always
-// complete: any torn or corrupt frame here is real damage and fails Open.
-func (sh *shardEngine) replaySnapshot(path string) error {
-	f, err := sh.fs.Open(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("lrec: replay %s: %w", path, err)
-	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	for {
-		op, r, _, err := readFrame(br)
-		switch {
-		case err == nil:
-		case err == io.EOF:
-			return nil
-		case err == errTornTail:
-			return fmt.Errorf("lrec: replay %s: %w: snapshot damaged (snapshots are atomic; torn frames here are not a crash artifact)", path, ErrCorrupt)
-		default:
-			return fmt.Errorf("lrec: replay %s: %w", path, err)
-		}
-		sh.applyFrame(op, r)
-		if op == opPut {
-			sh.recovery.SnapshotRecords++
-		}
-	}
-}
-
-// replayLog applies the log at path and returns the offset just past the
-// last good frame plus the file's total size; good < size means a torn tail
-// the caller must truncate. A bad frame followed by any CRC-valid frame is
-// mid-log corruption and returns ErrCorrupt: truncating there would discard
-// acknowledged writes, which is exactly what recovery must never do.
-func (sh *shardEngine) replayLog(path string) (good, size int64, err error) {
-	f, err := sh.fs.Open(path)
-	if os.IsNotExist(err) {
-		return 0, 0, nil
-	}
-	if err != nil {
-		return 0, 0, fmt.Errorf("lrec: replay %s: %w", path, err)
-	}
-	defer f.Close()
-	// The whole log is read into memory so the tail beyond a bad frame can
-	// be scanned for valid frames; Compact bounds log growth, keeping this
-	// proportional to one compaction interval rather than store size.
-	data, err := io.ReadAll(f)
-	if err != nil {
-		return 0, 0, fmt.Errorf("lrec: replay %s: %w", path, err)
-	}
-	size = int64(len(data))
-	br := bufio.NewReader(bytes.NewReader(data))
-	for {
-		op, r, n, err := readFrame(br)
-		switch {
-		case err == nil:
-		case err == io.EOF:
-			return good, size, nil
-		case err == errTornTail:
-			if off := scanValidFrame(data[good:]); off >= 0 {
-				return 0, 0, fmt.Errorf("lrec: replay %s: %w: bad frame at offset %d but valid frame at %d — mid-log corruption, refusing to truncate", path, ErrCorrupt, good, good+off)
-			}
-			return good, size, nil
-		default:
-			return 0, 0, fmt.Errorf("lrec: replay %s: %w", path, err)
-		}
-		sh.applyFrame(op, r)
-		good += n
-		sh.recovery.LogFrames++
-	}
+	return nil
 }
 
 // put assigns cp the next global version under the shard lock and applies
@@ -344,7 +274,7 @@ func (sh *shardEngine) logOp(op byte, r *Record) error {
 	if sh.logW == nil {
 		return nil
 	}
-	n, err := writeFrame(sh.logW, op, r)
+	n, err := sh.logW.Write(encodeOp(op, r))
 	if err != nil {
 		return fmt.Errorf("lrec: log write: %w", err)
 	}
@@ -525,50 +455,27 @@ func (sh *shardEngine) compact(clock uint64) error {
 	if err := sh.degradedErrLocked(); err != nil {
 		return err
 	}
-	tmp := filepath.Join(sh.dir, sh.snapName+".tmp")
-	f, err := sh.fs.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("lrec: compact: %w", err)
-	}
-	fail := func(err error) error {
-		f.Close()
-		sh.fs.Remove(tmp)
-		return fmt.Errorf("lrec: compact: %w", err)
-	}
-	w := bufio.NewWriter(f)
 	// The clock goes first: the snapshot holds only live records, so if the
 	// newest mutation was a Delete its tombstone's version would otherwise
-	// be lost and a reopened store would hand out duplicate versions.
-	if _, err := writeFrame(w, opSeq, &Record{Version: clock}); err != nil {
-		return fail(err)
-	}
-	ids := make([]string, 0, len(sh.recs))
-	for id := range sh.recs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		if _, err := writeFrame(w, opPut, sh.recs[id]); err != nil {
-			return fail(err)
+	// be lost and a reopened store would hand out duplicate versions. The
+	// log is replaced only after WriteFile has made the rename durable.
+	err := framelog.WriteFile(sh.fs, filepath.Join(sh.dir, sh.snapName), func(w io.Writer) error {
+		if _, err := w.Write(encodeOp(opSeq, &Record{Version: clock})); err != nil {
+			return err
 		}
-	}
-	if err := w.Flush(); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		sh.fs.Remove(tmp)
-		return fmt.Errorf("lrec: compact: %w", err)
-	}
-	if err := sh.fs.Rename(tmp, filepath.Join(sh.dir, sh.snapName)); err != nil {
-		sh.fs.Remove(tmp)
-		return fmt.Errorf("lrec: compact: %w", err)
-	}
-	// Until the rename is fsynced into the directory, a crash could revert
-	// to the old snapshot — so the log must not be truncated before this.
-	if err := sh.fs.SyncDir(sh.dir); err != nil {
+		ids := make([]string, 0, len(sh.recs))
+		for id := range sh.recs {
+			ids = append(ids, id)
+		}
+		sort.Strings(ids)
+		for _, id := range ids {
+			if _, err := w.Write(encodeOp(opPut, sh.recs[id])); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
 		return fmt.Errorf("lrec: compact: %w", err)
 	}
 	// The log is now redundant; replace it. Create the fresh log before

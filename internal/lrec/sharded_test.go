@@ -163,17 +163,13 @@ func TestSingleShardByteFormatUnchanged(t *testing.T) {
 		}
 		cp := r.Clone()
 		cp.Version = uint64(i + 1) // what the store assigned
-		if _, err := writeFrame(&want, opPut, cp); err != nil {
-			t.Fatal(err)
-		}
+		want.Write(encodeOp(opPut, cp))
 	}
 	if err := s.Delete("a"); err != nil {
 		t.Fatal(err)
 	}
 	del := &Record{ID: "a", Concept: "restaurant", Version: 3, Deleted: true}
-	if _, err := writeFrame(&want, opDelete, del); err != nil {
-		t.Fatal(err)
-	}
+	want.Write(encodeOp(opDelete, del))
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

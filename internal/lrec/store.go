@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"conceptweb/internal/framelog"
 	"conceptweb/internal/obs"
 	"conceptweb/internal/shard"
 	"conceptweb/internal/textproc"
@@ -43,7 +44,7 @@ type Store struct {
 	seq atomic.Uint64
 
 	dir         string
-	fs          storeFS
+	fs          framelog.FS
 	registry    *Registry
 	metrics     *obs.Registry // nil-safe; counts puts/gets/WAL appends/compactions
 	maxVersions int
@@ -108,7 +109,7 @@ func WithShards(n int) StoreOption {
 
 // withFS injects a filesystem implementation. Only the fault-injection
 // tests use it (fault_test.go); Open defaults to the real filesystem.
-func withFS(fs storeFS) StoreOption {
+func withFS(fs framelog.FS) StoreOption {
 	return func(s *Store) { s.fs = fs }
 }
 
@@ -173,7 +174,7 @@ func Open(dir string, opts ...StoreOption) (*Store, error) {
 	}
 	s.dir = dir
 	if s.fs == nil {
-		s.fs = osFS{}
+		s.fs = framelog.OS{}
 	}
 	if err := s.fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("lrec: open: %w", err)

@@ -1,62 +1,55 @@
 package webgraph
 
 import (
-	"bufio"
 	"container/list"
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
+
+	"conceptweb/internal/framelog"
 )
 
 // Disk-backed page store backend (ISSUE 9 tentpole layer 2).
 //
-// Layout: a directory of append-only segment files pages-0000.seg,
-// pages-0001.seg, … Each segment is a sequence of CRC-framed records:
+// Layout: a directory of append-only segment files pages-0000.log, … Each
+// is a framelog log — lrec's frame format and replay rule, DESIGN §8 — whose
+// payloads are page operations:
 //
-//	[u32 crc][u8 kind][u32 urlLen][u32 htmlLen][url bytes][html bytes]
+//	payload := kind(u8) urlLen(uvarint) url html
 //
-// kind is framePut or frameDelete (deletes carry no html; htmlLen is 0).
-// crc is IEEE CRC-32 over everything after the crc field. Writes only ever
-// append; a Put of an existing URL appends a fresh frame and moves the
-// in-memory ref, and compaction is deliberately out of scope — the page
-// store is a crawl cache, rebuildable by recrawl, so space is reclaimed by
-// deleting the directory and recrawling rather than by an online GC.
+// kind is framePut or frameDelete (deletes carry no html). A Put of an
+// existing URL appends a fresh frame and moves the in-memory ref; there is
+// no compaction — the page store is a crawl cache, so space is reclaimed by
+// deleting the directory and recrawling. Directories in the older format
+// (pages-NNNN.seg) are refused: replayed as framelog logs they would read as
+// one long torn tail and be emptied.
 //
 // Resident state is the sparse index only: map[url]pageRef (segment, frame
-// offset, content hash) plus the byHost map — tens of bytes per page
-// instead of the page itself. Raw HTML stays on disk; Get preads the frame
-// and re-parses, fronted by a small LRU of parsed *Page so host-local
+// offset and size, content hash) plus the byHost map — tens of bytes per
+// page instead of the page itself. Raw HTML stays on disk; Get preads the
+// frame and re-parses, fronted by a small LRU of parsed *Page so host-local
 // access patterns (extraction walks one host's pages together) mostly hit.
 //
-// Durability: frames are written directly (no user-space buffer), fsynced
-// on segment roll, Flush, and Close — not per Put. A crash can therefore
-// tear the tail of the last segment; reopen truncates at the last valid
-// frame, exactly lrec's torn-tail contract. A decode error in any
-// non-final segment is real corruption and fails Open with ErrCorrupt.
-// After a write failure the backend latches the error: reads keep working,
-// further puts are rejected (mirroring lrec's degraded latch).
+// Durability: frames are written unbuffered (so preads see every append) and
+// fsynced on segment roll, Flush and Close, not per Put. Reopen cuts a torn
+// tail off the last segment; rolled segments are sealed. A write failure
+// latches the store read-only (reads keep working), like lrec's per-shard
+// degraded latch.
 
-// ErrCorrupt reports unrecoverable segment corruption (a bad frame before
-// the final segment's tail).
-var ErrCorrupt = errors.New("webgraph: segment store corrupt")
+// ErrCorrupt reports segment damage that is not a torn tail of the last
+// segment.
+var ErrCorrupt = framelog.ErrCorrupt
 
 const (
 	framePut    = 1
 	frameDelete = 2
 
-	// frameHeader is crc(4) + kind(1) + urlLen(4) + htmlLen(4).
-	frameHeader = 13
-
 	defaultSegmentBytes = 8 << 20
 	defaultCachePages   = 1024
-
-	// maxFrameField guards replay against garbage lengths.
-	maxFrameField = 1 << 28
 )
 
 // DiskOptions configures OpenDiskStore. The zero value gives sane
@@ -68,7 +61,7 @@ type DiskOptions struct {
 	// exceeds this size (<=0: default 8 MiB).
 	SegmentBytes int64
 
-	fs pageFS // test seam; nil means the real filesystem
+	fs framelog.FS // test seam; nil means the real filesystem
 }
 
 // DiskRecovery describes what reopening a segment directory found.
@@ -79,11 +72,14 @@ type DiskRecovery struct {
 	TruncatedBytes int64 // bytes cut repairing the torn tail
 }
 
-// pageRef locates a page's latest frame: which segment, at what offset,
-// plus the content hash so Put's changed-detection and Delete's
-// hash-forgetting (gone-page resurrection, §7.3) work without reading disk.
+// pageRef locates a page's latest frame: which segment, at what offset and
+// how large (so a read allocates what was written, whatever the bytes on
+// disk now say), plus the content hash so Put's changed-detection and
+// Delete's hash-forgetting (gone-page resurrection, §7.3) work without
+// reading disk.
 type pageRef struct {
-	seg  int
+	seg  int32
+	size uint32
 	off  int64
 	hash uint64
 }
@@ -91,7 +87,7 @@ type pageRef struct {
 type diskBackend struct {
 	mu  sync.Mutex
 	dir string
-	fs  pageFS
+	fs  framelog.FS
 
 	refs   map[string]pageRef
 	byHost map[string][]string
@@ -99,8 +95,8 @@ type diskBackend struct {
 	segBytes int64
 	curSeg   int
 	curOff   int64
-	w        pageFile                 // append handle for the current segment
-	readers  map[int]pageFile         // lazily opened read handles per segment
+	w        framelog.File            // append handle for the current segment
+	readers  map[int]framelog.File    // lazily opened read handles per segment
 	cache    map[string]*list.Element // url -> LRU element
 	lru      *list.List               // front = most recent; values are *cacheEntry
 	cacheCap int
@@ -119,11 +115,12 @@ type cacheEntry struct {
 // and returns it behind the standard Store facade. Reopening a directory
 // replays the segment frames to rebuild the in-memory offset index,
 // repairing a torn tail in the final segment the way lrec.Open repairs its
-// WAL; corruption earlier than that fails with ErrCorrupt.
+// WAL; any other bad frame fails with ErrCorrupt, and a directory in the
+// old segment format fails too.
 func OpenDiskStore(dir string, opts DiskOptions) (*Store, error) {
 	fs := opts.fs
 	if fs == nil {
-		fs = osFS{}
+		fs = framelog.OS{}
 	}
 	cacheCap := opts.CachePages
 	if cacheCap <= 0 {
@@ -142,7 +139,7 @@ func OpenDiskStore(dir string, opts DiskOptions) (*Store, error) {
 		refs:     make(map[string]pageRef),
 		byHost:   make(map[string][]string),
 		segBytes: segBytes,
-		readers:  make(map[int]pageFile),
+		readers:  make(map[int]framelog.File),
 		cache:    make(map[string]*list.Element),
 		lru:      list.New(),
 		cacheCap: cacheCap,
@@ -168,18 +165,18 @@ func (s *Store) DiskRecovery() DiskRecovery {
 	return DiskRecovery{}
 }
 
-// replay scans every segment in order rebuilding refs/byHost, repairing a
-// torn tail in the last segment.
+// replay replays every segment in order rebuilding refs/byHost, repairing a
+// torn tail in the last segment; the others are sealed.
 func (b *diskBackend) replay() error {
 	names, err := b.fs.ReadDir(b.dir)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
 		return err
 	}
 	var segs []int
 	for _, n := range names {
+		if strings.HasPrefix(n, "pages-") && strings.HasSuffix(n, ".seg") {
+			return fmt.Errorf("webgraph: %s holds %s, a page segment in the old format this build cannot read; delete the directory and re-ingest", b.dir, n)
+		}
 		if s := segNum(n); s >= 0 {
 			segs = append(segs, s)
 		}
@@ -190,71 +187,50 @@ func (b *diskBackend) replay() error {
 	b.recovery.Segments = len(segs)
 	last := segs[len(segs)-1]
 	for _, seg := range segs {
-		if err := b.replaySegment(seg, seg == last); err != nil {
-			return err
+		rec, err := framelog.Replay(b.fs, segPath(b.dir, seg), seg != last, func(off int64, p []byte) error {
+			return b.applyFrame(p, seg, off)
+		})
+		if err != nil {
+			return fmt.Errorf("webgraph: open: %w", err)
 		}
+		b.recovery.Frames += rec.Frames
+		b.recovery.TornTail = rec.TornTail
+		b.recovery.TruncatedBytes = rec.TruncatedBytes
+		b.curOff = rec.Size
 	}
 	b.curSeg = last
 	return nil
 }
 
-func (b *diskBackend) replaySegment(seg int, isLast bool) error {
-	path := segPath(b.dir, seg)
-	f, err := b.fs.Open(path)
+func (b *diskBackend) applyFrame(payload []byte, seg int, off int64) error {
+	kind, url, html, err := decodePage(payload)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<16)
-	var off int64
-	for {
-		url, html, kind, n, err := readFrame(r)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			if !isLast {
-				return fmt.Errorf("%w: %s at offset %d: %v", ErrCorrupt, segName(seg), off, err)
-			}
-			// Torn tail: cut the last segment back to the last valid frame
-			// (lrec's WAL repair contract). n is what the failed decode
-			// consumed; the rest of the file is garbage past the tear.
-			rest, _ := io.Copy(io.Discard, r)
-			if terr := b.fs.Truncate(path, off); terr != nil {
-				return terr
-			}
-			b.recovery.TornTail = true
-			b.recovery.TruncatedBytes += n + rest
-			b.curOff = off
-			return nil
-		}
-		b.recovery.Frames++
-		b.applyFrame(url, html, kind, seg, off)
-		off += n
-	}
-	if isLast {
-		b.curOff = off
+	if kind == framePut {
+		b.setRef(string(url), pageRef{seg: int32(seg), size: uint32(framelog.HeaderSize + len(payload)), off: off, hash: HashContent(string(html))})
+	} else {
+		b.dropRef(string(url))
 	}
 	return nil
 }
 
-func (b *diskBackend) applyFrame(url, html string, kind byte, seg int, off int64) {
-	host, _ := splitURL(url)
-	switch kind {
-	case framePut:
-		if _, ok := b.refs[url]; !ok {
-			b.byHost[host] = append(b.byHost[host], url)
-		}
-		b.refs[url] = pageRef{seg: seg, off: off, hash: HashContent(html)}
-	case frameDelete:
-		if _, ok := b.refs[url]; ok {
-			delete(b.refs, url)
-			b.dropHostURL(host, url)
-		}
+// setRef points url's index entry at ref, listing a new url under its host.
+func (b *diskBackend) setRef(url string, ref pageRef) {
+	if _, ok := b.refs[url]; !ok {
+		host, _ := splitURL(url)
+		b.byHost[host] = append(b.byHost[host], url)
 	}
+	b.refs[url] = ref
 }
 
-func (b *diskBackend) dropHostURL(host, url string) {
+// dropRef forgets url's index entry, if it has one.
+func (b *diskBackend) dropRef(url string) {
+	if _, ok := b.refs[url]; !ok {
+		return
+	}
+	delete(b.refs, url)
+	host, _ := splitURL(url)
 	urls := b.byHost[host]
 	for i, u := range urls {
 		if u == url {
@@ -293,112 +269,53 @@ func (b *diskBackend) roll() error {
 	return b.openAppend()
 }
 
-// writeFrame encodes and appends one frame, returning the segment and
-// offset it landed at (captured before any roll the append triggers).
-func (b *diskBackend) writeFrame(kind byte, url, html string) (seg int, off int64, err error) {
+// writeFrame encodes and appends one frame, returning where it landed
+// (captured before any roll the append triggers).
+func (b *diskBackend) writeFrame(kind byte, url, html string) (pageRef, error) {
 	if b.latched != nil {
-		return 0, 0, b.latched
+		return pageRef{}, b.latched
 	}
-	frame := encodeFrame(kind, url, html)
-	seg, off = b.curSeg, b.curOff
-	if _, werr := b.w.Write(frame); werr != nil {
-		b.latched = fmt.Errorf("webgraph: segment append failed (store latched read-only): %w", werr)
-		return 0, 0, b.latched
+	frame := encodePage(kind, url, html)
+	ref := pageRef{seg: int32(b.curSeg), size: uint32(len(frame)), off: b.curOff}
+	if _, err := b.w.Write(frame); err != nil {
+		b.latched = fmt.Errorf("webgraph: segment append failed (store latched read-only): %w", err)
+		return pageRef{}, b.latched
 	}
 	b.curOff += int64(len(frame))
 	if b.curOff >= b.segBytes {
-		if rerr := b.roll(); rerr != nil {
-			b.latched = fmt.Errorf("webgraph: segment roll failed (store latched read-only): %w", rerr)
-			return 0, 0, b.latched
+		if err := b.roll(); err != nil {
+			b.latched = fmt.Errorf("webgraph: segment roll failed (store latched read-only): %w", err)
+			return pageRef{}, b.latched
 		}
 	}
-	return seg, off, nil
+	return ref, nil
 }
 
-func encodeFrame(kind byte, url, html string) []byte {
-	n := frameHeader + len(url) + len(html)
-	buf := make([]byte, n)
-	buf[4] = kind
-	binary.LittleEndian.PutUint32(buf[5:9], uint32(len(url)))
-	binary.LittleEndian.PutUint32(buf[9:13], uint32(len(html)))
-	copy(buf[frameHeader:], url)
-	copy(buf[frameHeader+len(url):], html)
-	binary.LittleEndian.PutUint32(buf[0:4], crc32.ChecksumIEEE(buf[4:]))
-	return buf
+// encodePage returns one page operation as a sealed frame.
+func encodePage(kind byte, url, html string) []byte {
+	frame := framelog.NewFrame(1 + binary.MaxVarintLen64 + len(url) + len(html))
+	frame = append(frame, kind)
+	frame = binary.AppendUvarint(frame, uint64(len(url)))
+	frame = append(frame, url...)
+	frame = append(frame, html...)
+	return framelog.Seal(frame)
 }
 
-// readFrame decodes one frame from a sequential reader. size is the number
-// of bytes consumed — the full frame on success, whatever the failed decode
-// read on error (so torn-tail accounting can be exact). A clean EOF at a
-// frame boundary returns io.EOF with size 0.
-func readFrame(r io.Reader) (url, html string, kind byte, size int64, err error) {
-	var hdr [frameHeader]byte
-	n, err := io.ReadFull(r, hdr[:])
-	size = int64(n)
-	if err != nil {
-		if err == io.ErrUnexpectedEOF {
-			err = errors.New("short frame header")
+// decodePage splits a page operation's payload; url and html alias it.
+func decodePage(p []byte) (kind byte, url, html []byte, err error) {
+	if len(p) > 0 {
+		n, w := binary.Uvarint(p[1:])
+		if (p[0] == framePut || p[0] == frameDelete) && w > 0 && n > 0 && n <= uint64(len(p)-1-w) {
+			return p[0], p[1+w : 1+w+int(n)], p[1+w+int(n):], nil
 		}
-		return
 	}
-	kind = hdr[4]
-	ulen := binary.LittleEndian.Uint32(hdr[5:9])
-	hlen := binary.LittleEndian.Uint32(hdr[9:13])
-	if (kind != framePut && kind != frameDelete) || ulen == 0 || ulen > maxFrameField || hlen > maxFrameField {
-		err = errors.New("bad frame header")
-		return
-	}
-	body := make([]byte, int(ulen)+int(hlen))
-	n, err = io.ReadFull(r, body)
-	size += int64(n)
-	if err != nil {
-		err = errors.New("short frame body")
-		return
-	}
-	want := binary.LittleEndian.Uint32(hdr[0:4])
-	crc := crc32.ChecksumIEEE(hdr[4:])
-	crc = crc32.Update(crc, crc32.IEEETable, body)
-	if crc != want {
-		err = errors.New("frame crc mismatch")
-		return
-	}
-	url = string(body[:ulen])
-	html = string(body[ulen:])
-	return
-}
-
-// readPageAt preads and decodes the frame at ref, returning the raw HTML.
-// It takes the segment handle directly so callers can pread outside the
-// store mutex (ReadAt on an *os.File is safe for concurrent use).
-func readPageAt(f pageFile, url string, ref pageRef) (string, error) {
-	var hdr [frameHeader]byte
-	if _, err := f.ReadAt(hdr[:], ref.off); err != nil {
-		return "", fmt.Errorf("webgraph: read %s: %w", url, err)
-	}
-	ulen := binary.LittleEndian.Uint32(hdr[5:9])
-	hlen := binary.LittleEndian.Uint32(hdr[9:13])
-	if hdr[4] != framePut || ulen == 0 || ulen > maxFrameField || hlen > maxFrameField {
-		return "", fmt.Errorf("%w: bad frame for %s", ErrCorrupt, url)
-	}
-	body := make([]byte, int(ulen)+int(hlen))
-	if _, err := f.ReadAt(body, ref.off+frameHeader); err != nil {
-		return "", fmt.Errorf("webgraph: read %s: %w", url, err)
-	}
-	crc := crc32.ChecksumIEEE(hdr[4:])
-	crc = crc32.Update(crc, crc32.IEEETable, body)
-	if crc != binary.LittleEndian.Uint32(hdr[0:4]) {
-		return "", fmt.Errorf("%w: crc mismatch for %s", ErrCorrupt, url)
-	}
-	if string(body[:ulen]) != url {
-		return "", fmt.Errorf("%w: frame url mismatch for %s", ErrCorrupt, url)
-	}
-	return string(body[ulen:]), nil
+	return 0, nil, nil, fmt.Errorf("%w: bad page frame payload", ErrCorrupt)
 }
 
 // reader returns (lazily opening) the read handle for a segment. The
 // current append segment is readable through a second handle; appends go
 // straight to the file, so preads observe them.
-func (b *diskBackend) reader(seg int) (pageFile, error) {
+func (b *diskBackend) reader(seg int) (framelog.File, error) {
 	if f, ok := b.readers[seg]; ok {
 		return f, nil
 	}
@@ -437,7 +354,7 @@ func (b *diskBackend) cacheDrop(url string) {
 func (b *diskBackend) put(p *Page) (bool, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	changed, err := b.appendPut(p.URL, p.Host, p.HTML, p.Hash)
+	changed, err := b.appendPut(p.URL, p.HTML, p.Hash)
 	if changed {
 		b.cachePut(p)
 	}
@@ -449,11 +366,10 @@ func (b *diskBackend) put(p *Page) (bool, error) {
 // leaves it), so bulk ingest neither pays for a DOM per page nor sweeps the
 // LRU with pages nobody has asked for yet.
 func (b *diskBackend) putRaw(url, html string) (bool, error) {
-	host, _ := splitURL(url)
 	hash := HashContent(html)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	changed, err := b.appendPut(url, host, html, hash)
+	changed, err := b.appendPut(url, html, hash)
 	if changed {
 		b.cacheDrop(url)
 	}
@@ -462,19 +378,16 @@ func (b *diskBackend) putRaw(url, html string) (bool, error) {
 
 // appendPut appends the page's frame and moves its index entry, unless the
 // stored hash says the bytes are unchanged. Callers hold b.mu.
-func (b *diskBackend) appendPut(url, host, html string, hash uint64) (bool, error) {
-	ref, ok := b.refs[url]
-	if ok && ref.hash == hash {
+func (b *diskBackend) appendPut(url, html string, hash uint64) (bool, error) {
+	if ref, ok := b.refs[url]; ok && ref.hash == hash {
 		return false, nil
 	}
-	seg, off, err := b.writeFrame(framePut, url, html)
+	ref, err := b.writeFrame(framePut, url, html)
 	if err != nil {
 		return false, err
 	}
-	if !ok {
-		b.byHost[host] = append(b.byHost[host], url)
-	}
-	b.refs[url] = pageRef{seg: seg, off: off, hash: hash}
+	ref.hash = hash
+	b.setRef(url, ref)
 	return true, nil
 }
 
@@ -484,12 +397,10 @@ func (b *diskBackend) delete(url string) bool {
 	if _, ok := b.refs[url]; !ok {
 		return false
 	}
-	if _, _, err := b.writeFrame(frameDelete, url, ""); err != nil {
+	if _, err := b.writeFrame(frameDelete, url, ""); err != nil {
 		return false
 	}
-	host, _ := splitURL(url)
-	delete(b.refs, url)
-	b.dropHostURL(host, url)
+	b.dropRef(url)
 	b.cacheDrop(url)
 	return true
 }
@@ -508,7 +419,7 @@ func (b *diskBackend) get(url string) (*Page, error) {
 		b.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, url)
 	}
-	f, err := b.reader(ref.seg)
+	f, err := b.reader(int(ref.seg))
 	b.mu.Unlock()
 	if err != nil {
 		return nil, err
@@ -518,11 +429,15 @@ func (b *diskBackend) get(url string) (*Page, error) {
 	// keeping the (expensive) HTML parse unserialized is what lets the
 	// build's workers read different hosts concurrently. Two goroutines
 	// racing on the same cold URL may both parse; last cachePut wins.
-	html, err := readPageAt(f, url, ref)
+	frame, err := framelog.ReadAt(f, ref.off, int(ref.size))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("webgraph: read %s: %w", url, err)
 	}
-	p := NewPage(url, html)
+	kind, u, html, err := decodePage(frame)
+	if err != nil || kind != framePut || string(u) != url {
+		return nil, fmt.Errorf("%w: frame at %s offset %d is not %s", ErrCorrupt, segName(int(ref.seg)), ref.off, url)
+	}
+	p := NewPage(url, string(html))
 	b.stats.parses.Add(1)
 	b.mu.Lock()
 	b.cachePut(p)
@@ -625,3 +540,17 @@ func (b *diskBackend) err() error {
 	defer b.mu.Unlock()
 	return b.latched
 }
+
+// segName returns the file name of segment n ("pages-0003.log").
+func segName(n int) string { return fmt.Sprintf("pages-%04d.log", n) }
+
+// segNum parses a segment number out of a file name, or -1.
+func segNum(name string) int {
+	var n int
+	if _, err := fmt.Sscanf(name, "pages-%d.log", &n); err != nil || segName(n) != name {
+		return -1
+	}
+	return n
+}
+
+func segPath(dir string, n int) string { return filepath.Join(dir, segName(n)) }

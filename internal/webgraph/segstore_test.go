@@ -1,44 +1,43 @@
 package webgraph
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
+	"conceptweb/internal/framelog"
 	"conceptweb/internal/webgen"
 )
 
-// faultFS injects write failures through the pageFS seam, mirroring the
-// storeFS fault harness in internal/lrec: a budget of bytes may persist,
-// then writes fail — persisting their prefix first, like a real crash or a
-// full disk mid-append.
+// faultFS injects write failures through the framelog.FS seam, like the
+// fault harness in internal/lrec: a budget of bytes may persist, then writes
+// fail — persisting their prefix first, like a real crash or a full disk
+// mid-append.
 type faultFS struct {
-	real osFS
+	framelog.OS
 
 	mu        sync.Mutex
 	remaining int64 // write bytes until the fault trips; <0 = unlimited
 	tripped   bool
 }
 
-func (f *faultFS) MkdirAll(p string, perm os.FileMode) error { return f.real.MkdirAll(p, perm) }
-func (f *faultFS) Open(n string) (pageFile, error)           { return f.real.Open(n) }
-func (f *faultFS) OpenFile(n string, flag int, perm os.FileMode) (pageFile, error) {
-	file, err := f.real.OpenFile(n, flag, perm)
+func (f *faultFS) OpenFile(n string, flag int, perm os.FileMode) (framelog.File, error) {
+	file, err := f.OS.OpenFile(n, flag, perm)
 	if err != nil {
 		return nil, err
 	}
-	return &faultFile{pageFile: file, fs: f}, nil
+	return &faultFile{File: file, fs: f}, nil
 }
-func (f *faultFS) Truncate(n string, s int64) error   { return f.real.Truncate(n, s) }
-func (f *faultFS) ReadDir(d string) ([]string, error) { return f.real.ReadDir(d) }
-func (f *faultFS) SyncDir(d string) error             { return f.real.SyncDir(d) }
 
 type faultFile struct {
-	pageFile
+	framelog.File
 	fs *faultFS
 }
 
@@ -46,19 +45,19 @@ func (w *faultFile) Write(p []byte) (int, error) {
 	w.fs.mu.Lock()
 	defer w.fs.mu.Unlock()
 	if w.fs.remaining < 0 {
-		return w.pageFile.Write(p)
+		return w.File.Write(p)
 	}
 	if w.fs.tripped || int64(len(p)) > w.fs.remaining {
 		n := 0
 		if !w.fs.tripped && w.fs.remaining > 0 {
-			n, _ = w.pageFile.Write(p[:w.fs.remaining])
+			n, _ = w.File.Write(p[:w.fs.remaining])
 		}
 		w.fs.tripped = true
 		w.fs.remaining = 0
 		return n, errors.New("faultfs: disk full")
 	}
 	w.fs.remaining -= int64(len(p))
-	return w.pageFile.Write(p)
+	return w.File.Write(p)
 }
 
 func testPage(i int) *Page {
@@ -228,7 +227,7 @@ func TestDiskStoreTornTailRepair(t *testing.T) {
 	}
 
 	// Tear the tail: a partial frame that looks plausible up front.
-	torn := append(encodeFrame(framePut, "torn.example/x", "<html>half")[:20], 0xff, 0x07)
+	torn := append(encodePage(framePut, "torn.example/x", "<html>half")[:20], 0xff, 0x07)
 	f, err := os.OpenFile(filepath.Join(dir, segName(0)), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -344,6 +343,108 @@ func TestDiskStoreCorruptMiddleSegment(t *testing.T) {
 	}
 	if _, err := OpenDiskStore(dir, DiskOptions{}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("open over corrupt middle segment: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// closedStore writes n test pages into a fresh one-segment directory,
+// closes it, and returns the directory and the segment's path.
+func closedStore(t *testing.T, n int) (dir, seg string) {
+	t.Helper()
+	dir = t.TempDir()
+	s := openDisk(t, dir, DiskOptions{})
+	for i := 0; i < n; i++ {
+		s.Put(testPage(i))
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir, filepath.Join(dir, segName(0))
+}
+
+// TestDiskStoreMidSegmentCorruptionRefusesOpen: a flipped byte inside frame
+// 3 of 10 in the closed last segment, with valid frames after it, is
+// corruption, not a torn tail: Open refuses and cuts nothing. (It used to
+// report a torn tail and truncate the seven acknowledged pages after it.)
+func TestDiskStoreMidSegmentCorruptionRefusesOpen(t *testing.T) {
+	dir, seg := closedStore(t, 10)
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := 0
+	for i := 0; i < 2; i++ {
+		off += len(encodePage(framePut, testPage(i).URL, testPage(i).HTML))
+	}
+	data[off+framelog.HeaderSize+5] ^= 0xff
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenDiskStore(dir, DiskOptions{}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("open over mid-segment corruption: err = %v, want ErrCorrupt", err)
+	}
+	if fi, err := os.Stat(seg); err != nil || fi.Size() != int64(len(data)) {
+		t.Fatalf("segment size after refused open = %v (%v), want %d untouched", fi.Size(), err, len(data))
+	}
+}
+
+// TestDiskStoreOldFormatRefused: a directory written in the pre-framelog
+// segment format (pages-NNNN.seg) is refused, not read as one long torn tail
+// and emptied.
+func TestDiskStoreOldFormatRefused(t *testing.T) {
+	dir := t.TempDir()
+	old := filepath.Join(dir, "pages-0000.seg")
+	body := []byte("\x8a\x13\x55\x01\x01\x0e\x00\x00\x00\x05\x00\x00\x00old.example/x<p/>")
+	if err := os.WriteFile(old, body, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := OpenDiskStore(dir, DiskOptions{})
+	if err == nil || !strings.Contains(err.Error(), "delete the directory and re-ingest") {
+		t.Fatalf("open over an old-format directory: err = %v", err)
+	}
+	if got, err := os.ReadFile(old); err != nil || string(got) != string(body) {
+		t.Fatalf("old segment changed by the refused open (%v)", err)
+	}
+}
+
+// allocBytes reports the bytes fn allocated on the heap.
+func allocBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestDiskStoreForgedLengthTailAllocBounded: a 13-byte garbage tail whose
+// header fields declare a 400 MiB frame (in both the old segment header
+// layout and the framelog one) is a torn tail, repaired without allocating
+// what it declares. It used to make OpenDiskStore allocate 400 MiB.
+func TestDiskStoreForgedLengthTailAllocBounded(t *testing.T) {
+	dir, seg := closedStore(t, 10)
+	tail := make([]byte, 13)
+	binary.LittleEndian.PutUint32(tail[0:], 400<<20)
+	tail[4] = framePut
+	binary.LittleEndian.PutUint32(tail[5:], 200<<20)
+	binary.LittleEndian.PutUint32(tail[9:], 200<<20)
+	f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(tail); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	var s *Store
+	n := allocBytes(func() { s, err = OpenDiskStore(dir, DiskOptions{}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if n >= 1<<20 {
+		t.Errorf("OpenDiskStore allocated %d bytes over a 13-byte forged tail, want < 1 MiB", n)
+	}
+	if rec := s.DiskRecovery(); !rec.TornTail || rec.TruncatedBytes != 13 || s.Len() != 10 {
+		t.Errorf("recovery = %+v with %d pages, want the 13-byte tail cut and 10 pages", rec, s.Len())
 	}
 }
 
