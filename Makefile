@@ -64,14 +64,15 @@ querytest:
 # candidate), the page-task extract stage against the same whole-host oracle
 # (workers 1/2/8 x windows of one host, 64 pages and the whole corpus; fresh,
 # memo-less, host-restricted and re-induction extractions), the
-# recognise-once scan memo against the retained per-call recognisers, and the
+# recognise-once scan memo against the retained per-call recognisers, the
+# recognizer kernels against their retained regular expressions, and the
 # document index fed from the page tasks against a serial Add loop (workers x
 # windows x shards) with the streamed build's one-parse-per-page count.
 # -count=1 defeats test caching.
 maintaintest:
 	$(GO) test -race -count=1 -v ./internal/maintain/
 	$(GO) test -race -count=1 -v \
-		-run 'TestDeltaRefreshConvergesToRebuild|TestRefresh|TestRemove|TestStoreDelete|TestSiteMemo|TestSitePages|TestBuildStreamKeepsNoMemo|TestWindowScheduler|TestRecognizeOnce|TestParsersMatchPerCall|TestDocIndexOrder|TestStreamedBuildParses' \
+		-run 'TestDeltaRefreshConvergesToRebuild|TestRefresh|TestRemove|TestStoreDelete|TestSiteMemo|TestSitePages|TestBuildStreamKeepsNoMemo|TestWindowScheduler|TestRecognizeOnce|TestParsersMatchPerCall|TestKernelsMatchRegexp|TestDocIndexOrder|TestStreamedBuildParses' \
 		./internal/core/ ./internal/extract/ ./internal/index/ ./internal/webgraph/
 
 # fuzz-smoke runs every native fuzz target in the tree for a bounded time
@@ -85,6 +86,7 @@ maintaintest:
 # the first interesting input.
 FUZZTIME ?= 10s
 FUZZ_TARGETS = ./internal/extract/:FuzzSitePageMemo ./internal/extract/:FuzzRecognizeOnce \
+	./internal/extract/:FuzzRecognizerKernels \
 	./internal/index/:FuzzPrepare ./internal/framelog/:FuzzFrames ./internal/lrec/:FuzzDecodeRecord
 
 fuzz-smoke:
@@ -164,7 +166,9 @@ scalecheck:
 # index re-add at 2k and at 20k documents (the two must read alike: a re-add
 # costs what the document holds, not what the index holds), and the index
 # build of the same 2k pages (Prepare + AddPreparedBatch at 1 and 4 shards,
-# with the merge's share as merge-us/doc). These
+# with the merge's share as merge-us/doc), and each recognizer rule over every
+# item text, span and body of that world, by its kernel and by its retained
+# regular expression (BenchmarkRecognizers, rule=<key>/kernel|regexp). These
 # are the functions the extract/link/resolve/upsert stages and a cold query
 # spend their time in; -benchmem makes allocation regressions visible next to
 # the ns/op numbers. The match and index benchmarks include *Reference
@@ -176,7 +180,7 @@ scalecheck:
 # the archive and not a claim.
 microbench:
 	$(GO) test -run '^$$' \
-		-bench 'BenchmarkTokenize|BenchmarkTokenizeInto|BenchmarkTopTerms|BenchmarkRepeatedGroups|BenchmarkMatchTokens|BenchmarkResolve|BenchmarkUpsertScan|BenchmarkScoreProfiles|BenchmarkIndexSearch|BenchmarkIndexReAdd|BenchmarkIndexBuild|BenchmarkAlternatives' \
+		-bench 'BenchmarkTokenize|BenchmarkTokenizeInto|BenchmarkTopTerms|BenchmarkRepeatedGroups|BenchmarkMatchTokens|BenchmarkResolve|BenchmarkUpsertScan|BenchmarkScoreProfiles|BenchmarkIndexSearch|BenchmarkIndexReAdd|BenchmarkIndexBuild|BenchmarkAlternatives|BenchmarkRecognizers' \
 		-benchmem ./internal/textproc/ ./internal/extract/ ./internal/match/ ./internal/index/ ./internal/session/ | tee bench-micro.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkExtractStage' -cpu 1,2 -benchtime 5x -benchmem ./internal/core/ | tee -a bench-micro.txt
 

@@ -1,6 +1,7 @@
 package extract
 
 import (
+	"slices"
 	"strings"
 
 	"conceptweb/internal/htmlx"
@@ -13,10 +14,16 @@ import (
 // of records of the target concept, and to extract those records — fully
 // unsupervised and site-independent.
 //
+// Extraction pays for what it keeps: most repeated items are navigation and
+// chrome, so an item is first asked only for the domain's evidence — each
+// evidence recognizer over its spans, then its full text — and an item
+// without any builds no candidate and runs no other recognizer. It still
+// counts toward its group's evidence fraction.
+//
 // A ListExtractor holds no mutable state: Extract reads only the page and
-// the Domain, whose recognizers close over data frozen at construction
-// (compiled regexps, gazetteer maps). A Domain value may therefore be shared
-// by extractors running concurrently on different goroutines.
+// the Domain, whose recognizers are stateless byte-scanning kernels or close
+// over gazetteer maps frozen at construction. A Domain value may therefore
+// be shared by extractors running concurrently on different goroutines.
 type ListExtractor struct {
 	Domain Domain
 	// MinItems is the minimum number of repeated siblings to consider a
@@ -172,9 +179,10 @@ func (e *ListExtractor) extractGroup(pa *PageAnalysis, group []*htmlx.Node) []*C
 }
 
 // parseItem extracts one item's attributes. ok is false if the item violates
-// a multiplicity constraint (it is probably not a single record). Every
-// recognizer scan goes through the item's memo on the page analysis, so a
-// text is scanned once however many checks and domains ask.
+// a multiplicity constraint (it is probably not a single record); cand is nil
+// unless hasEvidence. Every recognizer scan goes through the item's memo on
+// the page analysis, so a text is scanned once however many checks and
+// domains ask.
 func (e *ListExtractor) parseItem(pa *PageAnalysis, item *htmlx.Node) (cand *Candidate, hasEvidence, ok bool) {
 	d := &e.Domain
 	pa.scanMu.Lock()
@@ -189,30 +197,29 @@ func (e *ListExtractor) parseItem(pa *PageAnalysis, item *htmlx.Node) (cand *Can
 			return nil, false, false
 		}
 	}
+	if !d.mayHaveEvidence(func(rec *Recognizer) (string, bool) {
+		v, _, ok := it.match(rec)
+		return v, ok
+	}) {
+		return nil, false, true
+	}
 
 	cand = NewCandidate(d.Concept, pa.Page.URL, e.Name())
 	matched := make(map[string]bool) // span texts consumed by recognizers
 	for ri := range d.Recognizers {
+		// A span counts as consumed only when the match covers most of it —
+		// a cuisine word inside "Blue Palm American Restaurant" must not eat
+		// the name span.
 		rec := &d.Recognizers[ri]
-		// Prefer span-local matches (more precise provenance), fall back to
-		// the full item text. A span counts as consumed only when the match
-		// covers most of it — a cuisine word inside "Blue Palm American
-		// Restaurant" must not eat the name span.
-		found := false
-		for i := range spans {
-			sp := &spans[i]
-			if v, okm := scans.first(rec, 1+i, sp.text, sp.norm); okm {
-				cand.Add(rec.Key, v, attrConf(rec.Weight))
-				if len(v)*2 >= len(strings.TrimSpace(sp.text)) {
-					matched[sp.text] = true
-				}
-				found = true
-				break
-			}
-		}
-		if !found {
-			if v, okm := scans.first(rec, 0, it.full, it.norm); okm {
-				cand.Add(rec.Key, v, attrConf(rec.Weight)*0.9)
+		v, i, okm := it.match(rec)
+		switch {
+		case !okm:
+		case i < 0:
+			cand.Add(rec.Key, v, attrConf(rec.Weight)*0.9)
+		default:
+			cand.Add(rec.Key, v, attrConf(rec.Weight))
+			if len(v)*2 >= len(strings.TrimSpace(spans[i].text)) {
+				matched[spans[i].text] = true
 			}
 		}
 	}
@@ -244,10 +251,43 @@ func (e *ListExtractor) parseItem(pa *PageAnalysis, item *htmlx.Node) (cand *Can
 		}
 	}
 	// A record needs a name (when the domain defines one) to be usable.
-	if d.NameKey != "" && cand.Get(d.NameKey) == "" {
-		hasEvidence = false
+	if !hasEvidence || d.NameKey != "" && cand.Get(d.NameKey) == "" {
+		return nil, false, true
 	}
-	return cand, hasEvidence, true
+	return cand, true, true
+}
+
+// match is rec's value in the item: its first match in the first span that
+// has one (more precise provenance), else in the full text (span -1).
+func (it *itemAnalysis) match(rec *Recognizer) (v string, span int, ok bool) {
+	for i := range it.spans {
+		sp := &it.spans[i]
+		if v, ok := it.scans.first(rec, 1+i, sp.text, sp.norm); ok {
+			return v, i, true
+		}
+	}
+	v, ok = it.scans.first(rec, 0, it.full, it.norm)
+	return v, -1, ok
+}
+
+// mayHaveEvidence reports whether a text can pass the evidence test, value
+// giving each recognizer's value in it: the name is itself evidence, or an
+// evidence recognizer finds a value Candidate.Add keeps. When it says no, a
+// parse would build a candidate only to drop it, so callers ask it first.
+func (d *Domain) mayHaveEvidence(value func(*Recognizer) (string, bool)) bool {
+	if slices.Contains(d.Evidence, d.NameKey) {
+		return true
+	}
+	for i := range d.Recognizers {
+		rec := &d.Recognizers[i]
+		if !slices.Contains(d.Evidence, rec.Key) {
+			continue
+		}
+		if v, ok := value(rec); ok && strings.TrimSpace(v) != "" {
+			return true
+		}
+	}
+	return false
 }
 
 func attrConf(weight float64) float64 {
@@ -307,7 +347,8 @@ func (e *DetailExtractor) Extract(p *webgraph.Page) []*Candidate {
 // ExtractAnalyzed implements Operator over a shared page analysis. Like the
 // item parser it reads recognizers through the analysis's scan memo: the
 // body is the longest text on the page, and every domain's detail pass and
-// every constraint on it would otherwise scan it again.
+// every constraint on it would otherwise scan it again. Like the item
+// parser, too, it asks for the domain's evidence before building anything.
 func (e *DetailExtractor) ExtractAnalyzed(pa *PageAnalysis) []*Candidate {
 	d := &e.Domain
 	full := pa.BodyText()
@@ -327,6 +368,9 @@ func (e *DetailExtractor) ExtractAnalyzed(pa *PageAnalysis) []*Candidate {
 		if rec := recognizerFor(d, c.Key); rec != nil && scans.exceeds(rec, full, norm(rec), c.MaxValues) {
 			return nil
 		}
+	}
+	if !d.mayHaveEvidence(func(rec *Recognizer) (string, bool) { return scans.first(rec, 0, full, norm(rec)) }) {
+		return nil
 	}
 
 	cand := NewCandidate(d.Concept, pa.Page.URL, e.Name())

@@ -78,6 +78,30 @@ func TestListExtractRejectsNavDecoys(t *testing.T) {
 	}
 }
 
+// TestEvidenceLessItemBuildsNoCandidate: once the page analysis is warm, an
+// item or a page without evidence is turned away without an allocation —
+// no candidate, no consumed-span map, no scan beyond the evidence
+// recognizers' memoised ones.
+func TestEvidenceLessItemBuildsNoCandidate(t *testing.T) {
+	pa := Analyze(webgraph.NewPage("agg.example/about", `<html><head><title>About us</title></head><body>
+<ul class="nav"><li><a href="/">Home</a></li><li><a href="/about">About</a></li><li><a href="/help">Help</a></li></ul>
+<h1>About us</h1><p>Open since 1998 in San Jose, 4.5 stars.</p></body></html>`))
+	le, de := restaurantExtractor(), &DetailExtractor{Domain: restaurantExtractor().Domain}
+	nav := pa.Groups(2)[0][0]
+	if cand, hasEvidence, ok := le.parseItem(pa, nav); cand != nil || hasEvidence || !ok {
+		t.Fatalf("nav item %q: (%v, %v, %v), want (nil, false, true)", nav.Text(), cand, hasEvidence, ok)
+	}
+	if got := de.ExtractAnalyzed(pa); got != nil {
+		t.Fatalf("detail over an evidence-less page: %+v", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { le.parseItem(pa, nav) }); n != 0 {
+		t.Errorf("parseItem over a nav item: %.1f allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { de.ExtractAnalyzed(pa) }); n != 0 {
+		t.Errorf("detail over an evidence-less page: %.1f allocs, want 0", n)
+	}
+}
+
 func TestListExtractTableStyle(t *testing.T) {
 	html := `<html><body><table class="results">
 <tr><th>Restaurant</th><th>Address</th><th>Zip</th><th>Phone</th></tr>

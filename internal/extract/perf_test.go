@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"conceptweb/internal/htmlx"
+	"conceptweb/internal/webgen"
+	"conceptweb/internal/webgraph"
 )
 
 // benchListPage synthesizes a listing page shaped like the generated
@@ -32,6 +34,62 @@ func BenchmarkRepeatedGroups(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if g := repeatedGroups(doc, 2); len(g) == 0 {
 			b.Fatal("no groups found")
+		}
+	}
+}
+
+// worldTexts collects every text a recognizer reads in the heavy-tail 2k-page
+// world: each list item's full text and spans (group members and singleton
+// slots) and each page's body.
+func worldTexts(b *testing.B) []string {
+	var texts []string
+	err := webgen.NewStreamWorld(webgen.HeavyTailConfig(2000)).EachPage(func(p *webgen.Page) error {
+		pa := Analyze(webgraph.NewPage(p.URL, p.HTML))
+		nodes, _ := pa.Singles(2)
+		for _, g := range pa.Groups(2) {
+			nodes = append(nodes, g...)
+		}
+		for _, n := range nodes {
+			ia := analyzeItem(n)
+			texts = append(texts, ia.full)
+			for _, sp := range ia.spans {
+				texts = append(texts, sp.text)
+			}
+		}
+		texts = append(texts, pa.BodyText())
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return texts
+}
+
+// BenchmarkRecognizers is the per-rule layer line: one op is one rule over
+// every text of the world, by its kernel and by its retained expression.
+func BenchmarkRecognizers(b *testing.B) {
+	texts := worldTexts(b)
+	for _, k := range kernelOracle {
+		for _, impl := range []struct {
+			name  string
+			match func(string) (string, bool)
+		}{
+			{"kernel", k.rec.Match},
+			{"regexp", func(s string) (string, bool) { return refMatch(k.re, k.group, s) }},
+		} {
+			b.Run("rule="+k.rec.Key+"/"+impl.name, func(b *testing.B) {
+				b.ReportAllocs()
+				found := 0
+				for i := 0; i < b.N; i++ {
+					for _, s := range texts {
+						if _, ok := impl.match(s); ok {
+							found++
+						}
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(texts)), "ns/text")
+				b.ReportMetric(float64(found)/float64(b.N), "matches")
+			})
 		}
 	}
 }

@@ -98,10 +98,25 @@ func refDistinctExceeds(rec Recognizer, text string, max int) bool {
 	return false
 }
 
-// ungated pairs each regexp recogniser with its bare expression and submatch
-// group: what the recogniser returned before any byte gate (a digit, a rule's
-// required byte) stood in front of the regexp engine.
-var ungated = []struct {
+// The regular expressions the recognizer kernels replaced, retained verbatim
+// as their oracle.
+var (
+	zipRe    = regexp.MustCompile(`\b(9[0-9]{4})\b`)
+	phoneRe  = regexp.MustCompile(`\(?([2-9][0-9]{2})\)?[ .-]([0-9]{3})[ .-]([0-9]{4})\b`)
+	priceRe  = regexp.MustCompile(`\$[0-9]+(?:\.[0-9]{2})?\b`)
+	yearRe   = regexp.MustCompile(`\b(19[5-9][0-9]|20[0-4][0-9])\b`)
+	dateRe   = regexp.MustCompile(`\b(20[0-4][0-9])-([01][0-9])-([0-3][0-9])\b`)
+	ratingRe = regexp.MustCompile(`\b([0-5]\.[0-9]) stars?\b`)
+	hoursRe  = regexp.MustCompile(`\b(Mon|Tue|Wed|Thu|Fri|Sat|Sun)[a-z]*[ -].*[0-9]{1,2}:[0-9]{2}`)
+	mpRe     = regexp.MustCompile(`\b([0-9]{1,3}) megapixels?\b`)
+)
+
+var streetRe = regexp.MustCompile(`\b[0-9]{1,5} (?:[0-9]{1,2}(?:st|nd|rd|th) )?(?:[A-Z][A-Za-z .]*? )?(` +
+	strings.Join(streetSuffixes, "|") + `)\b`)
+
+// kernelOracle pairs each kernel recogniser with its expression and the
+// submatch group the recogniser yields.
+var kernelOracle = []struct {
 	rec   Recognizer
 	re    *regexp.Regexp
 	group int
@@ -111,17 +126,27 @@ var ungated = []struct {
 	{RatingRecognizer(), ratingRe, 1}, {HoursRecognizer(), hoursRe, 0}, {MegapixelRecognizer(), mpRe, 1},
 }
 
-// checkGates fails when a regexp recogniser's byte gates change what the
-// bare expression finds in text: the gates are necessary conditions only.
-func checkGates(t testing.TB, text string) {
+// refMatch is what a recogniser over re returned: the leftmost match, or its
+// submatch group.
+func refMatch(re *regexp.Regexp, group int, text string) (string, bool) {
+	if group == 0 {
+		m := re.FindString(text)
+		return m, m != ""
+	}
+	if m := re.FindStringSubmatch(text); m != nil {
+		return m[group], true
+	}
+	return "", false
+}
+
+// checkKernels fails when a kernel's answer on text differs from its
+// expression's, in value or in ok.
+func checkKernels(t testing.TB, text string) {
 	t.Helper()
-	for _, u := range ungated {
-		want, wok := "", false
-		if m := u.re.FindStringSubmatch(text); m != nil && (u.group > 0 || m[0] != "") {
-			want, wok = m[u.group], true
-		}
-		if got, ok := u.rec.Match(text); got != want || ok != wok {
-			t.Fatalf("%s in %q: gated (%q, %v), bare expression (%q, %v)", u.rec.Key, text, got, ok, want, wok)
+	for _, k := range kernelOracle {
+		want, wok := refMatch(k.re, k.group, text)
+		if got, ok := k.rec.Match(text); got != want || ok != wok {
+			t.Fatalf("%s in %q: kernel (%q, %v), expression (%q, %v)", k.rec.Key, text, got, ok, want, wok)
 		}
 	}
 }
@@ -191,6 +216,41 @@ func refParseItem(e *ListExtractor, url string, item *htmlx.Node) (cand *Candida
 		hasEvidence = false
 	}
 	return cand, hasEvidence, true
+}
+
+// refListExtract is ListExtractor.ExtractAnalyzed over refParseItem: every
+// item of an accepted group parsed in full, evidence or not.
+func refListExtract(e *ListExtractor, pa *PageAnalysis) []*Candidate {
+	minFrac := e.Domain.MinEvidenceFrac
+	if minFrac == 0 {
+		minFrac = 0.5
+	}
+	var out []*Candidate
+	for _, group := range pa.Groups(max(e.MinItems, 2)) {
+		var cands []*Candidate
+		parsed := 0
+		for _, item := range group {
+			cand, hasEvidence, ok := refParseItem(e, pa.Page.URL, item)
+			if !ok {
+				continue
+			}
+			parsed++
+			if hasEvidence {
+				cands = append(cands, cand)
+			}
+		}
+		if parsed == 0 {
+			continue
+		}
+		listScore := float64(len(cands)) / float64(parsed)
+		if listScore < minFrac {
+			continue
+		}
+		for _, c := range cands {
+			out = append(out, scaleConfidence(c, listScore))
+		}
+	}
+	return out
 }
 
 // refDetail is the detail extractor over fresh per-call scans.
@@ -360,14 +420,18 @@ func TestRecognizeOnceBoundedScan(t *testing.T) {
 }
 
 // TestParsersMatchPerCall: over every page of six heavy-tail hosts, each
-// domain's item parser (every group member and every singleton slot) and
-// detail extractor, reading through one shared analysis per page, return
-// exactly what the retained per-call parsers return.
+// domain's item parser (every group member and every singleton slot), list
+// extractor and detail extractor, reading through one shared analysis per
+// page, return exactly what the retained per-call parsers return: the same
+// (ok, hasEvidence) for every item, and the same candidate for every item
+// with evidence. The last domain's name is its evidence, so no item of it is
+// turned away before its name is read.
 func TestParsersMatchPerCall(t *testing.T) {
 	w := webgen.NewStreamWorld(webgen.HeavyTailConfig(2000))
 	rendered := hostPages(t, w, "localplates.example", "roomlister.example", "events-0001.example",
 		"eats-0000.example", "metroguide-0000.example", "branmarsh-palm-cafe-1.example")
-	domains := scanDomains(w.Cities())
+	domains := append(scanDomains(w.Cities()), Domain{Concept: "venue", NameFrom: "anchor", NameKey: "name",
+		Recognizers: []Recognizer{PhoneRecognizer()}, Evidence: []string{"name"}})
 	items, details := 0, 0
 	for _, pages := range rendered {
 		for u, html := range pages {
@@ -378,23 +442,27 @@ func TestParsersMatchPerCall(t *testing.T) {
 			}
 			singles, _ := pa.Singles(2)
 			nodes = append(nodes, singles...)
-			checkGates(t, pa.BodyText())
+			checkKernels(t, pa.BodyText())
 			for di := range domains {
 				le := &ListExtractor{Domain: domains[di]}
 				for _, n := range nodes {
 					if di == 0 {
 						ia := analyzeItem(n)
-						checkGates(t, ia.full)
+						checkKernels(t, ia.full)
 						for _, sp := range ia.spans {
-							checkGates(t, sp.text)
+							checkKernels(t, sp.text)
 						}
 					}
 					gc, ge, gok := le.parseItem(pa, n)
 					wc, we, wok := refParseItem(le, u, n)
-					if ge != we || gok != wok || sameCandidates([]*Candidate{gc}, []*Candidate{wc}) != nil {
+					if ge != we || gok != wok || (gc != nil) != ge ||
+						ge && sameCandidates([]*Candidate{gc}, []*Candidate{wc}) != nil {
 						t.Fatalf("%s, %s item %q:\n got %+v %v %v\nwant %+v %v %v", u, le.Domain.Concept, n.Text(), gc, ge, gok, wc, we, wok)
 					}
 					items++
+				}
+				if err := sameCandidates(le.ExtractAnalyzed(pa), refListExtract(le, Analyze(pa.Page))); err != nil {
+					t.Fatalf("%s, %s lists: %v", u, le.Domain.Concept, err)
 				}
 				de := &DetailExtractor{Domain: domains[di]}
 				if err := sameCandidates(de.ExtractAnalyzed(pa), refDetail(de, Analyze(pa.Page))); err != nil {
@@ -432,7 +500,59 @@ func FuzzRecognizeOnce(f *testing.F) {
 		}
 		checkScans(t, domains, texts, ops)
 		for _, s := range texts {
-			checkGates(t, s)
+			checkKernels(t, s)
 		}
+	})
+}
+
+// kernelEdges are the texts on which a kernel most easily parts from its
+// expression: a six-digit house number, a lazy street name that is itself a
+// suffix, an ordinal street, a greedy .* that must stop at a newline, cents
+// that run on, a plural that runs on, a four-digit resolution, and a zip
+// behind invalid UTF-8 and behind a non-ASCII letter.
+var kernelEdges = []string{
+	"123456 Main St", "12 St Ave", "77 N 1st St Expy", "Mon 9:30 x 10:00\n11:00", "$12.955",
+	"5.0 starsX", "1234 megapixels", "\xff95014", "é95014",
+}
+
+// TestKernelsMatchRegexp holds every kernel to its expression on the edge
+// texts and the fragments the scan tests splice, and pins what the
+// expressions say on the edges, so that the oracle is seen to cover them.
+func TestKernelsMatchRegexp(t *testing.T) {
+	for _, s := range append(append([]string{}, kernelEdges...), scanFragments...) {
+		checkKernels(t, s)
+	}
+	for _, c := range []struct {
+		rec       Recognizer
+		text, get string
+	}{
+		{StreetRecognizer(), "123456 Main St", ""},
+		{StreetRecognizer(), "12 St Ave", "12 St Ave"},
+		{StreetRecognizer(), "12 3rd Ave", "12 3rd Ave"},
+		{StreetRecognizer(), "at 9 N Ave", "9 N Ave"},
+		{StreetRecognizer(), "77 N 1st St Expy", ""},
+		{HoursRecognizer(), "Mon 9:30 x 10:00\n11:00", "Mon 9:30 x 10:00"},
+		{HoursRecognizer(), "Sun closed\nMon 9:00", "Mon 9:00"},
+		{PriceRecognizer(), "$12.955", "$12"},
+		{RatingRecognizer(), "5.0 starsX", ""},
+		{MegapixelRecognizer(), "1234 megapixels", ""},
+		{ZipRecognizer(), "\xff95014", "95014"},
+		{ZipRecognizer(), "é95014", "95014"},
+	} {
+		checkKernels(t, c.text)
+		if got, ok := c.rec.Match(c.text); got != c.get || ok != (c.get != "") {
+			t.Errorf("%s in %q = (%q, %v), want %q", c.rec.Key, c.text, got, ok, c.get)
+		}
+	}
+}
+
+// FuzzRecognizerKernels: for arbitrary bytes, every kernel returns the value
+// and ok its expression returns. No memo and no domains stand in between.
+func FuzzRecognizerKernels(f *testing.F) {
+	for _, s := range append(append([]string{}, kernelEdges...), scanFragments...) {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		checkKernels(t, text)
 	})
 }

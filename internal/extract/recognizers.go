@@ -1,8 +1,6 @@
 package extract
 
 import (
-	"regexp"
-	"strconv"
 	"strings"
 
 	"conceptweb/internal/lrec"
@@ -35,98 +33,295 @@ type Recognizer struct {
 	id uint8
 }
 
-var (
-	zipRe    = regexp.MustCompile(`\b(9[0-9]{4})\b`)
-	phoneRe  = regexp.MustCompile(`\(?([2-9][0-9]{2})\)?[ .-]([0-9]{3})[ .-]([0-9]{4})\b`)
-	priceRe  = regexp.MustCompile(`\$[0-9]+(?:\.[0-9]{2})?\b`)
-	yearRe   = regexp.MustCompile(`\b(19[5-9][0-9]|20[0-4][0-9])\b`)
-	dateRe   = regexp.MustCompile(`\b(20[0-4][0-9])-([01][0-9])-([0-3][0-9])\b`)
-	ratingRe = regexp.MustCompile(`\b([0-5]\.[0-9]) stars?\b`)
-	hoursRe  = regexp.MustCompile(`\b(Mon|Tue|Wed|Thu|Fri|Sat|Sun)[a-z]*[ -].*[0-9]{1,2}:[0-9]{2}`)
-	mpRe     = regexp.MustCompile(`\b([0-9]{1,3}) megapixels?\b`)
-)
+// kernelRecognizer wraps one of the byte-scanning kernels below. The rule's
+// name is its scan id, so every domain's copy of a rule shares its scans.
+func kernelRecognizer(key string, kind lrec.ValueKind, weight float64, match func(string) (string, bool)) Recognizer {
+	return Recognizer{Key: key, Kind: kind, Match: match, Weight: weight, id: scanID("kernel\x00" + key)}
+}
+
+// ZipRecognizer recognizes 5-digit California-range zip codes.
+func ZipRecognizer() Recognizer { return kernelRecognizer("zip", lrec.KindZip, 1.0, matchZip) }
+
+// PhoneRecognizer recognizes North-American phone numbers in the formats
+// used across the corpus.
+func PhoneRecognizer() Recognizer { return kernelRecognizer("phone", lrec.KindPhone, 1.0, matchPhone) }
+
+// PriceRecognizer recognizes dollar amounts.
+func PriceRecognizer() Recognizer { return kernelRecognizer("price", lrec.KindPrice, 0.8, matchPrice) }
+
+// StreetRecognizer recognizes street addresses by number + suffix shape.
+func StreetRecognizer() Recognizer {
+	return kernelRecognizer("street", lrec.KindAddress, 0.9, matchStreet)
+}
+
+// YearRecognizer recognizes plausible publication years.
+func YearRecognizer() Recognizer { return kernelRecognizer("year", lrec.KindDate, 0.6, matchYear) }
+
+// DateRecognizer recognizes ISO dates.
+func DateRecognizer() Recognizer { return kernelRecognizer("date", lrec.KindDate, 0.9, matchDate) }
+
+// RatingRecognizer recognizes "4.2 stars"-style ratings.
+func RatingRecognizer() Recognizer {
+	return kernelRecognizer("rating", lrec.KindNumber, 0.5, matchRating)
+}
+
+// HoursRecognizer recognizes opening-hours strings.
+func HoursRecognizer() Recognizer { return kernelRecognizer("hours", lrec.KindText, 0.5, matchHours) }
+
+// MegapixelRecognizer recognizes camera resolutions.
+func MegapixelRecognizer() Recognizer {
+	return kernelRecognizer("megapixels", lrec.KindNumber, 0.7, matchMegapixels)
+}
+
+// The recognizer kernels. Each returns, byte for byte, what Go's regexp
+// package returns for the expression in its comment: the leftmost match, or
+// its group 1 where the comment marks one (recognize_ref_test.go keeps the
+// expressions as the oracle). Matching is leftmost-first, not longest: at the
+// first start that matches, the expression's own priority order — greedy
+// before lazy, earlier alternative before later — picks the match. \b is
+// ASCII: the word bytes are [0-9A-Za-z_] and every byte ≥ 0x80 is a non-word
+// byte, which is what the regexp package's rune-wise \b reads too, since
+// every match starts and ends on an ASCII byte. A kernel tries a start only
+// at a byte its rule can begin with.
+
+func inRange(c, lo, hi byte) bool { return c >= lo && c <= hi }
+func isDigit(c byte) bool         { return inRange(c, '0', '9') }
+func isLetter(c byte) bool        { return inRange(c, 'a', 'z') || inRange(c, 'A', 'Z') }
+func isWord(c byte) bool          { return isDigit(c) || isLetter(c) || c == '_' }
+
+// boundaryBefore is \b in front of a word byte at s[i]; boundaryAfter is \b
+// behind a word byte at s[i-1].
+func boundaryBefore(s string, i int) bool { return i == 0 || !isWord(s[i-1]) }
+func boundaryAfter(s string, i int) bool  { return i == len(s) || !isWord(s[i]) }
+
+// digitsAt returns the length of the run of digits at s[i:].
+func digitsAt(s string, i int) int {
+	n := i
+	for n < len(s) && isDigit(s[n]) {
+		n++
+	}
+	return n - i
+}
+
+// pluralEnd steps over an optional s at s[i] that a \b follows: `s?\b` takes
+// the s when it is there, because without it the \b would fall between two
+// letters.
+func pluralEnd(s string, i int) int {
+	if i < len(s) && s[i] == 's' {
+		return i + 1
+	}
+	return i
+}
+
+// matchZip: \b(9[0-9]{4})\b
+func matchZip(s string) (string, bool) {
+	for i := 0; i+5 <= len(s); i++ {
+		if s[i] == '9' && boundaryBefore(s, i) && digitsAt(s, i+1) == 4 && boundaryAfter(s, i+5) {
+			return s[i : i+5], true
+		}
+	}
+	return "", false
+}
+
+// matchPhone: \(?([2-9][0-9]{2})\)?[ .-]([0-9]{3})[ .-]([0-9]{4})\b — no \b
+// in front. A parenthesis that is there is always taken: leaving it out puts
+// it where a digit or a separator must be.
+func matchPhone(s string) (string, bool) {
+	sep := func(c byte) bool { return c == ' ' || c == '.' || c == '-' }
+	for i := 0; i < len(s); i++ {
+		j := i
+		if s[j] == '(' {
+			j++
+		}
+		if j+3 > len(s) || !inRange(s[j], '2', '9') || !isDigit(s[j+1]) || !isDigit(s[j+2]) {
+			continue
+		}
+		if j += 3; j < len(s) && s[j] == ')' {
+			j++
+		}
+		if j+9 <= len(s) && sep(s[j]) && digitsAt(s, j+1) >= 3 && sep(s[j+4]) && digitsAt(s, j+5) >= 4 &&
+			boundaryAfter(s, j+9) {
+			return s[i : j+9], true
+		}
+	}
+	return "", false
+}
+
+// matchPrice: \$[0-9]+(?:\.[0-9]{2})?\b — the cents when a \b follows them,
+// else the dollars when one follows those ("$12.955" is "$12"). Giving back
+// a digit leaves a digit behind, where neither can follow.
+func matchPrice(s string) (string, bool) {
+	for i := 0; i < len(s); i++ {
+		if s[i] != '$' {
+			continue
+		}
+		k := i + 1 + digitsAt(s, i+1)
+		if k == i+1 {
+			continue
+		}
+		if k+3 <= len(s) && s[k] == '.' && isDigit(s[k+1]) && isDigit(s[k+2]) && boundaryAfter(s, k+3) {
+			return s[i : k+3], true
+		}
+		if boundaryAfter(s, k) {
+			return s[i:k], true
+		}
+	}
+	return "", false
+}
+
+// matchYear: \b(19[5-9][0-9]|20[0-4][0-9])\b
+func matchYear(s string) (string, bool) {
+	for i := 0; i+4 <= len(s); i++ {
+		lead := s[i] == '1' && s[i+1] == '9' && inRange(s[i+2], '5', '9') ||
+			s[i] == '2' && s[i+1] == '0' && inRange(s[i+2], '0', '4')
+		if lead && isDigit(s[i+3]) && boundaryBefore(s, i) && boundaryAfter(s, i+4) {
+			return s[i : i+4], true
+		}
+	}
+	return "", false
+}
+
+// matchDate: \b(20[0-4][0-9])-([01][0-9])-([0-3][0-9])\b
+func matchDate(s string) (string, bool) {
+	for i := 0; i+10 <= len(s); i++ {
+		if s[i] == '2' && s[i+1] == '0' && inRange(s[i+2], '0', '4') && isDigit(s[i+3]) && s[i+4] == '-' &&
+			inRange(s[i+5], '0', '1') && isDigit(s[i+6]) && s[i+7] == '-' &&
+			inRange(s[i+8], '0', '3') && isDigit(s[i+9]) && boundaryBefore(s, i) && boundaryAfter(s, i+10) {
+			return s[i : i+10], true
+		}
+	}
+	return "", false
+}
+
+// matchRating: \b([0-5]\.[0-9]) stars?\b, group 1.
+func matchRating(s string) (string, bool) {
+	for i := 0; i+8 <= len(s); i++ {
+		if inRange(s[i], '0', '5') && s[i+1] == '.' && isDigit(s[i+2]) && s[i+3:i+8] == " star" &&
+			boundaryBefore(s, i) && boundaryAfter(s, pluralEnd(s, i+8)) {
+			return s[i : i+3], true
+		}
+	}
+	return "", false
+}
+
+// matchMegapixels: \b([0-9]{1,3}) megapixels?\b, group 1. Giving back a
+// digit leaves a digit where the space must be, so only a whole run of one
+// to three digits counts.
+func matchMegapixels(s string) (string, bool) {
+	for i := 0; i < len(s); i++ {
+		if !isDigit(s[i]) || !boundaryBefore(s, i) {
+			continue
+		}
+		n := digitsAt(s, i)
+		if n <= 3 && strings.HasPrefix(s[i+n:], " megapixel") &&
+			boundaryAfter(s, pluralEnd(s, i+n+len(" megapixel"))) {
+			return s[i : i+n], true
+		}
+	}
+	return "", false
+}
+
+// matchHours: \b(Mon|Tue|Wed|Thu|Fri|Sat|Sun)[a-z]*[ -].*[0-9]{1,2}:[0-9]{2}
+// The greedy .* runs to the end of the line and gives back from there, so
+// the match ends after the last "d:dd" on the line ("dd:dd" ends where its
+// own "d:dd" does). [a-z]* can only give back a letter where [ -] must be.
+func matchHours(s string) (string, bool) {
+	for i := 0; i+3 <= len(s); i++ {
+		switch s[i : i+3] {
+		case "Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun":
+		default:
+			continue
+		}
+		a := i + 3
+		for a < len(s) && inRange(s[a], 'a', 'z') {
+			a++
+		}
+		if !boundaryBefore(s, i) || a == len(s) || s[a] != ' ' && s[a] != '-' {
+			continue
+		}
+		eol := len(s)
+		if n := strings.IndexByte(s[a+1:], '\n'); n >= 0 {
+			eol = a + 1 + n
+		}
+		for p := eol - 4; p > a; p-- {
+			if isDigit(s[p]) && s[p+1] == ':' && isDigit(s[p+2]) && isDigit(s[p+3]) {
+				return s[i : p+4], true
+			}
+		}
+		i = eol // a later start on this line could only read less of it
+	}
+	return "", false
+}
 
 // streetSuffixes anchor street-address recognition.
 var streetSuffixes = []string{
 	"St", "Ave", "Blvd", "Rd", "Real", "Expy", "Way", "Dr", "Ln", "Ct",
 }
 
-var streetRe = regexp.MustCompile(`\b[0-9]{1,5} (?:[0-9]{1,2}(?:st|nd|rd|th) )?(?:[A-Z][A-Za-z .]*? )?(` +
-	strings.Join(streetSuffixes, "|") + `)\b`)
-
-// hasDigit reports whether s holds an ASCII digit. Every match of every
-// regexp above contains one, so text without a digit is rejected by a byte
-// scan before the regexp engine starts — the common case for short spans.
-func hasDigit(s string) bool {
+// matchStreet: \b[0-9]{1,5} (?:[0-9]{1,2}(?:st|nd|rd|th) )?(?:[A-Z][A-Za-z .]*? )?(St|Ave|…)\b,
+// the suffixes in streetSuffixes order. The priority order is the ordinal
+// before none, then the name before none, the name's lazy run shortest
+// first ("12 St Ave" is all of it). A house number of six or more digits
+// matches nowhere: no \b falls inside its run.
+func matchStreet(s string) (string, bool) {
 	for i := 0; i < len(s); i++ {
-		if s[i] >= '0' && s[i] <= '9' {
-			return true
+		if !isDigit(s[i]) || !boundaryBefore(s, i) {
+			continue
+		}
+		n := digitsAt(s, i)
+		p := i + n + 1 // past the house number and its space
+		if n > 5 || p > len(s) || s[p-1] != ' ' {
+			continue
+		}
+		if q := streetOrdinal(s, p); q > 0 {
+			if e := streetName(s, q); e > 0 {
+				return s[i:e], true
+			}
+		}
+		if e := streetName(s, p); e > 0 {
+			return s[i:e], true
 		}
 	}
-	return false
+	return "", false
 }
 
-// regexpRecognizer recognizes by regular expression, yielding the whole
-// match or, when group is 1, its first submatch. need, when non-zero, is a
-// byte every match of re contains besides a digit (the ':' of an opening
-// hour): like hasDigit, a necessary condition checked by a byte scan before
-// the regexp engine starts.
-func regexpRecognizer(key string, kind lrec.ValueKind, re *regexp.Regexp, group int, weight float64, need byte) Recognizer {
-	match := func(text string) (string, bool) {
-		if !hasDigit(text) || (need != 0 && strings.IndexByte(text, need) < 0) {
-			return "", false
-		}
-		if group == 0 {
-			m := re.FindString(text)
-			return m, m != ""
-		}
-		if m := re.FindStringSubmatch(text); m != nil {
-			return m[group], true
-		}
-		return "", false
+// streetOrdinal matches `[0-9]{1,2}(?:st|nd|rd|th) ` at s[p:] and returns
+// its end, or 0.
+func streetOrdinal(s string, p int) int {
+	n := digitsAt(s, p)
+	if n == 0 || n > 2 || p+n+3 > len(s) || s[p+n+2] != ' ' {
+		return 0
 	}
-	return Recognizer{Key: key, Kind: kind, Match: match, Weight: weight,
-		id: scanID("regexp\x00" + re.String() + "\x00" + strconv.Itoa(group))}
+	switch s[p+n : p+n+2] {
+	case "st", "nd", "rd", "th":
+		return p + n + 3
+	}
+	return 0
 }
 
-// ZipRecognizer recognizes 5-digit California-range zip codes.
-func ZipRecognizer() Recognizer { return regexpRecognizer("zip", lrec.KindZip, zipRe, 0, 1.0, 0) }
-
-// PhoneRecognizer recognizes North-American phone numbers in the formats
-// used across the corpus.
-func PhoneRecognizer() Recognizer {
-	return regexpRecognizer("phone", lrec.KindPhone, phoneRe, 0, 1.0, 0)
+// streetName matches `(?:[A-Z][A-Za-z .]*? )?(St|Ave|…)\b` at s[q:] and
+// returns its end, or 0.
+func streetName(s string, q int) int {
+	if q < len(s) && inRange(s[q], 'A', 'Z') {
+		for m := q + 1; m < len(s) && (s[m] == ' ' || s[m] == '.' || isLetter(s[m])); m++ {
+			if s[m] != ' ' {
+				continue
+			}
+			if e := streetSuffix(s, m+1); e > 0 {
+				return e
+			}
+		}
+	}
+	return streetSuffix(s, q)
 }
 
-// PriceRecognizer recognizes dollar amounts.
-func PriceRecognizer() Recognizer {
-	return regexpRecognizer("price", lrec.KindPrice, priceRe, 0, 0.8, 0)
-}
-
-// StreetRecognizer recognizes street addresses by number + suffix shape.
-func StreetRecognizer() Recognizer {
-	return regexpRecognizer("street", lrec.KindAddress, streetRe, 0, 0.9, 0)
-}
-
-// YearRecognizer recognizes plausible publication years.
-func YearRecognizer() Recognizer { return regexpRecognizer("year", lrec.KindDate, yearRe, 0, 0.6, 0) }
-
-// DateRecognizer recognizes ISO dates.
-func DateRecognizer() Recognizer { return regexpRecognizer("date", lrec.KindDate, dateRe, 0, 0.9, 0) }
-
-// RatingRecognizer recognizes "4.2 stars"-style ratings.
-func RatingRecognizer() Recognizer {
-	return regexpRecognizer("rating", lrec.KindNumber, ratingRe, 1, 0.5, 0)
-}
-
-// HoursRecognizer recognizes opening-hours strings.
-func HoursRecognizer() Recognizer {
-	return regexpRecognizer("hours", lrec.KindText, hoursRe, 0, 0.5, ':')
-}
-
-// MegapixelRecognizer recognizes camera resolutions.
-func MegapixelRecognizer() Recognizer {
-	return regexpRecognizer("megapixels", lrec.KindNumber, mpRe, 1, 0.7, 0)
+func streetSuffix(s string, at int) int {
+	for _, suf := range streetSuffixes {
+		if strings.HasPrefix(s[at:], suf) && boundaryAfter(s, at+len(suf)) {
+			return at + len(suf)
+		}
+	}
+	return 0
 }
 
 // GazetteerRecognizer recognizes values from a closed vocabulary (cities,

@@ -12,8 +12,8 @@ import (
 // and a body by every domain's detail extractor, and domains share
 // recognizers: the scale configuration runs phone and street in both its
 // business domains and the city gazetteer in all three, and a constrained
-// recognizer is run by the constraint check, the span loop and the full-text
-// fallback of one parse alone. A scanMemo, kept on the page's analysis next
+// evidence recognizer is run by the constraint check, the evidence check, the
+// span loop and the full-text fallback of one parse alone. A scanMemo, kept on the page's analysis next
 // to the texts, remembers each recognizer's matches per text, so all of them
 // read one scan. It is the only way non-test code runs a recognizer over
 // item or body text; the per-call forms it replaced are the test oracle.
@@ -22,8 +22,8 @@ import (
 const maxScanIDs = 64
 
 // scanIDs hands out the process-wide recognizer ids: recognizers built from
-// the same rule — the same regular expression, the same vocabulary — get the
-// same id whichever domain carries them, which is what lets domains share
+// the same rule — the same kernel, the same vocabulary — get the same id
+// whichever domain carries them, which is what lets domains share
 // scans. A registration table: it only grows, by one entry per distinct rule.
 var scanIDs struct {
 	mu sync.Mutex
