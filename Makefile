@@ -3,10 +3,16 @@
 
 GO ?= go
 
-.PHONY: build test race bench benchshards benchscale scalecheck microbench bench-smoke profile crashtest servetest maintaintest querytest fuzz-smoke loadtest fmt vet
+.PHONY: build loc test race bench benchshards benchscale scalecheck microbench bench-smoke profile crashtest servetest maintaintest querytest fuzz-smoke loadtest fmt vet
 
 build:
 	$(GO) build ./...
+
+# loc prints the line count ROADMAP.md's size target is measured in: the
+# tracked Go files outside bench/ (the benchmark, a module of its own), test
+# files excluded.
+loc:
+	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^bench/' | xargs cat | wc -l
 
 # -shuffle=on randomizes test order within each package, so tests that lean
 # on leftover state from an earlier test fail loudly instead of passing by

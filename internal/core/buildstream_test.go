@@ -1,7 +1,11 @@
 package core
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"reflect"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -82,6 +86,56 @@ func TestBuildStreamMatchesBuild(t *testing.T) {
 			t.Errorf("rec search %q diverges:\n got %v\nwant %v", q, got, want)
 		}
 	}
+}
+
+// TestHeavyTailBuildPinned pins what a streamed build of the 2k-page
+// heavy-tail world under the scale configuration produces — its counts, the
+// record store fingerprint and both association maps — at one worker and at
+// eight. A change to how the pipeline is put together must leave every value
+// where it is.
+func TestHeavyTailBuildPinned(t *testing.T) {
+	w := webgen.NewStreamWorld(webgen.HeavyTailConfig(2000))
+	for _, workers := range []int{1, 8} {
+		reg := lrec.NewRegistry()
+		webgen.RegisterScaleConcepts(reg)
+		cfg := ScaleConfig(reg, w.Cities(), webgen.Cuisines())
+		cfg.Workers = workers
+		b := &Builder{Fetcher: w, Cfg: cfg}
+		woc, st, err := b.BuildStream(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts := fmt.Sprintf("%d pages / %d candidates / %d records / %d linked / %d reviews",
+			st.PagesFetched, st.Candidates, st.RecordsStored, st.PagesLinked, st.ReviewRecords)
+		if want := "1997 pages / 3193 candidates / 1053 records / 991 linked / 991 reviews"; counts != want {
+			t.Errorf("workers %d: %s, want %s", workers, counts, want)
+		}
+		for _, c := range []struct{ what, got, want string }{
+			{"fingerprint", fingerprint(woc), "81f8ee6ef6b0e70deb46f85e9596cbdce4c398aefde1f2cfa292aef4d21375a7"},
+			{"Assoc", assocDigest(woc.Assoc), "31dd584da93274fd04f3ea480cc0f2314e5a6d09bc8d12f57ba5ead702309095"},
+			{"RevAssoc", assocDigest(woc.RevAssoc), "4f9765140f9ef55f220418ffc0a6267e9784a001b5d2990a046eed7a6aca2d90"},
+		} {
+			if c.got != c.want {
+				t.Errorf("workers %d: %s %s, want %s", workers, c.what, c.got, c.want)
+			}
+		}
+		woc.Close()
+	}
+}
+
+// assocDigest hashes an association map: one line per key in sorted order,
+// the key, a tab and its values joined by commas.
+func assocDigest(m map[string][]string) string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	h := sha256.New()
+	for _, k := range keys {
+		fmt.Fprintf(h, "%s\t%s\n", k, strings.Join(m[k], ","))
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
 // TestBuildStreamDiskPageStore: the same streamed build through a disk-backed

@@ -103,8 +103,9 @@ type WebOfConcepts struct {
 	goneAssoc map[string][]string
 	// memo is the extraction memo (see extractMemo): what the last
 	// extraction of each host found, page by page, so that a maintenance
-	// pass re-analyses only the pages that changed. nil until an extract
-	// stage that keeps one has run; BuildStream never fills it.
+	// pass re-analyses only the pages that changed. Build keeps the one its
+	// extract stage fills; after BuildStream it is nil until the first
+	// Refresh creates it.
 	memo *extractMemo
 
 	// epoch is the maintenance generation counter: 1 after Build, bumped by
@@ -209,48 +210,62 @@ type Builder struct {
 // Build crawls from seeds and constructs the web of concepts. Each pipeline
 // stage (crawl, extract, resolve, link, index) is timed into a trace tree
 // returned on BuildStats.Trace and, when Cfg.Metrics is set, into per-stage
-// latency histograms named "build.<stage>".
+// latency histograms named "build.<stage>". The crawl stays a stage of its
+// own rather than a PageSource: the crawler parses every page to find its
+// outlinks, and a source's pages would be parsed again on the way in. Build
+// keeps the extraction memo its extract stage fills, for later maintenance
+// passes.
 func (b *Builder) Build(seeds []string) (*WebOfConcepts, *BuildStats, error) {
-	woc, storeRecovery, err := b.newWoc()
-	if err != nil {
-		return nil, nil, err
-	}
-	stats := &BuildStats{Workers: b.workers(), StoreRecovery: storeRecovery}
-	ctx, root := pipelineCtx("build")
-	parsed := woc.Pages.Stats().Parses
-
-	b.stage(ctx, "crawl", func(context.Context) {
+	return b.build(newExtractMemo(), "crawl", func(woc *WebOfConcepts, stats *BuildStats) error {
 		crawler := &webgraph.Crawler{
 			Fetcher: b.Fetcher, Store: woc.Pages, MaxPages: b.Cfg.MaxPages,
 		}
 		stats.PagesFetched, stats.FetchFailures = crawler.Crawl(seeds)
 		stats.PageParses = stats.PagesFetched // the crawler parses what it fetches
+		return nil
 	})
+}
+
+// build is the one construction pipeline: first, the stage named first that
+// fills the page store (Build's crawl, BuildStream's ingest), then the shared
+// body — extract → resolve → link → index — over whatever the store holds.
+// memo becomes the web of concepts' extraction memo; nil extracts memo-less.
+func (b *Builder) build(memo *extractMemo, first string, fill func(*WebOfConcepts, *BuildStats) error) (*WebOfConcepts, *BuildStats, error) {
+	woc, storeRecovery, err := b.newWoc()
+	if err != nil {
+		return nil, nil, err
+	}
+	woc.memo = memo
+	stats := &BuildStats{Workers: b.workers(), StoreRecovery: storeRecovery}
+	ctx, root := pipelineCtx("build")
+	parsed := woc.Pages.Stats().Parses
+
+	var fillErr error
+	b.stage(ctx, first, func(context.Context) { fillErr = fill(woc, stats) })
+	if fillErr != nil {
+		return nil, nil, fmt.Errorf("core: %s: %w", first, fillErr)
+	}
 
 	cg := newConceptGroups(nil)
 	feed := feedDocIndex(woc.DocIndex, nil)
-	var analyses map[string]*extract.PageAnalysis
 	b.stage(ctx, "extract", func(context.Context) {
-		analyses, _ = b.extractHosts(woc, nil, cg, feed)
+		b.extractHosts(woc, nil, cg, feed)
 		stats.Candidates = cg.total
 	})
 	b.stage(ctx, "resolve", func(context.Context) {
+		b.progress("resolve", 0, stats.Candidates)
 		b.resolveAndStore(woc, cg, stats)
+		b.progress("resolve", stats.Candidates, stats.Candidates)
 	})
+	cg = nil
 	b.stage(ctx, "link", func(context.Context) {
-		b.linkText(woc, stats, analyses)
+		b.progress("link", 0, 0)
+		stats.PagesLinked, _, stats.ReviewRecords = b.relinkPass(woc, nil, true)
 	})
 	b.stage(ctx, "index", func(sctx context.Context) {
 		b.finishIndexes(sctx, woc, feed)
 	})
 
-	b.finishBuild(woc, stats, root, parsed)
-	return woc, stats, nil
-}
-
-// finishBuild closes a build's trace and publishes its statistics. parsed is
-// the page store's parse count when the build began.
-func (b *Builder) finishBuild(woc *WebOfConcepts, stats *BuildStats, root *obs.Span, parsed uint64) {
 	root.End()
 	stats.Trace = root.Report()
 	stats.Epoch = woc.BumpEpoch()
@@ -262,6 +277,7 @@ func (b *Builder) finishBuild(woc *WebOfConcepts, stats *BuildStats, root *obs.S
 	m.Counter("build.candidates").Add(int64(stats.Candidates))
 	m.Counter("build.records.stored").Add(int64(stats.RecordsStored))
 	m.Counter("build.pages.linked").Add(int64(stats.PagesLinked))
+	return woc, stats, nil
 }
 
 // newWoc assembles the empty artifact a build fills: the record store
@@ -357,22 +373,18 @@ const extractWindowPages = 256
 // extractHosts runs the extract stage over the given hosts (nil = every
 // host) through the web of concepts' extraction memo, filling it for hosts
 // it has not seen: a page whose stored hash the memo holds is neither read
-// nor analysed, its candidates are replayed. The analyses of the pages that
-// were read return to the caller: the link stage reuses their main-text
-// token streams.
-func (b *Builder) extractHosts(woc *WebOfConcepts, only map[string]bool, cg *conceptGroups, feed *docFeed) (map[string]*extract.PageAnalysis, extractStats) {
-	if woc.memo == nil {
-		woc.memo = newExtractMemo()
-	}
-	woc.memo.tick++
+// nor analysed, its candidates are replayed. Without a memo (woc.memo nil)
+// it extracts memo-less and keeps nothing.
+func (b *Builder) extractHosts(woc *WebOfConcepts, only map[string]bool, cg *conceptGroups, feed *docFeed) extractStats {
 	hosts := woc.Pages.Hosts()
 	if only != nil {
 		hosts = slices.DeleteFunc(hosts, func(h string) bool { return !only[h] })
 	}
-	analyses := make(map[string]*extract.PageAnalysis)
-	st := b.extractPages(woc.Pages, hosts, woc.memo, cg, analyses, feed)
-	woc.memo.evict()
-	return analyses, st
+	if woc.memo != nil {
+		woc.memo.tick++
+		defer woc.memo.evict()
+	}
+	return b.extractPages(woc.Pages, hosts, woc.memo, cg, feed)
 }
 
 // extractPages is the extract stage of Build, BuildStream and Refresh:
@@ -414,9 +426,8 @@ func (b *Builder) extractHosts(woc *WebOfConcepts, only map[string]bool, cg *con
 // and window size.
 //
 // memo, when non-nil, is read and filled per (host, domain); nil extracts
-// memo-less (the streamed build). analyses, when non-nil, collects the
-// analysis of every page read; otherwise a window's analyses die with it.
-func (b *Builder) extractPages(pages *webgraph.Store, hosts []string, memo *extractMemo, cg *conceptGroups, analyses map[string]*extract.PageAnalysis, feed *docFeed) extractStats {
+// memo-less (the streamed build). A window's analyses die with it.
+func (b *Builder) extractPages(pages *webgraph.Store, hosts []string, memo *extractMemo, cg *conceptGroups, feed *docFeed) extractStats {
 	type pageTask struct{ site, page int32 }
 	var st extractStats
 	window := extractWindowPages
@@ -491,14 +502,11 @@ func (b *Builder) extractPages(pages *webgraph.Store, hosts []string, memo *extr
 			if hostReinduced {
 				st.hostsReinduced++
 			}
-			for i, pa := range hs.pas {
+			for _, pa := range hs.pas {
 				if pa == nil {
 					st.pagesReplayed++
-					continue
-				}
-				st.pagesAnalyzed++
-				if analyses != nil {
-					analyses[hs.URLs[i]] = pa
+				} else {
+					st.pagesAnalyzed++
 				}
 			}
 		}
@@ -572,22 +580,14 @@ func canonicalURL(u string) string {
 // resident in resolve at a time.
 func (b *Builder) resolveAndStore(woc *WebOfConcepts, cg *conceptGroups, stats *BuildStats) {
 	for _, concept := range cg.concepts() {
-		recs := cg.take(concept, woc.Records)
+		toStore, merged := b.resolveConcept(woc, cg, concept)
+		stats.ClustersMerged += merged
 		// Stores go through PutBatch: versions are assigned serially in
 		// cluster order before the writes fan out one goroutine per store
 		// shard, so the store contents — version numbers included — are
 		// identical to a serial Put loop at any (workers × shards)
 		// combination. Association bookkeeping stays serial, in the same
 		// order.
-		toStore := recs
-		if m := b.Cfg.Matchers[concept]; m != nil {
-			clusters := match.Resolve(recs, m, match.DefaultCollectiveOptions())
-			toStore = make([]*lrec.Record, 0, len(clusters))
-			for _, cl := range clusters {
-				stats.ClustersMerged += len(cl.Members) - 1
-				toStore = append(toStore, cl.Rep)
-			}
-		}
 		for i, err := range woc.Records.PutBatch(toStore, b.workers()) {
 			if err == nil {
 				stats.RecordsStored++
@@ -595,6 +595,26 @@ func (b *Builder) resolveAndStore(woc *WebOfConcepts, cg *conceptGroups, stats *
 			}
 		}
 	}
+}
+
+// resolveConcept takes one concept's pre-merged candidates from cg and
+// resolves them into one record per entity: the representatives of the
+// concept's collective-matching clusters, or the candidates themselves when
+// the concept has no matcher. merged counts the candidates absorbed into
+// clusters.
+func (b *Builder) resolveConcept(woc *WebOfConcepts, cg *conceptGroups, concept string) (reps []*lrec.Record, merged int) {
+	recs := cg.take(concept, woc.Records)
+	m := b.Cfg.Matchers[concept]
+	if m == nil {
+		return recs, 0
+	}
+	clusters := match.Resolve(recs, m, match.DefaultCollectiveOptions())
+	reps = make([]*lrec.Record, 0, len(clusters))
+	for _, cl := range clusters {
+		merged += len(cl.Members) - 1
+		reps = append(reps, cl.Rep)
+	}
+	return reps, merged
 }
 
 // associate records page<->record associations from provenance. It reuses
@@ -638,93 +658,6 @@ func appendUnique(list []string, v string) []string {
 	copy(list[i+1:], list[i:])
 	list[i] = v
 	return list
-}
-
-// linkText runs semantic linking (§5.4): pages that produced no structured
-// records but whose text matches a stored record become review/mention
-// records linked to their subject.
-//
-// The matcher is built once and its read path (Best/Match) is goroutine-
-// safe, so pages are scored across the worker pool; all mutation —
-// Assoc/RevAssoc entries and review-record Puts, including their NextSeq
-// stamps — happens in a single apply phase that walks the scoring results
-// in sorted-URL order, keeping seq assignment deterministic. Scoring reads
-// woc.Assoc concurrently, which is safe because the apply phase has not
-// started and no other stage runs: each page's skip decision depends only
-// on extraction-time associations, never on another page's link.
-//
-// analyses carries the extract stage's per-page PageAnalysis values so the
-// main-text walk and its tokenization are not repeated here; pages missing
-// from the map (nil map on a fresh store) are analyzed on the spot.
-func (b *Builder) linkText(woc *WebOfConcepts, stats *BuildStats, analyses map[string]*extract.PageAnalysis) {
-	linkConcepts := b.Cfg.LinkConcepts
-	if len(linkConcepts) == 0 {
-		return
-	}
-	threshold := b.Cfg.LinkThreshold
-	if threshold == 0 {
-		threshold = 0.35
-	}
-	var corpus []*lrec.Record
-	for _, c := range linkConcepts {
-		corpus = append(corpus, woc.Records.ByConcept(c)...)
-	}
-	if len(corpus) == 0 {
-		return
-	}
-	tm := match.NewTextMatcher(corpus)
-
-	type hit struct {
-		url     string
-		recID   string
-		snippet string
-	}
-	urls := woc.Pages.URLs()
-	hits := make([]*hit, len(urls))
-	parallelEach(len(urls), b.workers(), func(i int) {
-		if len(woc.Assoc[urls[i]]) > 0 {
-			return // already associated through extraction: not read, not parsed
-		}
-		pa := analyses[urls[i]]
-		if pa == nil {
-			p, err := woc.Pages.Get(urls[i])
-			if err != nil {
-				return
-			}
-			pa = extract.Analyze(p)
-		}
-		text := pa.MainText()
-		if len(text) < 40 {
-			return
-		}
-		best, ok := tm.BestTokens(pa.MainTokens(), threshold)
-		if !ok {
-			return
-		}
-		hits[i] = &hit{url: urls[i], recID: best.ID, snippet: truncateBytes(text, 280)}
-	})
-
-	for _, h := range hits {
-		if h == nil {
-			continue
-		}
-		stats.PagesLinked++
-		woc.Assoc[h.url] = appendUnique(woc.Assoc[h.url], h.recID)
-		woc.RevAssoc[h.recID] = appendUnique(woc.RevAssoc[h.recID], h.url)
-		// Store a review record for the linked mention.
-		rev := lrec.NewRecord(fmt.Sprintf("review:%s", textproc.NormalizeKey(h.url)), "review")
-		seq := woc.Records.NextSeq()
-		add := func(key, val string, conf float64) {
-			rev.Add(key, lrec.AttrValue{Value: val, Confidence: conf,
-				Prov: lrec.Provenance{SourceURL: h.url, Operators: []string{"textmatch"}, Seq: seq}})
-		}
-		add("text", h.snippet, 0.9)
-		add("about", h.recID, 0.8)
-		add("source", h.url, 1)
-		if err := woc.Records.Put(rev); err == nil {
-			stats.ReviewRecords++
-		}
-	}
 }
 
 // truncateBytes cuts s to at most max bytes without splitting a multi-byte

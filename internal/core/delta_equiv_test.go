@@ -95,22 +95,31 @@ func contentFingerprint(woc *WebOfConcepts) string {
 // bar (§7.3): a sequence of incremental passes over changed, gone, and
 // resurrected pages must land on the same store content, association maps,
 // and bit-identical search results as a from-scratch build over the final
-// corpus — at every (workers × shards) combination. This leans on the
-// whole PR: physical index removal (stats shrink), the page-store delete
-// (resurrection), the supersede stage (no stale values), and the relink
-// stage (free-text pages follow their new content).
+// corpus — at every (workers × shards) combination, starting from Build and
+// from BuildStream. This leans on the whole PR: physical index removal
+// (stats shrink), the page-store delete (resurrection), the supersede stage
+// (no stale values), and the relink stage (free-text pages follow their new
+// content). A streamed build keeps no extraction memo, so from it the passes
+// also run the memo's fill-on-first-touch path.
 func TestDeltaRefreshConvergesToRebuild(t *testing.T) {
 	queries := []string{
 		"mexican cupertino", "pizza menu", "sushi san jose",
 		"best thai", "restaurant review", "gochi", "phone",
 	}
-	type combo struct{ workers, shards int }
-	combos := []combo{{1, 1}, {1, 4}, {8, 1}, {8, 4}}
+	type combo struct {
+		workers, shards int
+		stream          bool
+	}
+	combos := []combo{{1, 1, false}, {1, 4, false}, {8, 1, false}, {8, 4, false}, {1, 1, true}, {8, 1, true}}
 
 	var baseFP string
 	for _, cb := range combos {
 		cb := cb
-		t.Run(fmt.Sprintf("workers=%d shards=%d", cb.workers, cb.shards), func(t *testing.T) {
+		name := fmt.Sprintf("workers=%d shards=%d", cb.workers, cb.shards)
+		if cb.stream {
+			name = "BuildStream " + name
+		}
+		t.Run(name, func(t *testing.T) {
 			w := smallWorld()
 			reg := lrec.NewRegistry()
 			webgen.RegisterConcepts(reg)
@@ -119,7 +128,11 @@ func TestDeltaRefreshConvergesToRebuild(t *testing.T) {
 			cfg.Workers = cb.workers
 			cfg.Shards = cb.shards
 			b := &Builder{Fetcher: mf, Cfg: cfg}
-			woc, _, err := b.Build(w.SeedURLs())
+			build := func() (*WebOfConcepts, *BuildStats, error) { return b.Build(w.SeedURLs()) }
+			if cb.stream {
+				build = func() (*WebOfConcepts, *BuildStats, error) { return b.BuildStream(worldSource{w}) }
+			}
+			woc, _, err := build()
 			if err != nil {
 				t.Fatal(err)
 			}

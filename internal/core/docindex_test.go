@@ -95,7 +95,7 @@ func TestDocIndexOrderIsWorkerAndWindowInvariant(t *testing.T) {
 				b := &Builder{Cfg: cfg, extractWindow: window}
 				ix := index.NewSharded(shards)
 				feed := feedDocIndex(ix, nil)
-				b.extractPages(ps, ps.Hosts(), nil, newConceptGroups(nil), nil, feed)
+				b.extractPages(ps, ps.Hosts(), nil, newConceptGroups(nil), feed)
 				feed.join(context.Background())
 				if ix.Len() != serial.Len() || ix.Postings() != serial.Postings() {
 					t.Fatalf("%s: %d documents and %d postings, serial loop %d and %d",
@@ -121,7 +121,7 @@ func TestDocIndexOrderIsWorkerAndWindowInvariant(t *testing.T) {
 	b := &Builder{Cfg: cfg}
 	ix := index.NewSharded(1)
 	feed := feedDocIndex(ix, only)
-	b.extractPages(ps, ps.Hosts(), nil, newConceptGroups(nil), nil, feed)
+	b.extractPages(ps, ps.Hosts(), nil, newConceptGroups(nil), feed)
 	feed.join(context.Background())
 	if ix.Len() != len(only) {
 		t.Fatalf("restricted feed indexed %d pages, want %d", ix.Len(), len(only))

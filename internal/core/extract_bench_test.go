@@ -37,7 +37,7 @@ func BenchmarkExtractStage(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cg := newConceptGroups(nil)
-		st := bld.extractPages(ps, hosts, nil, cg, nil, nil)
+		st := bld.extractPages(ps, hosts, nil, cg, nil)
 		if cg.total == 0 || st.pagesAnalyzed != len(corpus) {
 			b.Fatalf("%d candidates from %d of %d pages", cg.total, st.pagesAnalyzed, len(corpus))
 		}

@@ -212,13 +212,14 @@ func (b *Builder) Refresh(woc *WebOfConcepts, urls []string) (*RefreshStats, err
 		_, err := woc.Records.View(id)
 		return err != nil
 	})
-	var analyses map[string]*extract.PageAnalysis
+	if woc.memo == nil {
+		woc.memo = newExtractMemo() // a streamed build kept none
+	}
 	b.stage(ctx, "extract", func(sctx context.Context) {
 		// The changed pages' hosts are all among the re-extracted ones, so
 		// the page tasks that re-analyse them also re-index them.
 		feed := feedDocIndex(woc.DocIndex, changedSet)
-		var est extractStats
-		analyses, est = b.extractHosts(woc, hosts, cg, feed)
+		est := b.extractHosts(woc, hosts, cg, feed)
 		feed.join(sctx)
 		stats.PagesAnalyzed, stats.PagesReplayed = est.pagesAnalyzed, est.pagesReplayed
 		stats.HostsReinduced = est.hostsReinduced
@@ -235,7 +236,8 @@ func (b *Builder) Refresh(woc *WebOfConcepts, urls []string) (*RefreshStats, err
 	// matcher ranks against record content, so a rebuilt record can win or
 	// lose a page it never touched.
 	b.stage(ctx, "relink", func(context.Context) {
-		b.relinkPass(woc, changed, linkDirty, analyses, stats)
+		linked, unlinked, _ := b.relinkPass(woc, changed, linkDirty)
+		stats.PagesRelinked = linked + unlinked
 	})
 
 	// Classify retirement outcomes now that rebuild and relink have run:
@@ -378,15 +380,7 @@ func (b *Builder) applyCandidates(woc *WebOfConcepts, cg *conceptGroups, retired
 	}
 
 	for _, concept := range cg.concepts() {
-		recs := cg.take(concept, woc.Records)
-		toStore := recs
-		if m := b.Cfg.Matchers[concept]; m != nil {
-			clusters := match.Resolve(recs, m, match.DefaultCollectiveOptions())
-			toStore = make([]*lrec.Record, 0, len(clusters))
-			for _, cl := range clusters {
-				toStore = append(toStore, cl.Rep)
-			}
-		}
+		toStore, _ := b.resolveConcept(woc, cg, concept)
 		// The table upsert scans for merge targets lives for this concept
 		// of this pass only: filled from the store here, kept in step with
 		// it by every upsert below.
@@ -415,16 +409,33 @@ func (b *Builder) applyCandidates(woc *WebOfConcepts, cg *conceptGroups, retired
 	return linkDirty
 }
 
-// relinkPass re-runs semantic linking (§5.4) after a delta rebuild. In the
-// narrow mode only changed pages with no surviving association are scored —
-// free-text pages whose new content mentions a (possibly different) subject.
-// When a link-concept record changed (global), every linkable page is
-// re-scored: the text matcher ranks record content, so a rebuilt record can
-// win or lose pages the pass never fetched. Pages whose link outcome is
-// unchanged are left untouched. Scoring fans out over the worker pool; the
-// apply phase walks pages in sorted-URL order so seq assignment stays
-// deterministic.
-func (b *Builder) relinkPass(woc *WebOfConcepts, changed []*webgraph.Page, global bool, analyses map[string]*extract.PageAnalysis, stats *RefreshStats) {
+// relinkPass is semantic linking (§5.4), the one place it runs: free-text
+// pages that extraction left unassociated but whose main text matches a
+// stored record of a link concept get a review record linked to their
+// subject. It is the build's link stage and a maintenance pass's relink
+// stage.
+//
+// In global mode every linkable page is scored. A build runs it global on a
+// store that holds no review yet, so it scores exactly the unassociated
+// pages. A maintenance pass runs it global when a link-concept record
+// changed — the text matcher ranks record content, so a rebuilt record can
+// win or lose pages the pass never fetched — and otherwise narrow: only
+// changed pages with no surviving association, free-text pages whose new
+// content may mention a (possibly different) subject. Pages whose link
+// outcome is unchanged are left untouched.
+//
+// The pending pages and the matcher are fixed before scoring starts: the
+// pending set is read from Assoc before any apply, and the matcher's read
+// path is goroutine-safe, so pages are scored across the worker pool, each
+// read through the page store. All mutation — Assoc/RevAssoc edges, review
+// deletes and Puts with their NextSeq stamps — happens in one apply phase
+// that walks the pending pages in sorted-URL order, keeping seq assignment
+// deterministic; a page's outcome depends only on associations and reviews
+// from before the pass, never on another page's link.
+//
+// It returns the pages given a new link, the pages whose stale review it
+// deleted, and the review Puts that succeeded.
+func (b *Builder) relinkPass(woc *WebOfConcepts, changed []*webgraph.Page, global bool) (linked, unlinked, reviews int) {
 	if len(b.Cfg.LinkConcepts) == 0 {
 		return
 	}
@@ -503,16 +514,11 @@ func (b *Builder) relinkPass(woc *WebOfConcepts, changed []*webgraph.Page, globa
 	}
 	hits := make([]*hit, len(pending))
 	parallelEach(len(pending), b.workers(), func(i int) {
-		// A page the extract stage of this pass analysed is neither read nor
-		// parsed again.
-		pa := analyses[pending[i]]
-		if pa == nil {
-			p, err := woc.Pages.Get(pending[i])
-			if err != nil {
-				return
-			}
-			pa = extract.Analyze(p)
+		p, err := woc.Pages.Get(pending[i])
+		if err != nil {
+			return
 		}
+		pa := extract.Analyze(p)
 		text := pa.MainText()
 		if len(text) < 40 {
 			return
@@ -528,25 +534,15 @@ func (b *Builder) relinkPass(woc *WebOfConcepts, changed []*webgraph.Page, globa
 		h := hits[i]
 		revID := revIDOf(u)
 		old, errOld := woc.Records.Get(revID)
-		if extractionAssociated(u) {
-			// The rebuilt records absorbed this page into extraction: it is
-			// no longer a link candidate, and any review it held is stale.
+		if extractionAssociated(u) || h == nil {
+			// No subject any more, or the rebuilt records absorbed this page
+			// into extraction, so it is no longer a link candidate: any
+			// review it held is stale. Unlink, deleting it.
 			if errOld == nil {
 				about := old.Get("about")
 				if woc.Records.Delete(revID) == nil {
 					unlink(u, about)
-					stats.PagesRelinked++
-				}
-			}
-			continue
-		}
-		if h == nil {
-			// No subject any more: unlink, deleting the stale review.
-			if errOld == nil {
-				about := old.Get("about")
-				if woc.Records.Delete(revID) == nil {
-					unlink(u, about)
-					stats.PagesRelinked++
+					unlinked++
 				}
 			}
 			continue
@@ -561,7 +557,7 @@ func (b *Builder) relinkPass(woc *WebOfConcepts, changed []*webgraph.Page, globa
 		if errOld == nil {
 			unlink(u, old.Get("about"))
 		}
-		stats.PagesRelinked++
+		linked++
 		woc.Assoc[u] = appendUnique(woc.Assoc[u], h.recID)
 		woc.RevAssoc[h.recID] = appendUnique(woc.RevAssoc[h.recID], u)
 		rev := lrec.NewRecord(revID, "review")
@@ -573,8 +569,11 @@ func (b *Builder) relinkPass(woc *WebOfConcepts, changed []*webgraph.Page, globa
 		add("text", h.snippet, 0.9)
 		add("about", h.recID, 0.8)
 		add("source", u, 1)
-		woc.Records.Put(rev) //nolint:errcheck // degraded store: link maps still converge
+		if woc.Records.Put(rev) == nil { // degraded store: link maps still converge
+			reviews++
+		}
 	}
+	return linked, unlinked, reviews
 }
 
 // storedProfiles profiles every stored record of the concept for m. Scan

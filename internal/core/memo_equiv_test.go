@@ -118,15 +118,19 @@ func scaleGate(t testing.TB, w *webgen.StreamWorld, corpus corpusFetcher, portal
 		st, webgraph.BuildGraph(st), portals)
 }
 
-// extractCaptured runs the memoised extract stage over the hosts and
-// returns every candidate it offered to the fold, in fold order.
+// extractCaptured runs the memoised extract stage over the hosts, creating
+// the memo on first use as Refresh does, and returns every candidate it
+// offered to the fold, in fold order.
 func extractCaptured(b *Builder, woc *WebOfConcepts, only map[string]bool) ([]*extract.Candidate, extractStats) {
+	if woc.memo == nil {
+		woc.memo = newExtractMemo()
+	}
 	var got []*extract.Candidate
 	cg := newConceptGroups(func(c *extract.Candidate, _ string) bool {
 		got = append(got, c)
 		return false
 	})
-	_, st := b.extractHosts(woc, only, cg, nil)
+	st := b.extractHosts(woc, only, cg, nil)
 	return got, st
 }
 
@@ -499,7 +503,7 @@ func TestWindowSchedulerMatchesWholeHost(t *testing.T) {
 				streamed = append(streamed, c)
 				return false
 			})
-			st := b.extractPages(woc.Pages, woc.Pages.Hosts(), nil, cg, nil, nil)
+			st := b.extractPages(woc.Pages, woc.Pages.Hosts(), nil, cg, nil)
 			if err := sameCandidates(streamed, wantFresh); err != nil {
 				t.Fatalf("%s, memo-less: %v", point, err)
 			}

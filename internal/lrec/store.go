@@ -184,29 +184,23 @@ func Open(dir string, opts ...StoreOption) (*Store, error) {
 		return nil, err
 	}
 	s.buildShards(n)
-	if n == 1 {
-		if err := s.shards[0].open(dir); err != nil {
-			return nil, err
-		}
-	} else {
-		errs := make([]error, n)
-		var wg sync.WaitGroup
-		for i, sh := range s.shards {
-			wg.Add(1)
-			go func(i int, sh *shardEngine) {
-				defer wg.Done()
-				errs[i] = sh.open(dir)
-			}(i, sh)
-		}
-		wg.Wait()
-		for i, err := range errs {
-			if err != nil {
-				// Release whatever did open; the store is not returned.
-				for _, sh := range s.shards {
-					sh.closeShard()
-				}
-				return nil, fmt.Errorf("shard %d: %w", i, err)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i, sh := range s.shards {
+		wg.Add(1)
+		go func(i int, sh *shardEngine) {
+			defer wg.Done()
+			errs[i] = sh.open(dir)
+		}(i, sh)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			// Release whatever did open; the store is not returned.
+			for _, sh := range s.shards {
+				sh.closeShard()
 			}
+			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
 	var max uint64
@@ -271,16 +265,13 @@ func (s *Store) ShardEpochs() []uint64 {
 }
 
 // Degraded returns nil while the store accepts writes, or the latched error
-// of the first degraded shard. With multiple shards the error names the
-// failed partition; the others keep serving writes, so callers that can
-// route around a partition should consult ShardStates instead.
+// of the first degraded shard, naming the shard. The other shards keep
+// serving writes, so callers that can route around a partition should
+// consult ShardStates instead.
 func (s *Store) Degraded() error {
 	for i, sh := range s.shards {
 		if err := sh.degradedErr(); err != nil {
-			if len(s.shards) > 1 {
-				return fmt.Errorf("shard %d: %w", i, err)
-			}
-			return err
+			return fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
 	return nil
@@ -370,12 +361,9 @@ func (s *Store) PutBatch(recs []*Record, workers int) []error {
 		si := shard.Of(cp.ID, len(s.shards))
 		perShard[si] = append(perShard[si], i)
 	}
-	if workers <= 1 || len(s.shards) == 1 {
-		for _, idxs := range perShard {
-			if len(idxs) == 0 {
-				continue
-			}
-			s.shards[shard.Of(clones[idxs[0]].ID, len(s.shards))].putBatch(clones, idxs, errs)
+	if workers <= 1 {
+		for si, idxs := range perShard {
+			s.shards[si].putBatch(clones, idxs, errs)
 		}
 		return errs
 	}
@@ -431,9 +419,6 @@ func (s *Store) Len() int {
 
 // ByConcept returns copies of all records of the concept, sorted by ID.
 func (s *Store) ByConcept(concept string) []*Record {
-	if len(s.shards) == 1 {
-		return s.shards[0].byConceptClones(concept)
-	}
 	var out []*Record
 	for _, sh := range s.shards {
 		out = append(out, sh.byConceptClones(concept)...)
@@ -540,10 +525,7 @@ func (s *Store) Sync() error {
 	var first error
 	for i, sh := range s.shards {
 		if err := sh.sync(); err != nil && first == nil {
-			if len(s.shards) > 1 {
-				err = fmt.Errorf("shard %d: %w", i, err)
-			}
-			first = err
+			first = fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
 	return first
@@ -565,10 +547,7 @@ func (s *Store) Compact() error {
 	var first error
 	for i, sh := range s.shards {
 		if err := sh.compact(clock); err != nil && first == nil {
-			if len(s.shards) > 1 {
-				err = fmt.Errorf("shard %d: %w", i, err)
-			}
-			first = err
+			first = fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
 	if first == nil {
@@ -586,10 +565,7 @@ func (s *Store) Close() error {
 	var first error
 	for i, sh := range s.shards {
 		if err := sh.closeShard(); err != nil && first == nil {
-			if len(s.shards) > 1 {
-				err = fmt.Errorf("shard %d: %w", i, err)
-			}
-			first = err
+			first = fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
 	return first

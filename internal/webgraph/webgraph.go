@@ -351,31 +351,20 @@ func (s *memBackend) flush() error { return nil }
 func (s *memBackend) close() error { return nil }
 func (s *memBackend) err() error   { return nil }
 
+// crawlFetchers is the number of fetches a crawl keeps in flight.
+const crawlFetchers = 8
+
 // Crawler performs a bounded-concurrency BFS crawl.
 type Crawler struct {
 	Fetcher Fetcher
 	Store   *Store
 	// MaxPages bounds the crawl (0 = unlimited).
 	MaxPages int
-	// Workers is the number of concurrent fetches (default 8).
-	Workers int
-	// SameHostOnly restricts the frontier to the seeds' hosts.
-	SameHostOnly bool
 }
 
 // Crawl runs BFS from seeds and returns the number of pages fetched.
 // Fetch errors (dead links) are counted but do not abort the crawl.
 func (c *Crawler) Crawl(seeds []string) (fetched int, failed int) {
-	workers := c.Workers
-	if workers <= 0 {
-		workers = 8
-	}
-	seedHosts := make(map[string]bool)
-	for _, s := range seeds {
-		h, _ := splitURL(s)
-		seedHosts[h] = true
-	}
-
 	seen := make(map[string]bool)
 	frontier := append([]string(nil), seeds...)
 	for _, u := range seeds {
@@ -398,7 +387,7 @@ func (c *Crawler) Crawl(seeds []string) (fetched int, failed int) {
 		}
 		results := make([]result, len(batch))
 		var wg sync.WaitGroup
-		sem := make(chan struct{}, workers)
+		sem := make(chan struct{}, crawlFetchers)
 		for i, u := range batch {
 			wg.Add(1)
 			sem <- struct{}{}
@@ -424,10 +413,6 @@ func (c *Crawler) Crawl(seeds []string) (fetched int, failed int) {
 			c.Store.Put(res.page)
 			for _, l := range res.page.Outlinks {
 				if seen[l] {
-					continue
-				}
-				h, _ := splitURL(l)
-				if c.SameHostOnly && !seedHosts[h] {
 					continue
 				}
 				seen[l] = true

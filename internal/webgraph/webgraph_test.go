@@ -1,7 +1,6 @@
 package webgraph
 
 import (
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"reflect"
@@ -45,23 +44,6 @@ func TestCrawlBFS(t *testing.T) {
 	}
 	if st.Len() != 4 {
 		t.Errorf("store len = %d", st.Len())
-	}
-}
-
-func TestCrawlSameHostOnly(t *testing.T) {
-	web := miniWeb{
-		"a.example/":   linked("/p1", "b.example/"),
-		"a.example/p1": linked(),
-		"b.example/":   linked(),
-	}
-	st := NewStore()
-	c := &Crawler{Fetcher: web, Store: st, SameHostOnly: true}
-	fetched, _ := c.Crawl([]string{"a.example/"})
-	if fetched != 2 {
-		t.Errorf("fetched = %d, want 2", fetched)
-	}
-	if _, err := st.Get("b.example/"); !errors.Is(err, ErrNotFound) {
-		t.Error("cross-host page crawled despite SameHostOnly")
 	}
 }
 
@@ -204,7 +186,7 @@ func TestCrawlSyntheticWorld(t *testing.T) {
 	cfg.ReviewArticles = 10
 	w := webgen.Generate(cfg)
 	st := NewStore()
-	c := &Crawler{Fetcher: worldFetcher(w), Store: st, SameHostOnly: true}
+	c := &Crawler{Fetcher: worldFetcher(w), Store: st}
 	fetched, _ := c.Crawl([]string{webgen.PrimaryAggregator + "/c/cupertino-italian"})
 	if fetched == 0 {
 		t.Skip("no italian restaurants in cupertino at this seed")
@@ -218,7 +200,7 @@ func TestCrawlSyntheticWorld(t *testing.T) {
 		}
 	}
 	st2 := NewStore()
-	c2 := &Crawler{Fetcher: worldFetcher(w), Store: st2, SameHostOnly: true}
+	c2 := &Crawler{Fetcher: worldFetcher(w), Store: st2}
 	c2.Crawl(seeds)
 	if st2.Len() < len(seeds) {
 		t.Errorf("crawled %d < %d seeds", st2.Len(), len(seeds))
@@ -241,7 +223,7 @@ func TestCrawlDeterministic(t *testing.T) {
 	}
 	run := func() []string {
 		st := NewStore()
-		c := &Crawler{Fetcher: web, Store: st, Workers: 3}
+		c := &Crawler{Fetcher: web, Store: st}
 		c.Crawl([]string{"a.example/"})
 		return st.URLs()
 	}
