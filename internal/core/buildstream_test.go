@@ -2,7 +2,9 @@ package core
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"strings"
@@ -10,6 +12,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"conceptweb/internal/index"
 	"conceptweb/internal/lrec"
 	"conceptweb/internal/webgen"
 	"conceptweb/internal/webgraph"
@@ -90,9 +93,9 @@ func TestBuildStreamMatchesBuild(t *testing.T) {
 
 // TestHeavyTailBuildPinned pins what a streamed build of the 2k-page
 // heavy-tail world under the scale configuration produces — its counts, the
-// record store fingerprint and both association maps — at one worker and at
-// eight. A change to how the pipeline is put together must leave every value
-// where it is.
+// record store fingerprint, both association maps, and the size and ranked
+// answers of both indexes — at one worker and at eight. A change to how the
+// pipeline or the index is put together must leave every value where it is.
 func TestHeavyTailBuildPinned(t *testing.T) {
 	w := webgen.NewStreamWorld(webgen.HeavyTailConfig(2000))
 	for _, workers := range []int{1, 8} {
@@ -119,8 +122,62 @@ func TestHeavyTailBuildPinned(t *testing.T) {
 				t.Errorf("workers %d: %s %s, want %s", workers, c.what, c.got, c.want)
 			}
 		}
+		sizes := fmt.Sprintf("docs %d docs / %d postings, recs %d docs / %d postings",
+			woc.DocIndex.Len(), woc.DocIndex.Postings(), woc.RecIndex.Len(), woc.RecIndex.Postings())
+		if want := "docs 1997 docs / 76099 postings, recs 1053 docs / 18770 postings"; sizes != want {
+			t.Errorf("workers %d: %s, want %s", workers, sizes, want)
+		}
+		queries := pinnedQueries(woc, w.Cities())
+		for _, c := range []struct {
+			what string
+			ix   *index.Sharded
+			want string
+		}{
+			{"DocIndex", woc.DocIndex, "c08b625ee2e7acaef4500d67ce31379787b6e0ba3a0ca335b230a7200ddd7543"},
+			{"RecIndex", woc.RecIndex, "658d40c2a17792de8acdda7084b5203861d32ae42747899ba3388201854732bc"},
+		} {
+			if got := searchDigest(c.ix, queries); got != c.want {
+				t.Errorf("workers %d: %s top-10 digest over %d queries %s, want %s",
+					workers, c.what, len(queries), got, c.want)
+			}
+		}
 		woc.Close()
 	}
+}
+
+// pinnedQueries draws a fixed query list from a build: every record's name in
+// sorted-ID order, then every "cuisine city" pair.
+func pinnedQueries(woc *WebOfConcepts, cities []string) []string {
+	var qs []string
+	woc.Records.Scan(func(r *lrec.Record) bool {
+		if name := r.Get("name"); name != "" {
+			qs = append(qs, name)
+		}
+		return true
+	})
+	for _, cu := range webgen.Cuisines() {
+		for _, city := range cities {
+			qs = append(qs, cu+" "+city)
+		}
+	}
+	return qs
+}
+
+// searchDigest hashes the top-10 results of every query, each result written
+// as its ID and the bits of its score, so a digest match means bit-identical
+// rankings.
+func searchDigest(ix *index.Sharded, queries []string) string {
+	h := sha256.New()
+	var bits [8]byte
+	for _, q := range queries {
+		fmt.Fprintf(h, "%s\n", q)
+		for _, r := range ix.Search(q, 10) {
+			binary.LittleEndian.PutUint64(bits[:], math.Float64bits(r.Score))
+			fmt.Fprintf(h, "%s\t", r.ID)
+			h.Write(bits[:])
+		}
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
 // assocDigest hashes an association map: one line per key in sorted order,
