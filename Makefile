@@ -51,7 +51,7 @@ servetest:
 # shards), and the shared-reference reads against the clone-everything
 # ConceptSearch/Trigger/Alternatives — plus the aliasing test, where readers
 # scribble over every returned record while a writer Puts the same IDs — and
-# the index's write side: Prepare's grouped positions merged by AddPrepared
+# the index's write side: Prepare's term frequencies merged by AddPrepared
 # against the retained token-stream merge, posting for posting.
 querytest:
 	$(GO) test -race -count=1 -v \

@@ -11,13 +11,13 @@
 //	GET /healthz                 liveness
 //	GET /metrics                 JSON metrics snapshot (counters, gauges,
 //	                             per-endpoint latency histograms, rolling
-//	                             per-endpoint windows); ?format=prometheus
+//	                             per-endpoint windows, runtime heap/GC/
+//	                             goroutine gauges); ?format=prometheus
 //	                             serves the same snapshot as Prometheus text
 //	GET /debug/slowlog           per-endpoint top-K slowest traces
 //	GET /debug/trace?id=...      one recent trace by X-Woc-Trace ID
 //	GET /debug/maintain          maintenance-loop status (passes, sweeps,
 //	                             cumulative refresh totals)
-//	GET /debug/vars              expvar (same snapshot + runtime memstats)
 //	GET /debug/pprof/...         CPU/heap/goroutine profiling (with -pprof)
 //
 // Every request is traced: the response carries X-Woc-Trace (the trace ID,
@@ -52,7 +52,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"log"
@@ -60,8 +59,8 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime/metrics"
 	"strconv"
-	"sync"
 	"syscall"
 	"time"
 
@@ -240,9 +239,28 @@ func instrument(reg *obs.Registry, traces *serving.TraceLog, alog *accessLog, na
 	}
 }
 
-// expvarOnce guards expvar.Publish, which panics on duplicate names when
-// newMux is called more than once (tests).
-var expvarOnce sync.Once
+// runtimeGauges are the runtime/metrics samples /metrics publishes as
+// gauges, read each time a snapshot is served: live heap bytes, completed
+// GC cycles and goroutines.
+var runtimeGauges = []struct{ sample, gauge string }{
+	{"/gc/heap/live:bytes", "runtime.heap.live_bytes"},
+	{"/gc/cycles/total:gc-cycles", "runtime.gc.cycles"},
+	{"/sched/goroutines:goroutines", "runtime.goroutines"},
+}
+
+// sampleRuntime sets reg's runtime gauges from runtime/metrics.
+func sampleRuntime(reg *obs.Registry) {
+	samples := make([]metrics.Sample, len(runtimeGauges))
+	for i, g := range runtimeGauges {
+		samples[i].Name = g.sample
+	}
+	metrics.Read(samples)
+	for i, g := range runtimeGauges {
+		if v := samples[i].Value; v.Kind() == metrics.KindUint64 {
+			reg.Gauge(g.gauge).Set(int64(v.Uint64()))
+		}
+	}
+}
 
 // newMux wires the JSON API over the serving layer, instrumenting every
 // endpoint into the system's metrics registry. Each request gets a context
@@ -386,10 +404,11 @@ func newMux(sys *woc.System, svc *serving.Layer, loop *maintain.Loop, reqTimeout
 		writeJSON(rw, http.StatusOK, lines)
 	})
 
-	// Observability surfaces. /metrics serves the registry snapshot as JSON,
-	// or Prometheus text exposition with ?format=prometheus; /debug/vars
-	// serves the same snapshot through expvar alongside cmdline/memstats.
+	// Observability surfaces. /metrics serves the registry snapshot, its
+	// runtime gauges sampled first, as JSON or, with ?format=prometheus, as
+	// Prometheus text exposition.
 	mux.HandleFunc("/metrics", func(rw http.ResponseWriter, r *http.Request) {
+		sampleRuntime(reg)
 		if r.URL.Query().Get("format") == "prometheus" {
 			rw.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 			obs.WritePrometheus(rw, reg.Snapshot())
@@ -425,10 +444,6 @@ func newMux(sys *woc.System, svc *serving.Layer, loop *maintain.Loop, reqTimeout
 		}
 		writeJSON(rw, http.StatusOK, tr)
 	})
-	expvarOnce.Do(func() {
-		expvar.Publish("woc", expvar.Func(func() any { return reg.Snapshot() }))
-	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	if enablePprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -367,20 +368,40 @@ func TestServingMetricsSurface(t *testing.T) {
 	}
 }
 
+// TestDebugVarsAndPprof: /metrics is the one metrics exposition. The expvar
+// endpoint is gone, and the runtime gauges an operator read from its
+// memstats are in the snapshot, in both formats.
 func TestDebugVarsAndPprof(t *testing.T) {
 	_, srv := server(t)
-	var vars struct {
-		Woc *struct {
-			Counters map[string]int64 `json:"counters"`
-		} `json:"woc"`
+	if code := getJSON(t, srv, "/debug/vars", nil); code != http.StatusNotFound {
+		t.Fatalf("debug/vars status = %d, want 404", code)
 	}
-	if code := getJSON(t, srv, "/debug/vars", &vars); code != 200 {
-		t.Fatalf("debug/vars status = %d", code)
+	var snap struct {
+		Gauges map[string]int64 `json:"gauges"`
 	}
-	if vars.Woc == nil {
-		t.Fatal("expvar missing woc snapshot")
+	if code := getJSON(t, srv, "/metrics", &snap); code != 200 {
+		t.Fatalf("metrics status = %d", code)
 	}
-	resp, err := http.Get(srv.URL + "/debug/pprof/")
+	for _, g := range []string{"runtime.heap.live_bytes", "runtime.gc.cycles", "runtime.goroutines"} {
+		if v, ok := snap.Gauges[g]; !ok || v <= 0 {
+			t.Errorf("gauge %s = %d (present %v), want > 0", g, v, ok)
+		}
+	}
+	resp, err := http.Get(srv.URL + "/metrics?format=prometheus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []string{"woc_runtime_heap_live_bytes ", "woc_runtime_gc_cycles ", "woc_runtime_goroutines "} {
+		if !strings.Contains(string(text), "\n"+g) {
+			t.Errorf("prometheus exposition lacks %s", g)
+		}
+	}
+	resp, err = http.Get(srv.URL + "/debug/pprof/")
 	if err != nil {
 		t.Fatal(err)
 	}

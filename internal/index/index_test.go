@@ -100,31 +100,6 @@ func TestSearchAny(t *testing.T) {
 	}
 }
 
-func TestSearchPhrase(t *testing.T) {
-	ix := buildSmall()
-	if got := ix.SearchPhrase("small plates"); !reflect.DeepEqual(got, []string{"d1"}) {
-		t.Errorf("phrase = %v", got)
-	}
-	// Tokens present but not adjacent.
-	if got := ix.SearchPhrase("plates small"); len(got) != 0 {
-		t.Errorf("reversed phrase = %v", got)
-	}
-	if got := ix.SearchPhrase("cupertino"); len(got) != 3 {
-		t.Errorf("single-token phrase = %v", got)
-	}
-}
-
-func TestPhraseDoesNotCrossFields(t *testing.T) {
-	ix := New()
-	ix.Add(Document{ID: "x", Fields: []Field{
-		{Name: "title", Text: "alpha"},
-		{Name: "body", Text: "beta"},
-	}})
-	if got := ix.SearchPhrase("alpha beta"); len(got) != 0 {
-		t.Errorf("phrase crossed field boundary: %v", got)
-	}
-}
-
 func TestReAddReplacesDocument(t *testing.T) {
 	ix := New()
 	ix.Add(doc("d1", "old title words", "old body"))
@@ -196,7 +171,6 @@ func TestSearchNeverPanicsProperty(t *testing.T) {
 		_ = ix.Search(q, 5)
 		_ = ix.SearchAll(q)
 		_ = ix.SearchAny(q)
-		_ = ix.SearchPhrase(q)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -230,9 +204,6 @@ func TestRemove(t *testing.T) {
 	}
 	if got := ix.SearchAll("gochi"); len(got) != 0 {
 		t.Errorf("boolean retrieval returned removed doc: %v", got)
-	}
-	if got := ix.SearchPhrase("small plates"); len(got) != 0 {
-		t.Errorf("phrase retrieval returned removed doc: %v", got)
 	}
 	// Re-adding revives the document.
 	ix.Add(doc("d1", "Gochi Fusion Tapas", "back in business in cupertino"))
@@ -295,9 +266,6 @@ func TestAddPreparedMatchesAdd(t *testing.T) {
 	for _, q := range []string{"cupertino", "gochi cupertino", "pizza slice", "steak 95054"} {
 		if !reflect.DeepEqual(seq.Search(q, 10), par.Search(q, 10)) {
 			t.Errorf("Search(%q) diverges between Add and AddPrepared", q)
-		}
-		if !reflect.DeepEqual(seq.SearchPhrase(q), par.SearchPhrase(q)) {
-			t.Errorf("SearchPhrase(%q) diverges between Add and AddPrepared", q)
 		}
 	}
 }

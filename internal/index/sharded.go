@@ -20,8 +20,7 @@ type Sharded struct {
 }
 
 // NewSharded returns an empty sharded index with n partitions (n < 1 is
-// treated as 1). BM25 parameters are per shard and default to the standard
-// k1=1.2, b=0.75.
+// treated as 1).
 func NewSharded(n int) *Sharded {
 	if n < 1 {
 		n = 1
@@ -108,10 +107,6 @@ func (s *Sharded) Len() int {
 	}
 	return n
 }
-
-// NDocs returns the live document count across all shards; alias of Len,
-// named for the stats contract.
-func (s *Sharded) NDocs() int { return s.Len() }
 
 // Tombstones returns the number of removed-but-unreclaimed doc slots
 // across all shards.
@@ -281,16 +276,5 @@ func (s *Sharded) SearchAny(query string) []string {
 	}
 	lists := make([][]string, len(s.shards))
 	s.each(func(i int, ix *Index) { lists[i] = ix.SearchAny(query) })
-	return mergeIDs(lists)
-}
-
-// SearchPhrase returns the IDs of documents containing the query tokens as
-// a contiguous phrase within a single field, sorted by ID.
-func (s *Sharded) SearchPhrase(phrase string) []string {
-	if len(s.shards) == 1 {
-		return s.shards[0].SearchPhrase(phrase)
-	}
-	lists := make([][]string, len(s.shards))
-	s.each(func(i int, ix *Index) { lists[i] = ix.SearchPhrase(phrase) })
 	return mergeIDs(lists)
 }
