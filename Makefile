@@ -52,11 +52,14 @@ servetest:
 # ConceptSearch/Trigger/Alternatives — plus the aliasing test, where readers
 # scribble over every returned record while a writer Puts the same IDs — and
 # the index's write side: Prepare's term frequencies merged by AddPrepared
-# against the retained token-stream merge, posting for posting.
+# against the retained token-stream merge, posting for posting — and the
+# record store's attribute and concept indexes against a filter over Scan
+# after every step of seeded put/delete/compact/reopen scripts (1 and 4
+# shards).
 querytest:
 	$(GO) test -race -count=1 -v \
-		-run 'KernelMatchesReference|PreparedMergeMatchesReference|SharedReadsMatch|AlternativesMatch|ReturnedRecordsAreCallersToKeep' \
-		./internal/index/ ./internal/search/ ./internal/session/
+		-run 'KernelMatchesReference|PreparedMergeMatchesReference|SharedReadsMatch|AlternativesMatch|ReturnedRecordsAreCallersToKeep|AttrIndexMatchesScan' \
+		./internal/index/ ./internal/search/ ./internal/session/ ./internal/lrec/
 
 # maintaintest runs the continuous-maintenance suites under the race
 # detector: the scheduler's cohort/sweep/gone-probe unit tests, the churn
@@ -93,7 +96,8 @@ maintaintest:
 FUZZTIME ?= 10s
 FUZZ_TARGETS = ./internal/extract/:FuzzSitePageMemo ./internal/extract/:FuzzRecognizeOnce \
 	./internal/extract/:FuzzRecognizerKernels \
-	./internal/index/:FuzzPrepare ./internal/framelog/:FuzzFrames ./internal/lrec/:FuzzDecodeRecord
+	./internal/index/:FuzzPrepare ./internal/framelog/:FuzzFrames ./internal/lrec/:FuzzDecodeRecord \
+	./internal/lrec/:FuzzAttrIndex
 
 fuzz-smoke:
 	@set -e; for entry in $(FUZZ_TARGETS); do \

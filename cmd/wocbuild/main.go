@@ -17,7 +17,7 @@
 //
 //	wocbuild [-seed 1] [-restaurants 120] [-workers N] [-shards N] [-out dir]
 //	         [-world-profile default|heavytail] [-pages 100000]
-//	         [-page-store dir] [-page-cache N]
+//	         [-page-store dir]
 //	         [-stats-json file] [-rss-ceiling bytes]
 //	         [-v] [-cpuprofile build.pprof] [-memprofile mem.pprof]
 package main
@@ -49,7 +49,6 @@ func main() {
 	profile := flag.String("world-profile", "default", "world profile: default (fixed world, crawl pipeline) or heavytail (streamed bounded-memory pipeline)")
 	pages := flag.Int("pages", 100000, "approximate world size in pages (heavytail profile)")
 	pageStoreDir := flag.String("page-store", "", "directory for a disk-backed page store (heavytail profile; empty = in-memory)")
-	pageCache := flag.Int("page-cache", 0, "parsed-page LRU capacity of the disk page store (0 = default)")
 	statsJSON := flag.String("stats-json", "", "append one JSON line of build statistics (pages, wall_ms, peak_rss_bytes, ...) to this file")
 	rssCeiling := flag.Int64("rss-ceiling", 0, "exit non-zero if peak RSS exceeds this many bytes (0 = unenforced)")
 	out := flag.String("out", "", "directory to persist the concept store (optional)")
@@ -137,7 +136,7 @@ func main() {
 			cfgScale.Progress = progressPrinter()
 		}
 		if *pageStoreDir != "" {
-			ps, err := webgraph.OpenDiskStore(*pageStoreDir, webgraph.DiskOptions{CachePages: *pageCache})
+			ps, err := webgraph.OpenDiskStore(*pageStoreDir, webgraph.DiskOptions{})
 			if err != nil {
 				log.Fatalf("page store: %v", err)
 			}

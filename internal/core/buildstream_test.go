@@ -196,7 +196,7 @@ func assocDigest(m map[string][]string) string {
 }
 
 // TestBuildStreamDiskPageStore: the same streamed build through a disk-backed
-// page store (segment files + parse cache) must be indistinguishable from the
+// page store (segment files + offset index) must be indistinguishable from the
 // in-memory page store — the Store facade contract, proven through the whole
 // extraction pipeline rather than per-method assertions.
 func TestBuildStreamDiskPageStore(t *testing.T) {
@@ -209,7 +209,7 @@ func TestBuildStreamDiskPageStore(t *testing.T) {
 	}
 	defer wocMem.Close()
 
-	ds, err := webgraph.OpenDiskStore(t.TempDir(), webgraph.DiskOptions{CachePages: 64})
+	ds, err := webgraph.OpenDiskStore(t.TempDir(), webgraph.DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,7 +68,7 @@ type Config struct {
 	StoreDir string
 	// PageStore, when non-nil, receives crawled or ingested pages instead of
 	// a fresh in-memory store. Pass webgraph.OpenDiskStore's result to keep
-	// page bytes in segment files with only a bounded parse cache resident —
+	// page bytes in segment files with only an offset index resident —
 	// the corpus-scale configuration BuildStream is designed around.
 	PageStore *webgraph.Store
 	// Progress, when non-nil, receives pipeline progress callbacks: a stage
@@ -170,9 +170,9 @@ type BuildStats struct {
 	FetchFailures int
 	// PageParses counts the HTML parses the build paid for: one per crawled
 	// page, plus every parse the page store performed on the build's behalf
-	// (a disk store's reads that missed its parse cache, a memory store's
-	// raw puts). A streamed build over a disk store parses each page once in
-	// the extract stage and the link stage's candidates once more.
+	// (every read of a disk store, a memory store's raw puts). A streamed
+	// build over a disk store parses each page once in the extract stage and
+	// the link stage's candidates once more.
 	PageParses     int
 	Candidates     int
 	RecordsStored  int

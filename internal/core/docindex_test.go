@@ -136,10 +136,10 @@ func TestDocIndexOrderIsWorkerAndWindowInvariant(t *testing.T) {
 // TestStreamedBuildParsesEachPageOnce: a streamed build over a disk page
 // store reads and parses every page exactly once, in the extract stage's page
 // task, which also prepares its index document; the only other parses are
-// the link stage's, of the pages resolve left unassociated. The parse cache
-// is one page, so no read can be answered by luck. The moved work stays
-// visible: the index stage carries the merger's time and the time it waited
-// for it as child spans.
+// the link stage's, of the pages resolve left unassociated. A disk store
+// keeps no parsed page, so no read can be answered by luck. The moved work
+// stays visible: the index stage carries the merger's time and the time it
+// waited for it as child spans.
 func TestStreamedBuildParsesEachPageOnce(t *testing.T) {
 	w, corpus, _ := heavyTailCorpus(t)
 	reg := lrec.NewRegistry()
@@ -147,7 +147,7 @@ func TestStreamedBuildParsesEachPageOnce(t *testing.T) {
 	cfg := ScaleConfig(reg, w.Cities(), webgen.Cuisines())
 	m := obs.NewRegistry()
 	cfg.Metrics = m
-	ps, err := webgraph.OpenDiskStore(t.TempDir(), webgraph.DiskOptions{CachePages: 1})
+	ps, err := webgraph.OpenDiskStore(t.TempDir(), webgraph.DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

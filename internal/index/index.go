@@ -35,11 +35,12 @@ type Document struct {
 	Fields []Field
 }
 
-// posting records how often a term occurs in one document field.
+// posting records how often a term occurs in one document field. Three
+// int32s keep it at 12 bytes: postings are most of an index's heap.
 type posting struct {
-	doc   int // internal doc number
-	field int // internal field number
-	freq  int
+	doc   int32 // internal doc number
+	field int32 // internal field number
+	freq  int32
 }
 
 // fieldStats tracks per-field length statistics for BM25F normalization.
@@ -247,7 +248,7 @@ func (ix *Index) AddPrepared(doc PreparedDoc) {
 				// as long as the term does: keep the term, not the text.
 				term = strings.Clone(term)
 			}
-			ix.postings[term] = append(ps, posting{doc: n, field: fn, freq: t.Freq})
+			ix.postings[term] = append(ps, posting{doc: int32(n), field: int32(fn), freq: int32(t.Freq)})
 		}
 	}
 	ix.docLens = append(ix.docLens, lens)
@@ -362,14 +363,14 @@ func (ix *Index) CompactTombstones() {
 func (ix *Index) compactLocked() {
 	// Dense renumbering in old doc-number order keeps posting lists and
 	// extIDs in their original relative order.
-	renum := make([]int, len(ix.extIDs))
+	renum := make([]int32, len(ix.extIDs))
 	live := 0
 	for n := range ix.extIDs {
 		if ix.dead[n] {
 			renum[n] = -1
 			continue
 		}
-		renum[n] = live
+		renum[n] = int32(live)
 		ix.extIDs[live] = ix.extIDs[n]
 		ix.docLens[live] = ix.docLens[n]
 		live++
@@ -413,7 +414,7 @@ func (ix *Index) DF(term string) int {
 // are adjacent (see searchLocked), so distinct documents are counted as runs.
 func (ix *Index) df(t string) int {
 	ps := ix.postings[t]
-	n, last := 0, -1
+	n, last := 0, int32(-1)
 	for i := range ps {
 		if d := ps[i].doc; d != last {
 			last = d
@@ -536,9 +537,9 @@ func (ix *Index) SearchAll(query string) []string {
 	if len(toks) == 0 {
 		return nil
 	}
-	var acc map[int]bool
+	var acc map[int32]bool
 	for _, t := range toks {
-		cur := make(map[int]bool)
+		cur := make(map[int32]bool)
 		for _, p := range ix.postings[t] {
 			if !ix.dead[p.doc] {
 				cur[p.doc] = true
@@ -570,7 +571,7 @@ func (ix *Index) SearchAll(query string) []string {
 func (ix *Index) SearchAny(query string) []string {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	acc := make(map[int]bool)
+	acc := make(map[int32]bool)
 	for _, t := range tokenize(query) {
 		for _, p := range ix.postings[t] {
 			if !ix.dead[p.doc] {

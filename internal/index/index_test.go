@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func doc(id, title, body string) Document {
@@ -128,6 +129,14 @@ func TestDFAndTerms(t *testing.T) {
 	}
 	if !ix.Has("d1") || ix.Has("nope") {
 		t.Error("Has wrong")
+	}
+}
+
+// TestPostingIs12Bytes guards the posting's width: postings are most of an
+// index's heap, so a wider field costs memory at every corpus size.
+func TestPostingIs12Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(posting{}); n != 12 {
+		t.Errorf("posting is %d bytes, want 12", n)
 	}
 }
 

@@ -106,7 +106,7 @@ func (ix *Index) searchLocked(sc *scratch, toks []string, ndocs, k int) ([]Resul
 					continue
 				}
 				dl := 0.0
-				if p.field < len(lens) {
+				if int(p.field) < len(lens) {
 					dl = float64(lens[p.field])
 				}
 				norm := 1 - bm25B + bm25B*dl/avgLen
@@ -119,7 +119,7 @@ func (ix *Index) searchLocked(sc *scratch, toks []string, ndocs, k int) ([]Resul
 			if !sc.hit[d] {
 				sc.hit[d] = true
 				sc.score[d] = 0
-				sc.touched = append(sc.touched, int32(d))
+				sc.touched = append(sc.touched, d)
 			}
 			sc.score[d] += idf * tf / (bm25K1 + tf) * (bm25K1 + 1)
 		}

@@ -72,7 +72,7 @@ func checkAdjacent(t *testing.T, ix *Index, when string) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	for term, ps := range ix.postings {
-		closed := make(map[int]bool)
+		closed := make(map[int32]bool)
 		for i, p := range ps {
 			if i > 0 && ps[i-1].doc != p.doc {
 				closed[ps[i-1].doc] = true

@@ -12,7 +12,7 @@ import (
 // code calls it.
 
 func (ix *Index) refDF(t string) int {
-	seen := make(map[int]bool)
+	seen := make(map[int32]bool)
 	for _, p := range ix.postings[t] {
 		if !ix.dead[p.doc] {
 			seen[p.doc] = true
@@ -52,7 +52,7 @@ func (ix *Index) refSearchLocked(toks []string, gs localStats, k int) []Result {
 		df := float64(gs.df[t])
 		idf := math.Log(1 + (ndocs-df+0.5)/(df+0.5))
 		// Accumulate boosted, length-normalized term frequency per doc.
-		wtf := make(map[int]float64)
+		wtf := make(map[int32]float64)
 		for _, p := range ps {
 			if ix.dead[p.doc] {
 				continue
@@ -64,14 +64,14 @@ func (ix *Index) refSearchLocked(toks []string, gs localStats, k int) []Result {
 			}
 			avgLen := float64(avg) / ndocs
 			dl := 0.0
-			if p.field < len(ix.docLens[p.doc]) {
+			if int(p.field) < len(ix.docLens[p.doc]) {
 				dl = float64(ix.docLens[p.doc][p.field])
 			}
 			norm := 1 - bm25B + bm25B*dl/avgLen
 			wtf[p.doc] += fs.boost * float64(p.freq) / norm
 		}
 		for d, tf := range wtf {
-			scores[d] += idf * tf / (bm25K1 + tf) * (bm25K1 + 1)
+			scores[int(d)] += idf * tf / (bm25K1 + tf) * (bm25K1 + 1)
 		}
 	}
 	return ix.refTopK(scores, k)

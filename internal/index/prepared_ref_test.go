@@ -68,7 +68,7 @@ func (ix *Index) refAddPrepared(doc refPreparedDoc) {
 			occ[t]++
 		}
 		for t, freq := range occ {
-			ix.postings[t] = append(ix.postings[t], posting{doc: n, field: fn, freq: freq})
+			ix.postings[t] = append(ix.postings[t], posting{doc: int32(n), field: int32(fn), freq: int32(freq)})
 		}
 	}
 	ix.epoch.Add(1)

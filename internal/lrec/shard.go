@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -30,8 +31,10 @@ type shardEngine struct {
 	recs map[string]*Record
 	// byConcept maps concept name -> set of record ids.
 	byConcept map[string]map[string]bool
-	// byAttr maps concept \x00 key \x00 normalizedValue -> set of ids.
-	byAttr map[string]map[string]bool
+	// byAttr maps concept \x00 key \x00 normalizedValue -> the ids holding
+	// it, sorted and without duplicates. Most values are held by one record,
+	// so a slice costs a fraction of a per-key set.
+	byAttr map[string][]string
 	// history holds superseded versions, newest last, capped per record.
 	history     map[string][]*Record
 	maxVersions int
@@ -69,7 +72,7 @@ func newShard(id int, s *Store) *shardEngine {
 		id:          id,
 		recs:        make(map[string]*Record),
 		byConcept:   make(map[string]map[string]bool),
-		byAttr:      make(map[string]map[string]bool),
+		byAttr:      make(map[string][]string),
 		history:     make(map[string][]*Record),
 		maxVersions: s.maxVersions,
 		fs:          s.fs,
@@ -297,12 +300,10 @@ func (sh *shardEngine) indexRec(r *Record) {
 	for k, vals := range r.Attrs {
 		for _, v := range vals {
 			ak := attrKey(r.Concept, k, textproc.Normalize(v.Value))
-			m := sh.byAttr[ak]
-			if m == nil {
-				m = make(map[string]bool)
-				sh.byAttr[ak] = m
+			ids := sh.byAttr[ak]
+			if i, found := slices.BinarySearch(ids, r.ID); !found {
+				sh.byAttr[ak] = slices.Insert(ids, i, r.ID)
 			}
-			m[r.ID] = true
 		}
 	}
 }
@@ -317,11 +318,14 @@ func (sh *shardEngine) unindex(r *Record) {
 	for k, vals := range r.Attrs {
 		for _, v := range vals {
 			ak := attrKey(r.Concept, k, textproc.Normalize(v.Value))
-			if m := sh.byAttr[ak]; m != nil {
-				delete(m, r.ID)
-				if len(m) == 0 {
-					delete(sh.byAttr, ak)
-				}
+			ids := sh.byAttr[ak]
+			i, found := slices.BinarySearch(ids, r.ID)
+			switch {
+			case !found: // a second value normalizing to the same key
+			case len(ids) == 1:
+				delete(sh.byAttr, ak)
+			default:
+				sh.byAttr[ak] = slices.Delete(ids, i, i+1)
 			}
 		}
 	}
@@ -368,12 +372,12 @@ func (sh *shardEngine) countByConcept(concept string) int {
 }
 
 // appendByAttr appends the shard's installed records with the given
-// normalized attribute value to out, in no particular order. The references
-// are shared; see view.
+// normalized attribute value to out, sorted by ID. The references are
+// shared; see view.
 func (sh *shardEngine) appendByAttr(out []*Record, ak string) []*Record {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	for id := range sh.byAttr[ak] {
+	for _, id := range sh.byAttr[ak] {
 		out = append(out, sh.recs[id])
 	}
 	return out

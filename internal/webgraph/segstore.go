@@ -1,7 +1,6 @@
 package webgraph
 
 import (
-	"container/list"
 	"encoding/binary"
 	"fmt"
 	"os"
@@ -30,9 +29,10 @@ import (
 //
 // Resident state is the sparse index only: map[url]pageRef (segment, frame
 // offset and size, content hash) plus the byHost map — tens of bytes per
-// page instead of the page itself. Raw HTML stays on disk; Get preads the
-// frame and re-parses, fronted by a small LRU of parsed *Page so host-local
-// access patterns (extraction walks one host's pages together) mostly hit.
+// page instead of the page itself. Raw HTML stays on disk; every Get preads
+// the frame and parses it. Nothing parsed stays resident: a build reads each
+// page once in extract and each unassociated page once more in link, so a
+// parse cache would hold DOMs that are never read back.
 //
 // Durability: frames are written unbuffered (so preads see every append) and
 // fsynced on segment roll, Flush and Close, not per Put. Reopen cuts a torn
@@ -49,14 +49,11 @@ const (
 	frameDelete = 2
 
 	defaultSegmentBytes = 8 << 20
-	defaultCachePages   = 1024
 )
 
-// DiskOptions configures OpenDiskStore. The zero value gives sane
-// defaults: 1024 cached parsed pages, 8 MiB segments.
+// DiskOptions configures OpenDiskStore. The zero value gives 8 MiB
+// segments.
 type DiskOptions struct {
-	// CachePages is the LRU capacity in parsed pages (<=0: default 1024).
-	CachePages int
 	// SegmentBytes rolls to a new segment file once the current one
 	// exceeds this size (<=0: default 8 MiB).
 	SegmentBytes int64
@@ -95,20 +92,12 @@ type diskBackend struct {
 	segBytes int64
 	curSeg   int
 	curOff   int64
-	w        framelog.File            // append handle for the current segment
-	readers  map[int]framelog.File    // lazily opened read handles per segment
-	cache    map[string]*list.Element // url -> LRU element
-	lru      *list.List               // front = most recent; values are *cacheEntry
-	cacheCap int
+	w        framelog.File         // append handle for the current segment
+	readers  map[int]framelog.File // lazily opened read handles per segment
 
 	latched  error
 	recovery DiskRecovery
 	stats    *storeCounters
-}
-
-type cacheEntry struct {
-	url  string
-	page *Page
 }
 
 // OpenDiskStore opens (or creates) a disk-backed page store rooted at dir
@@ -121,10 +110,6 @@ func OpenDiskStore(dir string, opts DiskOptions) (*Store, error) {
 	fs := opts.fs
 	if fs == nil {
 		fs = framelog.OS{}
-	}
-	cacheCap := opts.CachePages
-	if cacheCap <= 0 {
-		cacheCap = defaultCachePages
 	}
 	segBytes := opts.SegmentBytes
 	if segBytes <= 0 {
@@ -140,9 +125,6 @@ func OpenDiskStore(dir string, opts DiskOptions) (*Store, error) {
 		byHost:   make(map[string][]string),
 		segBytes: segBytes,
 		readers:  make(map[int]framelog.File),
-		cache:    make(map[string]*list.Element),
-		lru:      list.New(),
-		cacheCap: cacheCap,
 		stats:    new(storeCounters),
 	}
 	if err := b.replay(); err != nil {
@@ -327,53 +309,20 @@ func (b *diskBackend) reader(seg int) (framelog.File, error) {
 	return f, nil
 }
 
-// cachePut inserts a parsed page into the LRU, evicting the tail.
-func (b *diskBackend) cachePut(p *Page) {
-	if el, ok := b.cache[p.URL]; ok {
-		el.Value.(*cacheEntry).page = p
-		b.lru.MoveToFront(el)
-		return
-	}
-	b.cache[p.URL] = b.lru.PushFront(&cacheEntry{url: p.URL, page: p})
-	for b.lru.Len() > b.cacheCap {
-		tail := b.lru.Back()
-		b.lru.Remove(tail)
-		delete(b.cache, tail.Value.(*cacheEntry).url)
-	}
-}
-
-func (b *diskBackend) cacheDrop(url string) {
-	if el, ok := b.cache[url]; ok {
-		b.lru.Remove(el)
-		delete(b.cache, url)
-	}
-}
-
 // --- backend interface ---
 
 func (b *diskBackend) put(p *Page) (bool, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	changed, err := b.appendPut(p.URL, p.HTML, p.Hash)
-	if changed {
-		b.cachePut(p)
-	}
-	return changed, err
+	return b.appendPut(p.URL, p.HTML, p.Hash)
 }
 
 // putRaw stores a page without parsing it: hash, frame append, index entry.
-// Nothing enters the parse cache (a cached parse of the URL's previous bytes
-// leaves it), so bulk ingest neither pays for a DOM per page nor sweeps the
-// LRU with pages nobody has asked for yet.
 func (b *diskBackend) putRaw(url, html string) (bool, error) {
 	hash := HashContent(html)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	changed, err := b.appendPut(url, html, hash)
-	if changed {
-		b.cacheDrop(url)
-	}
-	return changed, err
+	return b.appendPut(url, html, hash)
 }
 
 // appendPut appends the page's frame and moves its index entry, unless the
@@ -401,19 +350,11 @@ func (b *diskBackend) delete(url string) bool {
 		return false
 	}
 	b.dropRef(url)
-	b.cacheDrop(url)
 	return true
 }
 
 func (b *diskBackend) get(url string) (*Page, error) {
 	b.mu.Lock()
-	if el, ok := b.cache[url]; ok {
-		b.lru.MoveToFront(el)
-		p := el.Value.(*cacheEntry).page
-		b.mu.Unlock()
-		b.stats.hits.Add(1)
-		return p, nil
-	}
 	ref, ok := b.refs[url]
 	if !ok {
 		b.mu.Unlock()
@@ -427,8 +368,7 @@ func (b *diskBackend) get(url string) (*Page, error) {
 	// Pread + parse outside the lock: frames are immutable once appended,
 	// so a concurrent Delete/Put can't invalidate the bytes at ref, and
 	// keeping the (expensive) HTML parse unserialized is what lets the
-	// build's workers read different hosts concurrently. Two goroutines
-	// racing on the same cold URL may both parse; last cachePut wins.
+	// build's workers read different hosts concurrently.
 	frame, err := framelog.ReadAt(f, ref.off, int(ref.size))
 	if err != nil {
 		return nil, fmt.Errorf("webgraph: read %s: %w", url, err)
@@ -437,12 +377,8 @@ func (b *diskBackend) get(url string) (*Page, error) {
 	if err != nil || kind != framePut || string(u) != url {
 		return nil, fmt.Errorf("%w: frame at %s offset %d is not %s", ErrCorrupt, segName(int(ref.seg)), ref.off, url)
 	}
-	p := NewPage(url, string(html))
 	b.stats.parses.Add(1)
-	b.mu.Lock()
-	b.cachePut(p)
-	b.mu.Unlock()
-	return p, nil
+	return NewPage(url, string(html)), nil
 }
 
 func (b *diskBackend) has(url string) bool {

@@ -83,7 +83,7 @@ func openDisk(t *testing.T, dir string, opts DiskOptions) *Store {
 func TestDiskStoreMatchesMemory(t *testing.T) {
 	world := webgen.Generate(webgen.DefaultConfig())
 	mem := NewStore()
-	disk := openDisk(t, t.TempDir(), DiskOptions{CachePages: 64, SegmentBytes: 1 << 20})
+	disk := openDisk(t, t.TempDir(), DiskOptions{SegmentBytes: 1 << 20})
 	defer disk.Close()
 
 	for _, wp := range world.Pages() {
@@ -268,7 +268,7 @@ func TestDiskStoreTornTailRepair(t *testing.T) {
 func TestDiskStoreCrashMidWrite(t *testing.T) {
 	dir := t.TempDir()
 	ffs := &faultFS{remaining: -1}
-	s := openDisk(t, dir, DiskOptions{fs: ffs, CachePages: 2})
+	s := openDisk(t, dir, DiskOptions{fs: ffs})
 	const n = 10
 	for i := 0; i < n; i++ {
 		s.Put(testPage(i))
@@ -285,9 +285,8 @@ func TestDiskStoreCrashMidWrite(t *testing.T) {
 	if s.Err() == nil {
 		t.Fatal("write failure did not latch the store")
 	}
-	// Latched means read-only, not dead: existing pages still serve (the
-	// 2-page cache has long evicted page 1, so this is a real segment
-	// pread), and further writes are rejected.
+	// Latched means read-only, not dead: existing pages still serve (every
+	// Get is a segment pread), and further writes are rejected.
 	if _, err := s.Get(testPage(1).URL); err != nil {
 		t.Fatalf("read after latch: %v", err)
 	}
@@ -448,10 +447,10 @@ func TestDiskStoreForgedLengthTailAllocBounded(t *testing.T) {
 	}
 }
 
-// TestDiskStoreScanBounded: Scan sees every page in sorted order through the
-// LRU even when the cache is far smaller than the corpus.
+// TestDiskStoreScanBounded: Scan sees every page in sorted order across
+// many segments.
 func TestDiskStoreScanBounded(t *testing.T) {
-	s := openDisk(t, t.TempDir(), DiskOptions{CachePages: 4, SegmentBytes: 8 << 10})
+	s := openDisk(t, t.TempDir(), DiskOptions{SegmentBytes: 8 << 10})
 	defer s.Close()
 	const n = 120
 	for i := 0; i < n; i++ {
@@ -470,6 +469,24 @@ func TestDiskStoreScanBounded(t *testing.T) {
 	}
 }
 
+// TestDiskStoreGetParsesEveryTime: a disk store keeps no parsed page, so N
+// Gets of one URL are N parses and no hits.
+func TestDiskStoreGetParsesEveryTime(t *testing.T) {
+	s := openDisk(t, t.TempDir(), DiskOptions{})
+	defer s.Close()
+	p := testPage(1)
+	s.Put(p)
+	const n = 5
+	for i := 0; i < n; i++ {
+		if got, err := s.Get(p.URL); err != nil || got.HTML != p.HTML {
+			t.Fatalf("Get #%d = %v, %v", i, got, err)
+		}
+	}
+	if st := s.Stats(); st.Gets != n || st.Parses != n || st.CacheHits != 0 {
+		t.Errorf("stats after %d Gets = %+v, want %d gets, %d parses, 0 hits", n, st, n, n)
+	}
+}
+
 func sortedStrings(s []string) bool {
 	for i := 1; i < len(s); i++ {
 		if s[i] < s[i-1] {
@@ -481,8 +498,7 @@ func sortedStrings(s []string) bool {
 
 // TestPutRawMatchesPut: a page stored from its bytes alone reads back as the
 // page Put would have stored — on both backends — and on the disk backend
-// storing it neither parses nor touches the parse cache, except to drop a
-// cached parse of the URL's previous bytes.
+// storing it does not parse.
 func TestPutRawMatchesPut(t *testing.T) {
 	const u = "raw.example/page"
 	v1 := `<html><body><h1>One</h1><a href="/next">next</a></body></html>`
@@ -503,7 +519,7 @@ func TestPutRawMatchesPut(t *testing.T) {
 		if want := NewPage(u, v1); err != nil || !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: Get after PutRaw = %+v, %v; want %+v", name, got, err, want)
 		}
-		// The Get above cached a parse of v1; new bytes must not be served it.
+		// New bytes must be served after a Get of the old ones.
 		if !s.PutRaw(u, v2) {
 			t.Errorf("%s: PutRaw of new bytes reported unchanged", name)
 		}
@@ -514,9 +530,9 @@ func TestPutRawMatchesPut(t *testing.T) {
 			t.Errorf("%s: host pages %v", name, hp)
 		}
 	}
-	db := disk.b.(*diskBackend)
-	disk.PutRaw("raw.example/uncached", v1)
-	if _, cached := db.cache["raw.example/uncached"]; cached {
-		t.Error("disk: PutRaw put a page in the parse cache")
+	before := disk.Stats().Parses
+	disk.PutRaw("raw.example/unparsed", v1)
+	if after := disk.Stats().Parses; after != before {
+		t.Errorf("disk: PutRaw parsed (%d parses, want %d)", after, before)
 	}
 }

@@ -98,8 +98,8 @@ func NewPage(url, html string) *Page {
 // A Store is a facade over one of two backends: the default in-memory map
 // (every page and its parsed DOM resident, the right choice for tests and
 // laptop-scale worlds) or the disk-backed segment store opened with
-// OpenDiskStore, which keeps only an offset index and a bounded LRU of
-// parsed pages resident — the corpus-scale backend (see segstore.go). The
+// OpenDiskStore, which keeps only an offset index resident and parses a
+// page on every Get — the corpus-scale backend (see segstore.go). The
 // backend is invisible to callers: Get/Put/Delete/Scan behave identically.
 type Store struct {
 	b backend
@@ -108,17 +108,17 @@ type Store struct {
 }
 
 // storeCounters are the page store's read-path counters. Every Get is either
-// a hit (the parsed page was resident: always, for a memory store; in the
-// parse cache, for a disk store) or a parse, or fails. A memory store also
+// a hit (the parsed page was resident: always, for a memory store, never for
+// a disk store) or a parse, or fails. A memory store also
 // parses on PutRaw, the only other place a store parses on a caller's behalf.
 type storeCounters struct {
 	gets, parses, hits atomic.Uint64
 }
 
 // StoreStats is a snapshot of a store's read-path counters since it was
-// opened: Get calls, HTML parses the store performed (a disk store's reads
-// that missed its parse cache; a memory store's PutRaw), and Gets answered
-// with an already-parsed page.
+// opened: Get calls, HTML parses the store performed (every disk store read;
+// a memory store's PutRaw), and Gets answered with an already-parsed page
+// (memory stores only).
 type StoreStats struct {
 	Gets, Parses, CacheHits uint64
 }
@@ -219,8 +219,8 @@ func (s *Store) Close() error { return s.b.close() }
 func (s *Store) Err() error { return s.b.err() }
 
 // Scan calls fn for each page in sorted-URL order; return false to stop.
-// On a disk-backed store each page is read (and parsed) through the LRU
-// cache, so a full scan holds at most the cache's worth of pages resident.
+// On a disk-backed store each page is read and parsed as the scan reaches
+// it, so a full scan holds no more pages resident than fn keeps.
 func (s *Store) Scan(fn func(*Page) bool) {
 	for _, u := range s.URLs() {
 		p, err := s.Get(u)
