@@ -76,12 +76,17 @@ querytest:
 # recognise-once scan memo against the retained per-call recognisers, the
 # recognizer kernels against their retained regular expressions, and the
 # document index fed from the page tasks against a serial Add loop (workers x
-# windows x shards) with the streamed build's one-parse-per-page count.
-# -count=1 defeats test caching.
+# windows x shards) with the streamed build's one-parse-per-page count (on
+# both page-store backends), the relink stage's link-feature memo against a
+# re-parse of every page it scores (scripted and seeded random churn, and a
+# stale entry), enrichment's homepage-hosts-only reads, and the page store's
+# read path: every Get a parse on either backend, PutRaw none, and NewPage's
+# fuzz seeds (two parses of the same bytes agree). -count=1 defeats test
+# caching.
 maintaintest:
 	$(GO) test -race -count=1 -v ./internal/maintain/
 	$(GO) test -race -count=1 -v \
-		-run 'TestDeltaRefreshConvergesToRebuild|TestRefresh|TestRemove|TestStoreDelete|TestSiteMemo|TestSitePages|TestBuildStreamKeepsNoMemo|TestWindowScheduler|TestRecognizeOnce|TestParsersMatchPerCall|TestKernelsMatchRegexp|TestDocIndexOrder|TestStreamedBuildParses' \
+		-run 'TestDeltaRefreshConvergesToRebuild|TestRefresh|TestRemove|TestStoreDelete|TestSiteMemo|TestSitePages|TestBuildStreamKeepsNoMemo|TestWindowScheduler|TestRecognizeOnce|TestParsersMatchPerCall|TestKernelsMatchRegexp|TestDocIndexOrder|TestStreamedBuildParses|TestRelinkMemo|TestBuildStreamKeepsNoLinkMemo|TestEnrichMenusReadsOnly|GetParsesEveryTime|TestPutRawMatchesPut|FuzzNewPageDeterministic' \
 		./internal/core/ ./internal/extract/ ./internal/index/ ./internal/webgraph/
 
 # fuzz-smoke runs every native fuzz target in the tree for a bounded time
@@ -97,7 +102,7 @@ FUZZTIME ?= 10s
 FUZZ_TARGETS = ./internal/extract/:FuzzSitePageMemo ./internal/extract/:FuzzRecognizeOnce \
 	./internal/extract/:FuzzRecognizerKernels \
 	./internal/index/:FuzzPrepare ./internal/framelog/:FuzzFrames ./internal/lrec/:FuzzDecodeRecord \
-	./internal/lrec/:FuzzAttrIndex
+	./internal/lrec/:FuzzAttrIndex ./internal/webgraph/:FuzzNewPageDeterministic
 
 fuzz-smoke:
 	@set -e; for entry in $(FUZZ_TARGETS); do \

@@ -170,8 +170,8 @@ func main() {
 			fmt.Printf("\nworkers: %d\n%s\n", stats.Workers, stats.Trace.Table())
 		}
 		ps := woc.Pages.Stats()
-		fmt.Printf("pages:   %d parsed by the build (page store: %d gets, %d parses, %d cache hits)\n",
-			stats.PageParses, ps.Gets, ps.Parses, ps.CacheHits)
+		fmt.Printf("pages:   %d parsed by the build (page store: %d gets, %d parses)\n",
+			stats.PageParses, ps.Gets, ps.Parses)
 		for _, c := range woc.Records.Concepts() {
 			fmt.Printf("  %-12s %d records\n", c, woc.Records.CountByConcept(c))
 		}

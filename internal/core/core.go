@@ -107,6 +107,12 @@ type WebOfConcepts struct {
 	// extract stage fills; after BuildStream it is nil until the first
 	// Refresh creates it.
 	memo *extractMemo
+	// links is the link-feature memo (see linkMemo): the relink stage's
+	// per-page scoring inputs, so that a global relink re-parses only the
+	// pages that changed. It is kept exactly when memo is: Build's link
+	// stage fills it, and after BuildStream it is nil until the first
+	// Refresh creates it beside memo.
+	links linkMemo
 
 	// epoch is the maintenance generation counter: 1 after Build, bumped by
 	// every maintenance pass that changes visible state (Refresh with
@@ -168,11 +174,10 @@ func (woc *WebOfConcepts) PagesOf(id string) []string { return woc.RevAssoc[id] 
 type BuildStats struct {
 	PagesFetched  int
 	FetchFailures int
-	// PageParses counts the HTML parses the build paid for: one per crawled
-	// page, plus every parse the page store performed on the build's behalf
-	// (every read of a disk store, a memory store's raw puts). A streamed
-	// build over a disk store parses each page once in the extract stage and
-	// the link stage's candidates once more.
+	// PageParses counts the HTML parses the build paid for: its reads of the
+	// page store, which parses on every Get whatever its backend (the crawl
+	// and the ingest store bytes unparsed). A build parses each page once in
+	// the extract stage and the link stage's candidates once more.
 	PageParses     int
 	Candidates     int
 	RecordsStored  int
@@ -211,17 +216,17 @@ type Builder struct {
 // stage (crawl, extract, resolve, link, index) is timed into a trace tree
 // returned on BuildStats.Trace and, when Cfg.Metrics is set, into per-stage
 // latency histograms named "build.<stage>". The crawl stays a stage of its
-// own rather than a PageSource: the crawler parses every page to find its
-// outlinks, and a source's pages would be parsed again on the way in. Build
-// keeps the extraction memo its extract stage fills, for later maintenance
-// passes.
+// own rather than a PageSource: its frontier grows from each fetched page's
+// outlinks, which the crawler scans for without parsing, storing the bytes
+// as an ingest would. Build keeps the extraction memo its extract stage
+// fills, and the link-feature memo its link stage fills, for later
+// maintenance passes.
 func (b *Builder) Build(seeds []string) (*WebOfConcepts, *BuildStats, error) {
 	return b.build(newExtractMemo(), "crawl", func(woc *WebOfConcepts, stats *BuildStats) error {
 		crawler := &webgraph.Crawler{
 			Fetcher: b.Fetcher, Store: woc.Pages, MaxPages: b.Cfg.MaxPages,
 		}
 		stats.PagesFetched, stats.FetchFailures = crawler.Crawl(seeds)
-		stats.PageParses = stats.PagesFetched // the crawler parses what it fetches
 		return nil
 	})
 }
@@ -229,13 +234,17 @@ func (b *Builder) Build(seeds []string) (*WebOfConcepts, *BuildStats, error) {
 // build is the one construction pipeline: first, the stage named first that
 // fills the page store (Build's crawl, BuildStream's ingest), then the shared
 // body — extract → resolve → link → index — over whatever the store holds.
-// memo becomes the web of concepts' extraction memo; nil extracts memo-less.
+// memo becomes the web of concepts' extraction memo, and a link-feature memo
+// is kept beside it; nil extracts memo-less and keeps neither.
 func (b *Builder) build(memo *extractMemo, first string, fill func(*WebOfConcepts, *BuildStats) error) (*WebOfConcepts, *BuildStats, error) {
 	woc, storeRecovery, err := b.newWoc()
 	if err != nil {
 		return nil, nil, err
 	}
 	woc.memo = memo
+	if memo != nil {
+		woc.links = linkMemo{}
+	}
 	stats := &BuildStats{Workers: b.workers(), StoreRecovery: storeRecovery}
 	ctx, root := pipelineCtx("build")
 	parsed := woc.Pages.Stats().Parses

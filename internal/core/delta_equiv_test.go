@@ -138,80 +138,15 @@ func TestDeltaRefreshConvergesToRebuild(t *testing.T) {
 			}
 			defer woc.Close()
 
-			// Three restaurants with homepages and uniquely attributable
-			// records: one changes twice, one goes and returns unchanged,
-			// one goes and returns changed.
-			var targets []*webgen.Restaurant
-			for _, r := range w.Restaurants {
-				if r.Homepage != "" {
-					if recs := woc.Records.ByAttr("restaurant", "phone", r.Phone); len(recs) == 1 {
-						targets = append(targets, r)
-						if len(targets) == 3 {
-							break
-						}
-					}
-				}
-			}
-			if len(targets) < 3 {
-				t.Fatal("world too small for churn scenario")
-			}
-			home := func(r *webgen.Restaurant) string {
-				return strings.TrimSuffix(r.Homepage, "/") + "/"
-			}
-			h1, h2, h3 := home(targets[0]), home(targets[1]), home(targets[2])
-			html := func(u string) string {
-				p, ok := w.PageByURL(u)
-				if !ok {
-					t.Fatalf("page %s not in world", u)
-				}
-				return p.HTML
-			}
-
-			// A free-text page the build linked to a record (it has a review
-			// record); its text will change mid-churn.
-			var reviewURL string
-			for _, u := range woc.Pages.URLs() {
-				if _, err := woc.Records.Get("review:" + textproc.NormalizeKey(u)); err == nil {
-					reviewURL = u
-					break
-				}
-			}
-			if reviewURL == "" {
-				t.Fatal("build linked no review pages; churn scenario needs one")
-			}
-
-			refresh := func(urls ...string) *RefreshStats {
-				t.Helper()
-				st, err := b.Refresh(woc, urls)
+			for i, pass := range scriptedChurn(t, w, woc) {
+				pass.apply(mf)
+				st, err := b.Refresh(woc, pass.urls)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return st
-			}
-			padding := woc.Pages.URLs()[:10] // unchanged cohort filler
-
-			// Pass 1: phone change on h1, text change on the review page.
-			mf.setOverlay(h1, strings.ReplaceAll(html(h1), targets[0].Phone, "408-555-1111"))
-			mf.setOverlay(reviewURL, strings.Replace(html(reviewURL),
-				"</body>", " The service was outstanding and the dining room lovely.</body>", 1))
-			refresh(append([]string{h1, reviewURL}, padding...)...)
-
-			// Pass 2: h1 changes again; h2 goes dark.
-			mf.setOverlay(h1, strings.ReplaceAll(html(h1), targets[0].Phone, "408-555-2222"))
-			mf.setGone(h2, true)
-			refresh(append([]string{h1, h2}, padding...)...)
-
-			// Pass 3: h2 resurrects byte-identical; h3 goes dark.
-			mf.setGone(h2, false)
-			mf.setGone(h3, true)
-			refresh(append([]string{h2, h3}, padding...)...)
-
-			// Pass 4: h3 resurrects with a different phone.
-			mf.setGone(h3, false)
-			mf.setOverlay(h3, strings.ReplaceAll(html(h3), targets[2].Phone, "408-555-3333"))
-			st := refresh(append([]string{h3}, padding...)...)
-			if st.PagesChanged != 1 {
-				t.Fatalf("changed resurrection not detected: %+v", st)
+				if pass.last && st.PagesChanged != 1 {
+					t.Fatalf("pass %d: changed resurrection not detected: %+v", i+1, st)
+				}
 			}
 
 			// Full rebuild over the final corpus, same knobs.
@@ -232,6 +167,85 @@ func TestDeltaRefreshConvergesToRebuild(t *testing.T) {
 				t.Errorf("fingerprint diverges across the (workers × shards) matrix")
 			}
 		})
+	}
+}
+
+// scriptedPass is one pass of the scripted churn schedule: the change it
+// makes to the web, then the URLs it refreshes. last marks the pass whose
+// one changed page is a gone page resurrecting with new bytes.
+type scriptedPass struct {
+	apply func(mf *mutableFetcher)
+	urls  []string
+	last  bool
+}
+
+// scriptedChurn is the four-pass schedule of the delta-vs-rebuild bar over a
+// system built from w: three restaurants with homepages and uniquely
+// attributable records — one changes twice, one goes and returns
+// unchanged, one goes and returns changed — and a free-text page the build
+// linked to a record (it has a review record), whose text changes in the
+// first pass. Every pass also refreshes ten unchanged pages.
+func scriptedChurn(t *testing.T, w *webgen.World, woc *WebOfConcepts) []scriptedPass {
+	t.Helper()
+	var targets []*webgen.Restaurant
+	for _, r := range w.Restaurants {
+		if r.Homepage != "" {
+			if recs := woc.Records.ByAttr("restaurant", "phone", r.Phone); len(recs) == 1 {
+				targets = append(targets, r)
+				if len(targets) == 3 {
+					break
+				}
+			}
+		}
+	}
+	if len(targets) < 3 {
+		t.Fatal("world too small for churn scenario")
+	}
+	home := func(r *webgen.Restaurant) string {
+		return strings.TrimSuffix(r.Homepage, "/") + "/"
+	}
+	h1, h2, h3 := home(targets[0]), home(targets[1]), home(targets[2])
+	html := func(u string) string {
+		p, ok := w.PageByURL(u)
+		if !ok {
+			t.Fatalf("page %s not in world", u)
+		}
+		return p.HTML
+	}
+	var reviewURL string
+	for _, u := range woc.Pages.URLs() {
+		if _, err := woc.Records.Get("review:" + textproc.NormalizeKey(u)); err == nil {
+			reviewURL = u
+			break
+		}
+	}
+	if reviewURL == "" {
+		t.Fatal("build linked no review pages; churn scenario needs one")
+	}
+	padding := woc.Pages.URLs()[:10] // unchanged cohort filler
+	urls := func(us ...string) []string { return append(us, padding...) }
+	return []scriptedPass{
+		// Pass 1: phone change on h1, text change on the review page.
+		{apply: func(mf *mutableFetcher) {
+			mf.setOverlay(h1, strings.ReplaceAll(html(h1), targets[0].Phone, "408-555-1111"))
+			mf.setOverlay(reviewURL, strings.Replace(html(reviewURL),
+				"</body>", " The service was outstanding and the dining room lovely.</body>", 1))
+		}, urls: urls(h1, reviewURL)},
+		// Pass 2: h1 changes again; h2 goes dark.
+		{apply: func(mf *mutableFetcher) {
+			mf.setOverlay(h1, strings.ReplaceAll(html(h1), targets[0].Phone, "408-555-2222"))
+			mf.setGone(h2, true)
+		}, urls: urls(h1, h2)},
+		// Pass 3: h2 resurrects byte-identical; h3 goes dark.
+		{apply: func(mf *mutableFetcher) {
+			mf.setGone(h2, false)
+			mf.setGone(h3, true)
+		}, urls: urls(h2, h3)},
+		// Pass 4: h3 resurrects with a different phone.
+		{apply: func(mf *mutableFetcher) {
+			mf.setGone(h3, false)
+			mf.setOverlay(h3, strings.ReplaceAll(html(h3), targets[2].Phone, "408-555-3333"))
+		}, urls: urls(h3), last: true},
 	}
 }
 

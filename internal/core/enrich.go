@@ -7,7 +7,6 @@ import (
 	"conceptweb/internal/extract"
 	"conceptweb/internal/lrec"
 	"conceptweb/internal/textproc"
-	"conceptweb/internal/webgraph"
 )
 
 // Enrichment is the second of the paper's extraction operation families
@@ -42,21 +41,31 @@ func (b *Builder) EnrichMenus(woc *WebOfConcepts) EnrichStats {
 	le := &extract.ListExtractor{Domain: extract.MenuDomain()}
 	dishes := make(map[string][]string) // record ID -> dish names
 	prov := make(map[string]string)     // record ID -> source URL
-	woc.Pages.Scan(func(p *webgraph.Page) bool {
-		rid, ok := hostOf[p.Host]
-		if !ok {
-			return true
-		}
-		for _, c := range le.Extract(p) {
-			name := c.Get("name")
-			if name == "" {
+	// Only homepage hosts' pages are read: sorted hosts, then each host's
+	// pages in sorted order. A record's dishes all come from its one host,
+	// so this is the order a scan of the whole store would visit them in.
+	hosts := make([]string, 0, len(hostOf))
+	for h := range hostOf {
+		hosts = append(hosts, h)
+	}
+	sort.Strings(hosts)
+	for _, h := range hosts {
+		rid := hostOf[h]
+		for _, u := range woc.Pages.HostPages(h) {
+			p, err := woc.Pages.Get(u)
+			if err != nil {
 				continue
 			}
-			dishes[rid] = append(dishes[rid], name)
-			prov[rid] = p.URL
+			for _, c := range le.Extract(p) {
+				name := c.Get("name")
+				if name == "" {
+					continue
+				}
+				dishes[rid] = append(dishes[rid], name)
+				prov[rid] = p.URL
+			}
 		}
-		return true
-	})
+	}
 	ids := make([]string, 0, len(dishes))
 	for id := range dishes {
 		ids = append(ids, id)

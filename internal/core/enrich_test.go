@@ -4,8 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"conceptweb/internal/lrec"
 	"conceptweb/internal/taxonomy"
 	"conceptweb/internal/textproc"
+	"conceptweb/internal/webgen"
 )
 
 func TestEnrichMenus(t *testing.T) {
@@ -65,6 +67,41 @@ func TestEnrichMenus(t *testing.T) {
 	b.EnrichMenus(woc)
 	if after := menuValueCount(woc); after != before {
 		t.Errorf("re-enrichment changed menu value count: %d -> %d", before, after)
+	}
+}
+
+// TestEnrichMenusReadsOnlyHomepageHosts: enrichment reads the pages of the
+// restaurant records' homepage hosts and no other — each once, so the page
+// store's parse count moves by exactly the number of pages those hosts hold.
+func TestEnrichMenusReadsOnlyHomepageHosts(t *testing.T) {
+	w := smallWorld()
+	reg := lrec.NewRegistry()
+	webgen.RegisterConcepts(reg)
+	b := &Builder{Fetcher: w, Cfg: StandardConfig(reg, w.Cities(), nil)}
+	woc, _, err := b.Build(w.SeedURLs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer woc.Close()
+	hosts := map[string]bool{}
+	for _, r := range woc.Records.ByConcept("restaurant") {
+		if hp := strings.TrimSuffix(r.Get("homepage"), "/"); hp != "" {
+			hosts[hp] = true
+		}
+	}
+	want := 0
+	for h := range hosts {
+		want += len(woc.Pages.HostPages(h))
+	}
+	if want == 0 || want >= woc.Pages.Len() {
+		t.Fatalf("homepage hosts hold %d of %d pages: the world exercises nothing", want, woc.Pages.Len())
+	}
+	before := woc.Pages.Stats().Parses
+	if st := b.EnrichMenus(woc); st.RecordsEnriched == 0 {
+		t.Fatalf("enrich stats = %+v", st)
+	}
+	if got := int(woc.Pages.Stats().Parses - before); got != want {
+		t.Errorf("EnrichMenus parsed %d pages, want the %d pages of %d homepage hosts", got, want, len(hosts))
 	}
 }
 

@@ -146,6 +146,7 @@ func (b *Builder) Refresh(woc *WebOfConcepts, urls []string) (*RefreshStats, err
 				stats.PagesGone++
 				woc.Pages.Delete(u)
 				woc.memo.drop(u)
+				delete(woc.links, u)
 				woc.DocIndex.Remove(u)
 				// Remember which records the dead page fed a value to (the
 				// lineage ledger): when the page resurrects, the supersede
@@ -213,7 +214,8 @@ func (b *Builder) Refresh(woc *WebOfConcepts, urls []string) (*RefreshStats, err
 		return err != nil
 	})
 	if woc.memo == nil {
-		woc.memo = newExtractMemo() // a streamed build kept none
+		// A streamed build kept no memos; maintenance keeps both from here.
+		woc.memo, woc.links = newExtractMemo(), linkMemo{}
 	}
 	b.stage(ctx, "extract", func(sctx context.Context) {
 		// The changed pages' hosts are all among the re-extracted ones, so
@@ -266,7 +268,11 @@ func (b *Builder) Refresh(woc *WebOfConcepts, urls []string) (*RefreshStats, err
 //
 // It returns the retired records and the set of hosts whose sites must
 // re-extract: every host that fed a retired record, plus the changed pages'
-// own hosts.
+// own hosts. A feeding host is one with a stored page among the record's
+// associations or value sources, read off the URL alone: the walk reads and
+// parses no page. A host whose only such page is stored but unreadable is
+// therefore re-extracted too, which is harmless — re-extraction skips pages
+// it cannot read.
 func (b *Builder) retireAffected(woc *WebOfConcepts, changed []*webgraph.Page, stats *RefreshStats) (map[string]*lrec.Record, map[string]bool) {
 	retired := make(map[string]*lrec.Record)
 	reviewPage := make(map[string]string)
@@ -313,16 +319,16 @@ func (b *Builder) retireAffected(woc *WebOfConcepts, changed []*webgraph.Page, s
 	for _, id := range order {
 		rec := retired[id]
 		for _, src := range woc.RevAssoc[id] {
-			if p, err := woc.Pages.Get(src); err == nil {
-				hosts[p.Host] = true
+			if woc.Pages.Has(src) {
+				hosts[webgraph.HostOf(src)] = true
 			}
 		}
 		// Value sources whose association was folded away by dedupe still
 		// need their site re-extracted; walk provenance directly too.
 		for _, k := range rec.Keys() {
 			for _, v := range rec.All(k) {
-				if p, err := woc.Pages.Get(v.Prov.SourceURL); err == nil {
-					hosts[p.Host] = true
+				if u := v.Prov.SourceURL; woc.Pages.Has(u) {
+					hosts[webgraph.HostOf(u)] = true
 				}
 			}
 		}
@@ -426,12 +432,16 @@ func (b *Builder) applyCandidates(woc *WebOfConcepts, cg *conceptGroups, retired
 //
 // The pending pages and the matcher are fixed before scoring starts: the
 // pending set is read from Assoc before any apply, and the matcher's read
-// path is goroutine-safe, so pages are scored across the worker pool, each
-// read through the page store. All mutation — Assoc/RevAssoc edges, review
-// deletes and Puts with their NextSeq stamps — happens in one apply phase
-// that walks the pending pages in sorted-URL order, keeping seq assignment
-// deterministic; a page's outcome depends only on associations and reviews
-// from before the pass, never on another page's link.
+// path is goroutine-safe, so pages are scored across the worker pool. A
+// page is scored by its link features: from the link-feature memo while the
+// page store's hash still matches (see linkMemo), else from the parse the
+// refetch stage made of a changed page, else read and parsed through the
+// page store. The memo is pruned and refilled after scoring. All mutation —
+// Assoc/RevAssoc edges, review deletes and Puts with their NextSeq stamps —
+// happens in one apply phase that walks the pending pages in sorted-URL
+// order, keeping seq assignment deterministic; a page's outcome depends only
+// on associations and reviews from before the pass, never on another page's
+// link.
 //
 // It returns the pages given a new link, the pages whose stale review it
 // deleted, and the review Puts that succeeded.
@@ -508,27 +518,59 @@ func (b *Builder) relinkPass(woc *WebOfConcepts, changed []*webgraph.Page, globa
 	}
 	tm := match.NewTextMatcher(corpus)
 
+	fresh := make(map[string]*webgraph.Page, len(changed))
+	for _, p := range changed {
+		fresh[p.URL] = p
+	}
 	type hit struct {
 		recID   string
 		snippet string
 	}
 	hits := make([]*hit, len(pending))
+	keep := woc.links != nil
+	var feats []linkFeatures // by pending page, when the memo is kept
+	var read []bool          // features known: a memo hit or the page read
+	if keep {
+		feats, read = make([]linkFeatures, len(pending)), make([]bool, len(pending))
+	}
 	parallelEach(len(pending), b.workers(), func(i int) {
-		p, err := woc.Pages.Get(pending[i])
-		if err != nil {
+		f, ok := woc.links.lookup(woc.Pages, pending[i])
+		if !ok {
+			p := fresh[pending[i]]
+			if p == nil {
+				var err error
+				if p, err = woc.Pages.Get(pending[i]); err != nil {
+					return
+				}
+			}
+			f = newLinkFeatures(p, keep)
+		}
+		if keep {
+			feats[i], read[i] = f, true
+		}
+		if f.short {
 			return
 		}
-		pa := extract.Analyze(p)
-		text := pa.MainText()
-		if len(text) < 40 {
-			return
-		}
-		best, ok := tm.BestTokens(pa.MainTokens(), threshold)
+		best, ok := tm.BestTokens(f.tokens, threshold)
 		if !ok {
 			return
 		}
-		hits[i] = &hit{recID: best.ID, snippet: truncateBytes(text, 280)}
+		hits[i] = &hit{recID: best.ID, snippet: f.snippet}
 	})
+	if keep {
+		if global {
+			clear(woc.links)
+		} else {
+			for _, p := range changed {
+				delete(woc.links, p.URL)
+			}
+		}
+		for i, u := range pending {
+			if read[i] {
+				woc.links[u] = feats[i]
+			}
+		}
+	}
 
 	for i, u := range pending {
 		h := hits[i]

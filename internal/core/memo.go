@@ -139,3 +139,75 @@ func (hs *hostSite) analysis(i int) *extract.PageAnalysis {
 	}
 	return hs.pas[i]
 }
+
+// Link features: what the relink stage scores a page by.
+const (
+	// linkMinText is the main-text length, in bytes, below which a page is
+	// never a link candidate.
+	linkMinText = 40
+	// reviewSnippetBytes caps the page text a review record carries.
+	reviewSnippetBytes = 280
+)
+
+// linkFeatures are a page's inputs to semantic linking, all a pure function
+// of its bytes: the review snippet (its main text cut to reviewSnippetBytes)
+// and its main-text tokens, or short when the main text is under
+// linkMinText bytes. hash is the content hash they were computed under.
+type linkFeatures struct {
+	hash    uint64
+	short   bool
+	snippet string
+	tokens  []string
+}
+
+// newLinkFeatures computes a page's link features. The snippet is copied out
+// of the page's main text, so that a review record holding it does not keep
+// the text; with keep set the tokens are too, packed into one string, so
+// that the memo does not keep it either. Without keep they alias the text.
+func newLinkFeatures(p *webgraph.Page, keep bool) linkFeatures {
+	pa := extract.Analyze(p)
+	text := pa.MainText()
+	if len(text) < linkMinText {
+		return linkFeatures{hash: p.Hash, short: true}
+	}
+	f := linkFeatures{hash: p.Hash, snippet: strings.Clone(truncateBytes(text, reviewSnippetBytes)), tokens: pa.MainTokens()}
+	if !keep {
+		return f
+	}
+	packed := strings.Join(f.tokens, "")
+	toks := make([]string, len(f.tokens))
+	for i, t := range f.tokens {
+		toks[i], packed = packed[:len(t)], packed[len(t):]
+	}
+	f.tokens = toks
+	return f
+}
+
+// linkMemo is the web of concepts' link-feature memo: by URL, the link
+// features of the pages the relink stage last scored, so that a maintenance
+// pass whose relink goes global re-reads and re-parses only the pages that
+// changed. An entry answers while the page store's hash for the URL equals
+// the entry's; any other entry is recomputed from the page.
+//
+// It exists exactly when the extraction memo does (Build keeps both, a
+// streamed build neither until its first Refresh creates both) and is
+// touched only from the maintenance goroutine: read by the relink stage's
+// page tasks, written after them. Pruning keeps it to the pages a relink
+// could score: a global relink leaves exactly its pending set in the memo, a
+// narrow relink upserts the changed pages it scored and drops the changed
+// pages it did not, and a page that goes gone is dropped beside its
+// extraction-memo entries. A nil linkMemo keeps nothing.
+type linkMemo map[string]linkFeatures
+
+// lookup returns url's features if the memo holds them under the page
+// store's current hash for url.
+func (m linkMemo) lookup(pages *webgraph.Store, url string) (linkFeatures, bool) {
+	f, ok := m[url]
+	if !ok {
+		return linkFeatures{}, false
+	}
+	if h, stored := pages.Hash(url); !stored || h != f.hash {
+		return linkFeatures{}, false
+	}
+	return f, true
+}

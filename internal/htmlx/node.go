@@ -236,3 +236,27 @@ func (n *Node) Links() []string {
 	}
 	return out
 }
+
+// ScanLinks returns the non-empty href values of the <a> tags in src, in
+// document order: what Parse(src).Links() returns, found by the tokenizer
+// alone. Parse makes an element of every start tag, in token order, and a
+// preorder walk visits elements in the order they were made, so the two
+// agree on any input.
+func ScanLinks(src string) []string {
+	var out []string
+	z := NewTokenizer(src)
+	for {
+		tok := z.Next()
+		switch tok.Type {
+		case ErrorToken:
+			return out
+		case StartTagToken, SelfClosingTagToken:
+			if tok.Data != "a" {
+				continue
+			}
+			if href, ok := tok.AttrVal("href"); ok && href != "" {
+				out = append(out, href)
+			}
+		}
+	}
+}

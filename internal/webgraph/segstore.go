@@ -29,10 +29,9 @@ import (
 //
 // Resident state is the sparse index only: map[url]pageRef (segment, frame
 // offset and size, content hash) plus the byHost map — tens of bytes per
-// page instead of the page itself. Raw HTML stays on disk; every Get preads
-// the frame and parses it. Nothing parsed stays resident: a build reads each
-// page once in extract and each unassociated page once more in link, so a
-// parse cache would hold DOMs that are never read back.
+// page instead of the page itself. Raw HTML stays on disk; every get preads
+// the frame, and the Store facade parses it, as it does for the memory
+// backend.
 //
 // Durability: frames are written unbuffered (so preads see every append) and
 // fsynced on segment roll, Flush and Close, not per Put. Reopen cuts a torn
@@ -97,7 +96,6 @@ type diskBackend struct {
 
 	latched  error
 	recovery DiskRecovery
-	stats    *storeCounters
 }
 
 // OpenDiskStore opens (or creates) a disk-backed page store rooted at dir
@@ -125,7 +123,6 @@ func OpenDiskStore(dir string, opts DiskOptions) (*Store, error) {
 		byHost:   make(map[string][]string),
 		segBytes: segBytes,
 		readers:  make(map[int]framelog.File),
-		stats:    new(storeCounters),
 	}
 	if err := b.replay(); err != nil {
 		return nil, err
@@ -133,7 +130,7 @@ func OpenDiskStore(dir string, opts DiskOptions) (*Store, error) {
 	if err := b.openAppend(); err != nil {
 		return nil, err
 	}
-	return &Store{b: b, stats: b.stats}, nil
+	return &Store{b: b}, nil
 }
 
 // DiskRecovery returns what the last OpenDiskStore replay found; the zero
@@ -311,23 +308,11 @@ func (b *diskBackend) reader(seg int) (framelog.File, error) {
 
 // --- backend interface ---
 
-func (b *diskBackend) put(p *Page) (bool, error) {
+// put appends the page's frame and moves its index entry, unless the stored
+// hash says the bytes are unchanged.
+func (b *diskBackend) put(url, html string, hash uint64) (bool, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.appendPut(p.URL, p.HTML, p.Hash)
-}
-
-// putRaw stores a page without parsing it: hash, frame append, index entry.
-func (b *diskBackend) putRaw(url, html string) (bool, error) {
-	hash := HashContent(html)
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.appendPut(url, html, hash)
-}
-
-// appendPut appends the page's frame and moves its index entry, unless the
-// stored hash says the bytes are unchanged. Callers hold b.mu.
-func (b *diskBackend) appendPut(url, html string, hash uint64) (bool, error) {
 	if ref, ok := b.refs[url]; ok && ref.hash == hash {
 		return false, nil
 	}
@@ -353,32 +338,31 @@ func (b *diskBackend) delete(url string) bool {
 	return true
 }
 
-func (b *diskBackend) get(url string) (*Page, error) {
+func (b *diskBackend) get(url string) (string, error) {
 	b.mu.Lock()
 	ref, ok := b.refs[url]
 	if !ok {
 		b.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, url)
+		return "", fmt.Errorf("%w: %s", ErrNotFound, url)
 	}
 	f, err := b.reader(int(ref.seg))
 	b.mu.Unlock()
 	if err != nil {
-		return nil, err
+		return "", err
 	}
-	// Pread + parse outside the lock: frames are immutable once appended,
-	// so a concurrent Delete/Put can't invalidate the bytes at ref, and
-	// keeping the (expensive) HTML parse unserialized is what lets the
-	// build's workers read different hosts concurrently.
+	// Pread outside the lock (and the facade parses outside it too): frames
+	// are immutable once appended, so a concurrent Delete/Put can't
+	// invalidate the bytes at ref, and keeping reads unserialized is what
+	// lets the build's workers read different hosts concurrently.
 	frame, err := framelog.ReadAt(f, ref.off, int(ref.size))
 	if err != nil {
-		return nil, fmt.Errorf("webgraph: read %s: %w", url, err)
+		return "", fmt.Errorf("webgraph: read %s: %w", url, err)
 	}
 	kind, u, html, err := decodePage(frame)
 	if err != nil || kind != framePut || string(u) != url {
-		return nil, fmt.Errorf("%w: frame at %s offset %d is not %s", ErrCorrupt, segName(int(ref.seg)), ref.off, url)
+		return "", fmt.Errorf("%w: frame at %s offset %d is not %s", ErrCorrupt, segName(int(ref.seg)), ref.off, url)
 	}
-	b.stats.parses.Add(1)
-	return NewPage(url, string(html)), nil
+	return string(html), nil
 }
 
 func (b *diskBackend) has(url string) bool {

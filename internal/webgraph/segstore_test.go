@@ -469,22 +469,45 @@ func TestDiskStoreScanBounded(t *testing.T) {
 	}
 }
 
-// TestDiskStoreGetParsesEveryTime: a disk store keeps no parsed page, so N
-// Gets of one URL are N parses and no hits.
-func TestDiskStoreGetParsesEveryTime(t *testing.T) {
-	s := openDisk(t, t.TempDir(), DiskOptions{})
-	defer s.Close()
+// getParsesEveryTime reads one stored page n times and a missing one once:
+// a store keeps bytes, never a parse, so every successful Get is a parse
+// into a page of its own, and Gets exceed Parses by the failed read alone.
+func getParsesEveryTime(t *testing.T, s *Store) {
+	t.Helper()
 	p := testPage(1)
 	s.Put(p)
 	const n = 5
+	seen := make(map[*Page]bool)
 	for i := 0; i < n; i++ {
-		if got, err := s.Get(p.URL); err != nil || got.HTML != p.HTML {
+		got, err := s.Get(p.URL)
+		if err != nil || got.HTML != p.HTML || !reflect.DeepEqual(got.Outlinks, p.Outlinks) {
 			t.Fatalf("Get #%d = %v, %v", i, got, err)
 		}
+		if got == p || seen[got] || got.Doc == p.Doc {
+			t.Fatalf("Get #%d returned a page (or DOM) an earlier call or Put held", i)
+		}
+		seen[got] = true
 	}
-	if st := s.Stats(); st.Gets != n || st.Parses != n || st.CacheHits != 0 {
-		t.Errorf("stats after %d Gets = %+v, want %d gets, %d parses, 0 hits", n, st, n, n)
+	if _, err := s.Get("nowhere.example/"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get of a missing page: %v", err)
 	}
+	if st := s.Stats(); st.Gets != n+1 || st.Parses != n {
+		t.Errorf("stats after %d Gets and one failed read = %+v, want %d gets, %d parses", n, st, n+1, n)
+	}
+}
+
+// TestDiskStoreGetParsesEveryTime: a disk store keeps no parsed page, so N
+// Gets of one URL are N parses.
+func TestDiskStoreGetParsesEveryTime(t *testing.T) {
+	s := openDisk(t, t.TempDir(), DiskOptions{})
+	defer s.Close()
+	getParsesEveryTime(t, s)
+}
+
+// TestMemoryStoreGetParsesEveryTime: neither does a memory store — it holds
+// the bytes Put was given, and the parse Put's caller held is not kept.
+func TestMemoryStoreGetParsesEveryTime(t *testing.T) {
+	getParsesEveryTime(t, NewStore())
 }
 
 func sortedStrings(s []string) bool {
@@ -497,8 +520,8 @@ func sortedStrings(s []string) bool {
 }
 
 // TestPutRawMatchesPut: a page stored from its bytes alone reads back as the
-// page Put would have stored — on both backends — and on the disk backend
-// storing it does not parse.
+// page Put would have stored, and storing it does not parse — on both
+// backends.
 func TestPutRawMatchesPut(t *testing.T) {
 	const u = "raw.example/page"
 	v1 := `<html><body><h1>One</h1><a href="/next">next</a></body></html>`
@@ -529,10 +552,10 @@ func TestPutRawMatchesPut(t *testing.T) {
 		if hp := s.HostPages("raw.example"); !reflect.DeepEqual(hp, []string{u}) {
 			t.Errorf("%s: host pages %v", name, hp)
 		}
-	}
-	before := disk.Stats().Parses
-	disk.PutRaw("raw.example/unparsed", v1)
-	if after := disk.Stats().Parses; after != before {
-		t.Errorf("disk: PutRaw parsed (%d parses, want %d)", after, before)
+		before := s.Stats().Parses
+		s.PutRaw("raw.example/unparsed", v1)
+		if after := s.Stats().Parses; after != before {
+			t.Errorf("%s: PutRaw parsed (%d parses, want %d)", name, after, before)
+		}
 	}
 }

@@ -44,7 +44,15 @@ type Page struct {
 	Hash     uint64
 }
 
-// Host splits a URL of the form "host/path..." used throughout the system.
+// HostOf returns the host of a URL of the form "host/path..." used
+// throughout the system — what a Page's Host would be, without a read or a
+// parse.
+func HostOf(url string) string {
+	host, _ := splitURL(url)
+	return host
+}
+
+// splitURL splits a URL of the form "host/path..." into host and path.
 func splitURL(url string) (host, path string) {
 	if i := strings.IndexByte(url, '/'); i >= 0 {
 		return url[:i], url[i:]
@@ -68,8 +76,22 @@ func HashContent(html string) uint64 {
 func NewPage(url, html string) *Page {
 	host, path := splitURL(url)
 	doc := htmlx.Parse(html)
-	links := doc.Links()
-	// Resolve relative links against the host.
+	return &Page{
+		URL: url, Host: host, Path: path,
+		HTML: html, Doc: doc, Outlinks: resolveLinks(host, doc.Links()),
+		Hash: HashContent(html),
+	}
+}
+
+// scanOutlinks returns the outlinks NewPage would give the page, found by
+// the tokenizer alone, without building a DOM.
+func scanOutlinks(url, html string) []string {
+	return resolveLinks(HostOf(url), htmlx.ScanLinks(html))
+}
+
+// resolveLinks puts a page's hrefs in the store's URL form: the scheme cut
+// off absolute links, and host-relative paths prefixed with the page's host.
+func resolveLinks(host string, links []string) []string {
 	resolved := make([]string, 0, len(links))
 	for _, l := range links {
 		switch {
@@ -83,58 +105,54 @@ func NewPage(url, html string) *Page {
 		}
 		resolved = append(resolved, l)
 	}
-	return &Page{
-		URL: url, Host: host, Path: path,
-		HTML: html, Doc: doc, Outlinks: resolved,
-		Hash: HashContent(html),
-	}
+	return resolved
 }
 
 // Store holds crawled pages, indexed by URL and host. Safe for concurrent
-// use. Pages themselves (and their parsed htmlx DOMs) are immutable once
-// stored and cache nothing lazily, so the build pipeline's workers may read
-// the same *Page — including walking its Doc — from many goroutines at once.
+// use. A Store keeps page bytes, never a parse: every Get parses the stored
+// HTML into a fresh *Page, on either backend, so what a caller holds it owns,
+// and what stays resident is the bytes and a content hash per page. Pages
+// (and their parsed htmlx DOMs) are immutable and cache nothing lazily, so
+// the build pipeline's workers may read one *Page — including walking its
+// Doc — from many goroutines at once.
 //
-// A Store is a facade over one of two backends: the default in-memory map
-// (every page and its parsed DOM resident, the right choice for tests and
+// A Store is a facade over one of two byte-store backends: the default
+// in-memory map (url → HTML and hash; the right choice for tests and
 // laptop-scale worlds) or the disk-backed segment store opened with
-// OpenDiskStore, which keeps only an offset index resident and parses a
-// page on every Get — the corpus-scale backend (see segstore.go). The
-// backend is invisible to callers: Get/Put/Delete/Scan behave identically.
+// OpenDiskStore, which keeps only an offset index resident and preads a
+// page's bytes on every Get — the corpus-scale backend (see segstore.go).
+// The backend is invisible to callers: Get/Put/Delete/Scan behave
+// identically, and Get's parse is the facade's.
 type Store struct {
-	b backend
-	// stats is shared with the backend, which counts what only it can see.
-	stats *storeCounters
+	b     backend
+	stats storeCounters
 }
 
-// storeCounters are the page store's read-path counters. Every Get is either
-// a hit (the parsed page was resident: always, for a memory store, never for
-// a disk store) or a parse, or fails. A memory store also
-// parses on PutRaw, the only other place a store parses on a caller's behalf.
+// storeCounters are the page store's read-path counters. Every Get either
+// parses the page or fails; nothing else in a store parses.
 type storeCounters struct {
-	gets, parses, hits atomic.Uint64
+	gets, parses atomic.Uint64
 }
 
 // StoreStats is a snapshot of a store's read-path counters since it was
-// opened: Get calls, HTML parses the store performed (every disk store read;
-// a memory store's PutRaw), and Gets answered with an already-parsed page
-// (memory stores only).
+// opened: Get calls, and the HTML parses they performed. Gets exceeds Parses
+// by the reads that failed (a missing or unreadable page).
 type StoreStats struct {
-	Gets, Parses, CacheHits uint64
+	Gets, Parses uint64
 }
 
 // Stats returns the store's read-path counters.
 func (s *Store) Stats() StoreStats {
-	return StoreStats{Gets: s.stats.gets.Load(), Parses: s.stats.parses.Load(), CacheHits: s.stats.hits.Load()}
+	return StoreStats{Gets: s.stats.gets.Load(), Parses: s.stats.parses.Load()}
 }
 
-// backend is the storage contract behind the Store facade. Implementations
-// must be safe for concurrent use.
+// backend is the byte store behind the Store facade: page bytes and content
+// hash by URL, plus a host index. Implementations must be safe for
+// concurrent use.
 type backend interface {
-	put(p *Page) (changed bool, err error)
-	putRaw(url, html string) (changed bool, err error)
+	put(url, html string, hash uint64) (changed bool, err error)
 	delete(url string) bool
-	get(url string) (*Page, error)
+	get(url string) (html string, err error)
 	has(url string) bool
 	hash(url string) (uint64, bool)
 	count() int
@@ -148,24 +166,22 @@ type backend interface {
 
 // NewStore returns an empty in-memory page store.
 func NewStore() *Store {
-	c := new(storeCounters)
-	return &Store{b: &memBackend{pages: make(map[string]*Page), byHost: make(map[string][]string), stats: c}, stats: c}
+	return &Store{b: &memBackend{pages: make(map[string]memPage), byHost: make(map[string][]string)}}
 }
 
-// Put adds or replaces a page. It reports whether the content changed
+// Put adds or replaces a page, keeping its bytes and hash; the parse the
+// caller holds is not retained. It reports whether the content changed
 // (true for new pages and modified bodies). On a disk-backed store a write
 // failure latches the store (see Err) and Put reports false.
 func (s *Store) Put(p *Page) (changed bool) {
-	changed, _ = s.b.put(p)
+	changed, _ = s.b.put(p.URL, p.HTML, p.Hash)
 	return changed
 }
 
-// PutRaw is Put for a caller that holds only the page's bytes and has no use
-// for the parse: a streamed ingest. The disk backend hashes and appends
-// without parsing; the memory backend, which keeps every page parsed, parses
-// as Put's caller would have.
+// PutRaw is Put for a caller that holds only the page's bytes: a streamed
+// ingest. It hashes and stores them without parsing, on either backend.
 func (s *Store) PutRaw(url, html string) (changed bool) {
-	changed, _ = s.b.putRaw(url, html)
+	changed, _ = s.b.put(url, html, HashContent(html))
 	return changed
 }
 
@@ -176,21 +192,28 @@ func (s *Store) PutRaw(url, html string) (changed bool) {
 // the index.
 func (s *Store) Delete(url string) bool { return s.b.delete(url) }
 
-// Get returns the page at url.
+// Get reads the page at url and parses it: a new *Page on every call, on
+// either backend. Callers that need only membership, the content hash or
+// the host use Has, Hash or HostOf, which read nothing.
 func (s *Store) Get(url string) (*Page, error) {
 	s.stats.gets.Add(1)
-	return s.b.get(url)
+	html, err := s.b.get(url)
+	if err != nil {
+		return nil, err
+	}
+	s.stats.parses.Add(1)
+	return NewPage(url, html), nil
 }
 
-// Has reports whether a page is stored at url. On a disk-backed store this
-// is an index lookup — no segment read, no parse — so membership checks
-// (link-graph pruning, maintenance scheduling) stay cheap at corpus scale.
+// Has reports whether a page is stored at url. It is an index lookup — no
+// read, no parse — so membership checks (link-graph pruning, maintenance
+// scheduling, the supersede stage's host walk) stay cheap at corpus scale.
 func (s *Store) Has(url string) bool { return s.b.has(url) }
 
 // Hash returns the content hash of the page stored at url, like Has without
 // a read or a parse. The maintenance pass compares it with the hash of a
 // fetched body to skip parsing pages that did not change, and the extraction
-// memo keys a page's candidates by it.
+// and link-feature memos key a page's entries by it.
 func (s *Store) Hash(url string) (uint64, bool) { return s.b.hash(url) }
 
 // Len returns the number of stored pages.
@@ -219,8 +242,8 @@ func (s *Store) Close() error { return s.b.close() }
 func (s *Store) Err() error { return s.b.err() }
 
 // Scan calls fn for each page in sorted-URL order; return false to stop.
-// On a disk-backed store each page is read and parsed as the scan reaches
-// it, so a full scan holds no more pages resident than fn keeps.
+// Each page is read and parsed as the scan reaches it, so a full scan holds
+// no more pages resident than fn keeps — and costs a parse per page.
 func (s *Store) Scan(fn func(*Page) bool) {
 	for _, u := range s.URLs() {
 		p, err := s.Get(u)
@@ -233,42 +256,44 @@ func (s *Store) Scan(fn func(*Page) bool) {
 	}
 }
 
-// memBackend is the default backend: every page resident in a map.
+// memBackend is the default backend: every page's bytes and hash resident
+// in a map.
 type memBackend struct {
 	mu     sync.RWMutex
-	pages  map[string]*Page
+	pages  map[string]memPage
 	byHost map[string][]string
-	stats  *storeCounters
 }
 
-func (s *memBackend) put(p *Page) (bool, error) {
+// memPage is what a memory store keeps of a page.
+type memPage struct {
+	html string
+	hash uint64
+}
+
+func (s *memBackend) put(url, html string, hash uint64) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	old, ok := s.pages[p.URL]
-	if ok && old.Hash == p.Hash {
+	old, ok := s.pages[url]
+	if ok && old.hash == hash {
 		return false, nil
 	}
 	if !ok {
-		s.byHost[p.Host] = append(s.byHost[p.Host], p.URL)
+		host := HostOf(url)
+		s.byHost[host] = append(s.byHost[host], url)
 	}
-	s.pages[p.URL] = p
+	s.pages[url] = memPage{html: html, hash: hash}
 	return true, nil
-}
-
-func (s *memBackend) putRaw(url, html string) (bool, error) {
-	s.stats.parses.Add(1)
-	return s.put(NewPage(url, html))
 }
 
 func (s *memBackend) delete(url string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p, ok := s.pages[url]
-	if !ok {
+	if _, ok := s.pages[url]; !ok {
 		return false
 	}
 	delete(s.pages, url)
-	urls := s.byHost[p.Host]
+	host := HostOf(url)
+	urls := s.byHost[host]
 	for i, u := range urls {
 		if u == url {
 			urls = append(urls[:i], urls[i+1:]...)
@@ -276,22 +301,21 @@ func (s *memBackend) delete(url string) bool {
 		}
 	}
 	if len(urls) == 0 {
-		delete(s.byHost, p.Host)
+		delete(s.byHost, host)
 	} else {
-		s.byHost[p.Host] = urls
+		s.byHost[host] = urls
 	}
 	return true
 }
 
-func (s *memBackend) get(url string) (*Page, error) {
+func (s *memBackend) get(url string) (string, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	p, ok := s.pages[url]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, url)
+		return "", fmt.Errorf("%w: %s", ErrNotFound, url)
 	}
-	s.stats.hits.Add(1)
-	return p, nil
+	return p.html, nil
 }
 
 func (s *memBackend) has(url string) bool {
@@ -305,10 +329,7 @@ func (s *memBackend) hash(url string) (uint64, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	p, ok := s.pages[url]
-	if !ok {
-		return 0, false
-	}
-	return p.Hash, true
+	return p.hash, ok
 }
 
 func (s *memBackend) count() int {
@@ -363,7 +384,11 @@ type Crawler struct {
 }
 
 // Crawl runs BFS from seeds and returns the number of pages fetched.
-// Fetch errors (dead links) are counted but do not abort the crawl.
+// Fetch errors (dead links) are counted but do not abort the crawl. A
+// fetched page goes into the store as bytes (PutRaw): its outlinks are found
+// by htmlx.ScanLinks, the tokenizer alone, so the crawl parses nothing and
+// the page's one parse is its first Get — the outlinks are those NewPage
+// would give.
 func (c *Crawler) Crawl(seeds []string) (fetched int, failed int) {
 	seen := make(map[string]bool)
 	frontier := append([]string(nil), seeds...)
@@ -382,8 +407,9 @@ func (c *Crawler) Crawl(seeds []string) (fetched int, failed int) {
 		frontier = nil
 
 		type result struct {
-			page *Page
-			err  error
+			html     string
+			outlinks []string
+			err      error
 		}
 		results := make([]result, len(batch))
 		var wg sync.WaitGroup
@@ -399,19 +425,19 @@ func (c *Crawler) Crawl(seeds []string) (fetched int, failed int) {
 					results[i] = result{err: err}
 					return
 				}
-				results[i] = result{page: NewPage(u, html)}
+				results[i] = result{html: html, outlinks: scanOutlinks(u, html)}
 			}(i, u)
 		}
 		wg.Wait()
 
-		for _, res := range results {
+		for i, res := range results {
 			if res.err != nil {
 				failed++
 				continue
 			}
 			fetched++
-			c.Store.Put(res.page)
-			for _, l := range res.page.Outlinks {
+			c.Store.PutRaw(batch[i], res.html)
+			for _, l := range res.outlinks {
 				if seen[l] {
 					continue
 				}

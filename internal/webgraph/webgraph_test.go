@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"conceptweb/internal/htmlx"
 	"conceptweb/internal/webgen"
 )
 
@@ -214,6 +215,25 @@ func TestCrawlSyntheticWorld(t *testing.T) {
 	})
 }
 
+// TestCrawlFindsParsedOutlinks: the crawl scans each page for its outlinks
+// without parsing it, and finds exactly the outlinks a parse gives, on every
+// page of the synthetic world; the crawled store then holds every page's
+// bytes with no parse paid.
+func TestCrawlFindsParsedOutlinks(t *testing.T) {
+	w := webgen.Generate(webgen.DefaultConfig())
+	for _, p := range w.Pages() {
+		if got, want := scanOutlinks(p.URL, p.HTML), NewPage(p.URL, p.HTML).Outlinks; !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: scan found %q, parse %q", p.URL, got, want)
+		}
+	}
+	st := NewStore()
+	c := &Crawler{Fetcher: worldFetcher(w), Store: st}
+	fetched, _ := c.Crawl(w.SeedURLs())
+	if fetched == 0 || st.Len() != fetched || st.Stats().Parses != 0 {
+		t.Fatalf("crawl fetched %d, stored %d, parsed %d", fetched, st.Len(), st.Stats().Parses)
+	}
+}
+
 func TestCrawlDeterministic(t *testing.T) {
 	web := miniWeb{
 		"a.example/":  linked("/b", "/c"),
@@ -242,4 +262,65 @@ func TestHashContentIsFNV1a(t *testing.T) {
 			t.Errorf("HashContent(%q...) = %x, fnv-1a %x", s[:min(len(s), 8)], got, want)
 		}
 	}
+}
+
+// renderDOM writes the tree under n — node types, tag names and texts,
+// attributes in order — one node a line, indented by depth, failing if a
+// child does not point back at its parent.
+func renderDOM(t *testing.T, b *strings.Builder, n *htmlx.Node, depth int) {
+	fmt.Fprintf(b, "%s%d %q", strings.Repeat(" ", depth), n.Type, n.Data)
+	for _, a := range n.Attr {
+		fmt.Fprintf(b, " %q=%q", a.Key, a.Val)
+	}
+	b.WriteByte('\n')
+	for _, c := range n.Children {
+		if c.Parent != n {
+			t.Fatalf("child %q of %q has another parent", c.Data, n.Data)
+		}
+		renderDOM(t, b, c, depth+1)
+	}
+}
+
+// FuzzNewPageDeterministic: parse-on-read stands on a page being a pure
+// function of its URL and bytes — every Get parses anew, and the memos key
+// what they keep by the content hash alone — so two NewPage calls over the
+// same input must agree on text, outlinks, hash and the rendered DOM, and
+// neither may panic. The crawl, which stores bytes unparsed, must find the
+// outlinks NewPage finds. Seeded from the synthetic world, one page of every
+// kind.
+func FuzzNewPageDeterministic(f *testing.F) {
+	cfg := webgen.DefaultConfig()
+	cfg.Restaurants, cfg.ReviewArticles = 20, 6
+	kinds := map[string]bool{}
+	for _, p := range webgen.Generate(cfg).Pages() {
+		if !kinds[p.Truth.Kind] {
+			kinds[p.Truth.Kind] = true
+			f.Add(p.URL, p.HTML)
+		}
+	}
+	f.Add("a.example", `<a href="https://b.example/x">b<a href=/y>y</a><p>unclosed <b>tags`)
+	f.Fuzz(func(t *testing.T, url, html string) {
+		a, b := NewPage(url, html), NewPage(url, html)
+		if a.Doc.Text() != b.Doc.Text() {
+			t.Fatalf("Text differs between two parses of the same bytes")
+		}
+		if !reflect.DeepEqual(a.Outlinks, b.Outlinks) {
+			t.Fatalf("Outlinks differ: %q vs %q", a.Outlinks, b.Outlinks)
+		}
+		if scanned := scanOutlinks(url, html); !reflect.DeepEqual(scanned, a.Outlinks) {
+			t.Fatalf("the crawl's link scan found %q, the parse %q", scanned, a.Outlinks)
+		}
+		if a.Hash != b.Hash || a.Hash != HashContent(html) {
+			t.Fatalf("hashes %x, %x over the same bytes", a.Hash, b.Hash)
+		}
+		if a.URL != url || a.Host != b.Host || a.Path != b.Path || a.Host != HostOf(url) {
+			t.Fatalf("URL split differs: %q %q %q / %q %q", a.Host, a.Path, HostOf(url), b.Host, b.Path)
+		}
+		var ra, rb strings.Builder
+		renderDOM(t, &ra, a.Doc, 0)
+		renderDOM(t, &rb, b.Doc, 0)
+		if ra.String() != rb.String() {
+			t.Fatalf("rendered DOMs differ:\n%s\nvs\n%s", ra.String(), rb.String())
+		}
+	})
 }
