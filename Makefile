@@ -46,20 +46,24 @@ servetest:
 	$(GO) test -race -count=1 -v ./internal/serving/ ./cmd/wocserve/
 
 # querytest re-proves the query path's two equivalences under the race
-# detector: the dense BM25F kernel against the retained map-and-sort
-# reference (score bits, order, nil-ness, posting adjacency, at 1/4/16
-# shards), and the shared-reference reads against the clone-everything
+# detector: the one ranked query path (Sharded.SearchCost) against the
+# retained map-and-sort reference with its own statistics sum and k-way heap
+# merge (score bits, order, nil-ness, posting adjacency, at 1/4/16 shards),
+# and the shared-reference reads against the clone-everything
 # ConceptSearch/Trigger/Alternatives — plus the aliasing test, where readers
 # scribble over every returned record while a writer Puts the same IDs — and
 # the index's write side: Prepare's term frequencies merged by AddPrepared
 # against the retained token-stream merge, posting for posting — and the
 # record store's attribute and concept indexes against a filter over Scan
 # after every step of seeded put/delete/compact/reopen scripts (1 and 4
-# shards).
+# shards). The second run, without the race detector (under it sync.Pool
+# drops pooled scratch and the file is compiled out), pins a ranked query's
+# allocations at 1 and 4 shards: none grows with the documents scored.
 querytest:
 	$(GO) test -race -count=1 -v \
 		-run 'KernelMatchesReference|PreparedMergeMatchesReference|SharedReadsMatch|AlternativesMatch|ReturnedRecordsAreCallersToKeep|AttrIndexMatchesScan' \
 		./internal/index/ ./internal/search/ ./internal/session/ ./internal/lrec/
+	$(GO) test -count=1 -run 'Allocs' ./internal/index/
 
 # maintaintest runs the continuous-maintenance suites under the race
 # detector: the scheduler's cohort/sweep/gone-probe unit tests, the churn
@@ -177,8 +181,9 @@ scalecheck:
 # collective resolution, the maintenance upsert's target scan (200 incoming ×
 # 1000 stored records) with the profile pair score under it, and the query
 # path: one ranked BM25F query (heavy-tail 2k-page index, instance / set /
-# attribute forms, k = 60, 1 and 4 shards), one Alternatives call, and one
-# index re-add at 2k and at 20k documents (the two must read alike: a re-add
+# attribute forms, k = 60, 1 and 4 shards, the same serial path at both),
+# one Alternatives call, and one index re-add at 2k and at 20k documents
+# (the two must read alike: a re-add
 # costs what the document holds, not what the index holds), and the index
 # build of the same 2k pages (Prepare + AddPreparedBatch at 1 and 4 shards,
 # with the merge's share as merge-us/doc), and each recognizer rule over every

@@ -1,5 +1,5 @@
 // Package index implements an in-memory inverted index with BM25F-style
-// ranked retrieval and boolean retrieval.
+// ranked retrieval, hash-partitioned into shards.
 //
 // The paper's premise (§2.2) is that a web of concepts should remain
 // "amenable to leveraging existing search engine infrastructure" — i.e. an
@@ -11,7 +11,6 @@ package index
 import (
 	"errors"
 	"hash/maphash"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -430,166 +429,4 @@ func (ix *Index) df(t string) int {
 type Result struct {
 	ID    string
 	Score float64
-}
-
-// localStats carries the corpus-level statistics BM25F scoring depends on:
-// doc count, per-term document frequency, and per-field total length. All
-// fields are integers so stats gathered per shard and summed convert to
-// float64 at exactly the same points as the unsharded path — the foundation
-// of the "identical scores at any shard count" guarantee.
-type localStats struct {
-	ndocs    int
-	df       map[string]int // query term -> live docs containing it
-	fieldLen map[string]int // field name -> total token count
-}
-
-// searchStats gathers this index's contribution to the query's corpus
-// statistics, for the sharded wrapper.
-func (ix *Index) searchStats(toks []string) localStats {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	gs := localStats{
-		ndocs:    len(ix.extIDs) - ix.ndead,
-		df:       make(map[string]int, len(toks)),
-		fieldLen: make(map[string]int, len(ix.fields)),
-	}
-	for _, t := range toks {
-		if _, ok := gs.df[t]; !ok {
-			gs.df[t] = ix.df(t)
-		}
-	}
-	for _, fs := range ix.fields {
-		gs.fieldLen[fs.name] += fs.totalLen
-	}
-	return gs
-}
-
-// mergeStats sums shard-local statistics into global ones. Every doc lives
-// in exactly one shard, so plain addition reproduces the unsharded counts.
-func mergeStats(parts []localStats) localStats {
-	gs := localStats{df: make(map[string]int), fieldLen: make(map[string]int)}
-	for _, p := range parts {
-		gs.ndocs += p.ndocs
-		for t, n := range p.df {
-			gs.df[t] += n
-		}
-		for f, n := range p.fieldLen {
-			gs.fieldLen[f] += n
-		}
-	}
-	return gs
-}
-
-// searchWithStats scores this shard against corpus statistics summed over
-// every shard, for the sharded wrapper.
-func (ix *Index) searchWithStats(toks []string, gs localStats, k int) ([]Result, Cost) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if gs.ndocs == 0 || len(ix.extIDs) == 0 {
-		return nil, Cost{}
-	}
-	sc := getScratch(len(toks), len(ix.fields))
-	for i, t := range toks {
-		sc.df[i] = gs.df[t]
-	}
-	for f, fs := range ix.fields {
-		sc.fieldLen[f] = gs.fieldLen[fs.name]
-	}
-	return ix.searchLocked(sc, toks, gs.ndocs, k)
-}
-
-// Search runs a BM25F-ranked query and returns up to k results in
-// descending score order (ties broken by ID for determinism).
-func (ix *Index) Search(query string, k int) []Result {
-	out, _ := ix.searchCost(query, k)
-	return out
-}
-
-// searchCost is Search plus the work it did, scoring against this index's
-// own statistics.
-func (ix *Index) searchCost(query string, k int) ([]Result, Cost) {
-	toks := tokenize(query)
-	if len(toks) == 0 {
-		return nil, Cost{}
-	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	ndocs := len(ix.extIDs) - ix.ndead
-	if ndocs == 0 {
-		return nil, Cost{}
-	}
-	sc := getScratch(len(toks), len(ix.fields))
-	for i, t := range toks {
-		sc.df[i] = ix.df(t)
-	}
-	for f, fs := range ix.fields {
-		sc.fieldLen[f] = fs.totalLen
-	}
-	return ix.searchLocked(sc, toks, ndocs, k)
-}
-
-// SearchAll returns the IDs of documents containing all query terms
-// (conjunctive boolean retrieval), unranked, sorted by ID.
-func (ix *Index) SearchAll(query string) []string {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	toks := tokenize(query)
-	if len(toks) == 0 {
-		return nil
-	}
-	var acc map[int32]bool
-	for _, t := range toks {
-		cur := make(map[int32]bool)
-		for _, p := range ix.postings[t] {
-			if !ix.dead[p.doc] {
-				cur[p.doc] = true
-			}
-		}
-		if acc == nil {
-			acc = cur
-			continue
-		}
-		for d := range acc {
-			if !cur[d] {
-				delete(acc, d)
-			}
-		}
-		if len(acc) == 0 {
-			return nil
-		}
-	}
-	out := make([]string, 0, len(acc))
-	for d := range acc {
-		out = append(out, ix.extIDs[d])
-	}
-	sort.Strings(out)
-	return out
-}
-
-// SearchAny returns the IDs of documents containing at least one query term,
-// sorted by ID.
-func (ix *Index) SearchAny(query string) []string {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	acc := make(map[int32]bool)
-	for _, t := range tokenize(query) {
-		for _, p := range ix.postings[t] {
-			if !ix.dead[p.doc] {
-				acc[p.doc] = true
-			}
-		}
-	}
-	out := make([]string, 0, len(acc))
-	for d := range acc {
-		out = append(out, ix.extIDs[d])
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Terms returns the number of distinct terms in the index.
-func (ix *Index) Terms() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return len(ix.postings)
 }

@@ -16,8 +16,8 @@ func doc(id, title, body string) Document {
 	}}
 }
 
-func buildSmall() *Index {
-	ix := New()
+func buildSmall() *Sharded {
+	ix := NewSharded(1)
 	ix.Add(doc("d1", "Gochi Fusion Tapas", "japanese izakaya in cupertino with small plates and sake"))
 	ix.Add(doc("d2", "Birk's Steakhouse", "american steak house in santa clara near zipcode 95054"))
 	ix.Add(doc("d3", "Pizza My Heart", "pizza by the slice in cupertino and san jose"))
@@ -39,7 +39,7 @@ func TestSearchRanking(t *testing.T) {
 }
 
 func TestTitleBoost(t *testing.T) {
-	ix := New()
+	ix := NewSharded(1)
 	ix.Add(doc("title-hit", "salsa festival", "unrelated text about nothing"))
 	ix.Add(doc("body-hit", "unrelated heading", "salsa appears in the body text here"))
 	res := ix.Search("salsa", 2)
@@ -66,7 +66,7 @@ func TestSearchEmptyAndMissing(t *testing.T) {
 	if res := ix.Search("zzzzqqq", 5); len(res) != 0 {
 		t.Errorf("missing term gave %v", res)
 	}
-	if res := New().Search("anything", 5); res != nil {
+	if res := NewSharded(1).Search("anything", 5); res != nil {
 		t.Errorf("empty index gave %v", res)
 	}
 }
@@ -80,35 +80,14 @@ func TestSearchStems(t *testing.T) {
 	}
 }
 
-func TestSearchAll(t *testing.T) {
-	ix := buildSmall()
-	if got := ix.SearchAll("pizza cupertino"); !reflect.DeepEqual(got, []string{"d3"}) {
-		t.Errorf("AND = %v", got)
-	}
-	if got := ix.SearchAll("pizza steak"); got != nil {
-		t.Errorf("disjoint AND = %v", got)
-	}
-	if got := ix.SearchAll(""); got != nil {
-		t.Errorf("empty AND = %v", got)
-	}
-}
-
-func TestSearchAny(t *testing.T) {
-	ix := buildSmall()
-	got := ix.SearchAny("pizza steak")
-	if !reflect.DeepEqual(got, []string{"d2", "d3"}) {
-		t.Errorf("OR = %v", got)
-	}
-}
-
 func TestReAddReplacesDocument(t *testing.T) {
-	ix := New()
+	ix := NewSharded(1)
 	ix.Add(doc("d1", "old title words", "old body"))
 	ix.Add(doc("d1", "new fresh heading", "new body content"))
-	if got := ix.SearchAll("old"); len(got) != 0 {
+	if got := ix.Search("old", 0); len(got) != 0 {
 		t.Errorf("old content still findable: %v", got)
 	}
-	if got := ix.SearchAll("fresh"); !reflect.DeepEqual(got, []string{"d1"}) {
+	if got := ix.Search("fresh", 0); len(got) != 1 || got[0].ID != "d1" {
 		t.Errorf("new content not findable: %v", got)
 	}
 	if ix.Len() != 1 {
@@ -143,7 +122,7 @@ func TestPostingIs12Bytes(t *testing.T) {
 func TestIDFOrdering(t *testing.T) {
 	// A rarer term must contribute more: query for it should rank the
 	// doc containing it above docs sharing only a common term.
-	ix := New()
+	ix := NewSharded(1)
 	for i := 0; i < 10; i++ {
 		ix.Add(doc(fmt.Sprintf("common%d", i), "filler", "cupertino dining spot"))
 	}
@@ -155,7 +134,7 @@ func TestIDFOrdering(t *testing.T) {
 }
 
 func TestConcurrentReadWrite(t *testing.T) {
-	ix := New()
+	ix := NewSharded(4)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -164,7 +143,7 @@ func TestConcurrentReadWrite(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				ix.Add(doc(fmt.Sprintf("w%d-%d", w, i), "title text", "body word stream"))
 				ix.Search("title", 3)
-				ix.SearchAll("body word")
+				ix.Search("body word", 0)
 			}
 		}(w)
 	}
@@ -178,8 +157,7 @@ func TestSearchNeverPanicsProperty(t *testing.T) {
 	ix := buildSmall()
 	f := func(q string) bool {
 		_ = ix.Search(q, 5)
-		_ = ix.SearchAll(q)
-		_ = ix.SearchAny(q)
+		_ = ix.Search(q, 0)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -188,7 +166,7 @@ func TestSearchNeverPanicsProperty(t *testing.T) {
 }
 
 func TestDeterministicTieBreak(t *testing.T) {
-	ix := New()
+	ix := NewSharded(1)
 	ix.Add(doc("b", "same words here", ""))
 	ix.Add(doc("a", "same words here", ""))
 	res := ix.Search("same words", 2)
@@ -211,15 +189,15 @@ func TestRemove(t *testing.T) {
 			t.Error("removed doc still retrievable")
 		}
 	}
-	if got := ix.SearchAll("gochi"); len(got) != 0 {
-		t.Errorf("boolean retrieval returned removed doc: %v", got)
+	if got := ix.Search("gochi", 0); len(got) != 0 {
+		t.Errorf("retrieval returned removed doc: %v", got)
 	}
 	// Re-adding revives the document.
 	ix.Add(doc("d1", "Gochi Fusion Tapas", "back in business in cupertino"))
 	if !ix.Has("d1") || ix.Len() != 4 {
 		t.Errorf("revival failed: has=%v len=%d", ix.Has("d1"), ix.Len())
 	}
-	if got := ix.SearchAll("gochi"); len(got) != 1 {
+	if got := ix.Search("gochi", 0); len(got) != 1 {
 		t.Errorf("revived doc not retrievable: %v", got)
 	}
 	// Removing an unknown ID is a no-op.
@@ -248,12 +226,12 @@ func TestAddPreparedMatchesAdd(t *testing.T) {
 		doc("d3", "Pizza My Heart", "pizza by the slice in cupertino and san jose"),
 		doc("d4", "Cupertino city guide", "restaurants parks and schools of cupertino california"),
 	}
-	seq := New()
+	seq := NewSharded(1)
 	for _, d := range docs {
 		seq.Add(d)
 	}
 
-	par := New()
+	par := NewSharded(1)
 	prepared := make([]PreparedDoc, len(docs))
 	var wg sync.WaitGroup
 	for i := range docs {

@@ -5,13 +5,14 @@ import (
 	"sync"
 )
 
-// The BM25F query kernel. Every ranked query — Index.Search, each shard of a
-// Sharded.Search — ends in searchLocked, which scores exhaustively and
-// allocates only the result slice: accumulators are dense per-doc-slot
-// arrays from a pool, and the best k are kept in a bounded heap. Scores,
-// order and tie-breaks are bit-identical to the map-and-sort kernel it
-// replaced (kept as the test oracle in kernel_ref_test.go); DESIGN.md §12
-// gives the argument.
+// The BM25F query kernel. The one ranked query path, Sharded.SearchCost,
+// sums the corpus statistics of every shard into a pooled scratch (addStats)
+// and then scores shard after shard in searchLocked, which scores
+// exhaustively and allocates only the shard's result slice: accumulators are
+// dense per-doc-slot arrays in the scratch, and the best k are kept in a
+// bounded heap. Scores, order and tie-breaks are bit-identical to the
+// map-and-sort kernel it replaced (kept as the test oracle in
+// kernel_ref_test.go); DESIGN.md §12 gives the argument.
 
 // Cost is the work one ranked query did: documents scored and posting
 // entries walked, summed over shards.
@@ -26,41 +27,82 @@ type cand struct {
 	doc   int32
 }
 
-// scratch is one query's working memory. Between uses hit is all false and
-// touched is empty; everything else is overwritten before it is read.
+// scratch is one query's working memory, handed from shard to shard. The
+// statistics phase fills ndocs, df and totals; between shards hit is all
+// false and touched is empty; everything else is overwritten before it is
+// read.
 type scratch struct {
-	score    []float64 // by doc slot; meaningful only where hit
-	hit      []bool    // by doc slot
-	touched  []int32   // doc slots scored, in first-touch order
-	df       []int     // by query token position, set by the caller
-	fieldLen []int     // by field number, set by the caller
-	avgLen   []float64 // by field number; 0 marks a field with no tokens
-	heap     []cand
+	ndocs   int          // live documents, summed over shards
+	df      []int        // by query token position, summed over shards
+	totals  []fieldTotal // field length totals, summed over shards
+	score   []float64    // by doc slot; meaningful only where hit
+	hit     []bool       // by doc slot
+	touched []int32      // doc slots scored, in first-touch order
+	avgLen  []float64    // by the shard's field number; 0 marks a field with no tokens
+	heap    []cand
+}
+
+// fieldTotal is the token count of one field name across the corpus. A
+// corpus has a handful of field names, so a slice searched by name beats a
+// map.
+type fieldTotal struct {
+	name  string
+	total int
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// getScratch returns a scratch whose df and fieldLen hold ntoks and nfields
-// entries for the caller to fill.
-func getScratch(ntoks, nfields int) *scratch {
+// getScratch returns a scratch with zeroed statistics for a query of ntoks
+// tokens.
+func getScratch(ntoks int) *scratch {
 	sc := scratchPool.Get().(*scratch)
 	if cap(sc.df) < ntoks {
 		sc.df = make([]int, ntoks)
 	}
 	sc.df = sc.df[:ntoks]
-	if cap(sc.fieldLen) < nfields {
-		sc.fieldLen = make([]int, nfields)
-		sc.avgLen = make([]float64, nfields)
-	}
-	sc.fieldLen, sc.avgLen = sc.fieldLen[:nfields], sc.avgLen[:nfields]
+	clear(sc.df)
+	sc.ndocs, sc.totals = 0, sc.totals[:0]
 	return sc
+}
+
+// addStats adds this index's share of the query's corpus statistics to sc.
+// A document lives in exactly one shard, so the sums over shards are the
+// counts one index holding every document would have.
+func (ix *Index) addStats(sc *scratch, toks []string) {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	sc.ndocs += len(ix.extIDs) - ix.ndead
+	for i, t := range toks {
+		sc.df[i] += ix.df(t)
+	}
+fields:
+	for _, fs := range ix.fields {
+		for i := range sc.totals {
+			if sc.totals[i].name == fs.name {
+				sc.totals[i].total += fs.totalLen
+				continue fields
+			}
+		}
+		sc.totals = append(sc.totals, fieldTotal{fs.name, fs.totalLen})
+	}
+}
+
+// search scores this index against the statistics summed in sc; nil when it
+// has no doc slots. See searchLocked.
+func (ix *Index) search(sc *scratch, toks []string, k int) ([]Result, Cost) {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	if len(ix.extIDs) == 0 {
+		return nil, Cost{}
+	}
+	return ix.searchLocked(sc, toks, k)
 }
 
 // searchLocked scores this index's documents against toks and returns the
 // best k (all of them when k <= 0) by (score desc, ID asc). The corpus
-// statistics — ndocs, sc.df, sc.fieldLen — may span more shards than this
-// one. It consumes sc. Caller holds at least an RLock and has checked that
-// ndocs > 0 and the index has doc slots.
+// statistics — sc.ndocs, sc.df, sc.totals — span every shard. It leaves sc
+// ready for the next shard. Caller holds at least an RLock and has checked
+// that sc.ndocs > 0 and the index has doc slots.
 //
 // The arithmetic relies on one invariant: a document's postings for a term
 // are adjacent in the term's list. AddPrepared appends all of them under one
@@ -69,17 +111,24 @@ func getScratch(ntoks, nfields int) *scratch {
 // So the boosted, length-normalized term frequency of a
 // document is the sum over one run, taken in posting order, and a document's
 // score grows by one addend per query token, in token order.
-func (ix *Index) searchLocked(sc *scratch, toks []string, ndocs, k int) ([]Result, Cost) {
+func (ix *Index) searchLocked(sc *scratch, toks []string, k int) ([]Result, Cost) {
 	if len(sc.hit) < len(ix.extIDs) {
 		sc.score = make([]float64, len(ix.extIDs))
 		sc.hit = make([]bool, len(ix.extIDs))
 	}
-	n := float64(ndocs)
-	for f, total := range sc.fieldLen {
-		sc.avgLen[f] = 0
-		if total != 0 {
-			sc.avgLen[f] = float64(total) / n
+	n := float64(sc.ndocs)
+	sc.avgLen = sc.avgLen[:0]
+	for _, fs := range ix.fields {
+		avg := 0.0
+		for _, ft := range sc.totals {
+			if ft.name == fs.name {
+				if ft.total != 0 {
+					avg = float64(ft.total) / n
+				}
+				break
+			}
 		}
+		sc.avgLen = append(sc.avgLen, avg)
 	}
 	var cost Cost
 	for i, t := range toks {
@@ -130,7 +179,6 @@ func (ix *Index) searchLocked(sc *scratch, toks []string, ndocs, k int) ([]Resul
 		sc.hit[d] = false
 	}
 	sc.touched = sc.touched[:0]
-	scratchPool.Put(sc)
 	return out, cost
 }
 

@@ -43,8 +43,8 @@ func TestRemoveShrinksStats(t *testing.T) {
 		}
 	}
 
-	// The same must hold sharded: scatter-gather stats merge over shards
-	// with removals equals a freshly built sharded index bit for bit.
+	// The same must hold sharded: with removals, the stats summed over
+	// shards score like a freshly built sharded index, bit for bit.
 	full4 := buildSharded(4, docs)
 	for id := range removed {
 		full4.Remove(id)

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"sort"
 	"sync"
 
 	"conceptweb/internal/shard"
@@ -10,11 +9,11 @@ import (
 // Sharded partitions an inverted index into n independent Index shards,
 // routed by hash(doc ID) % n — the same routing function the record store
 // uses. Writes touch only the owning shard's lock, so parallel builders
-// index into disjoint partitions instead of queueing on one mutex; ranked
-// queries scatter to all shards with globally summed corpus statistics and
-// gather with a k-way merge, producing scores identical to a single Index
-// holding the same documents. A single-shard Sharded is a thin forwarding
-// wrapper, so the unsharded configuration costs one pointer indirection.
+// index into disjoint partitions instead of queueing on one mutex. A ranked
+// query (SearchCost) visits the shards in turn with globally summed corpus
+// statistics and merges their rankings, producing scores identical to a
+// single Index holding the same documents. One shard takes the same path as
+// many: there is no second way to answer a query.
 type Sharded struct {
 	shards []*Index
 }
@@ -49,14 +48,16 @@ func (s *Sharded) AddPrepared(doc PreparedDoc) {
 	s.shardFor(doc.ID).AddPrepared(doc)
 }
 
-// AddPreparedBatch indexes docs with up to workers concurrent writers, one
-// per shard. Within each shard, documents are added in docs order, so the
-// internal doc numbering of every shard — and therefore every score and
-// every result — is identical for any (workers × shards) combination.
+// AddPreparedBatch indexes docs: in the caller's goroutine when workers <= 1,
+// else with one writer goroutine per shard that has documents, however many
+// workers are asked for. Within each shard, documents are added in docs
+// order, so the internal doc numbering of every shard — and therefore every
+// score and every result — is identical for any (workers × shards)
+// combination.
 // Documents with an empty ID are skipped, matching the build pipeline's
 // convention for "no document here".
 func (s *Sharded) AddPreparedBatch(docs []PreparedDoc, workers int) {
-	if workers <= 1 || len(s.shards) == 1 {
+	if workers <= 1 {
 		for _, d := range docs {
 			if d.ID == "" {
 				continue
@@ -136,9 +137,6 @@ func (s *Sharded) DF(term string) int {
 
 // Terms returns the number of distinct terms across all shards.
 func (s *Sharded) Terms() int {
-	if len(s.shards) == 1 {
-		return s.shards[0].Terms()
-	}
 	seen := make(map[string]bool)
 	for _, ix := range s.shards {
 		ix.mu.RLock()
@@ -179,102 +177,72 @@ func (s *Sharded) ShardEpochs() []uint64 {
 	return out
 }
 
-// each runs fn concurrently for every shard and waits.
-func (s *Sharded) each(fn func(i int, ix *Index)) {
-	var wg sync.WaitGroup
-	for i, ix := range s.shards {
-		wg.Add(1)
-		go func(i int, ix *Index) {
-			defer wg.Done()
-			fn(i, ix)
-		}(i, ix)
-	}
-	wg.Wait()
-}
-
-// Search runs a BM25F-ranked query with scatter-gather: every shard first
-// reports its corpus statistics (doc count, term document frequencies,
-// field length totals — all integers), the sums are handed back to each
-// shard for scoring, and the per-shard rankings are k-way merged. Because
-// the summed statistics equal what one big index would hold and shard
-// scoring reuses the exact single-index arithmetic, scores are identical
-// to the unsharded path bit for bit.
+// Search runs a BM25F-ranked query; see SearchCost.
 func (s *Sharded) Search(query string, k int) []Result {
 	out, _ := s.SearchCost(query, k)
 	return out
 }
 
-// SearchCost is Search plus the work the query did, for callers that
-// publish it as a metric.
+// SearchCost runs a BM25F-ranked query and returns up to k results (all when
+// k <= 0) in (score desc, ID asc) order, plus the work the query did, for
+// callers that publish it as a metric. It works in two serial phases in the
+// caller's goroutine: every shard in turn adds its corpus statistics (doc
+// count, term document frequencies, field length totals — all integers) into
+// one accumulator, then every shard in turn is scored against the sums and its
+// ranking folded into the result. The sums equal what one index holding every
+// document would count and each shard scores with the same arithmetic, so
+// scores are identical at every shard count, bit for bit. A phase holds one
+// shard's read lock at a time, so a write can land between the phases; the
+// woc facade serializes maintenance against queries.
 func (s *Sharded) SearchCost(query string, k int) ([]Result, Cost) {
-	if len(s.shards) == 1 {
-		return s.shards[0].searchCost(query, k)
-	}
 	toks := tokenize(query)
 	if len(toks) == 0 {
 		return nil, Cost{}
 	}
-	parts := make([]localStats, len(s.shards))
-	s.each(func(i int, ix *Index) { parts[i] = ix.searchStats(toks) })
-	gs := mergeStats(parts)
-	if gs.ndocs == 0 {
+	sc := getScratch(len(toks))
+	defer scratchPool.Put(sc)
+	for _, ix := range s.shards {
+		ix.addStats(sc, toks)
+	}
+	if sc.ndocs == 0 {
 		return nil, Cost{}
 	}
-	lists := make([][]Result, len(s.shards))
-	costs := make([]Cost, len(s.shards))
-	s.each(func(i int, ix *Index) { lists[i], costs[i] = ix.searchWithStats(toks, gs, k) })
+	var out []Result
 	var cost Cost
-	for _, c := range costs {
+	for _, ix := range s.shards {
+		list, c := ix.search(sc, toks, k)
 		cost.Touched += c.Touched
 		cost.Postings += c.Postings
+		out = mergeTwo(out, list, k)
 	}
-	return mergeRanked(lists, k), cost
+	return out, cost
 }
 
-// mergeIDs merges per-shard sorted ID lists; shards are disjoint, so
-// concatenate-and-sort reproduces a single index's output. Nil-ness mirrors
-// the unsharded index: nil only when every shard returned nil (each shard
-// applies Index's own nil rules locally), else non-nil even when empty.
-func mergeIDs(lists [][]string) []string {
-	total, allNil := 0, true
-	for _, l := range lists {
-		total += len(l)
-		if l != nil {
-			allNil = false
+// mergeTwo merges two rankings, each in (score desc, ID asc) order, into one
+// of up to k results (all when k <= 0). Shards hold disjoint IDs, so the
+// order is total and the merge deterministic. Folding the shards' rankings
+// into a nil a returns the first one as it is, so one shard costs no copy,
+// and the fold is nil only when every shard's ranking was (a shard with no
+// doc slots answers nil).
+func mergeTwo(a, b []Result, k int) []Result {
+	n := len(a) + len(b)
+	if k > 0 && n > k {
+		n = k
+	}
+	switch {
+	case a == nil:
+		return b[:n]
+	case len(b) == 0:
+		return a[:n]
+	}
+	out := make([]Result, n)
+	i, j := 0, 0
+	for o := range out {
+		if j == len(b) || i < len(a) && (a[i].Score > b[j].Score || a[i].Score == b[j].Score && a[i].ID < b[j].ID) {
+			out[o], i = a[i], i+1
+		} else {
+			out[o], j = b[j], j+1
 		}
 	}
-	if total == 0 {
-		if allNil {
-			return nil
-		}
-		return []string{}
-	}
-	out := make([]string, 0, total)
-	for _, l := range lists {
-		out = append(out, l...)
-	}
-	sort.Strings(out)
 	return out
-}
-
-// SearchAll returns the IDs of documents containing all query terms,
-// sorted by ID.
-func (s *Sharded) SearchAll(query string) []string {
-	if len(s.shards) == 1 {
-		return s.shards[0].SearchAll(query)
-	}
-	lists := make([][]string, len(s.shards))
-	s.each(func(i int, ix *Index) { lists[i] = ix.SearchAll(query) })
-	return mergeIDs(lists)
-}
-
-// SearchAny returns the IDs of documents containing at least one query
-// term, sorted by ID.
-func (s *Sharded) SearchAny(query string) []string {
-	if len(s.shards) == 1 {
-		return s.shards[0].SearchAny(query)
-	}
-	lists := make([][]string, len(s.shards))
-	s.each(func(i int, ix *Index) { lists[i] = ix.SearchAny(query) })
-	return mergeIDs(lists)
 }
