@@ -45,11 +45,16 @@ crashtest:
 servetest:
 	$(GO) test -race -count=1 -v ./internal/serving/ ./cmd/wocserve/
 
-# querytest re-proves the query path's two equivalences under the race
+# querytest re-proves the query path's equivalences under the race
 # detector: the one ranked query path (Sharded.SearchCost) against the
 # retained map-and-sort reference with its own statistics sum and k-way heap
-# merge (score bits, order, nil-ness, posting adjacency, at 1/4/16 shards),
-# and the shared-reference reads against the clone-everything
+# merge (score bits, order, nil-ness, posting adjacency, at 1/4/16 shards,
+# on random and on mostly-tied corpora, where the integer ID-rank tie-break
+# decides the order); seeded searches racing adds, re-adds, removals and
+# compactions (every ranking ordered and duplicate-free, the reference's
+# answers once the writes stop; 1 and 4 shards); the document ranking that
+# asks the index for k when no box triggered against the 4k+20 fetch it
+# replaced; and the shared-reference reads against the clone-everything
 # ConceptSearch/Trigger/Alternatives — plus the aliasing test, where readers
 # scribble over every returned record while a writer Puts the same IDs — and
 # the index's write side: Prepare's term frequencies merged by AddPrepared
@@ -61,7 +66,7 @@ servetest:
 # allocations at 1 and 4 shards: none grows with the documents scored.
 querytest:
 	$(GO) test -race -count=1 -v \
-		-run 'KernelMatchesReference|PreparedMergeMatchesReference|SharedReadsMatch|AlternativesMatch|ReturnedRecordsAreCallersToKeep|AttrIndexMatchesScan' \
+		-run 'KernelMatchesReference|SearchRacesWriters|RankDocsMatchesWideFetch|PreparedMergeMatchesReference|SharedReadsMatch|AlternativesMatch|ReturnedRecordsAreCallersToKeep|AttrIndexMatchesScan' \
 		./internal/index/ ./internal/search/ ./internal/session/ ./internal/lrec/
 	$(GO) test -count=1 -run 'Allocs' ./internal/index/
 
@@ -106,7 +111,8 @@ FUZZTIME ?= 10s
 FUZZ_TARGETS = ./internal/extract/:FuzzSitePageMemo ./internal/extract/:FuzzRecognizeOnce \
 	./internal/extract/:FuzzRecognizerKernels \
 	./internal/index/:FuzzPrepare ./internal/framelog/:FuzzFrames ./internal/lrec/:FuzzDecodeRecord \
-	./internal/lrec/:FuzzAttrIndex ./internal/webgraph/:FuzzNewPageDeterministic
+	./internal/lrec/:FuzzAttrIndex ./internal/webgraph/:FuzzNewPageDeterministic \
+	./internal/textproc/:FuzzTokenize ./internal/textproc/:FuzzEqualsNormalized
 
 fuzz-smoke:
 	@set -e; for entry in $(FUZZ_TARGETS); do \

@@ -63,6 +63,11 @@ type Index struct {
 	fields   []fieldStats
 	fieldNum map[string]int
 
+	// ranks is the slot → ID-rank array the query kernel breaks score ties
+	// with (see slotRanks). An add leaves it short of the slots and the next
+	// ranked query extends it; a compaction renumbers the slots and drops it.
+	ranks atomic.Pointer[[]int32]
+
 	// epoch counts visible mutations (adds and live-doc removals); the
 	// sharded wrapper folds per-shard epochs into one cache-invalidation
 	// signal for the serving layer.
@@ -396,6 +401,7 @@ func (ix *Index) compactLocked() {
 	}
 	ix.dead = make([]bool, live)
 	ix.ndead = 0
+	ix.ranks.Store(nil)
 }
 
 // DF returns the document frequency of the query term (after normalization).

@@ -1,7 +1,10 @@
 package index
 
 import (
+	"cmp"
 	"math"
+	"slices"
+	"strings"
 	"sync"
 )
 
@@ -9,10 +12,13 @@ import (
 // sums the corpus statistics of every shard into a pooled scratch (addStats)
 // and then scores shard after shard in searchLocked, which scores
 // exhaustively and allocates only the shard's result slice: accumulators are
-// dense per-doc-slot arrays in the scratch, and the best k are kept in a
-// bounded heap. Scores, order and tie-breaks are bit-identical to the
-// map-and-sort kernel it replaced (kept as the test oracle in
-// kernel_ref_test.go); DESIGN.md §12 gives the argument.
+// dense per-doc-slot arrays in the scratch, the best k are kept in a bounded
+// heap, and one sort puts them in order. Selection and sort break score ties
+// on each slot's ID rank, an integer (slotRanks), never on the ID strings;
+// the first query after a write also allocates the shard's new rank array.
+// Scores, order and tie-breaks are bit-identical to the map-and-sort kernel
+// it replaced (kept as the test oracle in kernel_ref_test.go); DESIGN.md §12
+// gives the argument.
 
 // Cost is the work one ranked query did: documents scored and posting
 // entries walked, summed over shards.
@@ -21,9 +27,11 @@ type Cost struct {
 	Postings int
 }
 
-// cand is one scored document awaiting selection.
+// cand is one scored document awaiting selection: its score, its slot's ID
+// rank (see slotRanks) and its slot.
 type cand struct {
 	score float64
+	rank  int32
 	doc   int32
 }
 
@@ -182,46 +190,107 @@ func (ix *Index) searchLocked(sc *scratch, toks []string, k int) ([]Result, Cost
 	return out, cost
 }
 
-// ranksBelow reports whether a comes after b in (score desc, ID asc) order.
-// IDs are unique, so this is a strict total order and any correct selection
-// and sort under it returns one sequence.
-func (ix *Index) ranksBelow(a, b cand) bool {
+// slotRanks returns the index's slot → ID-rank array: rank[a] < rank[b]
+// exactly when extIDs[a] < extIDs[b] for two live slots (a live slot's ID is
+// unique; a tombstoned slot may repeat a live one's, and is never scored).
+// The published array covers the slots that existed when it was built: an
+// add leaves it short, and a compaction, which renumbers the slots, drops it.
+// A query that finds it short places each slot added since by binary search
+// in the covered slots' ID order, so a read that follows a few adds pays
+// O(slots) integer moves and a few string compares per new slot; only the
+// first query on a fresh or compacted index sorts every ID. Caller holds at
+// least an RLock, so no writer runs meanwhile, and queries that race to
+// extend the array start from one published array and publish equal ones.
+func (ix *Index) slotRanks() []int32 {
+	var old []int32
+	if r := ix.ranks.Load(); r != nil {
+		old = *r
+	}
+	n := len(ix.extIDs)
+	if len(old) == n {
+		return old
+	}
+	byID := func(a, b int32) int {
+		return strings.Compare(ix.extIDs[a], ix.extIDs[b])
+	}
+	added := make([]int32, 0, n-len(old))
+	for slot := len(old); slot < n; slot++ {
+		added = append(added, int32(slot))
+	}
+	slices.SortFunc(added, byID)
+	order := make([]int32, len(old)) // the covered slots, by ID
+	for slot, r := range old {
+		order[r] = int32(slot)
+	}
+	rank := make([]int32, n)
+	next := int32(0)
+	for _, slot := range added {
+		i, _ := slices.BinarySearchFunc(order, slot, byID)
+		for _, o := range order[:i] {
+			rank[o] = next
+			next++
+		}
+		order = order[i:]
+		rank[slot] = next
+		next++
+	}
+	for _, o := range order {
+		rank[o] = next
+		next++
+	}
+	ix.ranks.Store(&rank)
+	return rank
+}
+
+// ranksBelow reports whether a comes after b in (score desc, rank asc)
+// order, which on scored slots is (score desc, ID asc). Ranks of live slots
+// are unique, so this is a strict total order and any correct selection and
+// sort under it returns one sequence.
+func ranksBelow(a, b cand) bool {
 	if a.score != b.score {
 		return a.score < b.score
 	}
-	return ix.extIDs[a.doc] > ix.extIDs[b.doc]
+	return a.rank > b.rank
+}
+
+// byRank orders candidates best first: (score desc, rank asc).
+func byRank(a, b cand) int {
+	if a.score != b.score {
+		return cmp.Compare(b.score, a.score)
+	}
+	return cmp.Compare(a.rank, b.rank)
 }
 
 // topK selects the best k touched documents (all when k <= 0) with a bounded
-// heap whose root is the lowest-ranked one kept, then heap-sorts it in place
-// into rank order.
+// heap whose root is the lowest-ranked one kept, then sorts what it kept into
+// rank order. A shard no query token touched returns before the ranks are
+// looked at, so it never rebuilds them.
 func (ix *Index) topK(sc *scratch, k int) []Result {
+	if len(sc.touched) == 0 {
+		return []Result{}
+	}
 	if k <= 0 || k > len(sc.touched) {
 		k = len(sc.touched)
 	}
+	rank := ix.slotRanks()
 	h := sc.heap[:0]
 	for _, d := range sc.touched {
-		c := cand{score: sc.score[d], doc: d}
+		c := cand{score: sc.score[d], rank: rank[d], doc: d}
 		switch {
 		case len(h) < k:
 			h = append(h, c)
 			if len(h) == k {
 				for i := k/2 - 1; i >= 0; i-- {
-					ix.siftDown(h, i)
+					siftDown(h, i)
 				}
 			}
-		case ix.ranksBelow(h[0], c):
+		case ranksBelow(h[0], c):
 			h[0] = c
-			ix.siftDown(h, 0)
+			siftDown(h, 0)
 		}
 	}
 	sc.heap = h
-	// Moving the root (lowest rank) behind a shrinking heap leaves h in
-	// rank order, best first.
-	for end := len(h) - 1; end > 0; end-- {
-		h[0], h[end] = h[end], h[0]
-		ix.siftDown(h[:end], 0)
-	}
+	slices.SortFunc(h, byRank)
 	out := make([]Result, len(h))
 	for i, c := range h {
 		out[i] = Result{ID: ix.extIDs[c.doc], Score: c.score}
@@ -231,13 +300,13 @@ func (ix *Index) topK(sc *scratch, k int) []Result {
 
 // siftDown restores the heap property (parent ranks below its children)
 // under h[i].
-func (ix *Index) siftDown(h []cand, i int) {
+func siftDown(h []cand, i int) {
 	for {
 		low := i
-		if l := 2*i + 1; l < len(h) && ix.ranksBelow(h[l], h[low]) {
+		if l := 2*i + 1; l < len(h) && ranksBelow(h[l], h[low]) {
 			low = l
 		}
-		if r := 2*i + 2; r < len(h) && ix.ranksBelow(h[r], h[low]) {
+		if r := 2*i + 2; r < len(h) && ranksBelow(h[r], h[low]) {
 			low = r
 		}
 		if low == i {

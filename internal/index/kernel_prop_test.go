@@ -1,9 +1,11 @@
 package index
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -134,6 +136,35 @@ func checkKernel(t *testing.T, s *Sharded, queries []string, when string) {
 			}
 		}
 	}
+	// The queries above extended or rebuilt some shards' ID ranks; whichever
+	// way each shard got its array, live slots in rank order are in ID order.
+	for _, ix := range s.shards {
+		ix.mu.RLock()
+		rank := ix.slotRanks()
+		var live []int32
+		for d := range ix.extIDs {
+			if !ix.dead[d] {
+				live = append(live, int32(d))
+			}
+		}
+		slices.SortFunc(live, func(a, b int32) int { return cmp.Compare(rank[a], rank[b]) })
+		for i := 1; i < len(live); i++ {
+			if a, b := ix.extIDs[live[i-1]], ix.extIDs[live[i]]; a >= b {
+				t.Fatalf("%s: live slots in rank order hold %q before %q", when, a, b)
+			}
+		}
+		ix.mu.RUnlock()
+	}
+}
+
+// tiedDoc draws one of four fixed documents, so most of a tied corpus's
+// documents score exactly alike and its rankings are ordered by ID alone.
+func tiedDoc(rng *rand.Rand, id string) Document {
+	texts := []string{"pizza cupertino", "pizza house cupertino", "sushi fremont", "pizza"}
+	return Document{ID: id, Fields: []Field{
+		{Name: "title", Text: texts[rng.Intn(len(texts))], Boost: 2},
+		{Name: "body", Text: "menu phone rating"},
+	}}
 }
 
 // TestKernelMatchesReference drives seeded random corpora through adds,
@@ -141,9 +172,43 @@ func checkKernel(t *testing.T, s *Sharded, queries []string, when string) {
 // compaction threshold, a forced compaction and a long re-add-only phase
 // that compacts on its own, and at every stage compares
 // the dense kernel with the retained map-and-sort reference by score bits,
-// exact order and nil-ness, at 1, 4 and 16 shards.
+// exact order and nil-ness, at 1, 4 and 16 shards. A mostly-tied corpus,
+// whose IDs arrive in an order unrelated to their sort order, runs through
+// adds, removals, re-adds and compaction too: there the tie-break on ID
+// ranks decides almost every position.
 func TestKernelMatchesReference(t *testing.T) {
 	for _, shards := range []int{1, 4, 16} {
+		t.Run(fmt.Sprintf("tied/shards=%d", shards), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(shards)))
+			queries := []string{"pizza", "pizza cupertino", "cupertino house", "sushi menu", "rating"}
+			s := NewSharded(shards)
+			const n = 300
+			perm := rng.Perm(n)
+			id := func(i int) string { return fmt.Sprintf("t%03d", perm[i]) }
+			for i := 0; i < n; i++ {
+				s.Add(tiedDoc(rng, id(i)))
+				if i%50 == 49 {
+					checkKernel(t, s, queries, "tied: during adds")
+				}
+			}
+			if all := s.Search("pizza", 0); len(all) < n/2 || all[0].Score != all[10].Score {
+				t.Fatalf("tied corpus: %d pizza hits, the first eleven not all tied", len(all))
+			}
+			for i := 0; i < n/3; i++ {
+				s.Remove(id(rng.Intn(n)))
+			}
+			checkKernel(t, s, queries, "tied: after removals")
+			for i := 0; i < n/2; i++ {
+				s.Add(tiedDoc(rng, id(rng.Intn(n)))) // re-adds and revivals
+			}
+			checkKernel(t, s, queries, "tied: after re-adds")
+			s.CompactTombstones()
+			checkKernel(t, s, queries, "tied: after compaction")
+			for i := 0; i < n/4; i++ {
+				s.Add(tiedDoc(rng, fmt.Sprintf("u%03d", rng.Intn(n))))
+			}
+			checkKernel(t, s, queries, "tied: after new IDs")
+		})
 		for seed := int64(1); seed <= 3; seed++ {
 			rng := rand.New(rand.NewSource(seed*100 + int64(shards)))
 			queries := propQueries(rng)

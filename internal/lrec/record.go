@@ -9,6 +9,7 @@ package lrec
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -124,11 +125,11 @@ func clamp01(c float64) float64 {
 
 // Get returns the highest-confidence value for key, or "" if absent.
 func (r *Record) Get(key string) string {
-	v, ok := r.Best(key)
-	if !ok {
+	vals := r.Attrs[key]
+	if len(vals) == 0 {
 		return ""
 	}
-	return v.Value
+	return vals[bestOf(vals)].Value
 }
 
 // Best returns the highest-confidence AttrValue for key. Ties are broken by
@@ -138,14 +139,20 @@ func (r *Record) Best(key string) (AttrValue, bool) {
 	if len(vals) == 0 {
 		return AttrValue{}, false
 	}
-	best := vals[0]
-	for _, v := range vals[1:] {
-		if v.Confidence > best.Confidence ||
-			(v.Confidence == best.Confidence && v.Value < best.Value) {
-			best = v
+	return vals[bestOf(vals)], true
+}
+
+// bestOf returns the index of Best's choice among vals, which is not empty.
+// It compares in place: an AttrValue is 80 bytes, and Get reads only one.
+func bestOf(vals []AttrValue) int {
+	b := 0
+	for i := 1; i < len(vals); i++ {
+		if v := &vals[i]; v.Confidence > vals[b].Confidence ||
+			(v.Confidence == vals[b].Confidence && v.Value < vals[b].Value) {
+			b = i
 		}
 	}
-	return best, true
+	return b
 }
 
 // All returns every value stored for key (may be empty).
@@ -165,16 +172,24 @@ func (r *Record) Keys() []string {
 func (r *Record) Has(key string) bool { return len(r.Attrs[key]) > 0 }
 
 // Confidence returns the record-level confidence: the mean of the best
-// per-attribute confidences. An empty record has confidence 0.
+// per-attribute confidences. An empty record has confidence 0. The best
+// confidences are summed in ascending order, not in map order, so the result
+// is one bit pattern however the map iterates.
 func (r *Record) Confidence() float64 {
 	if len(r.Attrs) == 0 {
 		return 0
 	}
-	var sum float64
-	for k := range r.Attrs {
-		if v, ok := r.Best(k); ok {
-			sum += v.Confidence
+	var buf [32]float64
+	confs := buf[:0]
+	for _, vals := range r.Attrs {
+		if len(vals) > 0 {
+			confs = append(confs, vals[bestOf(vals)].Confidence)
 		}
+	}
+	slices.Sort(confs)
+	var sum float64
+	for _, c := range confs {
+		sum += c
 	}
 	return sum / float64(len(r.Attrs))
 }

@@ -3,6 +3,7 @@ package lrec
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -68,6 +69,27 @@ func TestRecordConfidenceAggregate(t *testing.T) {
 	r.Add("b", AttrValue{Value: "y", Confidence: 0.4})
 	if got := r.Confidence(); got < 0.59 || got > 0.61 {
 		t.Errorf("confidence = %f", got)
+	}
+}
+
+// TestRecordConfidenceDeterministic: the record-level confidence is one bit
+// pattern however the attribute map iterates — summing in map order gave a
+// 10-attribute record two different results over 2 000 calls — and it costs
+// no allocation.
+func TestRecordConfidenceDeterministic(t *testing.T) {
+	r := NewRecord("r1", "c")
+	for i, c := range []float64{0.1, 0.7, 0.33, 0.9, 0.05, 0.61, 0.2, 0.47, 0.999, 0.3} {
+		r.Add(fmt.Sprintf("k%d", i), AttrValue{Value: "v", Confidence: c})
+		r.Add(fmt.Sprintf("k%d", i), AttrValue{Value: "w", Confidence: c / 3})
+	}
+	first := math.Float64bits(r.Confidence())
+	for i := 0; i < 1000; i++ {
+		if got := math.Float64bits(r.Confidence()); got != first {
+			t.Fatalf("call %d: Confidence bits %x, first call %x", i, got, first)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { r.Confidence() }); allocs != 0 {
+		t.Errorf("Confidence allocates %.0f times", allocs)
 	}
 }
 

@@ -58,8 +58,9 @@ func (e *Engine) Aggregate(recordID string) (*AggregationPage, error) {
 	for _, k := range rec.Keys() {
 		best, _ := rec.Best(k)
 		av := AttrView{Key: k, Value: best.Value, Support: best.Support}
+		bestNorm := textproc.Normalize(best.Value)
 		for _, v := range rec.All(k) {
-			if textproc.Normalize(v.Value) != textproc.Normalize(best.Value) {
+			if !textproc.EqualsNormalized(v.Value, bestNorm) {
 				av.Conflicts = append(av.Conflicts, v.Value)
 			}
 		}

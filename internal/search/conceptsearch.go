@@ -61,8 +61,8 @@ func (e *Engine) ConceptSearch(query string, filters []Filter, k int) []RecordHi
 		if !passesFilters(rec, filters) {
 			continue
 		}
-		cityMatch := parsed.City != "" && textproc.Normalize(rec.Get("city")) == wantCity
-		categoryMatch := parsed.Category != "" && textproc.Normalize(rec.Get("cuisine")) == wantCategory
+		cityMatch := parsed.City != "" && textproc.EqualsNormalized(rec.Get("city"), wantCity)
+		categoryMatch := parsed.Category != "" && textproc.EqualsNormalized(rec.Get("cuisine"), wantCategory)
 		// Hard geographic constraint for set queries: "pizza in San Jose" must
 		// not return Cupertino records, however well they score textually.
 		if set && parsed.City != "" && rec.Has("city") && !cityMatch {
@@ -103,9 +103,10 @@ func (e *Engine) ConceptSearch(query string, filters []Filter, k int) []RecordHi
 // the filter's after normalization.
 func passesFilters(rec *lrec.Record, filters []Filter) bool {
 	for _, f := range filters {
+		want := textproc.Normalize(f.Value)
 		match := false
 		for _, v := range rec.All(f.Key) {
-			if textproc.Normalize(v.Value) == textproc.Normalize(f.Value) {
+			if textproc.EqualsNormalized(v.Value, want) {
 				match = true
 				break
 			}

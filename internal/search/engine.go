@@ -1,7 +1,8 @@
 package search
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strings"
 
 	"conceptweb/internal/core"
@@ -136,7 +137,7 @@ func (e *Engine) Trigger(q Parsed) (*lrec.Record, float64) {
 	}
 	// Geographic constraint must agree when both sides have one.
 	if q.City != "" && rec.Has("city") &&
-		textproc.Normalize(rec.Get("city")) != textproc.Normalize(q.City) {
+		!textproc.EqualsNormalized(rec.Get("city"), textproc.Normalize(q.City)) {
 		return nil, 0
 	}
 	conf := 0.5 + 0.5*cover
@@ -211,7 +212,7 @@ func (e *Engine) fuzzyTrigger(q Parsed) (*lrec.Record, float64) {
 		if name == "" {
 			return true
 		}
-		if q.City != "" && r.Has("city") && textproc.Normalize(r.Get("city")) != city {
+		if q.City != "" && r.Has("city") && !textproc.EqualsNormalized(r.Get("city"), city) {
 			return true
 		}
 		s := textproc.TrigramSim(needle, textproc.Normalize(name))
@@ -270,37 +271,48 @@ func firstNonEmpty(ss ...string) string {
 // rankDocs runs BM25 over the document index and applies the §5.1 record
 // features: documents associated with the triggered record move up, and the
 // record's official homepage gets "preferential treatment by the ranker".
+// Boosts can lift a document from below the top k, so with a triggered
+// record it boosts and re-sorts the index's best 4k+20 and keeps k. Without
+// one no score moves and the index's (score desc, ID asc) order is already
+// the answer's (score desc, URL asc): it asks the index for k and sorts
+// nothing. Either way only the answer becomes DocResults.
 func (e *Engine) rankDocs(q Parsed, triggered *lrec.Record, k int) []DocResult {
-	raw := e.ranked(e.Woc.DocIndex, q.Raw, k*4+20)
+	fetch := k*4 + 20
+	if triggered == nil && k > 0 {
+		fetch = k
+	}
+	raw := e.ranked(e.Woc.DocIndex, q.Raw, fetch)
 	var homepage string
 	if triggered != nil {
 		homepage = strings.TrimSuffix(triggered.Get("homepage"), "/")
-	}
-	out := make([]DocResult, 0, len(raw))
-	for _, hit := range raw {
-		dr := DocResult{URL: hit.ID, Score: hit.Score, RecordIDs: e.Woc.AssocOf(hit.ID)}
-		if triggered != nil {
-			for _, id := range dr.RecordIDs {
-				if id == triggered.ID {
-					dr.Score += e.AssocBoost
-					break
-				}
+		for i := range raw {
+			if slices.Contains(e.Woc.AssocOf(raw[i].ID), triggered.ID) {
+				raw[i].Score += e.AssocBoost
 			}
-			if homepage != "" && (hit.ID == homepage || hit.ID == homepage+"/") {
-				dr.Score += e.HomepageBoost
-				dr.IsHomepage = true
+			if isHomepage(raw[i].ID, homepage) {
+				raw[i].Score += e.HomepageBoost
 			}
 		}
-		out = append(out, dr)
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
+		slices.SortFunc(raw, func(a, b index.Result) int {
+			if a.Score != b.Score {
+				return cmp.Compare(b.Score, a.Score)
+			}
+			return strings.Compare(a.ID, b.ID)
+		})
+		if k > 0 && len(raw) > k {
+			raw = raw[:k]
 		}
-		return out[i].URL < out[j].URL
-	})
-	if k > 0 && len(out) > k {
-		out = out[:k]
+	}
+	out := make([]DocResult, len(raw))
+	for i, hit := range raw {
+		out[i] = DocResult{URL: hit.ID, Score: hit.Score, RecordIDs: e.Woc.AssocOf(hit.ID),
+			IsHomepage: isHomepage(hit.ID, homepage)}
 	}
 	return out
+}
+
+// isHomepage reports whether url is homepage, with or without a trailing
+// slash; an empty homepage matches nothing.
+func isHomepage(url, homepage string) bool {
+	return homepage != "" && (url == homepage || url == homepage+"/")
 }

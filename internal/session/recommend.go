@@ -145,7 +145,7 @@ func (rc *Recommender) Augmentations(recordID string, k int) ([]Recommendation, 
 // to want.
 func eq(cand *lrec.Record, key, want string) bool {
 	v := cand.Get(key)
-	return v != "" && textproc.Normalize(v) == want
+	return v != "" && textproc.EqualsNormalized(v, want)
 }
 
 func parseRating(s string) float64 {

@@ -176,6 +176,44 @@ func Normalize(s string) string {
 	return strings.Join(Tokenize(s), " ")
 }
 
+// EqualsNormalized reports whether Normalize(s) == norm. On ASCII s it
+// allocates nothing: it walks s as Tokenize's fast path does and compares
+// each byte Normalize would emit with norm as it goes. Those bytes are a
+// prefix of Normalize(s) even when a non-ASCII byte turns up later, so an
+// early mismatch is final; a non-ASCII byte hands the rest to Normalize.
+func EqualsNormalized(s, norm string) bool {
+	j := 0 // bytes of norm matched so far
+	inTok := false
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			return Normalize(s) == norm
+		}
+		if !isASCIIAlnum(c) {
+			if c != '\'' || !inTok {
+				inTok = false
+			}
+			continue
+		}
+		if !inTok && j > 0 {
+			// A token after the first is joined by one space.
+			if j == len(norm) || norm[j] != ' ' {
+				return false
+			}
+			j++
+		}
+		inTok = true
+		if c >= 'A' && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if j == len(norm) || norm[j] != c {
+			return false
+		}
+		j++
+	}
+	return j == len(norm)
+}
+
 // NormalizeKey aggressively normalizes s for blocking keys: lowercase
 // alphanumerics only, no separators.
 func NormalizeKey(s string) string {
