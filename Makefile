@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build loc test race bench benchshards benchscale scalecheck microbench bench-smoke profile crashtest servetest maintaintest querytest fuzz-smoke loadtest fmt vet
+.PHONY: build loc test race bench benchshards benchscale scalecheck microbench bench-smoke profile crashtest servetest maintaintest querytest fuzz-smoke loadtest datasmoke fmt vet
 
 build:
 	$(GO) build ./...
@@ -85,13 +85,12 @@ querytest:
 # recognise-once scan memo against the retained per-call recognisers, the
 # recognizer kernels against their retained regular expressions, and the
 # document index fed from the page tasks against a serial Add loop (workers x
-# windows x shards) with the streamed build's one-parse-per-page count (on
-# both page-store backends), the relink stage's link-feature memo against a
-# re-parse of every page it scores (scripted and seeded random churn, and a
-# stale entry), enrichment's homepage-hosts-only reads, and the page store's
-# read path: every Get a parse on either backend, PutRaw none, and NewPage's
-# fuzz seeds (two parses of the same bytes agree). -count=1 defeats test
-# caching.
+# windows x shards) with the streamed build's one-parse-per-page count, the
+# relink stage's link-feature memo against a re-parse of every page it
+# scores (scripted and seeded random churn, and a stale entry), enrichment's
+# homepage-hosts-only reads, and the page store's read path: every Get a
+# parse, PutRaw none, and NewPage's fuzz seeds (two parses of the same bytes
+# agree). -count=1 defeats test caching.
 maintaintest:
 	$(GO) test -race -count=1 -v ./internal/maintain/
 	$(GO) test -race -count=1 -v \
@@ -136,8 +135,9 @@ benchshards:
 	$(GO) test -run '^$$' -bench 'BenchmarkBuildShards' -benchtime=1x -count=3 . | tee bench-shards.txt
 
 # benchscale measures the corpus-scale streamed build: heavy-tail worlds at
-# increasing page counts run through BuildStream with the disk-backed page
-# store, one process per size so every peak-RSS sample (VmHWM) is isolated.
+# increasing page counts run through BuildStream (page bytes in the page
+# store's segment files, in a temporary directory), one process per size so
+# every peak-RSS sample (VmHWM) is isolated.
 # Each run appends a JSON line via -stats-json (including per-stage wall
 # times); the lines are assembled into $(SCALE_OUT) — the scaling curve
 # (pages vs wall vs per-stage ms vs peak RSS). Override SCALE_SIZES /
@@ -154,17 +154,15 @@ benchscale:
 	@set -e; \
 	rm -f benchscale-lines.json; \
 	for n in $(SCALE_SIZES); do \
-		rm -rf bin/benchscale-pages; \
 		./bin/wocbuild -world-profile heavytail -pages $$n \
-			-page-store bin/benchscale-pages -stats-json benchscale-lines.json \
-			-rss-ceiling $(SCALE_RSS_CEILING); \
+			-stats-json benchscale-lines.json -rss-ceiling $(SCALE_RSS_CEILING); \
 	done; \
 	{ echo '{"bench": "corpus-scale streamed build (heavy-tail world, disk page store)",'; \
 	  echo ' "rss_ceiling_bytes": $(SCALE_RSS_CEILING),'; \
 	  echo ' "runs": ['; \
 	  sed '$$!s/$$/,/' benchscale-lines.json; \
 	  echo ']}'; } > $(SCALE_OUT); \
-	rm -f benchscale-lines.json bin/wocbuild; rm -rf bin/benchscale-pages; \
+	rm -f benchscale-lines.json bin/wocbuild; \
 	cat $(SCALE_OUT)
 
 # scalecheck compares a freshly measured scaling curve against the committed
@@ -220,24 +218,48 @@ bench-smoke:
 	$(GO) run -C bench . -quick
 
 # loadtest smoke-drives a freshly built wocserve with wocload's
-# logsim-derived workload: two low QPS levels for a few seconds each, report
-# archived as loadtest-report.json. wocload waits for /healthz, splits
-# hit/miss via the X-Woc-Trace/X-Woc-Cache headers, and exits non-zero if
-# the sweep completes zero requests — so CI catches a server that builds but
-# cannot serve.
+# logsim-derived workload: wocbuild writes the default world (where
+# wocload's vocabulary comes from) into bin/loadtest-data, wocserve -data
+# reopens it, and wocload runs two low QPS levels for a few seconds each,
+# report archived as loadtest-report.json. wocload waits for /healthz,
+# splits hit/miss via the X-Woc-Trace/X-Woc-Cache headers, and exits
+# non-zero if the sweep completes zero requests — so CI catches a server
+# that builds but cannot serve.
 loadtest:
+	$(GO) build -o bin/wocbuild ./cmd/wocbuild
 	$(GO) build -o bin/wocserve ./cmd/wocserve
 	$(GO) build -o bin/wocload ./cmd/wocload
 	@set -e; \
-	./bin/wocserve -addr 127.0.0.1:8639 & \
+	rm -rf bin/loadtest-data; \
+	./bin/wocbuild -out bin/loadtest-data > /dev/null; \
+	./bin/wocserve -data bin/loadtest-data -addr 127.0.0.1:8639 & \
 	srv=$$!; \
 	trap 'kill $$srv 2>/dev/null || true' EXIT; \
 	./bin/wocload -addr http://127.0.0.1:8639 -qps 20,40 -duration 3s \
 		-out loadtest-report.json
 
+# datasmoke serves a heavy-tail corpus over HTTP: wocbuild writes an
+# 8k-page directory, wocserve -data reopens it, and /healthz and one /search
+# must answer 200.
+datasmoke:
+	$(GO) build -o bin/wocbuild ./cmd/wocbuild
+	$(GO) build -o bin/wocserve ./cmd/wocserve
+	@set -e; \
+	rm -rf bin/datasmoke-data; \
+	./bin/wocbuild -world-profile heavytail -pages 8000 -out bin/datasmoke-data > /dev/null; \
+	./bin/wocserve -data bin/datasmoke-data -addr 127.0.0.1:8638 & \
+	srv=$$!; \
+	trap 'kill $$srv 2>/dev/null || true' EXIT; \
+	for i in $$(seq 1 150); do curl -sf -o /dev/null http://127.0.0.1:8638/healthz && break; sleep 0.2; done; \
+	for path in /healthz '/search?q=pizza'; do \
+		code=$$(curl -s -o /dev/null -w '%{http_code}' "http://127.0.0.1:8638$$path"); \
+		echo "datasmoke: $$path $$code"; test "$$code" = 200; \
+	done
+
 # profile builds the demo world end to end at one worker and writes pprof
 # CPU and heap profiles. Inspect with: go tool pprof build.pprof
 profile:
+	rm -rf /tmp/wocprofile
 	$(GO) run ./cmd/wocbuild -workers 1 -v -out /tmp/wocprofile \
 		-cpuprofile build.pprof -memprofile mem.pprof
 

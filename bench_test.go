@@ -332,7 +332,11 @@ func BenchmarkA2RelationalClassification(b *testing.B) {
 	}
 	evalCity := func(nb *classify.NaiveBayes, city string, refine bool) (float64, int) {
 		site, _ := w.SiteByHost(webgen.PortalHost(city))
-		st := webgraph.NewStore()
+		st, err := webgraph.OpenDiskStore(b.TempDir(), webgraph.DiskOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer st.Close()
 		var labeled []classify.PageLabel
 		truth := map[string]string{}
 		for _, p := range site.Pages {

@@ -1,6 +1,13 @@
 // Command wocbuild generates a synthetic web, runs the web-of-concepts
-// construction pipeline over it, and prints build statistics. With -out it
-// also persists the concept store durably.
+// construction pipeline over it, and prints build statistics. With -out DIR
+// it writes the built system into DIR, which woc.Open and `wocserve -data
+// DIR` reopen:
+//
+//	DIR/records/       the concept store (lrec snapshot, one per shard)
+//	DIR/pages/         the page store (pages-NNNN.log segments)
+//	DIR/manifest.json  profile, seed, size and gazetteer; written last
+//
+// Without -out the pages go to a temporary directory, removed on exit.
 //
 // Two world profiles are supported:
 //
@@ -8,26 +15,27 @@
 //     (core.Builder.Build). Output is byte-identical run to run.
 //   - heavytail: a streamed heavy-tail world of -pages pages (a few huge
 //     aggregators, a long tail of small sites) built through the
-//     bounded-memory pipeline (core.Builder.BuildStream), optionally with a
-//     disk-backed page store (-page-store) so page bytes never reside in
-//     memory. This is the corpus-scale path; pair with -stats-json and
-//     -rss-ceiling to record and enforce the memory envelope.
+//     bounded-memory pipeline (core.Builder.BuildStream); page bytes stay in
+//     the page store's segment files, never resident. This is the
+//     corpus-scale path; pair with -stats-json and -rss-ceiling to record
+//     and enforce the memory envelope.
 //
 // Usage:
 //
 //	wocbuild [-seed 1] [-restaurants 120] [-workers N] [-shards N] [-out dir]
 //	         [-world-profile default|heavytail] [-pages 100000]
-//	         [-page-store dir]
 //	         [-stats-json file] [-rss-ceiling bytes]
 //	         [-v] [-cpuprofile build.pprof] [-memprofile mem.pprof]
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
@@ -40,18 +48,26 @@ import (
 	"conceptweb/internal/obs"
 	"conceptweb/internal/webgen"
 	"conceptweb/internal/webgraph"
+	"conceptweb/woc"
 )
 
 func main() {
 	log.SetFlags(0)
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the command; a failure after the build returns through the
+// deferred Close, which removes the temporary page store without -out.
+func run() (err error) {
 	seed := flag.Int64("seed", 1, "world generation seed")
 	restaurants := flag.Int("restaurants", 120, "number of restaurants in the world (default profile)")
 	profile := flag.String("world-profile", "default", "world profile: default (fixed world, crawl pipeline) or heavytail (streamed bounded-memory pipeline)")
 	pages := flag.Int("pages", 100000, "approximate world size in pages (heavytail profile)")
-	pageStoreDir := flag.String("page-store", "", "directory for a disk-backed page store (heavytail profile; empty = in-memory)")
 	statsJSON := flag.String("stats-json", "", "append one JSON line of build statistics (pages, wall_ms, peak_rss_bytes, ...) to this file")
 	rssCeiling := flag.Int64("rss-ceiling", 0, "exit non-zero if peak RSS exceeds this many bytes (0 = unenforced)")
-	out := flag.String("out", "", "directory to persist the concept store (optional)")
+	out := flag.String("out", "", "write the built system into this directory (absent or empty): records/, pages/, manifest.json")
 	workers := flag.Int("workers", 0, "worker-pool size for the extract/link/index stages (0 = GOMAXPROCS); output is identical at any value")
 	shards := flag.Int("shards", 0, "hash-partition count for the store and indexes (0 or 1 = single partition); output is identical at any value")
 	verbose := flag.Bool("v", false, "periodic progress lines on stderr, plus the per-stage timing table and per-concept record counts")
@@ -62,10 +78,10 @@ func main() {
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			log.Fatalf("cpuprofile: %v", err)
+			return fmt.Errorf("cpuprofile: %w", err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatalf("cpuprofile: %v", err)
+			return fmt.Errorf("cpuprofile: %w", err)
 		}
 		defer func() {
 			pprof.StopCPUProfile()
@@ -88,36 +104,26 @@ func main() {
 	}()
 
 	start := time.Now()
-	var woc *core.WebOfConcepts
-	var stats *core.BuildStats
-	var reg *lrec.Registry
+	reg := lrec.NewRegistry()
+	manifest := woc.Manifest{Profile: *profile, Seed: *seed, Cuisines: webgen.Cuisines()}
+	var cfg core.Config
+	var fetcher webgraph.Fetcher
+	var build func(*core.Builder) (*core.WebOfConcepts, *core.BuildStats, error)
 	var worldPages int
 
 	switch *profile {
 	case "default":
-		cfg := webgen.DefaultConfig()
-		cfg.Seed = *seed
-		cfg.Restaurants = *restaurants
-		w := webgen.Generate(cfg)
+		wc := webgen.DefaultConfig()
+		wc.Seed = *seed
+		wc.Restaurants = *restaurants
+		w := webgen.Generate(wc)
 		worldPages = len(w.Pages())
 		fmt.Printf("world: %d pages across %d sites (%d restaurants, %d papers, %d products)\n",
 			len(w.Pages()), len(w.Sites), len(w.Restaurants), len(w.Papers), len(w.Products))
-
-		reg = lrec.NewRegistry()
 		webgen.RegisterConcepts(reg)
-		cfgStd := core.StandardConfig(reg, w.Cities(), webgen.Cuisines())
-		cfgStd.Workers = *workers
-		cfgStd.Shards = *shards
-		if *verbose {
-			cfgStd.Progress = progressPrinter()
-		}
-		b := &core.Builder{Fetcher: w, Cfg: cfgStd}
-		var err error
-		woc, stats, err = b.Build(w.SeedURLs())
-		if err != nil {
-			log.Fatalf("build: %v", err)
-		}
-		fmt.Printf("crawl:   %d pages fetched, %d failures\n", stats.PagesFetched, stats.FetchFailures)
+		cfg = core.StandardConfig(reg, w.Cities(), webgen.Cuisines())
+		manifest.Size, manifest.Cities, fetcher = *restaurants, w.Cities(), w
+		build = func(b *core.Builder) (*core.WebOfConcepts, *core.BuildStats, error) { return b.Build(w.SeedURLs()) }
 
 	case "heavytail":
 		scfg := webgen.HeavyTailConfig(*pages)
@@ -126,36 +132,40 @@ func main() {
 		worldPages = w.PlannedPages()
 		fmt.Printf("world: %d pages planned across %d sites (heavy-tail profile, seed %d)\n",
 			w.PlannedPages(), len(w.Plans()), *seed)
-
-		reg = lrec.NewRegistry()
 		webgen.RegisterScaleConcepts(reg)
-		cfgScale := core.ScaleConfig(reg, w.Cities(), webgen.Cuisines())
-		cfgScale.Workers = *workers
-		cfgScale.Shards = *shards
-		if *verbose {
-			cfgScale.Progress = progressPrinter()
-		}
-		if *pageStoreDir != "" {
-			ps, err := webgraph.OpenDiskStore(*pageStoreDir, webgraph.DiskOptions{})
-			if err != nil {
-				log.Fatalf("page store: %v", err)
-			}
-			cfgScale.PageStore = ps
-		}
-		b := &core.Builder{Fetcher: w, Cfg: cfgScale}
-		var err error
-		woc, stats, err = b.BuildStream(w)
-		if err != nil {
-			log.Fatalf("build: %v", err)
-		}
-		fmt.Printf("ingest:  %d pages streamed into the page store\n", stats.PagesFetched)
+		cfg = core.ScaleConfig(reg, w.Cities(), webgen.Cuisines())
+		manifest.Size, manifest.Cities, fetcher = *pages, w.Cities(), w
+		build = func(b *core.Builder) (*core.WebOfConcepts, *core.BuildStats, error) { return b.BuildStream(w) }
 
 	default:
-		log.Fatalf("unknown -world-profile %q (want default or heavytail)", *profile)
+		return fmt.Errorf("unknown -world-profile %q (want default or heavytail)", *profile)
 	}
-	defer woc.Close()
+	cfg.Workers, cfg.Shards = *workers, *shards
+	if *verbose {
+		cfg.Progress = progressPrinter()
+	}
+	// With -out the build stores its pages where the system will live;
+	// without, core opens a page store in a temporary directory.
+	if *out != "" {
+		if names, err := os.ReadDir(*out); err == nil && len(names) > 0 {
+			return fmt.Errorf("-out %s is not empty: a build writes a fresh directory", *out)
+		}
+		if cfg.PageStore, err = webgraph.OpenDiskStore(filepath.Join(*out, "pages"), webgraph.DiskOptions{}); err != nil {
+			return fmt.Errorf("page store: %w", err)
+		}
+	}
+	built, stats, err := build(&core.Builder{Fetcher: fetcher, Cfg: cfg})
+	if err != nil {
+		return fmt.Errorf("build: %w", err)
+	}
+	if *profile == "default" {
+		fmt.Printf("crawl:   %d pages fetched, %d failures\n", stats.PagesFetched, stats.FetchFailures)
+	} else {
+		fmt.Printf("ingest:  %d pages streamed into the page store\n", stats.PagesFetched)
+	}
+	defer func() { err = errors.Join(err, built.Close()) }()
 
-	changed := woc.Reconcile("restaurant", core.PreferSupport)
+	changed := built.Reconcile("restaurant", core.PreferSupport)
 	wall := time.Since(start)
 
 	fmt.Printf("extract: %d candidates\n", stats.Candidates)
@@ -169,26 +179,24 @@ func main() {
 		if stats.Trace != nil {
 			fmt.Printf("\nworkers: %d\n%s\n", stats.Workers, stats.Trace.Table())
 		}
-		ps := woc.Pages.Stats()
+		ps := built.Pages.Stats()
 		fmt.Printf("pages:   %d parsed by the build (page store: %d gets, %d parses)\n",
 			stats.PageParses, ps.Gets, ps.Parses)
-		for _, c := range woc.Records.Concepts() {
-			fmt.Printf("  %-12s %d records\n", c, woc.Records.CountByConcept(c))
+		for _, c := range built.Records.Concepts() {
+			fmt.Printf("  %-12s %d records\n", c, built.Records.CountByConcept(c))
 		}
 	}
 
 	if *out != "" {
-		persistRecords(woc, reg, *out, *shards)
+		if err := writeLayout(built, *out, *shards, manifest); err != nil {
+			return fmt.Errorf("write %s: %w", *out, err)
+		}
 	}
 
 	rss := peakRSSBytes()
 	fmt.Printf("build: %d pages in %s, peak rss %d MiB\n", stats.PagesFetched, wall.Round(time.Millisecond), rss>>20)
 
 	if *statsJSON != "" {
-		pageStore := "mem"
-		if *pageStoreDir != "" {
-			pageStore = "disk"
-		}
 		rec := map[string]any{
 			"profile":        *profile,
 			"pages_planned":  worldPages,
@@ -201,16 +209,18 @@ func main() {
 			"pages_linked":   stats.PagesLinked,
 			"workers":        stats.Workers,
 			"shards":         *shards,
-			"page_store":     pageStore,
 		}
 		if ms := stageMillis(stats.Trace); len(ms) > 0 {
 			rec["stage_ms"] = ms
 		}
-		appendStatsJSON(*statsJSON, rec)
+		if err := appendStatsJSON(*statsJSON, rec); err != nil {
+			return fmt.Errorf("stats-json: %w", err)
+		}
 	}
 	if *rssCeiling > 0 && rss > *rssCeiling {
-		log.Fatalf("peak rss %d bytes exceeds ceiling %d bytes", rss, *rssCeiling)
+		return fmt.Errorf("peak rss %d bytes exceeds ceiling %d bytes", rss, *rssCeiling)
 	}
+	return nil
 }
 
 // stageMillis flattens the build trace's top-level stages (crawl or ingest,
@@ -227,36 +237,20 @@ func stageMillis(tr *obs.TraceReport) map[string]int64 {
 	return ms
 }
 
-// persistRecords writes every record to a durable lrec store at dir.
-func persistRecords(woc *core.WebOfConcepts, reg *lrec.Registry, dir string, shards int) {
-	durable, err := lrec.Open(dir, lrec.WithRegistry(reg), lrec.WithShards(shards))
+// writeLayout writes the built system into dir as woc.Open reads it: the
+// pages the build stored in dir/pages made durable, the records copied into
+// a fresh store in dir/records, and the manifest last, so that a directory
+// holding one is a finished build.
+func writeLayout(built *core.WebOfConcepts, dir string, shards int, m woc.Manifest) error {
+	if err := built.Pages.Flush(); err != nil {
+		return err
+	}
+	n, err := built.SaveRecords(filepath.Join(dir, "records"), shards)
 	if err != nil {
-		log.Fatalf("open store: %v", err)
-	}
-	if rec := durable.Recovery(); rec.SnapshotRecords > 0 || rec.LogFrames > 0 || rec.TornTail {
-		fmt.Printf("store recovery: %d snapshot records, %d log frames replayed\n",
-			rec.SnapshotRecords, rec.LogFrames)
-		if rec.TornTail {
-			fmt.Printf("store recovery: truncated %d-byte torn log tail (previous process crashed mid-append)\n",
-				rec.TruncatedBytes)
-		}
-	}
-	n := 0
-	woc.Records.Scan(func(r *lrec.Record) bool {
-		if err := durable.Put(r); err != nil {
-			log.Printf("put %s: %v", r.ID, err)
-			return true
-		}
-		n++
-		return true
-	})
-	if err := durable.Compact(); err != nil {
-		log.Fatalf("compact: %v", err)
-	}
-	if err := durable.Close(); err != nil {
-		log.Fatalf("close: %v", err)
+		return err
 	}
 	fmt.Printf("persisted %d records to %s\n", n, dir)
+	return woc.WriteManifest(dir, m)
 }
 
 // progressPrinter returns a core.Config.Progress callback that emits
@@ -305,17 +299,15 @@ func peakRSSBytes() int64 {
 
 // appendStatsJSON appends one JSON object per line to path, so repeated runs
 // (e.g. make benchscale) accumulate a scaling curve.
-func appendStatsJSON(path string, rec map[string]any) {
+func appendStatsJSON(path string, rec map[string]any) error {
 	b, err := json.Marshal(rec)
 	if err != nil {
-		log.Fatalf("stats-json: %v", err)
+		return err
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		log.Fatalf("stats-json: %v", err)
+		return err
 	}
-	defer f.Close()
-	if _, err := f.Write(append(b, '\n')); err != nil {
-		log.Fatalf("stats-json: %v", err)
-	}
+	_, err = f.Write(append(b, '\n'))
+	return errors.Join(err, f.Close())
 }

@@ -34,6 +34,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("build: %v", err)
 	}
+	defer sys.Close()
 
 	switch {
 	case *aggregate != "":

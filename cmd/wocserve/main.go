@@ -1,5 +1,5 @@
-// Command wocserve builds the system over the synthetic web and serves it
-// over HTTP as JSON — the "next generation of search engines" surface:
+// Command wocserve -data DIR reopens the system `wocbuild -out DIR` wrote
+// and serves it over HTTP as JSON — the "next generation of search engines":
 //
 //	GET /search?q=...&k=8        web search with concept box
 //	GET /concepts?q=...&k=8      concept search
@@ -42,10 +42,10 @@
 //
 // With -refresh-interval > 0 the server runs the continuous maintenance
 // loop (internal/maintain) in the background: every interval it re-fetches
-// the -refresh-batch least-recently-checked pages and folds content
-// changes, disappearances, and resurrections into the live system while
-// reads keep flowing. Watch it at /debug/maintain and in the maintain.*
-// metrics.
+// the -refresh-batch least-recently-checked pages from the world DIR's
+// manifest names and folds content changes, disappearances, and
+// resurrections into the live system (and DIR) while reads keep flowing.
+// Watch it at /debug/maintain and in the maintain.* metrics.
 package main
 
 import (
@@ -67,16 +67,13 @@ import (
 	"conceptweb/internal/maintain"
 	"conceptweb/internal/obs"
 	"conceptweb/internal/serving"
-	"conceptweb/internal/webgen"
 	"conceptweb/woc"
 )
 
 func main() {
 	log.SetFlags(0)
 	addr := flag.String("addr", "127.0.0.1:8639", "listen address")
-	seed := flag.Int64("seed", 1, "world seed")
-	shards := flag.Int("shards", 0,
-		"hash-partition count for the store and indexes (0 or 1 = single partition); results are identical at any value")
+	data := flag.String("data", "", "directory written by wocbuild -out to serve (required)")
 	enablePprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	cacheSize := flag.Int("cache-size", serving.DefaultCacheSize,
 		"result cache capacity in entries across all shards (negative disables caching)")
@@ -100,20 +97,20 @@ func main() {
 		"pages re-checked per maintenance pass, least-recently-checked first")
 	flag.Parse()
 
-	cfg := webgen.DefaultConfig()
-	cfg.Seed = *seed
-	w := webgen.Generate(cfg)
-	sys, err := woc.Build(w.Fetch, w.SeedURLs(),
-		woc.WithLocalDomain(w.Cities(), webgen.Cuisines()), woc.WithShards(*shards))
-	if err != nil {
-		log.Fatalf("build: %v", err)
+	if *data == "" {
+		log.Fatalf("-data is required: write a directory with wocbuild -out DIR, then serve it with wocserve -data DIR")
 	}
-	log.Printf("built: %+v", sys.Stats())
+	sys, err := woc.Open(*data)
+	if err != nil {
+		log.Fatalf("open: %v", err)
+	}
+	defer sys.Close()
+	log.Printf("opened %s: %+v", *data, sys.Stats())
 	if sh := sys.StoreHealth(); sh.TornTailRepaired {
 		log.Printf("store recovery: truncated %d-byte torn log tail (previous process crashed mid-append)", sh.TruncatedBytes)
 	}
 	if tr := sys.BuildTrace(); tr != nil {
-		log.Printf("build stages:\n%s", tr.Table())
+		log.Printf("open stages:\n%s", tr.Table())
 	}
 
 	svc := serving.New(sys, serving.Options{

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -21,6 +22,16 @@ var (
 	tsys *woc.System
 	tw   *webgen.World
 )
+
+// TestMain closes the shared system when the package's tests are done,
+// which removes its temporary page store.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if tsys != nil {
+		tsys.Close()
+	}
+	os.Exit(code)
+}
 
 func buildOnce(t *testing.T) {
 	t.Helper()

@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 	"sort"
 	"strings"
 
@@ -25,7 +26,16 @@ func main() {
 	world := webgen.Generate(cfg)
 
 	// Crawl the academic sites.
-	store := webgraph.NewStore()
+	dir, err := os.MkdirTemp("", "academic-pages-")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	store, err := webgraph.OpenDiskStore(dir, webgraph.DiskOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer store.Close()
 	crawler := &webgraph.Crawler{Fetcher: world, Store: store}
 	fetched, _ := crawler.Crawl([]string{webgen.ScholarHost + "/"})
 	for _, site := range world.Sites {

@@ -25,6 +25,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer sys.Close() // removes the system's temporary page store
 	fmt.Printf("built: %+v\n\n", sys.Stats())
 
 	// 3. Search for a specific restaurant the way the paper's §5.1 example

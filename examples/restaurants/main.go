@@ -22,6 +22,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer sys.Close()
 
 	// --- The "best salsa" session: a set search with a dish constraint.
 	fmt.Println("== concept search: best mexican mountain view ==")

@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 	"strings"
 
 	"conceptweb/internal/ads"
@@ -21,7 +22,16 @@ func main() {
 	world := webgen.Generate(webgen.DefaultConfig())
 
 	// Crawl and extract the shop catalog.
-	store := webgraph.NewStore()
+	dir, err := os.MkdirTemp("", "shopping-pages-")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	store, err := webgraph.OpenDiskStore(dir, webgraph.DiskOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer store.Close()
 	(&webgraph.Crawler{Fetcher: world, Store: store}).Crawl([]string{webgen.ShopHost + "/"})
 	det := &extract.KeyValueExtractor{Concept: "product",
 		Labels: extract.ProductLabels(), NameKey: "name"}

@@ -64,10 +64,14 @@ func TestNaiveBayesPriors(t *testing.T) {
 }
 
 // portalPages returns the classified pages and link graph for a city portal.
-func portalPages(w *webgen.World, city string) ([]*webgen.Page, *webgraph.Graph) {
+func portalPages(t testing.TB, w *webgen.World, city string) ([]*webgen.Page, *webgraph.Graph) {
 	host := webgen.PortalHost(city)
 	site, _ := w.SiteByHost(host)
-	st := webgraph.NewStore()
+	st, err := webgraph.OpenDiskStore(t.TempDir(), webgraph.DiskOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
 	for _, p := range site.Pages {
 		st.Put(webgraph.NewPage(p.URL, p.HTML))
 	}
@@ -85,11 +89,11 @@ func worldForClassify() *webgen.World {
 // trainGlobal trains the "global classifier" the way the paper assumes one
 // is built: a small labeled sample (a handful of pages per category) from a
 // couple of sites, not exhaustive per-site labeling.
-func trainGlobal(w *webgen.World) *NaiveBayes {
+func trainGlobal(t testing.TB, w *webgen.World) *NaiveBayes {
 	nb := NewNaiveBayes()
 	perCat := make(map[string]int)
 	for _, city := range w.Cities()[:2] {
-		pages, _ := portalPages(w, city)
+		pages, _ := portalPages(t, w, city)
 		for _, p := range pages {
 			if perCat[p.Truth.Category] >= 6 {
 				continue
@@ -101,8 +105,8 @@ func trainGlobal(w *webgen.World) *NaiveBayes {
 	return nb
 }
 
-func accuracyOn(w *webgen.World, nb *NaiveBayes, city string, refine bool) (float64, int) {
-	pages, graph := portalPages(w, city)
+func accuracyOn(t testing.TB, w *webgen.World, nb *NaiveBayes, city string, refine bool) (float64, int) {
+	pages, graph := portalPages(t, w, city)
 	var labeled []PageLabel
 	truth := make(map[string]string)
 	for _, p := range pages {
@@ -131,12 +135,12 @@ func accuracyOn(w *webgen.World, nb *NaiveBayes, city string, refine bool) (floa
 
 func TestRelationalRefinementImproves(t *testing.T) {
 	w := worldForClassify()
-	nb := trainGlobal(w)
+	nb := trainGlobal(t, w)
 	var globalSum, refinedSum float64
 	n := 0
 	for _, city := range w.Cities()[2:] {
-		g, total := accuracyOn(w, nb, city, false)
-		r, _ := accuracyOn(w, nb, city, true)
+		g, total := accuracyOn(t, w, nb, city, false)
+		r, _ := accuracyOn(t, w, nb, city, true)
 		if total == 0 {
 			continue
 		}

@@ -195,50 +195,6 @@ func assocDigest(m map[string][]string) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// TestBuildStreamDiskPageStore: the same streamed build through a disk-backed
-// page store (segment files + offset index) must be indistinguishable from the
-// in-memory page store — the Store facade contract, proven through the whole
-// extraction pipeline rather than per-method assertions.
-func TestBuildStreamDiskPageStore(t *testing.T) {
-	w := smallWorld()
-
-	mem := streamBuilder(w, nil)
-	wocMem, statsMem, err := mem.BuildStream(worldSource{w})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wocMem.Close()
-
-	ds, err := webgraph.OpenDiskStore(t.TempDir(), webgraph.DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ds.Close()
-	disk := streamBuilder(w, ds)
-	wocDisk, statsDisk, err := disk.BuildStream(worldSource{w})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wocDisk.Close()
-
-	if statsDisk.Candidates != statsMem.Candidates ||
-		statsDisk.RecordsStored != statsMem.RecordsStored ||
-		statsDisk.PagesLinked != statsMem.PagesLinked {
-		t.Errorf("stats diverge:\ndisk %+v\nmem  %+v", statsDisk, statsMem)
-	}
-	if got, want := fingerprint(wocDisk), fingerprint(wocMem); got != want {
-		t.Error("record store fingerprints diverge between disk and memory page stores")
-	}
-	if !reflect.DeepEqual(wocDisk.Assoc, wocMem.Assoc) {
-		t.Error("Assoc maps diverge")
-	}
-	for _, q := range []string{"mexican cupertino", "restaurant review"} {
-		if got, want := searchIDs(wocDisk.DocIndex, q, 10), searchIDs(wocMem.DocIndex, q, 10); !reflect.DeepEqual(got, want) {
-			t.Errorf("doc search %q diverges", q)
-		}
-	}
-}
-
 // TestBuildStreamProgress: the Progress callback fires for every stage with
 // monotonic done counts.
 func TestBuildStreamProgress(t *testing.T) {

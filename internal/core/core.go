@@ -9,7 +9,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"os"
 	"slices"
 	"sort"
 	"strings"
@@ -66,10 +68,10 @@ type Config struct {
 	// StoreDir, when set, backs the concept store durably (write-ahead log
 	// plus snapshots) in that directory instead of memory.
 	StoreDir string
-	// PageStore, when non-nil, receives crawled or ingested pages instead of
-	// a fresh in-memory store. Pass webgraph.OpenDiskStore's result to keep
-	// page bytes in segment files with only an offset index resident —
-	// the corpus-scale configuration BuildStream is designed around.
+	// PageStore, when non-nil, is the page store crawled or ingested pages
+	// go to (webgraph.OpenDiskStore's result). When nil, the build opens one
+	// in a temporary directory of its own, which WebOfConcepts.Close
+	// removes.
 	PageStore *webgraph.Store
 	// Progress, when non-nil, receives pipeline progress callbacks: a stage
 	// name plus done/total counts (total is 0 when unknown). Callbacks come
@@ -113,6 +115,10 @@ type WebOfConcepts struct {
 	// stage fills it, and after BuildStream it is nil until the first
 	// Refresh creates it beside memo.
 	links linkMemo
+
+	// tempPages is the directory of a page store newWoc opened for itself;
+	// Close removes it. Empty when the page store came from the config.
+	tempPages string
 
 	// epoch is the maintenance generation counter: 1 after Build, bumped by
 	// every maintenance pass that changes visible state (Refresh with
@@ -160,9 +166,12 @@ func (woc *WebOfConcepts) BumpEpoch() uint64 {
 	return woc.Epoch()
 }
 
-// Close flushes and closes the underlying concept store (a no-op for
-// in-memory builds).
-func (woc *WebOfConcepts) Close() error { return woc.Records.Close() }
+// Close flushes and closes the concept store and the page store, and removes
+// the page store's directory when the build opened it for itself
+// (os.RemoveAll of an empty tempPages does nothing).
+func (woc *WebOfConcepts) Close() error {
+	return errors.Join(woc.Records.Close(), woc.Pages.Close(), os.RemoveAll(woc.tempPages))
+}
 
 // AssocOf returns the record IDs associated with a page URL.
 func (woc *WebOfConcepts) AssocOf(url string) []string { return woc.Assoc[url] }
@@ -175,9 +184,9 @@ type BuildStats struct {
 	PagesFetched  int
 	FetchFailures int
 	// PageParses counts the HTML parses the build paid for: its reads of the
-	// page store, which parses on every Get whatever its backend (the crawl
-	// and the ingest store bytes unparsed). A build parses each page once in
-	// the extract stage and the link stage's candidates once more.
+	// page store, which parses on every Get (the crawl and the ingest store
+	// bytes unparsed). A build parses each page once in the extract stage
+	// and the link stage's candidates once more.
 	PageParses     int
 	Candidates     int
 	RecordsStored  int
@@ -190,11 +199,6 @@ type BuildStats struct {
 	// Epoch is the data generation the build produced; maintenance passes
 	// (Refresh, Reconcile) advance it whenever they change visible state.
 	Epoch uint64
-	// StoreRecovery reports what opening the durable store found and
-	// repaired (snapshot/log frames replayed, torn-tail truncation); nil
-	// for in-memory builds. A repaired torn tail is worth surfacing: it
-	// means the previous process died mid-append.
-	StoreRecovery *lrec.RecoveryStats
 	// Trace is the per-stage timing tree of the build
 	// (crawl/extract/resolve/link/index); render it with Trace.Table().
 	Trace *obs.TraceReport
@@ -227,7 +231,9 @@ func (b *Builder) Build(seeds []string) (*WebOfConcepts, *BuildStats, error) {
 			Fetcher: b.Fetcher, Store: woc.Pages, MaxPages: b.Cfg.MaxPages,
 		}
 		stats.PagesFetched, stats.FetchFailures = crawler.Crawl(seeds)
-		return nil
+		// A page write that failed latched the store: surface it, as the
+		// ingest does, rather than build over the pages that landed.
+		return woc.Pages.Flush()
 	})
 }
 
@@ -237,7 +243,7 @@ func (b *Builder) Build(seeds []string) (*WebOfConcepts, *BuildStats, error) {
 // memo becomes the web of concepts' extraction memo, and a link-feature memo
 // is kept beside it; nil extracts memo-less and keeps neither.
 func (b *Builder) build(memo *extractMemo, first string, fill func(*WebOfConcepts, *BuildStats) error) (*WebOfConcepts, *BuildStats, error) {
-	woc, storeRecovery, err := b.newWoc()
+	woc, err := b.newWoc()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -245,13 +251,14 @@ func (b *Builder) build(memo *extractMemo, first string, fill func(*WebOfConcept
 	if memo != nil {
 		woc.links = linkMemo{}
 	}
-	stats := &BuildStats{Workers: b.workers(), StoreRecovery: storeRecovery}
+	stats := &BuildStats{Workers: b.workers()}
 	ctx, root := pipelineCtx("build")
 	parsed := woc.Pages.Stats().Parses
 
 	var fillErr error
 	b.stage(ctx, first, func(context.Context) { fillErr = fill(woc, stats) })
 	if fillErr != nil {
+		woc.Close()
 		return nil, nil, fmt.Errorf("core: %s: %w", first, fillErr)
 	}
 
@@ -290,40 +297,42 @@ func (b *Builder) build(memo *extractMemo, first string, fill func(*WebOfConcept
 }
 
 // newWoc assembles the empty artifact a build fills: the record store
-// (memory or durable per StoreDir), the page store (Config.PageStore or a
-// fresh in-memory one), and the sharded indexes.
-func (b *Builder) newWoc() (*WebOfConcepts, *lrec.RecoveryStats, error) {
+// (memory or durable per StoreDir), the page store (Config.PageStore, or one
+// of its own in a temporary directory), and the indexes, sharded like the
+// record store.
+func (b *Builder) newWoc() (*WebOfConcepts, error) {
 	if b.Cfg.Registry == nil {
-		return nil, nil, fmt.Errorf("core: nil registry")
+		return nil, fmt.Errorf("core: nil registry")
 	}
-	records := lrec.NewMemStore(lrec.WithRegistry(b.Cfg.Registry),
-		lrec.WithMetrics(b.Cfg.Metrics), lrec.WithShards(b.Cfg.Shards))
-	var storeRecovery *lrec.RecoveryStats
-	if b.Cfg.StoreDir != "" {
-		durable, err := lrec.Open(b.Cfg.StoreDir,
-			lrec.WithRegistry(b.Cfg.Registry), lrec.WithMetrics(b.Cfg.Metrics),
-			lrec.WithShards(b.Cfg.Shards))
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: open store: %w", err)
-		}
-		records = durable
-		rec := durable.Recovery()
-		storeRecovery = &rec
-	}
-	pages := b.Cfg.PageStore
-	if pages == nil {
-		pages = webgraph.NewStore()
+	opts := []lrec.StoreOption{lrec.WithRegistry(b.Cfg.Registry),
+		lrec.WithMetrics(b.Cfg.Metrics), lrec.WithShards(b.Cfg.Shards)}
+	var records *lrec.Store
+	var err error
+	if b.Cfg.StoreDir == "" {
+		records = lrec.NewMemStore(opts...)
+	} else if records, err = lrec.Open(b.Cfg.StoreDir, opts...); err != nil {
+		return nil, fmt.Errorf("core: open store: %w", err)
 	}
 	woc := &WebOfConcepts{
 		Registry: b.Cfg.Registry,
 		Records:  records,
-		Pages:    pages,
-		DocIndex: index.NewSharded(b.Cfg.Shards),
-		RecIndex: index.NewSharded(b.Cfg.Shards),
+		Pages:    b.Cfg.PageStore,
+		DocIndex: index.NewSharded(records.NumShards()),
+		RecIndex: index.NewSharded(records.NumShards()),
 		Assoc:    make(map[string][]string),
 		RevAssoc: make(map[string][]string),
 	}
-	return woc, storeRecovery, nil
+	if woc.Pages == nil {
+		if woc.tempPages, err = os.MkdirTemp("", "woc-pages-"); err == nil {
+			woc.Pages, err = webgraph.OpenDiskStore(woc.tempPages, webgraph.DiskOptions{})
+		}
+		if err != nil {
+			records.Close()
+			os.RemoveAll(woc.tempPages)
+			return nil, fmt.Errorf("core: open page store: %w", err)
+		}
+	}
+	return woc, nil
 }
 
 // progress reports pipeline progress to Config.Progress when set.
@@ -748,10 +757,28 @@ func (f *docFeed) join(ctx context.Context) {
 	obs.Record(ctx, "docindex.wait", time.Since(start))
 }
 
-// finishIndexes is the index stage of Build and BuildStream: the document
-// index was fed from the extract stage's page tasks and merged behind the
-// pipeline, so what is left is joining the merger and filling the record
-// index.
+// indexPages feeds every stored page to the document index, windows of
+// pages read, parsed and prepared across the worker pool. The order they
+// arrive in changes no answer: ranking ties break by ID.
+func (b *Builder) indexPages(pages *webgraph.Store, feed *docFeed) {
+	urls := pages.URLs()
+	for lo := 0; lo < len(urls); lo += extractWindowPages {
+		win := urls[lo:min(lo+extractWindowPages, len(urls))]
+		docs := make([]index.PreparedDoc, len(win))
+		parallelEach(len(win), b.workers(), func(i int) {
+			if p, err := pages.Get(win[i]); err == nil {
+				docs[i] = index.Prepare(pageDocument(p))
+			}
+		})
+		feed.queue <- docs
+		b.progress("index", lo+len(win), len(urls))
+	}
+}
+
+// finishIndexes is the index stage of Build, BuildStream and Open: the
+// document index was fed from the extract stage's page tasks (Open's, from
+// indexPages) and merged behind the pipeline, so what is left is joining the
+// merger and filling the record index.
 func (b *Builder) finishIndexes(ctx context.Context, woc *WebOfConcepts, feed *docFeed) {
 	feed.join(ctx)
 	n := woc.DocIndex.Len()

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"os"
 	"strings"
 	"sync"
 	"testing"
 
 	"conceptweb/internal/classify"
+	"conceptweb/internal/index"
 	"conceptweb/internal/lrec"
 	"conceptweb/internal/obs"
 	"conceptweb/internal/textproc"
@@ -50,6 +52,28 @@ func built(t *testing.T) (*webgen.World, *WebOfConcepts, *BuildStats, *Builder) 
 		builtWorld, builtWoc, builtStats, builtB = w, woc, stats, b
 	})
 	return builtWorld, builtWoc, builtStats, builtB
+}
+
+// TestMain closes the shared build when the package's tests are done, which
+// removes its temporary page store.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if builtWoc != nil {
+		builtWoc.Close()
+	}
+	os.Exit(code)
+}
+
+// testPageStore opens a page store in a fresh test directory, closed when
+// the test ends.
+func testPageStore(t testing.TB) *webgraph.Store {
+	t.Helper()
+	ps, err := webgraph.OpenDiskStore(t.TempDir(), webgraph.DiskOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ps.Close() })
+	return ps
 }
 
 func TestBuildCrawlsEverything(t *testing.T) {
@@ -221,7 +245,7 @@ func TestReconcilePrefersSupportedValue(t *testing.T) {
 	reg := lrec.NewRegistry()
 	reg.Register(lrec.Concept{Name: "restaurant",
 		Attrs: []lrec.AttrSpec{{Key: "street", MaxValues: 1}}})
-	woc := &WebOfConcepts{Registry: reg, Records: lrec.NewMemStore(lrec.WithRegistry(reg))}
+	woc := &WebOfConcepts{Registry: reg, Records: lrec.NewMemStore(lrec.WithRegistry(reg)), RecIndex: index.NewSharded(1)}
 	r := lrec.NewRecord("x", "restaurant")
 	r.Add("street", lrec.AttrValue{Value: "1 Fresh Ave", Confidence: 0.8, Support: 3,
 		Prov: lrec.Provenance{SourceURL: "a", Seq: 5}})
@@ -236,7 +260,7 @@ func TestReconcilePrefersSupportedValue(t *testing.T) {
 		t.Errorf("kept %q, want the 3-source value", got.Get("street"))
 	}
 	// PreferRecent keeps the newest instead.
-	woc2 := &WebOfConcepts{Registry: reg, Records: lrec.NewMemStore(lrec.WithRegistry(reg))}
+	woc2 := &WebOfConcepts{Registry: reg, Records: lrec.NewMemStore(lrec.WithRegistry(reg)), RecIndex: index.NewSharded(1)}
 	woc2.Records.Put(r)
 	woc2.Reconcile("restaurant", PreferRecent)
 	got2, _ := woc2.Records.Get("x")
@@ -267,6 +291,7 @@ func TestRefreshSkipsUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer woc.Close()
 	var urls []string
 	for _, p := range w.Pages()[:40] {
 		urls = append(urls, p.URL)
@@ -291,6 +316,7 @@ func TestRefreshAppliesChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer woc.Close()
 
 	// Pick a restaurant with a homepage and change its phone there.
 	var target *webgen.Restaurant
@@ -374,7 +400,7 @@ func TestClassifierGateExcludesHotels(t *testing.T) {
 	}
 
 	// Pre-crawl to build the store/graph the gate needs.
-	st := webgraph.NewStore()
+	st := testPageStore(t)
 	(&webgraph.Crawler{Fetcher: w, Store: st}).Crawl(w.SeedURLs())
 	graph := webgraph.BuildGraph(st)
 	var portalHosts []string
@@ -391,6 +417,7 @@ func TestClassifierGateExcludesHotels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer woc.Close()
 	// No hotel should be stored as a restaurant.
 	leaked := 0
 	for _, h := range w.Hotels {

@@ -100,7 +100,9 @@ func contentFingerprint(woc *WebOfConcepts) string {
 // (stats shrink), the page-store delete (resurrection), the supersede stage
 // (no stale values), and the relink stage (free-text pages follow their new
 // content). A streamed build keeps no extraction memo, so from it the passes
-// also run the memo's fill-on-first-touch path.
+// also run the memo's fill-on-first-touch path; so does a build written to a
+// directory and reopened (Open), whose passes start from derived
+// associations and refilled indexes.
 func TestDeltaRefreshConvergesToRebuild(t *testing.T) {
 	queries := []string{
 		"mexican cupertino", "pizza menu", "sushi san jose",
@@ -108,9 +110,10 @@ func TestDeltaRefreshConvergesToRebuild(t *testing.T) {
 	}
 	type combo struct {
 		workers, shards int
-		stream          bool
+		stream, open    bool
 	}
-	combos := []combo{{1, 1, false}, {1, 4, false}, {8, 1, false}, {8, 4, false}, {1, 1, true}, {8, 1, true}}
+	combos := []combo{{1, 1, false, false}, {1, 4, false, false}, {8, 1, false, false}, {8, 4, false, false},
+		{1, 1, true, false}, {8, 1, true, false}, {8, 4, false, true}}
 
 	var baseFP string
 	for _, cb := range combos {
@@ -118,6 +121,9 @@ func TestDeltaRefreshConvergesToRebuild(t *testing.T) {
 		name := fmt.Sprintf("workers=%d shards=%d", cb.workers, cb.shards)
 		if cb.stream {
 			name = "BuildStream " + name
+		}
+		if cb.open {
+			name = "Open " + name
 		}
 		t.Run(name, func(t *testing.T) {
 			w := smallWorld()
@@ -131,6 +137,21 @@ func TestDeltaRefreshConvergesToRebuild(t *testing.T) {
 			build := func() (*WebOfConcepts, *BuildStats, error) { return b.Build(w.SeedURLs()) }
 			if cb.stream {
 				build = func() (*WebOfConcepts, *BuildStats, error) { return b.BuildStream(worldSource{w}) }
+			}
+			if cb.open {
+				// Build into a directory, then run the passes on the
+				// system reopened from it.
+				build = func() (*WebOfConcepts, *BuildStats, error) {
+					dir := t.TempDir()
+					b.Cfg.PageStore = openDirPages(t, dir, webgraph.DiskOptions{})
+					written, _, err := b.Build(w.SeedURLs())
+					if err != nil {
+						return nil, nil, err
+					}
+					saveDir(t, written, dir, cb.shards)
+					b = &Builder{Fetcher: mf, Cfg: cfg}
+					return openDir(t, dir, b), nil, nil
+				}
 			}
 			woc, _, err := build()
 			if err != nil {

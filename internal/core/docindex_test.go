@@ -134,9 +134,11 @@ func TestDocIndexOrderIsWorkerAndWindowInvariant(t *testing.T) {
 // TestStreamedBuildParsesEachPageOnce: a streamed build reads and parses
 // every page exactly once, in the extract stage's page task, which also
 // prepares its index document; the only other parses are the link stage's,
-// of the pages resolve left unassociated. Neither page store keeps a parsed
+// of the pages resolve left unassociated. The page store keeps no parsed
 // page, so no read can be answered by luck, and the count is the same over
-// the disk store and the memory store. The moved work stays visible: the
+// a store the caller opens ("disk") and the one the build opens for itself
+// when Config.PageStore is nil ("memory", the name of the in-memory store
+// that path once used). The moved work stays visible: the
 // index stage carries the merger's time and the time it waited for it as
 // child spans.
 func TestStreamedBuildParsesEachPageOnce(t *testing.T) {
@@ -148,12 +150,13 @@ func TestStreamedBuildParsesEachPageOnce(t *testing.T) {
 		})
 	}
 	if parses["disk"] != parses["memory"] {
-		t.Errorf("the build parsed %d pages over a disk store, %d over a memory store", parses["disk"], parses["memory"])
+		t.Errorf("the build parsed %d pages over the caller's page store, %d over its own", parses["disk"], parses["memory"])
 	}
 }
 
-// streamedBuildParses runs one streamed build over a disk or a memory page
-// store, checks its parse count and index spans, and returns the count.
+// streamedBuildParses runs one streamed build over a page store the test
+// opens (disk) or the build's own, checks its parse count and index spans,
+// and returns the count.
 func streamedBuildParses(t *testing.T, w *webgen.StreamWorld, corpus corpusFetcher, disk bool) int {
 	reg := lrec.NewRegistry()
 	webgen.RegisterScaleConcepts(reg)

@@ -24,14 +24,15 @@ type EnrichStats struct {
 }
 
 // EnrichMenus attaches menu attributes to restaurant records from their
-// homepage sites' menu pages.
+// homepage sites' menu pages. A record that holds a menu already is left
+// alone, so a second pass (a reopened system's) adds nothing.
 func (b *Builder) EnrichMenus(woc *WebOfConcepts) EnrichStats {
 	var stats EnrichStats
 	// homepage host -> record ID
 	hostOf := make(map[string]string)
 	for _, r := range woc.Records.ByConcept("restaurant") {
 		hp := strings.TrimSuffix(r.Get("homepage"), "/")
-		if hp != "" {
+		if hp != "" && r.Get("menu") == "" {
 			hostOf[hp] = r.ID
 		}
 	}

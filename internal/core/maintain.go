@@ -110,6 +110,7 @@ func (b *Builder) Refresh(woc *WebOfConcepts, urls []string) (*RefreshStats, err
 	}()
 
 	var changed []*webgraph.Page
+	var putErr error // a page write that latched the page store
 	b.stage(ctx, "refetch", func(context.Context) {
 		// Fetch in parallel, hashing each body against the page store's
 		// hash for the URL and parsing only the bodies that differ; apply
@@ -170,13 +171,19 @@ func (b *Builder) Refresh(woc *WebOfConcepts, urls []string) (*RefreshStats, err
 				continue
 			}
 			if !woc.Pages.Put(p) {
-				stats.PagesUnchanged++
+				if putErr = woc.Pages.Err(); putErr != nil {
+					return // before anything downstream of the page changes
+				}
+				stats.PagesUnchanged++ // the same bytes after all
 				continue
 			}
 			stats.PagesChanged++
 			changed = append(changed, p)
 		}
 	})
+	if putErr != nil {
+		return stats, fmt.Errorf("core: refresh: %w", putErr)
+	}
 	if len(changed) == 0 {
 		return stats, nil
 	}
@@ -707,9 +714,11 @@ const (
 
 // Reconcile enforces the registry's multiplicity constraints on stored
 // records of the concept: attributes holding more values than allowed are
-// trimmed per the policy. It returns the number of records changed —
-// the §7.3 "extracted information will often be inconsistent and will need
-// to be reconciled to meet integrity constraints".
+// trimmed per the policy, and a trimmed record is re-indexed and unlinked
+// from pages only its trimmed values came from. It returns the number of
+// records changed — the §7.3 "extracted information will often be
+// inconsistent and will need to be reconciled to meet integrity
+// constraints".
 func (woc *WebOfConcepts) Reconcile(concept string, policy ConflictResolution) int {
 	spec, ok := woc.Registry.Lookup(concept)
 	if !ok {
@@ -738,6 +747,8 @@ func (woc *WebOfConcepts) Reconcile(concept string, policy ConflictResolution) i
 		if trimmed != nil {
 			if woc.Records.Put(trimmed) == nil {
 				changed++
+				woc.unassociateTrimmed(r, trimmed)
+				woc.RecIndex.Add(recordDocument(trimmed))
 			}
 		}
 	}
@@ -745,6 +756,21 @@ func (woc *WebOfConcepts) Reconcile(concept string, policy ConflictResolution) i
 		woc.BumpEpoch()
 	}
 	return changed
+}
+
+// unassociateTrimmed drops the page → record edges only trimmed values
+// justified — a value's source or the homepage — leaving those the record
+// still implies, which is what a reopened system derives (reassociate). A
+// review's page holds no extracted value (the link stage links only pages
+// extraction left unassociated), so its edge to its subject stays.
+func (woc *WebOfConcepts) unassociateTrimmed(before, after *lrec.Record) {
+	justified := func(r *lrec.Record, u string) bool { return sourcedFrom(r, u) || r.Get("homepage") == u }
+	for _, u := range slices.Clone(woc.RevAssoc[before.ID]) {
+		if justified(before, u) && !justified(after, u) {
+			removeAssoc(woc.Assoc, u, before.ID)
+			removeAssoc(woc.RevAssoc, before.ID, u)
+		}
+	}
 }
 
 // rankValues orders attribute values best-first per the policy.

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
+	"os"
 	"strings"
 	"testing"
 
@@ -53,6 +54,7 @@ func TestBuildSurvivesFlakyFetcher(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer woc.Close()
 	if stats.FetchFailures == 0 {
 		t.Fatal("flaky fetcher produced no failures; test is vacuous")
 	}
@@ -62,6 +64,89 @@ func TestBuildSurvivesFlakyFetcher(t *testing.T) {
 	// The build should still have most of the web.
 	if float64(stats.PagesFetched) < 0.8*float64(len(w.Pages())) {
 		t.Errorf("fetched only %d of %d pages", stats.PagesFetched, len(w.Pages()))
+	}
+}
+
+// latchingPageStore opens a page store that rolls to a new segment after
+// every write, and returns it with a func that removes its directory: from
+// then on the next write's roll fails, which latches the store.
+func latchingPageStore(t *testing.T) (*webgraph.Store, func()) {
+	t.Helper()
+	dir := t.TempDir()
+	ps, err := webgraph.OpenDiskStore(dir, webgraph.DiskOptions{SegmentBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ps.Close() })
+	return ps, func() { os.RemoveAll(dir) }
+}
+
+// tinyWeb is a three-page web: a listing of two restaurants, one detail
+// page, and a review.
+func tinyWeb() corpusFetcher {
+	item := func(name, phone string) string {
+		return fmt.Sprintf(`<div class="hit"><a href="/biz/%s">%s</a> <span>12 Alma St, Cupertino 95014</span> <span>%s</span></div>`,
+			strings.ToLower(name), name, phone)
+	}
+	return corpusFetcher{
+		"guide.example/": `<html><head><title>Guide</title></head><body>` +
+			item("Gochi", "(408) 555-0101") + item("Blue Palm", "(408) 555-0102") + `</body></html>`,
+		"guide.example/biz/gochi": `<html><head><title>Gochi</title></head><body><h1>Gochi</h1>` +
+			`<p>12 Alma St, Cupertino 95014</p><p>(408) 555-0101</p></body></html>`,
+		"blog.example/review": `<html><head><title>A night out</title></head><body><p>` +
+			strings.Repeat("Dinner at Gochi on Alma in Cupertino was lovely. ", 4) + `</p></body></html>`,
+	}
+}
+
+// TestBuildSurfacesPageStoreFailure: a page write that fails during the
+// crawl latches the page store, and Build reports it instead of building
+// over the pages that landed.
+func TestBuildSurfacesPageStoreFailure(t *testing.T) {
+	ps, remove := latchingPageStore(t)
+	remove()
+	reg := lrec.NewRegistry()
+	webgen.RegisterConcepts(reg)
+	cfg := StandardConfig(reg, []string{"Cupertino"}, nil)
+	cfg.PageStore = ps
+	woc, _, err := (&Builder{Fetcher: tinyWeb(), Cfg: cfg}).Build([]string{"guide.example/", "blog.example/review"})
+	if err == nil {
+		woc.Close()
+		t.Fatal("Build over a latched page store reported no error")
+	}
+	if ps.Err() == nil || !strings.Contains(err.Error(), "crawl") {
+		t.Errorf("Build error %q, page store error %v: want the crawl stage to surface the latched store", err, ps.Err())
+	}
+}
+
+// TestRefreshSurfacesPageStoreFailure: a changed page whose write fails is
+// not counted as unchanged; the pass returns the page store's error before
+// anything downstream of the page moves.
+func TestRefreshSurfacesPageStoreFailure(t *testing.T) {
+	ps, remove := latchingPageStore(t)
+	web := tinyWeb()
+	reg := lrec.NewRegistry()
+	webgen.RegisterConcepts(reg)
+	cfg := StandardConfig(reg, []string{"Cupertino"}, nil)
+	cfg.PageStore = ps
+	b := &Builder{Fetcher: web, Cfg: cfg}
+	woc, _, err := b.Build([]string{"guide.example/", "blog.example/review"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer woc.Close()
+	before := fingerprint(woc)
+
+	remove()
+	web["guide.example/"] = strings.Replace(web["guide.example/"], "555-0102", "555-0199", 1)
+	st, err := b.Refresh(woc, []string{"guide.example/", "blog.example/review"})
+	if err == nil || ps.Err() == nil {
+		t.Fatalf("Refresh over a latched page store: err %v, store error %v; want both", err, ps.Err())
+	}
+	if st.PagesUnchanged != 0 || st.PagesChanged != 0 {
+		t.Errorf("failed write counted: %+v", st)
+	}
+	if fingerprint(woc) != before {
+		t.Error("the records moved although the pass failed before supersede")
 	}
 }
 
@@ -75,6 +160,7 @@ func TestRefreshHandlesGonePages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer woc.Close()
 
 	// Close down a restaurant: its homepage pages vanish.
 	var target *webgen.Restaurant
@@ -141,6 +227,7 @@ func TestRefreshResurrectsGonePage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer woc.Close()
 
 	var target *webgen.Restaurant
 	for _, r := range w.Restaurants {
@@ -224,7 +311,7 @@ func TestUpsertTieBreakLowestID(t *testing.T) {
 	woc := &WebOfConcepts{
 		Registry: reg,
 		Records:  lrec.NewMemStore(lrec.WithRegistry(reg)),
-		Pages:    webgraph.NewStore(),
+		Pages:    testPageStore(t),
 		DocIndex: index.NewSharded(1),
 		RecIndex: index.NewSharded(1),
 		Assoc:    map[string][]string{},
@@ -273,7 +360,7 @@ func TestReconcileDegradedStore(t *testing.T) {
 		if err := store.Put(r); err != nil {
 			t.Fatal(err)
 		}
-		return &WebOfConcepts{Registry: reg, Records: store}
+		return &WebOfConcepts{Registry: reg, Records: store, RecIndex: index.NewSharded(1)}
 	}
 
 	// Healthy store: the over-full attribute trims and persists.
@@ -322,6 +409,7 @@ func TestLiveValueErrorPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer woc.Close()
 	var rec *lrec.Record
 	for _, r := range w.Restaurants {
 		if recs := woc.Records.ByAttr("restaurant", "phone", r.Phone); len(recs) == 1 {
@@ -373,6 +461,7 @@ func TestLiveValueReadsSourceDocument(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer woc.Close()
 	var target *webgen.Restaurant
 	var rec *lrec.Record
 	for _, r := range w.Restaurants {

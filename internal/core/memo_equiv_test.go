@@ -98,7 +98,7 @@ func heavyTailCorpus(t testing.TB) (w *webgen.StreamWorld, corpus corpusFetcher,
 // and gates every portal's pages into the restaurant and hotel extractors.
 func scaleGate(t testing.TB, w *webgen.StreamWorld, corpus corpusFetcher, portals []string) func(string, *webgraph.Page) bool {
 	t.Helper()
-	st := webgraph.NewStore()
+	st := testPageStore(t)
 	for u, html := range corpus {
 		st.Put(webgraph.NewPage(u, html))
 	}
@@ -176,7 +176,7 @@ func TestSiteMemoMatchesFullExtraction(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		cfg.Workers = workers
 		b := &Builder{Cfg: cfg}
-		woc, _, err := b.newWoc()
+		woc, err := b.newWoc()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -493,7 +493,7 @@ func TestWindowSchedulerMatchesWholeHost(t *testing.T) {
 			cfg.Workers = workers
 			cfg.PageStore = newStore()
 			b := &Builder{Cfg: cfg, extractWindow: window}
-			woc, _, err := b.newWoc()
+			woc, err := b.newWoc()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -14,9 +14,8 @@ type PageSource interface {
 // things only:
 //
 //   - The first stage ingests: pages go straight from the source into the
-//     page store, unparsed (pair with Config.PageStore =
-//     webgraph.OpenDiskStore(...) to keep page bytes on disk), where Build
-//     crawls. There is no crawl frontier and no []Page slice.
+//     page store, unparsed, where Build crawls. There is no crawl frontier
+//     and no []Page slice.
 //   - No extraction memo is kept: the extract stage runs memo-less, and a
 //     window's PageAnalysis values die when it has folded. The first
 //     maintenance pass to touch a host fills the memo for it.

@@ -50,6 +50,7 @@ func TestBuildMetricsWiring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer woc.Close()
 	snap := m.Snapshot()
 	for _, name := range []string{"build.crawl", "build.extract", "build.resolve",
 		"build.link", "build.index"} {

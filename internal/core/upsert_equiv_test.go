@@ -11,7 +11,6 @@ import (
 	"conceptweb/internal/lrec"
 	"conceptweb/internal/match"
 	"conceptweb/internal/webgen"
-	"conceptweb/internal/webgraph"
 )
 
 // upsertFullScan is the upsert the profile table replaced, kept verbatim as
@@ -116,7 +115,7 @@ func TestUpsertTableEqualsFullScan(t *testing.T) {
 		woc := &WebOfConcepts{
 			Registry: reg,
 			Records:  lrec.NewMemStore(lrec.WithRegistry(reg), lrec.WithShards(2)),
-			Pages:    webgraph.NewStore(),
+			Pages:    testPageStore(t),
 			DocIndex: index.NewSharded(1),
 			RecIndex: index.NewSharded(1),
 			Assoc:    map[string][]string{},

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -17,6 +18,18 @@ var (
 	tw        *webgen.World
 	teng      *Engine
 )
+
+// TestMain closes the shared fixtures when the package's tests are done,
+// which removes their temporary page stores.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	for _, e := range []*Engine{teng, heavyEng} {
+		if e != nil {
+			e.Woc.Close()
+		}
+	}
+	os.Exit(code)
+}
 
 func engine(t *testing.T) (*webgen.World, *Engine) {
 	t.Helper()

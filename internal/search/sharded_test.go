@@ -29,6 +29,7 @@ func shardedEngine(t *testing.T, shards int) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { woc.Close() })
 	woc.Reconcile("restaurant", core.PreferSupport)
 	b.EnrichMenus(woc)
 	return NewEngine(woc, NewParser(w.Cities(), webgen.Cuisines()))

@@ -2,6 +2,7 @@ package serving
 
 import (
 	"context"
+	"os"
 	"sync"
 	"testing"
 
@@ -15,6 +16,16 @@ var (
 	benchSys  *woc.System
 	benchQ    string
 )
+
+// TestMain closes the benchmarks' shared system when the package is done,
+// which removes its temporary page store.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if benchSys != nil {
+		benchSys.Close()
+	}
+	os.Exit(code)
+}
 
 func benchFixture(b *testing.B) (*woc.System, string) {
 	b.Helper()

@@ -34,6 +34,7 @@ func buildVersionedSystem(t testing.TB) (*woc.System, *webgen.World, *atomic.Int
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { sys.Close() })
 	return sys, w, &version
 }
 

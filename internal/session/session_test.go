@@ -2,6 +2,7 @@ package session
 
 import (
 	"fmt"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -18,6 +19,16 @@ var (
 	tw        *webgen.World
 	teng      *search.Engine
 )
+
+// TestMain closes the shared fixture when the package's tests are done,
+// which removes its temporary page store.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if teng != nil {
+		teng.Woc.Close()
+	}
+	os.Exit(code)
+}
 
 func engine(t *testing.T) (*webgen.World, *search.Engine) {
 	t.Helper()

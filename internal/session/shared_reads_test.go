@@ -84,6 +84,7 @@ func heavyTailWoc(t testing.TB) (*core.WebOfConcepts, *search.Parser) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { woc.Close() })
 	woc.Reconcile("restaurant", core.PreferSupport)
 	return woc, search.NewParser(w.Cities(), webgen.Cuisines())
 }

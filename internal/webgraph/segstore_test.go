@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -76,23 +77,39 @@ func openDisk(t *testing.T, dir string, opts DiskOptions) *Store {
 	return s
 }
 
-// TestDiskStoreMatchesMemory drives both backends through the identical
-// Put/Get/Delete/re-Put sequence over the full default world (2011 pages)
-// and asserts every observable — membership, ordering, page bytes, hashes,
-// outlinks, change detection — agrees. Small segments force mid-world rolls.
+// newStore opens a page store in a fresh test directory, closed when the
+// test ends.
+func newStore(t *testing.T) *Store {
+	t.Helper()
+	s := openDisk(t, t.TempDir(), DiskOptions{})
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+// TestDiskStoreMatchesMemory drives the store and a plain in-memory model (a
+// URL → HTML map) through the identical Put/Get/Delete/re-Put sequence over
+// the full default world (2011 pages) and asserts every observable —
+// membership, ordering, page bytes, hashes, outlinks, change detection —
+// agrees with the model. Small segments force mid-world rolls.
 func TestDiskStoreMatchesMemory(t *testing.T) {
 	world := webgen.Generate(webgen.DefaultConfig())
-	mem := NewStore()
+	model := make(map[string]string)
 	disk := openDisk(t, t.TempDir(), DiskOptions{SegmentBytes: 1 << 20})
 	defer disk.Close()
 
-	for _, wp := range world.Pages() {
-		p := NewPage(wp.URL, wp.HTML)
-		cm := mem.Put(NewPage(wp.URL, wp.HTML))
-		cd := disk.Put(p)
-		if cm != cd {
-			t.Fatalf("Put(%s): mem changed=%v disk changed=%v", wp.URL, cm, cd)
+	// put applies one Put to both; the model's changed is "absent or new
+	// bytes".
+	put := func(url, html string) {
+		t.Helper()
+		old, ok := model[url]
+		want := !ok || old != html
+		model[url] = html
+		if got := disk.Put(NewPage(url, html)); got != want {
+			t.Fatalf("Put(%s): changed=%v, model says %v", url, got, want)
 		}
+	}
+	for _, wp := range world.Pages() {
+		put(wp.URL, wp.HTML)
 	}
 	if err := disk.Err(); err != nil {
 		t.Fatalf("disk store latched: %v", err)
@@ -100,64 +117,74 @@ func TestDiskStoreMatchesMemory(t *testing.T) {
 
 	compare := func(stage string) {
 		t.Helper()
-		if mem.Len() != disk.Len() {
-			t.Fatalf("%s: Len mem=%d disk=%d", stage, mem.Len(), disk.Len())
+		var urls []string
+		hostPages := make(map[string][]string)
+		for u := range model {
+			urls = append(urls, u)
+			hostPages[HostOf(u)] = append(hostPages[HostOf(u)], u)
 		}
-		if !reflect.DeepEqual(mem.URLs(), disk.URLs()) {
-			t.Fatalf("%s: URLs diverge", stage)
+		sort.Strings(urls)
+		var hosts []string
+		for h, us := range hostPages {
+			hosts = append(hosts, h)
+			sort.Strings(us)
 		}
-		if !reflect.DeepEqual(mem.Hosts(), disk.Hosts()) {
+		sort.Strings(hosts)
+		if disk.Len() != len(model) || !reflect.DeepEqual(disk.URLs(), urls) {
+			t.Fatalf("%s: %d URLs, model has %d, or they differ", stage, disk.Len(), len(model))
+		}
+		if !reflect.DeepEqual(disk.Hosts(), hosts) {
 			t.Fatalf("%s: Hosts diverge", stage)
 		}
-		for _, h := range mem.Hosts() {
-			if !reflect.DeepEqual(mem.HostPages(h), disk.HostPages(h)) {
+		for _, h := range hosts {
+			if !reflect.DeepEqual(disk.HostPages(h), hostPages[h]) {
 				t.Fatalf("%s: HostPages(%s) diverge", stage, h)
 			}
 		}
-		for _, u := range mem.URLs() {
-			mp, err1 := mem.Get(u)
-			dp, err2 := disk.Get(u)
-			if err1 != nil || err2 != nil {
-				t.Fatalf("%s: Get(%s): mem err=%v disk err=%v", stage, u, err1, err2)
+		for _, u := range urls {
+			want := NewPage(u, model[u])
+			got, err := disk.Get(u)
+			if err != nil {
+				t.Fatalf("%s: Get(%s): %v", stage, u, err)
 			}
-			if mp.HTML != dp.HTML || mp.Hash != dp.Hash ||
-				!reflect.DeepEqual(mp.Outlinks, dp.Outlinks) {
-				t.Fatalf("%s: page %s differs between backends", stage, u)
+			if got.HTML != want.HTML || got.Hash != want.Hash ||
+				!reflect.DeepEqual(got.Outlinks, want.Outlinks) {
+				t.Fatalf("%s: page %s differs from the model", stage, u)
+			}
+			if h, ok := disk.Hash(u); !ok || h != want.Hash {
+				t.Fatalf("%s: Hash(%s) = %x, %v", stage, u, h, ok)
 			}
 		}
 	}
 	compare("after put")
 
-	// Delete a spread of pages from both; Has and membership must agree.
-	urls := mem.URLs()
+	// Delete a spread of pages; Has and membership must agree.
 	var deleted []string
-	for i := 0; i < len(urls); i += 7 {
-		u := urls[i]
-		dm, dd := mem.Delete(u), disk.Delete(u)
-		if !dm || !dd {
-			t.Fatalf("Delete(%s): mem=%v disk=%v", u, dm, dd)
+	for i, u := range disk.URLs() {
+		if i%7 != 0 {
+			continue
 		}
+		if !disk.Delete(u) {
+			t.Fatalf("Delete(%s) reported absent", u)
+		}
+		delete(model, u)
 		deleted = append(deleted, u)
 	}
 	for _, u := range deleted {
-		if mem.Has(u) || disk.Has(u) {
+		if disk.Has(u) || disk.Delete(u) {
 			t.Fatalf("deleted %s still present", u)
 		}
 	}
 	compare("after delete")
 
-	// Resurrect one deleted page with identical bytes: both backends must
-	// report changed=true (the delete forgot the hash — the §7.3 gone-page
-	// resurrection contract the maintenance loop depends on).
+	// Resurrect one deleted page with identical bytes: it must report
+	// changed=true (the delete forgot the hash — the §7.3 gone-page
+	// resurrection contract the maintenance loop depends on), and an
+	// unchanged re-Put false.
 	res := deleted[0]
 	html, _ := world.Fetch(res)
-	if cm, cd := mem.Put(NewPage(res, html)), disk.Put(NewPage(res, html)); !cm || !cd {
-		t.Fatalf("resurrection Put(%s): mem changed=%v disk changed=%v", res, cm, cd)
-	}
-	// And an unchanged re-Put reports false on both.
-	if cm, cd := mem.Put(NewPage(res, html)), disk.Put(NewPage(res, html)); cm || cd {
-		t.Fatalf("no-op Put(%s): mem changed=%v disk changed=%v", res, cm, cd)
-	}
+	put(res, html)
+	put(res, html)
 	compare("after resurrection")
 }
 
@@ -504,12 +531,6 @@ func TestDiskStoreGetParsesEveryTime(t *testing.T) {
 	getParsesEveryTime(t, s)
 }
 
-// TestMemoryStoreGetParsesEveryTime: neither does a memory store — it holds
-// the bytes Put was given, and the parse Put's caller held is not kept.
-func TestMemoryStoreGetParsesEveryTime(t *testing.T) {
-	getParsesEveryTime(t, NewStore())
-}
-
 func sortedStrings(s []string) bool {
 	for i := 1; i < len(s); i++ {
 		if s[i] < s[i-1] {
@@ -520,42 +541,35 @@ func sortedStrings(s []string) bool {
 }
 
 // TestPutRawMatchesPut: a page stored from its bytes alone reads back as the
-// page Put would have stored, and storing it does not parse — on both
-// backends.
+// page Put would have stored, and storing it does not parse.
 func TestPutRawMatchesPut(t *testing.T) {
 	const u = "raw.example/page"
 	v1 := `<html><body><h1>One</h1><a href="/next">next</a></body></html>`
 	v2 := `<html><body><h1>Two</h1></body></html>`
-	disk, err := OpenDiskStore(t.TempDir(), DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
+	s := newStore(t)
+	if !s.PutRaw(u, v1) || s.PutRaw(u, v1) {
+		t.Errorf("PutRaw must report a new page as changed and the same bytes as unchanged")
 	}
-	defer disk.Close()
-	for name, s := range map[string]*Store{"memory": NewStore(), "disk": disk} {
-		if !s.PutRaw(u, v1) || s.PutRaw(u, v1) {
-			t.Errorf("%s: PutRaw must report a new page as changed and the same bytes as unchanged", name)
-		}
-		if h, ok := s.Hash(u); !ok || h != HashContent(v1) {
-			t.Errorf("%s: stored hash %x, %v", name, h, ok)
-		}
-		got, err := s.Get(u)
-		if want := NewPage(u, v1); err != nil || !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: Get after PutRaw = %+v, %v; want %+v", name, got, err, want)
-		}
-		// New bytes must be served after a Get of the old ones.
-		if !s.PutRaw(u, v2) {
-			t.Errorf("%s: PutRaw of new bytes reported unchanged", name)
-		}
-		if got, err := s.Get(u); err != nil || got.HTML != v2 || got.Hash != HashContent(v2) {
-			t.Errorf("%s: Get after second PutRaw = %+v, %v", name, got, err)
-		}
-		if hp := s.HostPages("raw.example"); !reflect.DeepEqual(hp, []string{u}) {
-			t.Errorf("%s: host pages %v", name, hp)
-		}
-		before := s.Stats().Parses
-		s.PutRaw("raw.example/unparsed", v1)
-		if after := s.Stats().Parses; after != before {
-			t.Errorf("%s: PutRaw parsed (%d parses, want %d)", name, after, before)
-		}
+	if h, ok := s.Hash(u); !ok || h != HashContent(v1) {
+		t.Errorf("stored hash %x, %v", h, ok)
+	}
+	got, err := s.Get(u)
+	if want := NewPage(u, v1); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("Get after PutRaw = %+v, %v; want %+v", got, err, want)
+	}
+	// New bytes must be served after a Get of the old ones.
+	if !s.PutRaw(u, v2) {
+		t.Errorf("PutRaw of new bytes reported unchanged")
+	}
+	if got, err := s.Get(u); err != nil || got.HTML != v2 || got.Hash != HashContent(v2) {
+		t.Errorf("Get after second PutRaw = %+v, %v", got, err)
+	}
+	if hp := s.HostPages("raw.example"); !reflect.DeepEqual(hp, []string{u}) {
+		t.Errorf("host pages %v", hp)
+	}
+	before := s.Stats().Parses
+	s.PutRaw("raw.example/unparsed", v1)
+	if after := s.Stats().Parses; after != before {
+		t.Errorf("PutRaw parsed (%d parses, want %d)", after, before)
 	}
 }

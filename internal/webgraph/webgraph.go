@@ -6,11 +6,9 @@ package webgraph
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"conceptweb/internal/htmlx"
 )
@@ -107,270 +105,6 @@ func resolveLinks(host string, links []string) []string {
 	}
 	return resolved
 }
-
-// Store holds crawled pages, indexed by URL and host. Safe for concurrent
-// use. A Store keeps page bytes, never a parse: every Get parses the stored
-// HTML into a fresh *Page, on either backend, so what a caller holds it owns,
-// and what stays resident is the bytes and a content hash per page. Pages
-// (and their parsed htmlx DOMs) are immutable and cache nothing lazily, so
-// the build pipeline's workers may read one *Page — including walking its
-// Doc — from many goroutines at once.
-//
-// A Store is a facade over one of two byte-store backends: the default
-// in-memory map (url → HTML and hash; the right choice for tests and
-// laptop-scale worlds) or the disk-backed segment store opened with
-// OpenDiskStore, which keeps only an offset index resident and preads a
-// page's bytes on every Get — the corpus-scale backend (see segstore.go).
-// The backend is invisible to callers: Get/Put/Delete/Scan behave
-// identically, and Get's parse is the facade's.
-type Store struct {
-	b     backend
-	stats storeCounters
-}
-
-// storeCounters are the page store's read-path counters. Every Get either
-// parses the page or fails; nothing else in a store parses.
-type storeCounters struct {
-	gets, parses atomic.Uint64
-}
-
-// StoreStats is a snapshot of a store's read-path counters since it was
-// opened: Get calls, and the HTML parses they performed. Gets exceeds Parses
-// by the reads that failed (a missing or unreadable page).
-type StoreStats struct {
-	Gets, Parses uint64
-}
-
-// Stats returns the store's read-path counters.
-func (s *Store) Stats() StoreStats {
-	return StoreStats{Gets: s.stats.gets.Load(), Parses: s.stats.parses.Load()}
-}
-
-// backend is the byte store behind the Store facade: page bytes and content
-// hash by URL, plus a host index. Implementations must be safe for
-// concurrent use.
-type backend interface {
-	put(url, html string, hash uint64) (changed bool, err error)
-	delete(url string) bool
-	get(url string) (html string, err error)
-	has(url string) bool
-	hash(url string) (uint64, bool)
-	count() int
-	urls() []string
-	hosts() []string
-	hostPages(host string) []string
-	flush() error
-	close() error
-	err() error
-}
-
-// NewStore returns an empty in-memory page store.
-func NewStore() *Store {
-	return &Store{b: &memBackend{pages: make(map[string]memPage), byHost: make(map[string][]string)}}
-}
-
-// Put adds or replaces a page, keeping its bytes and hash; the parse the
-// caller holds is not retained. It reports whether the content changed
-// (true for new pages and modified bodies). On a disk-backed store a write
-// failure latches the store (see Err) and Put reports false.
-func (s *Store) Put(p *Page) (changed bool) {
-	changed, _ = s.b.put(p.URL, p.HTML, p.Hash)
-	return changed
-}
-
-// PutRaw is Put for a caller that holds only the page's bytes: a streamed
-// ingest. It hashes and stores them without parsing, on either backend.
-func (s *Store) PutRaw(url, html string) (changed bool) {
-	changed, _ = s.b.put(url, html, HashContent(html))
-	return changed
-}
-
-// Delete removes the page at url and reports whether it was present.
-// The maintenance loop (§7.3) calls this when a page vanishes from the
-// web; forgetting the old content hash is what lets a page that later
-// reappears with identical bytes register as changed in Put and rejoin
-// the index.
-func (s *Store) Delete(url string) bool { return s.b.delete(url) }
-
-// Get reads the page at url and parses it: a new *Page on every call, on
-// either backend. Callers that need only membership, the content hash or
-// the host use Has, Hash or HostOf, which read nothing.
-func (s *Store) Get(url string) (*Page, error) {
-	s.stats.gets.Add(1)
-	html, err := s.b.get(url)
-	if err != nil {
-		return nil, err
-	}
-	s.stats.parses.Add(1)
-	return NewPage(url, html), nil
-}
-
-// Has reports whether a page is stored at url. It is an index lookup — no
-// read, no parse — so membership checks (link-graph pruning, maintenance
-// scheduling, the supersede stage's host walk) stay cheap at corpus scale.
-func (s *Store) Has(url string) bool { return s.b.has(url) }
-
-// Hash returns the content hash of the page stored at url, like Has without
-// a read or a parse. The maintenance pass compares it with the hash of a
-// fetched body to skip parsing pages that did not change, and the extraction
-// and link-feature memos key a page's entries by it.
-func (s *Store) Hash(url string) (uint64, bool) { return s.b.hash(url) }
-
-// Len returns the number of stored pages.
-func (s *Store) Len() int { return s.b.count() }
-
-// URLs returns all stored URLs, sorted.
-func (s *Store) URLs() []string { return s.b.urls() }
-
-// Hosts returns all hosts with at least one page, sorted.
-func (s *Store) Hosts() []string { return s.b.hosts() }
-
-// HostPages returns the URLs of a host's pages, sorted.
-func (s *Store) HostPages(host string) []string { return s.b.hostPages(host) }
-
-// Flush makes appended pages durable (fsync); a no-op for memory stores.
-func (s *Store) Flush() error { return s.b.flush() }
-
-// Close releases backend resources (segment file handles); a no-op for
-// memory stores. The store must not be used after Close.
-func (s *Store) Close() error { return s.b.close() }
-
-// Err returns the latched write error of a disk-backed store (nil while
-// healthy, and always nil for memory stores). After a write failure the
-// store keeps serving reads but rejects further puts, mirroring the lrec
-// degraded-latch contract.
-func (s *Store) Err() error { return s.b.err() }
-
-// Scan calls fn for each page in sorted-URL order; return false to stop.
-// Each page is read and parsed as the scan reaches it, so a full scan holds
-// no more pages resident than fn keeps — and costs a parse per page.
-func (s *Store) Scan(fn func(*Page) bool) {
-	for _, u := range s.URLs() {
-		p, err := s.Get(u)
-		if err != nil {
-			continue
-		}
-		if !fn(p) {
-			return
-		}
-	}
-}
-
-// memBackend is the default backend: every page's bytes and hash resident
-// in a map.
-type memBackend struct {
-	mu     sync.RWMutex
-	pages  map[string]memPage
-	byHost map[string][]string
-}
-
-// memPage is what a memory store keeps of a page.
-type memPage struct {
-	html string
-	hash uint64
-}
-
-func (s *memBackend) put(url, html string, hash uint64) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	old, ok := s.pages[url]
-	if ok && old.hash == hash {
-		return false, nil
-	}
-	if !ok {
-		host := HostOf(url)
-		s.byHost[host] = append(s.byHost[host], url)
-	}
-	s.pages[url] = memPage{html: html, hash: hash}
-	return true, nil
-}
-
-func (s *memBackend) delete(url string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.pages[url]; !ok {
-		return false
-	}
-	delete(s.pages, url)
-	host := HostOf(url)
-	urls := s.byHost[host]
-	for i, u := range urls {
-		if u == url {
-			urls = append(urls[:i], urls[i+1:]...)
-			break
-		}
-	}
-	if len(urls) == 0 {
-		delete(s.byHost, host)
-	} else {
-		s.byHost[host] = urls
-	}
-	return true
-}
-
-func (s *memBackend) get(url string) (string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	p, ok := s.pages[url]
-	if !ok {
-		return "", fmt.Errorf("%w: %s", ErrNotFound, url)
-	}
-	return p.html, nil
-}
-
-func (s *memBackend) has(url string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.pages[url]
-	return ok
-}
-
-func (s *memBackend) hash(url string) (uint64, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	p, ok := s.pages[url]
-	return p.hash, ok
-}
-
-func (s *memBackend) count() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.pages)
-}
-
-func (s *memBackend) urls() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.pages))
-	for u := range s.pages {
-		out = append(out, u)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func (s *memBackend) hosts() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.byHost))
-	for h := range s.byHost {
-		out = append(out, h)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func (s *memBackend) hostPages(host string) []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := append([]string(nil), s.byHost[host]...)
-	sort.Strings(out)
-	return out
-}
-
-func (s *memBackend) flush() error { return nil }
-func (s *memBackend) close() error { return nil }
-func (s *memBackend) err() error   { return nil }
 
 // crawlFetchers is the number of fetches a crawl keeps in flight.
 const crawlFetchers = 8

@@ -37,7 +37,7 @@ func TestCrawlBFS(t *testing.T) {
 		"a.example/p2": linked(),
 		"b.example/":   linked(),
 	}
-	st := NewStore()
+	st := newStore(t)
 	c := &Crawler{Fetcher: web, Store: st}
 	fetched, failed := c.Crawl([]string{"a.example/"})
 	if fetched != 4 || failed != 0 {
@@ -53,7 +53,7 @@ func TestCrawlMaxPages(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		web[fmt.Sprintf("a.example/p%d", i)] = linked(fmt.Sprintf("/p%d", i+1))
 	}
-	st := NewStore()
+	st := newStore(t)
 	c := &Crawler{Fetcher: web, Store: st, MaxPages: 10}
 	fetched, _ := c.Crawl([]string{"a.example/p0"})
 	if fetched != 10 {
@@ -63,7 +63,7 @@ func TestCrawlMaxPages(t *testing.T) {
 
 func TestCrawlDeadLinks(t *testing.T) {
 	web := miniWeb{"a.example/": linked("/missing", "/p1"), "a.example/p1": linked()}
-	st := NewStore()
+	st := newStore(t)
 	c := &Crawler{Fetcher: web, Store: st}
 	fetched, failed := c.Crawl([]string{"a.example/"})
 	if fetched != 2 || failed != 1 {
@@ -72,7 +72,7 @@ func TestCrawlDeadLinks(t *testing.T) {
 }
 
 func TestStoreChangeDetection(t *testing.T) {
-	st := NewStore()
+	st := newStore(t)
 	p1 := NewPage("a.example/x", "<html><body>v1</body></html>")
 	if !st.Put(p1) {
 		t.Error("new page should report changed")
@@ -89,7 +89,7 @@ func TestStoreChangeDetection(t *testing.T) {
 }
 
 func TestStoreDelete(t *testing.T) {
-	st := NewStore()
+	st := newStore(t)
 	st.Put(NewPage("a.example/1", "<html><body>one</body></html>"))
 	st.Put(NewPage("a.example/2", "<html><body>two</body></html>"))
 	if !st.Delete("a.example/1") {
@@ -122,7 +122,7 @@ func TestStoreDelete(t *testing.T) {
 }
 
 func TestStoreHostIndex(t *testing.T) {
-	st := NewStore()
+	st := newStore(t)
 	st.Put(NewPage("a.example/1", linked()))
 	st.Put(NewPage("a.example/2", linked()))
 	st.Put(NewPage("b.example/1", linked()))
@@ -135,7 +135,7 @@ func TestStoreHostIndex(t *testing.T) {
 }
 
 func TestBuildGraph(t *testing.T) {
-	st := NewStore()
+	st := newStore(t)
 	st.Put(NewPage("a.example/1", linked("/2", "/2", "external.example/")))
 	st.Put(NewPage("a.example/2", linked("/1")))
 	g := BuildGraph(st)
@@ -186,7 +186,7 @@ func TestCrawlSyntheticWorld(t *testing.T) {
 	cfg.Restaurants = 30
 	cfg.ReviewArticles = 10
 	w := webgen.Generate(cfg)
-	st := NewStore()
+	st := newStore(t)
 	c := &Crawler{Fetcher: worldFetcher(w), Store: st}
 	fetched, _ := c.Crawl([]string{webgen.PrimaryAggregator + "/c/cupertino-italian"})
 	if fetched == 0 {
@@ -200,7 +200,7 @@ func TestCrawlSyntheticWorld(t *testing.T) {
 			seeds = append(seeds, p.URL)
 		}
 	}
-	st2 := NewStore()
+	st2 := newStore(t)
 	c2 := &Crawler{Fetcher: worldFetcher(w), Store: st2}
 	c2.Crawl(seeds)
 	if st2.Len() < len(seeds) {
@@ -226,7 +226,7 @@ func TestCrawlFindsParsedOutlinks(t *testing.T) {
 			t.Fatalf("%s: scan found %q, parse %q", p.URL, got, want)
 		}
 	}
-	st := NewStore()
+	st := newStore(t)
 	c := &Crawler{Fetcher: worldFetcher(w), Store: st}
 	fetched, _ := c.Crawl(w.SeedURLs())
 	if fetched == 0 || st.Len() != fetched || st.Stats().Parses != 0 {
@@ -242,7 +242,7 @@ func TestCrawlDeterministic(t *testing.T) {
 		"a.example/d": linked(),
 	}
 	run := func() []string {
-		st := NewStore()
+		st := newStore(t)
 		c := &Crawler{Fetcher: web, Store: st}
 		c.Crawl([]string{"a.example/"})
 		return st.URLs()

@@ -8,16 +8,25 @@
 // types so downstream users never touch internals:
 //
 //	sys, err := woc.Build(fetcher, seeds, woc.WithLocalDomain(cities, cuisines))
+//	defer sys.Close()
 //	page := sys.Search("gochi cupertino", 10)
 //	if page.Box != nil { fmt.Println(page.Box.Name, page.Box.Address) }
+//
+// A directory written by `wocbuild -out DIR` is a system too: Open reopens
+// it without building anything again.
 package woc
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"sync"
 
 	"conceptweb/internal/core"
+	"conceptweb/internal/framelog"
 	"conceptweb/internal/lrec"
 	"conceptweb/internal/obs"
 	"conceptweb/internal/search"
@@ -40,7 +49,6 @@ type buildConfig struct {
 	cuisines []string
 	maxPages int
 	storeDir string
-	shards   int
 }
 
 // WithLocalDomain sets the local-domain gazetteer knowledge (cities and
@@ -57,24 +65,14 @@ func WithMaxPages(n int) Option {
 	return func(c *buildConfig) { c.maxPages = n }
 }
 
-// WithStoreDir persists the concept store durably in dir (WAL + snapshots);
-// call Close when done.
+// WithStoreDir persists the concept store durably in dir (WAL + snapshots).
 func WithStoreDir(dir string) Option {
 	return func(c *buildConfig) { c.storeDir = dir }
 }
 
-// WithShards partitions the concept store and the inverted indexes into n
-// hash-routed shards, each with its own write-ahead log and lock, so build
-// workers write concurrently into disjoint partitions. Results — records,
-// version numbers, search rankings — are identical at any shard count; only
-// throughput changes. 0 or 1 keeps the single-partition layout. For durable
-// stores the count is pinned in the directory on first create, and a
-// conflicting later value fails the build rather than misrouting records.
-func WithShards(n int) Option {
-	return func(c *buildConfig) { c.shards = n }
-}
-
-// System is a built web of concepts with its application layers.
+// System is a built web of concepts with its application layers. Its pages
+// live in a page store on disk — in a temporary directory for a System from
+// Build, which Close removes, so every System must be closed.
 //
 // All methods are safe for concurrent use: read methods (Search, Aggregate,
 // …) hold a shared lock while maintenance (Refresh, Reconcile) holds it
@@ -113,7 +111,6 @@ func Build(fetch Fetcher, seeds []string, opts ...Option) (*System, error) {
 	coreCfg := core.StandardConfig(reg, cfg.cities, cfg.cuisines)
 	coreCfg.MaxPages = cfg.maxPages
 	coreCfg.StoreDir = cfg.storeDir
-	coreCfg.Shards = cfg.shards
 	coreCfg.Metrics = metrics
 	b := &core.Builder{Fetcher: webgraph.FetcherFunc(fetch), Cfg: coreCfg}
 	built, stats, err := b.Build(seeds)
@@ -122,12 +119,100 @@ func Build(fetch Fetcher, seeds []string, opts ...Option) (*System, error) {
 	}
 	built.Reconcile("restaurant", core.PreferSupport)
 	b.EnrichMenus(built)
-	eng := search.NewEngine(built, search.NewParser(cfg.cities, cfg.cuisines))
-	eng.Metrics = metrics
+	return newSystem(b, built, stats, cfg.cities, cfg.cuisines), nil
+}
+
+// newSystem puts the application layers over a web of concepts.
+func newSystem(b *core.Builder, built *core.WebOfConcepts, stats *core.BuildStats, cities, cuisines []string) *System {
+	eng := search.NewEngine(built, search.NewParser(cities, cuisines))
+	eng.Metrics = b.Cfg.Metrics
 	return &System{
 		builder: b, woc: built, engine: eng,
-		trans: session.NewTransitions(eng), stats: stats, metrics: metrics,
-	}, nil
+		trans: session.NewTransitions(eng), stats: stats, metrics: b.Cfg.Metrics,
+	}
+}
+
+// Manifest describes a directory `wocbuild -out` wrote beside records/ (the
+// concept store) and pages/ (the page store): the world the build read —
+// Profile "default" (Size restaurants) or "heavytail" (Size pages) — and the
+// gazetteer it extracted with. It is written last: a directory without one
+// is a build that did not finish.
+type Manifest struct {
+	Profile  string   `json:"profile"`
+	Seed     int64    `json:"seed"`
+	Size     int      `json:"size"`
+	Cities   []string `json:"cities"`
+	Cuisines []string `json:"cuisines"`
+}
+
+const manifestName = "manifest.json"
+
+// WriteManifest writes m into dir, atomically: a reader finds the whole
+// manifest or none.
+func WriteManifest(dir string, m Manifest) error {
+	return framelog.WriteFile(framelog.OS{}, filepath.Join(dir, manifestName), func(w io.Writer) error {
+		return json.NewEncoder(w).Encode(m)
+	})
+}
+
+// Open reopens the system `wocbuild -out dir` wrote: both stores, the
+// page↔record associations derived from the records, both inverted indexes
+// refilled — what the build served, with nothing extracted, resolved or
+// linked again (see core.Builder.Open). A "default" directory's restaurant
+// records get the menus Build adds (EnrichMenus) on the first Open, which
+// writes them through. The shard count is the directory's. Refresh fetches from the world the manifest names, generated
+// on first fetch, and writes through to the directory. Close the System when
+// done.
+func Open(dir string) (*System, error) {
+	var m Manifest
+	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err == nil {
+		err = json.Unmarshal(raw, &m)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("woc: open %s: manifest (a directory without one is an unfinished build): %w", dir, err)
+	}
+	reg := lrec.NewRegistry()
+	var cfg core.Config
+	var world func() webgraph.Fetcher
+	switch m.Profile {
+	case "default":
+		webgen.RegisterConcepts(reg)
+		cfg = core.StandardConfig(reg, m.Cities, m.Cuisines)
+		world = func() webgraph.Fetcher {
+			wc := webgen.DefaultConfig()
+			wc.Seed, wc.Restaurants = m.Seed, m.Size
+			return webgen.Generate(wc)
+		}
+	case "heavytail":
+		webgen.RegisterScaleConcepts(reg)
+		cfg = core.ScaleConfig(reg, m.Cities, m.Cuisines)
+		world = func() webgraph.Fetcher {
+			wc := webgen.HeavyTailConfig(m.Size)
+			wc.Seed = m.Seed
+			return webgen.NewStreamWorld(wc)
+		}
+	default:
+		return nil, fmt.Errorf("woc: open %s: unknown world profile %q", dir, m.Profile)
+	}
+	pages, err := webgraph.OpenDiskStore(filepath.Join(dir, "pages"), webgraph.DiskOptions{})
+	if err != nil {
+		return nil, fmt.Errorf("woc: open %s: %w", dir, err)
+	}
+	cfg.StoreDir, cfg.PageStore, cfg.Metrics = filepath.Join(dir, "records"), pages, obs.NewRegistry()
+	fetcher := sync.OnceValue(world)
+	b := &core.Builder{Cfg: cfg, Fetcher: webgraph.FetcherFunc(func(url string) (string, error) {
+		return fetcher().Fetch(url)
+	})}
+	opened, stats, err := b.Open()
+	if err != nil {
+		pages.Close()
+		return nil, fmt.Errorf("woc: open %s: %w", dir, err)
+	}
+	if m.Profile == "default" {
+		b.EnrichMenus(opened) // as Build does; a record holding a menu is skipped
+	}
+	return newSystem(b, opened, stats, m.Cities, m.Cuisines), nil
 }
 
 // Metrics returns the system's observability registry: build-stage latency
@@ -159,19 +244,20 @@ func (s *System) Stats() Stats {
 	}
 }
 
-// StoreHealth reports the durability state of the concept store: whether
-// the last open had to repair a torn write-ahead-log tail (the previous
-// process died mid-append), and whether a write failure has latched the
-// store read-only. Serving layers should alarm on Degraded and note
-// TornTailRepaired.
+// StoreHealth reports the durability state of the concept store and the
+// page store: whether the last open had to repair a torn log tail (the
+// previous process died mid-append), and whether a write failure has
+// latched a store read-only. Serving layers should alarm on Degraded and
+// note TornTailRepaired.
 type StoreHealth struct {
-	// Degraded is empty while the store accepts writes; otherwise it holds
-	// the latched write/fsync error and the store is read-only until the
+	// Degraded is empty while both stores accept writes; otherwise it holds
+	// the latched write/fsync errors and the store is read-only until the
 	// process restarts and recovery reruns.
 	Degraded string
-	// TornTailRepaired is true when opening the store truncated a torn
-	// final log frame left by a crash; TruncatedBytes is how much was cut.
-	// Only unacknowledged (never-synced) bytes are ever dropped.
+	// TornTailRepaired is true when opening a store truncated a torn final
+	// log frame (the concept store's WAL, a page segment) left by a crash;
+	// TruncatedBytes is how much was cut, summed over both. Only
+	// unacknowledged (never-synced) bytes are ever dropped.
 	TornTailRepaired bool
 	TruncatedBytes   int64
 	// SnapshotRecords and LogFrames describe the recovery replay; for a
@@ -195,19 +281,18 @@ type ShardHealth struct {
 	WALBytes         int64
 }
 
-// StoreHealth returns the current durability state. For in-memory builds it
-// is always healthy with zero counts.
+// StoreHealth returns the current durability state of both stores.
 func (s *System) StoreHealth() StoreHealth {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	rec := s.woc.Records.Recovery()
+	rec, pages := s.woc.Records.Recovery(), s.woc.Pages.DiskRecovery()
 	h := StoreHealth{
-		TornTailRepaired: rec.TornTail,
-		TruncatedBytes:   rec.TruncatedBytes,
+		TornTailRepaired: rec.TornTail || pages.TornTail,
+		TruncatedBytes:   rec.TruncatedBytes + pages.TruncatedBytes,
 		SnapshotRecords:  rec.SnapshotRecords,
 		LogFrames:        rec.LogFrames,
 	}
-	if err := s.woc.Records.Degraded(); err != nil {
+	if err := errors.Join(s.woc.Records.Degraded(), s.woc.Pages.Err()); err != nil {
 		h.Degraded = err.Error()
 	}
 	if s.woc.Records.NumShards() > 1 {
@@ -519,8 +604,8 @@ func (s *System) Reconcile(concept string) int {
 	return s.woc.Reconcile(concept, core.PreferSupport)
 }
 
-// Close flushes and closes the underlying store (needed for WithStoreDir
-// builds; a no-op otherwise).
+// Close flushes and closes the concept store and the page store, removing
+// the page store's temporary directory for a System from Build.
 func (s *System) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -8,8 +8,10 @@ import (
 	"sync"
 	"testing"
 
+	"conceptweb/internal/core"
 	"conceptweb/internal/lrec"
 	"conceptweb/internal/webgen"
+	"conceptweb/internal/webgraph"
 )
 
 var (
@@ -17,6 +19,16 @@ var (
 	tsys *System
 	tw   *webgen.World
 )
+
+// TestMain closes the shared system when the package's tests are done,
+// which removes its temporary page store.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if tsys != nil {
+		tsys.Close()
+	}
+	os.Exit(code)
+}
 
 func system(t *testing.T) (*webgen.World, *System) {
 	t.Helper()
@@ -205,7 +217,7 @@ func TestDurableBuild(t *testing.T) {
 func TestStoreHealthSurfacesRecovery(t *testing.T) {
 	_, sys := system(t)
 	if h := sys.StoreHealth(); h.Degraded != "" || h.TornTailRepaired {
-		t.Errorf("in-memory system health = %+v, want clean", h)
+		t.Errorf("health of a system without a directory = %+v, want clean", h)
 	}
 
 	dir := t.TempDir()
@@ -259,6 +271,7 @@ func TestBuildMaxPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer sys.Close()
 	if got := sys.Stats().PagesFetched; got > 50 {
 		t.Errorf("fetched %d pages, cap was 50", got)
 	}
@@ -309,5 +322,165 @@ func TestFacadeCategories(t *testing.T) {
 				t.Errorf("category member %s not a record", id)
 			}
 		}
+	}
+}
+
+// writeDir builds a small default world into dir as `wocbuild -out dir`
+// does: pages in dir/pages, records saved into dir/records, manifest last.
+// It returns the restaurant records the build stored.
+func writeDir(t *testing.T, dir string) []*lrec.Record {
+	t.Helper()
+	wc := webgen.DefaultConfig()
+	wc.Seed, wc.Restaurants = 3, 15
+	w := webgen.Generate(wc)
+	reg := lrec.NewRegistry()
+	webgen.RegisterConcepts(reg)
+	cfg := core.StandardConfig(reg, w.Cities(), webgen.Cuisines())
+	ps, err := webgraph.OpenDiskStore(filepath.Join(dir, "pages"), webgraph.DiskOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.PageStore = ps
+	built, _, err := (&core.Builder{Fetcher: w, Cfg: cfg}).Build(w.SeedURLs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	built.Reconcile("restaurant", core.PreferSupport)
+	restaurants := built.Records.ByConcept("restaurant")
+	if _, err := built.SaveRecords(filepath.Join(dir, "records"), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := built.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m := Manifest{Profile: "default", Seed: wc.Seed, Size: wc.Restaurants, Cities: w.Cities(), Cuisines: webgen.Cuisines()}
+	if err := WriteManifest(dir, m); err != nil {
+		t.Fatal(err)
+	}
+	return restaurants
+}
+
+// TestOpenReopensWrittenDirectory: Open refuses a directory without a
+// manifest — a build that did not finish — and otherwise serves the records
+// the build wrote, with the manifest's world behind Refresh.
+func TestOpenReopensWrittenDirectory(t *testing.T) {
+	dir := t.TempDir()
+	want := writeDir(t, dir)
+	manifest := filepath.Join(dir, manifestName)
+	raw, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(manifest); err != nil {
+		t.Fatal(err)
+	}
+	if sys, err := Open(dir); err == nil {
+		sys.Close()
+		t.Fatal("Open of a directory without a manifest succeeded")
+	}
+	if err := os.WriteFile(manifest, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	sys, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := sys.Records("restaurant")
+	if len(got) != len(want) || len(want) == 0 {
+		t.Fatalf("reopened %d restaurants, the build stored %d", len(got), len(want))
+	}
+	for i, r := range want {
+		if got[i].ID != r.ID || got[i].Attrs["name"] != r.Get("name") {
+			t.Fatalf("restaurant %d: reopened %s %q, stored %s %q", i, got[i].ID, got[i].Attrs["name"], r.ID, r.Get("name"))
+		}
+	}
+	if page := sys.Search(want[0].Get("name"), 5); len(page.Results) == 0 {
+		t.Errorf("search for %q over the reopened system found nothing", want[0].Get("name"))
+	}
+	// The build left the menus to Open, as Build adds them after the
+	// pipeline: "<name> menu" is answered from the record.
+	menuQuery := func(sys *System) (string, *Page) {
+		for _, r := range sys.Records("restaurant") {
+			if r.Attrs["menu"] != "" {
+				return r.Attrs["menu"], sys.Search(r.Attrs["name"]+" menu", 5)
+			}
+		}
+		return "", nil
+	}
+	menu, page := menuQuery(sys)
+	if page == nil {
+		t.Fatal("no reopened restaurant has a menu")
+	}
+	if page.Box == nil || page.Box.RequestedKey != "menu" || page.Box.RequestedValue != menu {
+		t.Errorf("menu query over the reopened system: box %+v, want the requested menu %q", page.Box, menu)
+	}
+	// The manifest names the world the pages came from: refetched, they
+	// are all unchanged.
+	urls := sys.PageURLs()[:20]
+	st, err := sys.Refresh(urls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.PagesUnchanged != len(urls) {
+		t.Errorf("refresh over the manifest's world: %+v, want %d unchanged", st, len(urls))
+	}
+
+	// A second Open finds the menus stored and adds none again.
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if got, _ := menuQuery(again); got != menu {
+		t.Errorf("menu after a second open = %q, want %q", got, menu)
+	}
+	for _, r := range again.woc.Records.ByConcept("restaurant") {
+		if n := len(r.All("menu")); n > 1 {
+			t.Errorf("%s holds %d menus after a second open", r.ID, n)
+		}
+	}
+}
+
+// TestStoreHealthCoversPageStore: a torn page segment repaired on open shows
+// as a repaired tail, and a latched page store as Degraded.
+func TestStoreHealthCoversPageStore(t *testing.T) {
+	dir := t.TempDir()
+	writeDir(t, dir)
+	seg := filepath.Join(dir, "pages", "pages-0000.log")
+	f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write([]byte{0x2a, 0, 0, 0, 7}) // a frame header cut short: a crash mid-append
+	f.Close()
+
+	sys, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if h := sys.StoreHealth(); !h.TornTailRepaired || h.TruncatedBytes != 5 || h.Degraded != "" {
+		t.Errorf("health after a torn page segment = %+v, want a repaired 5-byte tail", h)
+	}
+
+	// Swap in a page store whose next write fails, and make it fail.
+	latchDir := t.TempDir()
+	latched, err := webgraph.OpenDiskStore(latchDir, webgraph.DiskOptions{SegmentBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer latched.Close()
+	os.RemoveAll(latchDir)
+	latched.PutRaw("x.example/", "<html></html>")
+	pages := sys.woc.Pages
+	sys.woc.Pages = latched
+	h := sys.StoreHealth()
+	sys.woc.Pages = pages
+	if h.Degraded == "" || !strings.Contains(h.Degraded, "latched") {
+		t.Errorf("health with a latched page store = %+v, want Degraded", h)
 	}
 }
