@@ -218,9 +218,10 @@ bench-smoke:
 	$(GO) run -C bench . -quick
 
 # loadtest smoke-drives a freshly built wocserve with wocload's
-# logsim-derived workload: wocbuild writes the default world (where
-# wocload's vocabulary comes from) into bin/loadtest-data, wocserve -data
-# reopens it, and wocload runs two low QPS levels for a few seconds each,
+# logsim-derived workload: wocbuild writes the default world into
+# bin/loadtest-data, wocserve -data reopens it, and wocload — which
+# regenerates its vocabulary from the world the server's /healthz manifest
+# names — runs two low QPS levels for a few seconds each,
 # report archived as loadtest-report.json. wocload waits for /healthz,
 # splits hit/miss via the X-Woc-Trace/X-Woc-Cache headers, and exits
 # non-zero if the sweep completes zero requests — so CI catches a server
@@ -238,15 +239,18 @@ loadtest:
 	./bin/wocload -addr http://127.0.0.1:8639 -qps 20,40 -duration 3s \
 		-out loadtest-report.json
 
-# datasmoke serves a heavy-tail corpus over HTTP: wocbuild writes an
-# 8k-page directory, wocserve -data reopens it, and /healthz and one /search
-# must answer 200.
+# datasmoke reopens a heavy-tail corpus from its directory: wocbuild writes
+# an 8k-page directory, wocsearch -data must find results in it, and
+# wocserve -data must answer 200 to /healthz and one /search over it.
 datasmoke:
 	$(GO) build -o bin/wocbuild ./cmd/wocbuild
 	$(GO) build -o bin/wocserve ./cmd/wocserve
+	$(GO) build -o bin/wocsearch ./cmd/wocsearch
 	@set -e; \
 	rm -rf bin/datasmoke-data; \
 	./bin/wocbuild -world-profile heavytail -pages 8000 -out bin/datasmoke-data > /dev/null; \
+	n=$$(./bin/wocsearch -data bin/datasmoke-data -q pizza | grep -c '^ *[0-9]*\. '); \
+	echo "datasmoke: wocsearch -q pizza: $$n results"; test "$$n" -gt 0; \
 	./bin/wocserve -data bin/datasmoke-data -addr 127.0.0.1:8638 & \
 	srv=$$!; \
 	trap 'kill $$srv 2>/dev/null || true' EXIT; \

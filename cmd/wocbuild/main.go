@@ -1,7 +1,7 @@
 // Command wocbuild generates a synthetic web, runs the web-of-concepts
-// construction pipeline over it, and prints build statistics. With -out DIR
-// it writes the built system into DIR, which woc.Open and `wocserve -data
-// DIR` reopen:
+// construction pipeline over it (woc.BuildDir), and prints build
+// statistics. With -out DIR it writes the built system into DIR, which
+// woc.Open, `wocserve -data DIR` and `wocsearch -data DIR` reopen:
 //
 //	DIR/records/       the concept store (lrec snapshot, one per shard)
 //	DIR/pages/         the page store (pages-NNNN.log segments)
@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
@@ -44,10 +43,8 @@ import (
 	"time"
 
 	"conceptweb/internal/core"
-	"conceptweb/internal/lrec"
 	"conceptweb/internal/obs"
 	"conceptweb/internal/webgen"
-	"conceptweb/internal/webgraph"
 	"conceptweb/woc"
 )
 
@@ -104,76 +101,42 @@ func run() (err error) {
 	}()
 
 	start := time.Now()
-	reg := lrec.NewRegistry()
-	manifest := woc.Manifest{Profile: *profile, Seed: *seed, Cuisines: webgen.Cuisines()}
-	var cfg core.Config
-	var fetcher webgraph.Fetcher
-	var build func(*core.Builder) (*core.WebOfConcepts, *core.BuildStats, error)
-	var worldPages int
-
-	switch *profile {
-	case "default":
-		wc := webgen.DefaultConfig()
-		wc.Seed = *seed
-		wc.Restaurants = *restaurants
-		w := webgen.Generate(wc)
-		worldPages = len(w.Pages())
-		fmt.Printf("world: %d pages across %d sites (%d restaurants, %d papers, %d products)\n",
-			len(w.Pages()), len(w.Sites), len(w.Restaurants), len(w.Papers), len(w.Products))
-		webgen.RegisterConcepts(reg)
-		cfg = core.StandardConfig(reg, w.Cities(), webgen.Cuisines())
-		manifest.Size, manifest.Cities, fetcher = *restaurants, w.Cities(), w
-		build = func(b *core.Builder) (*core.WebOfConcepts, *core.BuildStats, error) { return b.Build(w.SeedURLs()) }
-
-	case "heavytail":
-		scfg := webgen.HeavyTailConfig(*pages)
-		scfg.Seed = *seed
-		w := webgen.NewStreamWorld(scfg)
-		worldPages = w.PlannedPages()
-		fmt.Printf("world: %d pages planned across %d sites (heavy-tail profile, seed %d)\n",
-			w.PlannedPages(), len(w.Plans()), *seed)
-		webgen.RegisterScaleConcepts(reg)
-		cfg = core.ScaleConfig(reg, w.Cities(), webgen.Cuisines())
-		manifest.Size, manifest.Cities, fetcher = *pages, w.Cities(), w
-		build = func(b *core.Builder) (*core.WebOfConcepts, *core.BuildStats, error) { return b.BuildStream(w) }
-
-	default:
-		return fmt.Errorf("unknown -world-profile %q (want default or heavytail)", *profile)
+	m := woc.Manifest{Profile: *profile, Seed: *seed, Size: *restaurants}
+	if *profile == "heavytail" {
+		m.Size = *pages
 	}
-	cfg.Workers, cfg.Shards = *workers, *shards
-	if *verbose {
-		cfg.Progress = progressPrinter()
-	}
-	// With -out the build stores its pages where the system will live;
-	// without, core opens a page store in a temporary directory.
-	if *out != "" {
-		if names, err := os.ReadDir(*out); err == nil && len(names) > 0 {
-			return fmt.Errorf("-out %s is not empty: a build writes a fresh directory", *out)
+	built, err := woc.BuildDir(*out, m, func(cfg *core.Config) {
+		cfg.Workers, cfg.Shards = *workers, *shards
+		if *verbose {
+			cfg.Progress = progressPrinter()
 		}
-		if cfg.PageStore, err = webgraph.OpenDiskStore(filepath.Join(*out, "pages"), webgraph.DiskOptions{}); err != nil {
-			return fmt.Errorf("page store: %w", err)
-		}
-	}
-	built, stats, err := build(&core.Builder{Fetcher: fetcher, Cfg: cfg})
+	})
 	if err != nil {
-		return fmt.Errorf("build: %w", err)
-	}
-	if *profile == "default" {
-		fmt.Printf("crawl:   %d pages fetched, %d failures\n", stats.PagesFetched, stats.FetchFailures)
-	} else {
-		fmt.Printf("ingest:  %d pages streamed into the page store\n", stats.PagesFetched)
+		return err
 	}
 	defer func() { err = errors.Join(err, built.Close()) }()
-
-	changed := built.Reconcile("restaurant", core.PreferSupport)
 	wall := time.Since(start)
+	stats := built.Stats
 
+	var worldPages int
+	switch w := built.World.Web().(type) {
+	case *webgen.World:
+		worldPages = len(w.Pages())
+		fmt.Printf("world: %d pages across %d sites (%d restaurants, %d papers, %d products)\n",
+			worldPages, len(w.Sites), len(w.Restaurants), len(w.Papers), len(w.Products))
+		fmt.Printf("crawl:   %d pages fetched, %d failures\n", stats.PagesFetched, stats.FetchFailures)
+	case *webgen.StreamWorld:
+		worldPages = w.PlannedPages()
+		fmt.Printf("world: %d pages planned across %d sites (heavy-tail profile, seed %d)\n",
+			worldPages, len(w.Plans()), *seed)
+		fmt.Printf("ingest:  %d pages streamed into the page store\n", stats.PagesFetched)
+	}
 	fmt.Printf("extract: %d candidates\n", stats.Candidates)
 	fmt.Printf("resolve: %d records stored, %d candidates merged away\n",
 		stats.RecordsStored, stats.ClustersMerged)
 	fmt.Printf("link:    %d pages semantically linked, %d review records\n",
 		stats.PagesLinked, stats.ReviewRecords)
-	fmt.Printf("reconcile: %d records trimmed to constraints\n", changed)
+	fmt.Printf("reconcile: %d records trimmed to constraints\n", built.Reconciled)
 
 	if *verbose {
 		if stats.Trace != nil {
@@ -188,9 +151,7 @@ func run() (err error) {
 	}
 
 	if *out != "" {
-		if err := writeLayout(built, *out, *shards, manifest); err != nil {
-			return fmt.Errorf("write %s: %w", *out, err)
-		}
+		fmt.Printf("persisted %d records to %s\n", built.Records.Len(), *out)
 	}
 
 	rss := peakRSSBytes()
@@ -235,22 +196,6 @@ func stageMillis(tr *obs.TraceReport) map[string]int64 {
 		ms[c.Name] = c.Duration.Milliseconds()
 	}
 	return ms
-}
-
-// writeLayout writes the built system into dir as woc.Open reads it: the
-// pages the build stored in dir/pages made durable, the records copied into
-// a fresh store in dir/records, and the manifest last, so that a directory
-// holding one is a finished build.
-func writeLayout(built *core.WebOfConcepts, dir string, shards int, m woc.Manifest) error {
-	if err := built.Pages.Flush(); err != nil {
-		return err
-	}
-	n, err := built.SaveRecords(filepath.Join(dir, "records"), shards)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("persisted %d records to %s\n", n, dir)
-	return woc.WriteManifest(dir, m)
 }
 
 // progressPrinter returns a core.Config.Progress callback that emits

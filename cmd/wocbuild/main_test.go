@@ -8,37 +8,23 @@ import (
 	"testing"
 
 	"conceptweb/internal/core"
-	"conceptweb/internal/lrec"
-	"conceptweb/internal/webgen"
-	"conceptweb/internal/webgraph"
 	"conceptweb/woc"
 )
 
-// TestDefaultWorldSnapshotPinned builds the default world exactly as
-// `wocbuild -out dir` does — seed 1, 120 restaurants, Build, Reconcile,
-// SaveRecords into dir/records (writeLayout) — and pins the bytes of the
-// snapshot it writes: the byte-identity baseline of the whole construction
-// pipeline.
+// TestDefaultWorldSnapshotPinned runs `wocbuild -out dir`'s function —
+// woc.BuildDir over seed 1's default world of 120 restaurants — and pins
+// the bytes of the snapshot it writes into dir/records: the byte-identity
+// baseline of the whole construction pipeline.
 func TestDefaultWorldSnapshotPinned(t *testing.T) {
-	cfg := webgen.DefaultConfig()
-	cfg.Seed = 1
-	cfg.Restaurants = 120
-	w := webgen.Generate(cfg)
-	reg := lrec.NewRegistry()
-	webgen.RegisterConcepts(reg)
-	b := &core.Builder{Fetcher: w, Cfg: core.StandardConfig(reg, w.Cities(), webgen.Cuisines())}
-	built, _, err := b.Build(w.SeedURLs())
+	dir := t.TempDir()
+	built, err := woc.BuildDir(dir, woc.Manifest{Profile: "default", Seed: 1, Size: 120}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer built.Close()
-	built.Reconcile("restaurant", core.PreferSupport)
-
-	dir := t.TempDir()
-	if _, err := built.SaveRecords(dir, 0); err != nil {
+	if err := built.Close(); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := os.ReadFile(filepath.Join(dir, "lrec.snap"))
+	snap, err := os.ReadFile(filepath.Join(dir, "records", "lrec.snap"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,34 +34,20 @@ func TestDefaultWorldSnapshotPinned(t *testing.T) {
 	}
 }
 
-// TestOutLayoutReopens writes a heavy-tail build as `wocbuild -out dir`
-// does and reopens it with woc.Open: the same records, and the manifest
-// names the world, so refetching pages finds them unchanged.
+// TestOutLayoutReopens writes a sharded heavy-tail build with woc.BuildDir,
+// as `wocbuild -out dir -shards 2` does, and reopens it with woc.Open: the
+// same records, and the manifest names the world, so refetching pages
+// finds them unchanged.
 func TestOutLayoutReopens(t *testing.T) {
-	const seed, pages = 7, 600
-	scfg := webgen.HeavyTailConfig(pages)
-	scfg.Seed = seed
-	w := webgen.NewStreamWorld(scfg)
-	reg := lrec.NewRegistry()
-	webgen.RegisterScaleConcepts(reg)
-	cfg := core.ScaleConfig(reg, w.Cities(), webgen.Cuisines())
-	cfg.Shards = 2
+	const shards = 2
 	dir := t.TempDir()
-	ps, err := webgraph.OpenDiskStore(filepath.Join(dir, "pages"), webgraph.DiskOptions{})
+	built, err := woc.BuildDir(dir, woc.Manifest{Profile: "heavytail", Seed: 7, Size: 600},
+		func(cfg *core.Config) { cfg.Shards = shards })
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.PageStore = ps
-	built, _, err := (&core.Builder{Fetcher: w, Cfg: cfg}).BuildStream(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	built.Reconcile("restaurant", core.PreferSupport)
 	records := built.Records.Len()
-	m := woc.Manifest{Profile: "heavytail", Seed: seed, Size: pages, Cities: w.Cities(), Cuisines: webgen.Cuisines()}
-	err = writeLayout(built, dir, cfg.Shards, m)
-	built.Close()
-	if err != nil {
+	if err := built.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -84,9 +56,9 @@ func TestOutLayoutReopens(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	if h := sys.StoreHealth(); len(h.Shards) != cfg.Shards || h.SnapshotRecords != records {
+	if h := sys.StoreHealth(); len(h.Shards) != shards || h.SnapshotRecords != records {
 		t.Errorf("reopened store: %d shards, %d records; wrote %d shards, %d records",
-			len(h.Shards), h.SnapshotRecords, cfg.Shards, records)
+			len(h.Shards), h.SnapshotRecords, shards, records)
 	}
 	urls := sys.PageURLs()
 	st, err := sys.Refresh(urls[len(urls)-20:])

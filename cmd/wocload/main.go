@@ -7,14 +7,15 @@
 // level, and the QPS at which the serving layer's admission control started
 // shedding.
 //
-//	wocserve -addr 127.0.0.1:8639 &
+//	wocbuild -out DIR
+//	wocserve -data DIR -addr 127.0.0.1:8639 &
 //	wocload -addr http://127.0.0.1:8639 -qps 50,100,200,400 -duration 10s \
 //	        -out BENCH_PR6.json
 //
-// The world seed must match the server's so the query vocabulary lines up
-// with the indexed corpus. With -slo-p99 the process exits non-zero when the
-// search p99 at the lowest (healthy) level exceeds the bound, making the
-// sweep usable as a CI regression gate.
+// The vocabulary comes from the world the server's /healthz manifest names,
+// regenerated here (logsim models the default profile only). With -slo-p99
+// the process exits non-zero when the search p99 at the lowest (healthy)
+// level exceeds the bound, making the sweep usable as a CI regression gate.
 package main
 
 import (
@@ -31,12 +32,12 @@ import (
 	"conceptweb/internal/loadgen"
 	"conceptweb/internal/logsim"
 	"conceptweb/internal/webgen"
+	"conceptweb/woc"
 )
 
 func main() {
 	log.SetFlags(0)
 	addr := flag.String("addr", "http://127.0.0.1:8639", "base URL of the running wocserve")
-	seed := flag.Int64("seed", 1, "world seed (must match the server's -seed)")
 	qpsList := flag.String("qps", "50,100,200,400", "comma-separated target QPS levels")
 	duration := flag.Duration("duration", 10*time.Second, "time spent at each level")
 	maxSessions := flag.Int("max-sessions", loadgen.DefaultMaxSessions,
@@ -53,24 +54,30 @@ func main() {
 		log.Fatalf("wocload: %v", err)
 	}
 
-	// Rebuild the same world the server indexed and run the behaviour model
-	// over it; the emitted log corpus defines the query vocabulary and its
-	// popularity ranking.
-	cfg := webgen.DefaultConfig()
-	cfg.Seed = *seed
-	world := webgen.Generate(cfg)
-	simCfg := logsim.DefaultConfig()
-	simCfg.Seed = *seed
-	logs := logsim.NewSimulator(world, simCfg).Run()
-	w, err := loadgen.FromLogs(logs, *seed)
+	m, err := waitHealthy(*addr, 30*time.Second)
 	if err != nil {
 		log.Fatalf("wocload: %v", err)
 	}
-	log.Printf("workload: %d unique queries from %d logged events", len(w.Queries()), len(logs.Queries))
-
-	if err := waitHealthy(*addr, 30*time.Second); err != nil {
+	// Regenerate the world the server indexed and run the behaviour model
+	// over it; the emitted log corpus defines the query vocabulary and its
+	// popularity ranking.
+	var web *webgen.World
+	if world, err := m.World(); err == nil {
+		web, _ = world.Web().(*webgen.World)
+	}
+	if web == nil {
+		log.Fatalf("wocload: the server serves a %q world; logsim models only the default world", m.Profile)
+	}
+	simCfg := logsim.DefaultConfig()
+	simCfg.Seed = m.Seed
+	logs := logsim.NewSimulator(web, simCfg).Run()
+	w, err := loadgen.FromLogs(logs, m.Seed)
+	if err != nil {
 		log.Fatalf("wocload: %v", err)
 	}
+	log.Printf("workload: %d unique queries from %d logged events (%s world, seed %d, size %d)",
+		len(w.Queries()), len(logs.Queries), m.Profile, m.Seed, m.Size)
+
 	n, err := loadgen.Bootstrap(w, *addr, nil)
 	if err != nil {
 		log.Fatalf("wocload: %v", err)
@@ -89,7 +96,7 @@ func main() {
 	if rep == nil {
 		log.Fatalf("wocload: %v", runErr)
 	}
-	rep.Seed = *seed
+	rep.Seed = m.Seed
 	rep.Notes = *note
 
 	body, err := json.MarshalIndent(rep, "", "  ")
@@ -139,20 +146,23 @@ func parseLevels(s string) ([]float64, error) {
 	return levels, nil
 }
 
-// waitHealthy polls /healthz until the server answers 200 (it spends a while
-// building the world before listening).
-func waitHealthy(baseURL string, timeout time.Duration) error {
+// waitHealthy polls /healthz until the server answers 200 (it opens its
+// directory before listening) and returns the manifest the server reports.
+func waitHealthy(baseURL string, timeout time.Duration) (woc.Manifest, error) {
 	deadline := time.Now().Add(timeout)
 	for {
 		resp, err := http.Get(baseURL + "/healthz")
 		if err == nil {
-			resp.Body.Close()
+			var health struct{ Manifest woc.Manifest }
 			if resp.StatusCode == http.StatusOK {
-				return nil
+				err = json.NewDecoder(resp.Body).Decode(&health)
+				resp.Body.Close()
+				return health.Manifest, err
 			}
+			resp.Body.Close()
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("server at %s not healthy after %s: %v", baseURL, timeout, err)
+			return woc.Manifest{}, fmt.Errorf("server at %s not healthy after %s: %v", baseURL, timeout, err)
 		}
 		time.Sleep(250 * time.Millisecond)
 	}

@@ -1,12 +1,12 @@
-// Command wocsearch builds the system over the synthetic web and answers
-// queries: web search with a concept box (Figure 1 of the paper), concept
-// search, or an aggregation page.
+// Command wocsearch -data DIR reopens the system `wocbuild -out DIR` wrote
+// (woc.Open) and answers queries: web search with a concept box (Figure 1 of
+// the paper), concept search, or an aggregation page.
 //
 // Usage:
 //
-//	wocsearch -q "golden dragon grill cupertino"       # web search + box
-//	wocsearch -concept -q "best italian san jose"      # concept search
-//	wocsearch -aggregate <record-id>                   # aggregation page
+//	wocsearch -data DIR -q "golden dragon grill cupertino"    # web search + box
+//	wocsearch -data DIR -concept -q "best italian san jose"   # concept search
+//	wocsearch -data DIR -aggregate <record-id>                # aggregation page
 package main
 
 import (
@@ -14,25 +14,24 @@ import (
 	"fmt"
 	"log"
 
-	"conceptweb/internal/webgen"
 	"conceptweb/woc"
 )
 
 func main() {
 	log.SetFlags(0)
-	seed := flag.Int64("seed", 1, "world generation seed")
+	data := flag.String("data", "", "directory written by wocbuild -out to search (required)")
 	q := flag.String("q", "", "query")
 	concept := flag.Bool("concept", false, "run concept search instead of web search")
 	aggregate := flag.String("aggregate", "", "record ID to build an aggregation page for")
 	k := flag.Int("k", 8, "results to show")
 	flag.Parse()
 
-	cfg := webgen.DefaultConfig()
-	cfg.Seed = *seed
-	w := webgen.Generate(cfg)
-	sys, err := woc.Build(w.Fetch, w.SeedURLs(), woc.WithLocalDomain(w.Cities(), webgen.Cuisines()))
+	if *data == "" {
+		log.Fatal("-data is required: write a directory with wocbuild -out DIR, then search it with wocsearch -data DIR")
+	}
+	sys, err := woc.Open(*data)
 	if err != nil {
-		log.Fatalf("build: %v", err)
+		log.Fatalf("open: %v", err)
 	}
 	defer sys.Close()
 

@@ -8,7 +8,7 @@
 //	GET /alternatives?id=...     substitute recommendations
 //	GET /augmentations?id=...    complement recommendations
 //	GET /lineage?id=...          provenance explanation
-//	GET /healthz                 liveness
+//	GET /healthz                 liveness, with the directory's manifest
 //	GET /metrics                 JSON metrics snapshot (counters, gauges,
 //	                             per-endpoint latency histograms, rolling
 //	                             per-endpoint windows, runtime heap/GC/
@@ -327,11 +327,12 @@ func newMux(sys *woc.System, svc *serving.Layer, loop *maintain.Loop, reqTimeout
 			code = http.StatusServiceUnavailable
 		}
 		writeJSON(rw, code, map[string]any{
-			"ok":    store.Degraded == "",
-			"stats": sys.Stats(),
-			"store": store,
-			"epoch": sys.Epoch(),
-			"cache": svc.CacheLen(),
+			"ok":       store.Degraded == "",
+			"manifest": sys.Manifest(),
+			"stats":    sys.Stats(),
+			"store":    store,
+			"epoch":    sys.Epoch(),
+			"cache":    svc.CacheLen(),
 		})
 	})
 	handle("search", func(rw http.ResponseWriter, r *http.Request) {

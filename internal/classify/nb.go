@@ -82,9 +82,6 @@ func (nb *NaiveBayes) Train(tokens []string, class string) {
 	}
 }
 
-// Classes returns the known class labels, sorted.
-func (nb *NaiveBayes) Classes() []string { return nb.classes }
-
 // Predict returns the most probable class and the posterior distribution.
 // An untrained classifier returns "" and nil.
 func (nb *NaiveBayes) Predict(tokens []string) (string, map[string]float64) {

@@ -39,11 +39,6 @@ type Config struct {
 	// LinkConcepts are the concepts whose records participate in semantic
 	// linking of free-text pages (reviews, articles).
 	LinkConcepts []string
-	// LinkThreshold is the minimum text-match score to create a link
-	// (default 0.35).
-	LinkThreshold float64
-	// MaxPages bounds the crawl (0 = unlimited).
-	MaxPages int
 	// Workers is the size of the worker pool the extract, link, and index
 	// stages (and Refresh's refetch/extract) fan out over; 0 or negative
 	// means runtime.GOMAXPROCS(0). Output is deterministic at any value:
@@ -227,9 +222,7 @@ type Builder struct {
 // maintenance passes.
 func (b *Builder) Build(seeds []string) (*WebOfConcepts, *BuildStats, error) {
 	return b.build(newExtractMemo(), "crawl", func(woc *WebOfConcepts, stats *BuildStats) error {
-		crawler := &webgraph.Crawler{
-			Fetcher: b.Fetcher, Store: woc.Pages, MaxPages: b.Cfg.MaxPages,
-		}
+		crawler := &webgraph.Crawler{Fetcher: b.Fetcher, Store: woc.Pages}
 		stats.PagesFetched, stats.FetchFailures = crawler.Crawl(seeds)
 		// A page write that failed latched the store: surface it, as the
 		// ingest does, rather than build over the pages that landed.

@@ -25,12 +25,14 @@ type EnrichStats struct {
 
 // EnrichMenus attaches menu attributes to restaurant records from their
 // homepage sites' menu pages. A record that holds a menu already is left
-// alone, so a second pass (a reopened system's) adds nothing.
+// alone, so a second pass (a reopened system's) adds nothing, and a pass
+// after maintenance fills only the records a rebuild left without one. It
+// copies only the records it fills and reads only their homepage hosts.
 func (b *Builder) EnrichMenus(woc *WebOfConcepts) EnrichStats {
 	var stats EnrichStats
 	// homepage host -> record ID
 	hostOf := make(map[string]string)
-	for _, r := range woc.Records.ByConcept("restaurant") {
+	for _, r := range woc.Records.ViewByConcept("restaurant") {
 		hp := strings.TrimSuffix(r.Get("homepage"), "/")
 		if hp != "" && r.Get("menu") == "" {
 			hostOf[hp] = r.ID

@@ -10,8 +10,18 @@ import (
 	"conceptweb/internal/webgen"
 )
 
+// TestEnrichMenus enriches a build of its own: the shared fixture of built
+// may already hold the menus another test added.
 func TestEnrichMenus(t *testing.T) {
-	w, woc, _, b := built(t)
+	w := smallWorld()
+	reg := lrec.NewRegistry()
+	webgen.RegisterConcepts(reg)
+	b := &Builder{Fetcher: w, Cfg: StandardConfig(reg, w.Cities(), nil)}
+	woc, _, err := b.Build(w.SeedURLs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer woc.Close()
 	stats := b.EnrichMenus(woc)
 	if stats.RecordsEnriched == 0 || stats.DishesAdded == 0 {
 		t.Fatalf("enrich stats = %+v", stats)

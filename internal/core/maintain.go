@@ -452,13 +452,13 @@ func (b *Builder) applyCandidates(woc *WebOfConcepts, cg *conceptGroups, retired
 //
 // It returns the pages given a new link, the pages whose stale review it
 // deleted, and the review Puts that succeeded.
+// linkThreshold is the minimum text-match score that links a page to a
+// record.
+const linkThreshold = 0.35
+
 func (b *Builder) relinkPass(woc *WebOfConcepts, changed []*webgraph.Page, global bool) (linked, unlinked, reviews int) {
 	if len(b.Cfg.LinkConcepts) == 0 {
 		return
-	}
-	threshold := b.Cfg.LinkThreshold
-	if threshold == 0 {
-		threshold = 0.35
 	}
 	revIDOf := func(u string) string { return "review:" + textproc.NormalizeKey(u) }
 	// extractionAssociated reports whether any of the page's associations is
@@ -558,7 +558,7 @@ func (b *Builder) relinkPass(woc *WebOfConcepts, changed []*webgraph.Page, globa
 		if f.short {
 			return
 		}
-		best, ok := tm.BestTokens(f.tokens, threshold)
+		best, ok := tm.BestTokens(f.tokens, linkThreshold)
 		if !ok {
 			return
 		}

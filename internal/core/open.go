@@ -77,19 +77,17 @@ func (b *Builder) reassociate(woc *WebOfConcepts) (reviews int) {
 // SaveRecords copies every record into a fresh durable store in dir with the
 // given shard count, compacts it to a snapshot and closes it; Open reopens
 // such a directory. The copy numbers versions anew, in scan order.
-func (woc *WebOfConcepts) SaveRecords(dir string, shards int) (int, error) {
+func (woc *WebOfConcepts) SaveRecords(dir string, shards int) error {
 	durable, err := lrec.Open(dir, lrec.WithRegistry(woc.Registry), lrec.WithShards(shards))
 	if err != nil {
-		return 0, err
+		return err
 	}
-	n := 0
 	woc.Records.Scan(func(r *lrec.Record) bool {
 		err = durable.Put(r)
-		n++
 		return err == nil
 	})
 	if err == nil {
 		err = durable.Compact()
 	}
-	return n, errors.Join(err, durable.Close())
+	return errors.Join(err, durable.Close())
 }

@@ -32,7 +32,7 @@ func saveDir(t testing.TB, built *WebOfConcepts, dir string, shards int) {
 	if err := built.Pages.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := built.SaveRecords(filepath.Join(dir, "records"), shards); err != nil {
+	if err := built.SaveRecords(filepath.Join(dir, "records"), shards); err != nil {
 		t.Fatal(err)
 	}
 	if err := built.Close(); err != nil {

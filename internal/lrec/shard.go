@@ -35,9 +35,9 @@ type shardEngine struct {
 	// it, sorted and without duplicates. Most values are held by one record,
 	// so a slice costs a fraction of a per-key set.
 	byAttr map[string][]string
-	// history holds superseded versions, newest last, capped per record.
-	history     map[string][]*Record
-	maxVersions int
+	// history holds superseded versions, newest last, maxVersions per
+	// record.
+	history map[string][]*Record
 
 	// seq is the highest version this shard has observed (replayed or
 	// applied). Compact persists the facade's global clock through it so a
@@ -69,14 +69,13 @@ type shardEngine struct {
 
 func newShard(id int, s *Store) *shardEngine {
 	sh := &shardEngine{
-		id:          id,
-		recs:        make(map[string]*Record),
-		byConcept:   make(map[string]map[string]bool),
-		byAttr:      make(map[string][]string),
-		history:     make(map[string][]*Record),
-		maxVersions: s.maxVersions,
-		fs:          s.fs,
-		metrics:     s.metrics,
+		id:        id,
+		recs:      make(map[string]*Record),
+		byConcept: make(map[string]map[string]bool),
+		byAttr:    make(map[string][]string),
+		history:   make(map[string][]*Record),
+		fs:        s.fs,
+		metrics:   s.metrics,
 	}
 	if s.metrics != nil {
 		sh.walBytes = s.metrics.Gauge(fmt.Sprintf("store.shard.%d.wal_bytes", id))
@@ -226,10 +225,13 @@ func (sh *shardEngine) applyPut(cp *Record) {
 	sh.indexRec(cp)
 }
 
+// maxVersions is how many superseded versions a record keeps.
+const maxVersions = 4
+
 func (sh *shardEngine) pushHistory(old *Record) {
 	h := append(sh.history[old.ID], old)
-	if len(h) > sh.maxVersions {
-		h = h[len(h)-sh.maxVersions:]
+	if len(h) > maxVersions {
+		h = h[len(h)-maxVersions:]
 	}
 	sh.history[old.ID] = h
 }
@@ -352,15 +354,13 @@ func (sh *shardEngine) length() int {
 	return len(sh.recs)
 }
 
-// byConceptClones returns copies of the shard's records of the concept,
-// sorted by ID.
-func (sh *shardEngine) byConceptClones(concept string) []*Record {
+// appendByConcept appends the shard's installed records of the concept to
+// out. The references are shared; see view.
+func (sh *shardEngine) appendByConcept(out []*Record, concept string) []*Record {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	ids := sortedIDs(sh.byConcept[concept])
-	out := make([]*Record, len(ids))
-	for i, id := range ids {
-		out[i] = sh.recs[id].Clone()
+	for id := range sh.byConcept[concept] {
+		out = append(out, sh.recs[id])
 	}
 	return out
 }
@@ -381,15 +381,6 @@ func (sh *shardEngine) appendByAttr(out []*Record, ak string) []*Record {
 		out = append(out, sh.recs[id])
 	}
 	return out
-}
-
-func sortedIDs(set map[string]bool) []string {
-	ids := make([]string, 0, len(set))
-	for id := range set {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 // versions returns copies of superseded versions of id, oldest first.

@@ -43,12 +43,11 @@ type Store struct {
 	// (and deterministic) across any shard count.
 	seq atomic.Uint64
 
-	dir         string
-	fs          framelog.FS
-	registry    *Registry
-	metrics     *obs.Registry // nil-safe; counts puts/gets/WAL appends/compactions
-	maxVersions int
-	nshards     int // requested via WithShards; 0 = unspecified (manifest or 1)
+	dir      string
+	fs       framelog.FS
+	registry *Registry
+	metrics  *obs.Registry // nil-safe; counts puts/gets/WAL appends/compactions
+	nshards  int           // requested via WithShards; 0 = unspecified (manifest or 1)
 }
 
 // ErrDegraded wraps the first write/fsync error after which a shard
@@ -85,11 +84,6 @@ func WithRegistry(r *Registry) StoreOption {
 	return func(s *Store) { s.registry = r }
 }
 
-// WithMaxVersions caps retained superseded versions per record (default 4).
-func WithMaxVersions(n int) StoreOption {
-	return func(s *Store) { s.maxVersions = n }
-}
-
 // WithMetrics attaches an observability registry; the store then counts
 // puts, gets, deletes, WAL appends, and compactions into it. A nil registry
 // keeps the store un-instrumented.
@@ -116,7 +110,7 @@ func withFS(fs framelog.FS) StoreOption {
 // NewMemStore returns a purely in-memory store (no durability), used by
 // tests and short-lived pipelines.
 func NewMemStore(opts ...StoreOption) *Store {
-	s := &Store{maxVersions: 4}
+	s := &Store{}
 	for _, o := range opts {
 		o(s)
 	}
@@ -168,7 +162,7 @@ func (s *Store) shardFor(id string) *shardEngine {
 // frames after it) fails with ErrCorrupt. Recovery details are available
 // from Recovery() and, per shard, ShardStates().
 func Open(dir string, opts ...StoreOption) (*Store, error) {
-	s := &Store{maxVersions: 4}
+	s := &Store{}
 	for _, o := range opts {
 		o(s)
 	}
@@ -419,12 +413,19 @@ func (s *Store) Len() int {
 
 // ByConcept returns copies of all records of the concept, sorted by ID.
 func (s *Store) ByConcept(concept string) []*Record {
-	var out []*Record
-	for _, sh := range s.shards {
-		out = append(out, sh.byConceptClones(concept)...)
+	out := s.ViewByConcept(concept)
+	for i, r := range out {
+		out[i] = r.Clone()
 	}
-	if out == nil {
-		out = []*Record{}
+	return out
+}
+
+// ViewByConcept is ByConcept without the copies: the installed records
+// themselves, sorted by ID, under View's must-not-mutate contract.
+func (s *Store) ViewByConcept(concept string) []*Record {
+	out := []*Record{}
+	for _, sh := range s.shards {
+		out = sh.appendByConcept(out, concept)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out

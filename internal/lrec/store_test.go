@@ -145,23 +145,25 @@ func TestStoreScan(t *testing.T) {
 }
 
 func TestStoreVersions(t *testing.T) {
-	s := NewMemStore(WithMaxVersions(2))
-	for i := 0; i < 4; i++ {
+	s := NewMemStore()
+	for i := 0; i < maxVersions+2; i++ {
 		s.Put(testRecord("r1", fmt.Sprintf("Name v%d", i), "C"))
 	}
 	hist := s.Versions("r1")
-	if len(hist) != 2 {
-		t.Fatalf("history len = %d, want 2 (capped)", len(hist))
+	if len(hist) != maxVersions {
+		t.Fatalf("history len = %d, want %d (capped)", len(hist), maxVersions)
 	}
-	if hist[0].Get("name") != "Name v1" || hist[1].Get("name") != "Name v2" {
-		t.Errorf("history = %v, %v", hist[0], hist[1])
+	if hist[0].Get("name") != "Name v1" || hist[maxVersions-1].Get("name") != fmt.Sprintf("Name v%d", maxVersions) {
+		t.Errorf("history = %v … %v", hist[0], hist[maxVersions-1])
 	}
 	cur, _ := s.Get("r1")
-	if cur.Get("name") != "Name v3" {
+	if cur.Get("name") != fmt.Sprintf("Name v%d", maxVersions+1) {
 		t.Errorf("live = %v", cur)
 	}
-	if hist[0].Version >= hist[1].Version || hist[1].Version >= cur.Version {
-		t.Error("versions not increasing")
+	for i, h := range append(hist, cur)[1:] {
+		if h.Version <= hist[i].Version {
+			t.Errorf("version %d after %d: not increasing", h.Version, hist[i].Version)
+		}
 	}
 }
 

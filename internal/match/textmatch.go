@@ -213,7 +213,7 @@ func (tm *TextMatcher) MatchTokens(all []string, k int) []ScoredRecord {
 // arithmetic as the naive scorer); once the k-th best exact score — or
 // minScore — exceeds every remaining candidate's upper bound
 // (approx + slack), the rest are abandoned. slack is a proven bound on the
-// float summation error (see DESIGN.md §15), so pruning never changes the
+// float summation error (see DESIGN.md §7), so pruning never changes the
 // result: pruned candidates are strictly below the final k-th exact score,
 // and below minScore for the Best path, where the caller discards such a
 // top-1 anyway.
@@ -280,7 +280,7 @@ func (tm *TextMatcher) matchTokens(all []string, k int, minScore float64) []Scor
 	// Upper bound on |approx − exact| on the mean-per-token scale. The true
 	// error of re-associating ≤ 2·len(tokens)+1 summands of total magnitude
 	// ≤ 3T, plus the delta and division roundings, is below ~11·ε·(T+1);
-	// 64 leaves ≥5× headroom (DESIGN.md §15 has the derivation).
+	// 64 leaves ≥5× headroom (DESIGN.md §7 has the derivation).
 	slack := 64 * 0x1p-52 * (maxSum + 1)
 	// A candidate whose upper bound is below minScore can never be rescored:
 	// phase 2's bar is at least minScore, and in descending order such a

@@ -131,13 +131,3 @@ func sourceKind(u, homepage string) string {
 		return "other"
 	}
 }
-
-// BestValue exposes the aggregation choice for one attribute, convenient for
-// callers that need a single reconciled answer without the full page.
-func BestValue(rec *lrec.Record, key string) (string, bool) {
-	v, ok := rec.Best(key)
-	if !ok {
-		return "", false
-	}
-	return v.Value, true
-}

@@ -68,9 +68,6 @@ func (c *Corpus) Add(toks []string) {
 	}
 }
 
-// Docs returns the number of documents added.
-func (c *Corpus) Docs() int { return c.docs }
-
 // IDF returns the smoothed inverse document frequency of term t:
 // log(1 + N/(1+df)).
 func (c *Corpus) IDF(t string) float64 {

@@ -500,15 +500,6 @@ func (w *World) PaperByID(id string) (*Paper, bool) { p, ok := w.papByID[id]; re
 // ProductByID returns the product ground truth, if present.
 func (w *World) ProductByID(id string) (*Product, bool) { p, ok := w.prodByID[id]; return p, ok }
 
-// ShowByID returns the show ground truth, if present.
-func (w *World) ShowByID(id string) (*Show, bool) { s, ok := w.showByID[id]; return s, ok }
-
-// ActorByID returns the actor ground truth, if present.
-func (w *World) ActorByID(id string) (*Actor, bool) { a, ok := w.actByID[id]; return a, ok }
-
-// EventByID returns the event ground truth, if present.
-func (w *World) EventByID(id string) (*Event, bool) { e, ok := w.evByID[id]; return e, ok }
-
 // TruthRecord returns the canonical lrec for an entity ID, across all entity
 // types — the record a perfect extraction pipeline would produce.
 func (w *World) TruthRecord(id string) (*lrec.Record, bool) {

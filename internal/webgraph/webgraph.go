@@ -113,8 +113,6 @@ const crawlFetchers = 8
 type Crawler struct {
 	Fetcher Fetcher
 	Store   *Store
-	// MaxPages bounds the crawl (0 = unlimited).
-	MaxPages int
 }
 
 // Crawl runs BFS from seeds and returns the number of pages fetched.
@@ -131,13 +129,7 @@ func (c *Crawler) Crawl(seeds []string) (fetched int, failed int) {
 	}
 
 	for len(frontier) > 0 {
-		if c.MaxPages > 0 && fetched >= c.MaxPages {
-			break
-		}
 		batch := frontier
-		if c.MaxPages > 0 && fetched+len(batch) > c.MaxPages {
-			batch = batch[:c.MaxPages-fetched]
-		}
 		frontier = nil
 
 		type result struct {

@@ -48,19 +48,6 @@ func TestCrawlBFS(t *testing.T) {
 	}
 }
 
-func TestCrawlMaxPages(t *testing.T) {
-	web := miniWeb{}
-	for i := 0; i < 50; i++ {
-		web[fmt.Sprintf("a.example/p%d", i)] = linked(fmt.Sprintf("/p%d", i+1))
-	}
-	st := newStore(t)
-	c := &Crawler{Fetcher: web, Store: st, MaxPages: 10}
-	fetched, _ := c.Crawl([]string{"a.example/p0"})
-	if fetched != 10 {
-		t.Errorf("fetched = %d, want 10", fetched)
-	}
-}
-
 func TestCrawlDeadLinks(t *testing.T) {
 	web := miniWeb{"a.example/": linked("/missing", "/p1"), "a.example/p1": linked()}
 	st := newStore(t)

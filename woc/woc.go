@@ -12,8 +12,8 @@
 //	page := sys.Search("gochi cupertino", 10)
 //	if page.Box != nil { fmt.Println(page.Box.Name, page.Box.Address) }
 //
-// A directory written by `wocbuild -out DIR` is a system too: Open reopens
-// it without building anything again.
+// A system directory is a system too: BuildDir (what `wocbuild -out DIR`
+// runs) writes one, and Open reopens it without building anything again.
 package woc
 
 import (
@@ -47,7 +47,6 @@ type Option func(*buildConfig)
 type buildConfig struct {
 	cities   []string
 	cuisines []string
-	maxPages int
 	storeDir string
 }
 
@@ -60,11 +59,6 @@ func WithLocalDomain(cities, cuisines []string) Option {
 	}
 }
 
-// WithMaxPages bounds the crawl.
-func WithMaxPages(n int) Option {
-	return func(c *buildConfig) { c.maxPages = n }
-}
-
 // WithStoreDir persists the concept store durably in dir (WAL + snapshots).
 func WithStoreDir(dir string) Option {
 	return func(c *buildConfig) { c.storeDir = dir }
@@ -74,17 +68,23 @@ func WithStoreDir(dir string) Option {
 // live in a page store on disk — in a temporary directory for a System from
 // Build, which Close removes, so every System must be closed.
 //
+// Every System finishes the same way: Build, Open and each Refresh that
+// changed records end with menu enrichment (core.Builder.EnrichMenus), so a
+// restaurant record with a homepage carries the menu its homepage site
+// lists however the system came to hold it.
+//
 // All methods are safe for concurrent use: read methods (Search, Aggregate,
 // …) hold a shared lock while maintenance (Refresh, Reconcile) holds it
 // exclusively, so a reader never observes a half-applied refresh — every
 // response is computed against a single data generation (see Epoch).
 type System struct {
-	builder *core.Builder
-	woc     *core.WebOfConcepts
-	engine  *search.Engine
-	trans   *session.Transitions
-	stats   *core.BuildStats
-	metrics *obs.Registry
+	builder  *core.Builder
+	woc      *core.WebOfConcepts
+	engine   *search.Engine
+	trans    *session.Transitions
+	stats    *core.BuildStats
+	metrics  *obs.Registry
+	manifest Manifest
 
 	// mu is the read/maintenance seam: the store and index have their own
 	// fine-grained locks, but nothing else guards the association maps and
@@ -107,34 +107,34 @@ func Build(fetch Fetcher, seeds []string, opts ...Option) (*System, error) {
 	}
 	reg := lrec.NewRegistry()
 	webgen.RegisterConcepts(reg)
-	metrics := obs.NewRegistry()
 	coreCfg := core.StandardConfig(reg, cfg.cities, cfg.cuisines)
-	coreCfg.MaxPages = cfg.maxPages
 	coreCfg.StoreDir = cfg.storeDir
-	coreCfg.Metrics = metrics
+	coreCfg.Metrics = obs.NewRegistry()
 	b := &core.Builder{Fetcher: webgraph.FetcherFunc(fetch), Cfg: coreCfg}
 	built, stats, err := b.Build(seeds)
 	if err != nil {
 		return nil, fmt.Errorf("woc: build: %w", err)
 	}
 	built.Reconcile("restaurant", core.PreferSupport)
-	b.EnrichMenus(built)
-	return newSystem(b, built, stats, cfg.cities, cfg.cuisines), nil
+	return newSystem(b, built, stats, Manifest{Cities: cfg.cities, Cuisines: cfg.cuisines}), nil
 }
 
-// newSystem puts the application layers over a web of concepts.
-func newSystem(b *core.Builder, built *core.WebOfConcepts, stats *core.BuildStats, cities, cuisines []string) *System {
-	eng := search.NewEngine(built, search.NewParser(cities, cuisines))
+// newSystem finishes a web of concepts — the menus go in — and puts the
+// application layers over it. m is the directory's manifest, or only the
+// gazetteer for a System from Build.
+func newSystem(b *core.Builder, built *core.WebOfConcepts, stats *core.BuildStats, m Manifest) *System {
+	b.EnrichMenus(built)
+	eng := search.NewEngine(built, search.NewParser(m.Cities, m.Cuisines))
 	eng.Metrics = b.Cfg.Metrics
 	return &System{
-		builder: b, woc: built, engine: eng,
-		trans: session.NewTransitions(eng), stats: stats, metrics: b.Cfg.Metrics,
+		builder: b, woc: built, engine: eng, trans: session.NewTransitions(eng),
+		stats: stats, metrics: b.Cfg.Metrics, manifest: m,
 	}
 }
 
-// Manifest describes a directory `wocbuild -out` wrote beside records/ (the
-// concept store) and pages/ (the page store): the world the build read —
-// Profile "default" (Size restaurants) or "heavytail" (Size pages) — and the
+// Manifest describes a system directory beside records/ (the concept store)
+// and pages/ (the page store): the world the build read — Profile "default"
+// (Size restaurants) or "heavytail" (Size pages) from Seed — and the
 // gazetteer it extracted with. It is written last: a directory without one
 // is a build that did not finish.
 type Manifest struct {
@@ -147,22 +147,128 @@ type Manifest struct {
 
 const manifestName = "manifest.json"
 
-// WriteManifest writes m into dir, atomically: a reader finds the whole
-// manifest or none.
-func WriteManifest(dir string, m Manifest) error {
-	return framelog.WriteFile(framelog.OS{}, filepath.Join(dir, manifestName), func(w io.Writer) error {
-		return json.NewEncoder(w).Encode(m)
-	})
+// World is the world a manifest names: its Manifest with the gazetteer
+// filled in, the pipeline configuration of its profile (concept registry,
+// domains, matchers), its web — generated by the first call to Web — and
+// Build, the profile's pipeline over that web.
+type World struct {
+	Manifest Manifest
+	Config   core.Config
+	Web      func() Web
+	Build    func(*core.Builder) (*core.WebOfConcepts, *core.BuildStats, error)
 }
 
-// Open reopens the system `wocbuild -out dir` wrote: both stores, the
-// page↔record associations derived from the records, both inverted indexes
-// refilled — what the build served, with nothing extracted, resolved or
-// linked again (see core.Builder.Open). A "default" directory's restaurant
-// records get the menus Build adds (EnrichMenus) on the first Open, which
-// writes them through. The shard count is the directory's. Refresh fetches from the world the manifest names, generated
-// on first fetch, and writes through to the directory. Close the System when
-// done.
+// Web is a generated web: a *webgen.World or a *webgen.StreamWorld.
+type Web interface {
+	webgraph.Fetcher
+	Cities() []string
+}
+
+// World maps m to its world; it is the one place a profile is chosen. The
+// default profile crawls Size restaurants' web from its seed pages, the
+// heavytail one streams a web of Size pages in. A manifest without a
+// gazetteer (a new build's) takes its web's cities, generating it at once.
+func (m Manifest) World() (World, error) {
+	reg := lrec.NewRegistry()
+	w := World{Manifest: m}
+	var config func(*lrec.Registry, []string, []string) core.Config
+	switch m.Profile {
+	case "default":
+		webgen.RegisterConcepts(reg)
+		config = core.StandardConfig
+		web := sync.OnceValue(func() *webgen.World {
+			wc := webgen.DefaultConfig()
+			wc.Seed, wc.Restaurants = m.Seed, m.Size
+			return webgen.Generate(wc)
+		})
+		w.Web = func() Web { return web() }
+		w.Build = func(b *core.Builder) (*core.WebOfConcepts, *core.BuildStats, error) { return b.Build(web().SeedURLs()) }
+	case "heavytail":
+		webgen.RegisterScaleConcepts(reg)
+		config = core.ScaleConfig
+		web := sync.OnceValue(func() *webgen.StreamWorld {
+			wc := webgen.HeavyTailConfig(m.Size)
+			wc.Seed = m.Seed
+			return webgen.NewStreamWorld(wc)
+		})
+		w.Web = func() Web { return web() }
+		w.Build = func(b *core.Builder) (*core.WebOfConcepts, *core.BuildStats, error) { return b.BuildStream(web()) }
+	default:
+		return World{}, fmt.Errorf("unknown world profile %q (want default or heavytail)", m.Profile)
+	}
+	if m.Cities == nil {
+		w.Manifest.Cities, w.Manifest.Cuisines = w.Web().Cities(), webgen.Cuisines()
+	}
+	w.Config = config(reg, w.Manifest.Cities, w.Manifest.Cuisines)
+	return w, nil
+}
+
+// Built is what BuildDir built, open until Close, with the number of
+// records Reconcile trimmed.
+type Built struct {
+	*core.WebOfConcepts
+	World      World
+	Stats      *core.BuildStats
+	Reconciled int
+}
+
+// BuildDir is `wocbuild -out dir`: the world m names (Manifest.World), its
+// page store in dir/pages, the profile's pipeline (World.Build), Reconcile,
+// the records copied into a fresh store in dir/records (SaveRecords) and
+// the manifest last, atomically, so a directory holding one is a finished
+// build that Open reopens. dir must be absent or empty; without it the
+// pages go to a temporary directory and nothing is saved. tune, when
+// non-nil, adjusts the configuration first (workers, shards, progress). The
+// records are saved before enrichment, which Open adds.
+func BuildDir(dir string, m Manifest, tune func(*core.Config)) (*Built, error) {
+	w, err := m.World()
+	if err != nil {
+		return nil, err
+	}
+	cfg := w.Config
+	if tune != nil {
+		tune(&cfg)
+	}
+	if dir != "" {
+		if names, err := os.ReadDir(dir); err == nil && len(names) > 0 {
+			return nil, fmt.Errorf("%s is not empty: a build writes a fresh directory", dir)
+		}
+		if cfg.PageStore, err = webgraph.OpenDiskStore(filepath.Join(dir, "pages"), webgraph.DiskOptions{}); err != nil {
+			return nil, fmt.Errorf("page store: %w", err)
+		}
+	}
+	built, stats, err := w.Build(&core.Builder{Fetcher: w.Web(), Cfg: cfg})
+	if err != nil {
+		return nil, fmt.Errorf("build: %w", err)
+	}
+	out := &Built{WebOfConcepts: built, World: w, Stats: stats,
+		Reconciled: built.Reconcile("restaurant", core.PreferSupport)}
+	if dir == "" {
+		return out, nil
+	}
+	err = built.Pages.Flush()
+	if err == nil {
+		err = built.SaveRecords(filepath.Join(dir, "records"), cfg.Shards)
+	}
+	if err == nil {
+		err = framelog.WriteFile(framelog.OS{}, filepath.Join(dir, manifestName), func(f io.Writer) error {
+			return json.NewEncoder(f).Encode(w.Manifest)
+		})
+	}
+	if err != nil {
+		built.Close()
+		return nil, fmt.Errorf("write %s: %w", dir, err)
+	}
+	return out, nil
+}
+
+// Open reopens a system directory: both stores, the page↔record
+// associations derived from the records, both inverted indexes refilled —
+// what the build served, with nothing extracted, resolved or linked again
+// (see core.Builder.Open) — finished like every System, its menus written
+// through on the first Open. The shard count is the directory's. Refresh
+// fetches from the world the manifest names and writes through to the
+// directory. Close the System when done.
 func Open(dir string) (*System, error) {
 	var m Manifest
 	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
@@ -172,48 +278,29 @@ func Open(dir string) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("woc: open %s: manifest (a directory without one is an unfinished build): %w", dir, err)
 	}
-	reg := lrec.NewRegistry()
-	var cfg core.Config
-	var world func() webgraph.Fetcher
-	switch m.Profile {
-	case "default":
-		webgen.RegisterConcepts(reg)
-		cfg = core.StandardConfig(reg, m.Cities, m.Cuisines)
-		world = func() webgraph.Fetcher {
-			wc := webgen.DefaultConfig()
-			wc.Seed, wc.Restaurants = m.Seed, m.Size
-			return webgen.Generate(wc)
-		}
-	case "heavytail":
-		webgen.RegisterScaleConcepts(reg)
-		cfg = core.ScaleConfig(reg, m.Cities, m.Cuisines)
-		world = func() webgraph.Fetcher {
-			wc := webgen.HeavyTailConfig(m.Size)
-			wc.Seed = m.Seed
-			return webgen.NewStreamWorld(wc)
-		}
-	default:
-		return nil, fmt.Errorf("woc: open %s: unknown world profile %q", dir, m.Profile)
+	w, err := m.World()
+	var pages *webgraph.Store
+	if err == nil {
+		pages, err = webgraph.OpenDiskStore(filepath.Join(dir, "pages"), webgraph.DiskOptions{})
 	}
-	pages, err := webgraph.OpenDiskStore(filepath.Join(dir, "pages"), webgraph.DiskOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("woc: open %s: %w", dir, err)
 	}
+	cfg := w.Config
 	cfg.StoreDir, cfg.PageStore, cfg.Metrics = filepath.Join(dir, "records"), pages, obs.NewRegistry()
-	fetcher := sync.OnceValue(world)
-	b := &core.Builder{Cfg: cfg, Fetcher: webgraph.FetcherFunc(func(url string) (string, error) {
-		return fetcher().Fetch(url)
-	})}
+	fetch := func(url string) (string, error) { return w.Web().Fetch(url) } // generates the web on first use
+	b := &core.Builder{Cfg: cfg, Fetcher: webgraph.FetcherFunc(fetch)}
 	opened, stats, err := b.Open()
 	if err != nil {
 		pages.Close()
 		return nil, fmt.Errorf("woc: open %s: %w", dir, err)
 	}
-	if m.Profile == "default" {
-		b.EnrichMenus(opened) // as Build does; a record holding a menu is skipped
-	}
-	return newSystem(b, opened, stats, m.Cities, m.Cuisines), nil
+	return newSystem(b, opened, stats, m), nil
 }
+
+// Manifest returns the manifest of the directory the System was opened
+// from; a System from Build has no profile, only its gazetteer.
+func (s *System) Manifest() Manifest { return s.manifest }
 
 // Metrics returns the system's observability registry: build-stage latency
 // histograms, store counters (lrec puts/gets/WAL appends/compactions), and
@@ -573,6 +660,10 @@ func (s *System) Refresh(urls []string) (RefreshStats, error) {
 	st, err := s.builder.Refresh(s.woc, urls)
 	if err != nil {
 		return RefreshStats{}, err
+	}
+	if st.RecordsUpdated+st.RecordsCreated+st.RecordsSuperseded+st.RecordsDeleted > 0 {
+		// A rebuilt restaurant record comes back without its menu.
+		s.builder.EnrichMenus(s.woc)
 	}
 	return RefreshStats{
 		PagesChecked: st.PagesChecked, PagesUnchanged: st.PagesUnchanged,

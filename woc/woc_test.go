@@ -4,11 +4,11 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
-	"conceptweb/internal/core"
 	"conceptweb/internal/lrec"
 	"conceptweb/internal/webgen"
 	"conceptweb/internal/webgraph"
@@ -260,23 +260,6 @@ func TestStoreHealthSurfacesRecovery(t *testing.T) {
 	}
 }
 
-func TestBuildMaxPages(t *testing.T) {
-	cfg := webgen.DefaultConfig()
-	cfg.Restaurants = 15
-	cfg.ReviewArticles = 4
-	cfg.TVArticles = 2
-	w := webgen.Generate(cfg)
-	sys, err := Build(w.Fetch, w.SeedURLs(),
-		WithLocalDomain(w.Cities(), webgen.Cuisines()), WithMaxPages(50))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	if got := sys.Stats().PagesFetched; got > 50 {
-		t.Errorf("fetched %d pages, cap was 50", got)
-	}
-}
-
 func TestFacadeSearchWithinAndRelated(t *testing.T) {
 	r, rec := pickRestaurant(t)
 	_, sys := system(t)
@@ -325,36 +308,16 @@ func TestFacadeCategories(t *testing.T) {
 	}
 }
 
-// writeDir builds a small default world into dir as `wocbuild -out dir`
-// does: pages in dir/pages, records saved into dir/records, manifest last.
-// It returns the restaurant records the build stored.
-func writeDir(t *testing.T, dir string) []*lrec.Record {
+// buildDir writes a small default world into dir as `wocbuild -out dir`
+// does and returns the restaurant records the build stored.
+func buildDir(t *testing.T, dir string) []*lrec.Record {
 	t.Helper()
-	wc := webgen.DefaultConfig()
-	wc.Seed, wc.Restaurants = 3, 15
-	w := webgen.Generate(wc)
-	reg := lrec.NewRegistry()
-	webgen.RegisterConcepts(reg)
-	cfg := core.StandardConfig(reg, w.Cities(), webgen.Cuisines())
-	ps, err := webgraph.OpenDiskStore(filepath.Join(dir, "pages"), webgraph.DiskOptions{})
+	built, err := BuildDir(dir, Manifest{Profile: "default", Seed: 3, Size: 15}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.PageStore = ps
-	built, _, err := (&core.Builder{Fetcher: w, Cfg: cfg}).Build(w.SeedURLs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	built.Reconcile("restaurant", core.PreferSupport)
 	restaurants := built.Records.ByConcept("restaurant")
-	if _, err := built.SaveRecords(filepath.Join(dir, "records"), 0); err != nil {
-		t.Fatal(err)
-	}
 	if err := built.Close(); err != nil {
-		t.Fatal(err)
-	}
-	m := Manifest{Profile: "default", Seed: wc.Seed, Size: wc.Restaurants, Cities: w.Cities(), Cuisines: webgen.Cuisines()}
-	if err := WriteManifest(dir, m); err != nil {
 		t.Fatal(err)
 	}
 	return restaurants
@@ -365,7 +328,7 @@ func writeDir(t *testing.T, dir string) []*lrec.Record {
 // the build wrote, with the manifest's world behind Refresh.
 func TestOpenReopensWrittenDirectory(t *testing.T) {
 	dir := t.TempDir()
-	want := writeDir(t, dir)
+	want := buildDir(t, dir)
 	manifest := filepath.Join(dir, manifestName)
 	raw, err := os.ReadFile(manifest)
 	if err != nil {
@@ -449,7 +412,7 @@ func TestOpenReopensWrittenDirectory(t *testing.T) {
 // as a repaired tail, and a latched page store as Degraded.
 func TestStoreHealthCoversPageStore(t *testing.T) {
 	dir := t.TempDir()
-	writeDir(t, dir)
+	buildDir(t, dir)
 	seg := filepath.Join(dir, "pages", "pages-0000.log")
 	f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
@@ -483,4 +446,159 @@ func TestStoreHealthCoversPageStore(t *testing.T) {
 	if h.Degraded == "" || !strings.Contains(h.Degraded, "latched") {
 		t.Errorf("health with a latched page store = %+v, want Degraded", h)
 	}
+}
+
+// menuWorld is the 50-restaurant default world the menu tests edit.
+func menuWorld() *webgen.World {
+	wc := webgen.DefaultConfig()
+	wc.Seed, wc.Restaurants = 1, 50
+	return webgen.Generate(wc)
+}
+
+// editPage replaces the page at url in w with edit's rewrite of it.
+func editPage(t *testing.T, w *webgen.World, url string, edit func(string) string) {
+	t.Helper()
+	p, ok := w.PageByURL(url)
+	if !ok {
+		t.Fatalf("no page %s in the world", url)
+	}
+	html := edit(p.HTML)
+	if html == p.HTML {
+		t.Fatalf("the edit left %s unchanged", url)
+	}
+	p.HTML = html
+}
+
+// menus maps every restaurant record of sys to its menu values, checking
+// that none holds two.
+func menus(t *testing.T, sys *System) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	for _, r := range sys.woc.Records.ViewByConcept("restaurant") {
+		if n := len(r.All("menu")); n > 1 {
+			t.Errorf("%s holds %d menus", r.ID, n)
+		}
+		out[r.ID] = r.Get("menu")
+	}
+	return out
+}
+
+// checkMenusLikeBuild compares every restaurant's menu in sys with the one
+// a fresh Build over w's pages stores.
+func checkMenusLikeBuild(t *testing.T, sys *System, w *webgen.World) {
+	t.Helper()
+	fresh, err := Build(w.Fetch, w.SeedURLs(), WithLocalDomain(w.Cities(), webgen.Cuisines()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	got, want := menus(t, sys), menus(t, fresh)
+	if len(got) != len(want) {
+		t.Errorf("%d restaurants, a fresh build stores %d", len(got), len(want))
+	}
+	for id, m := range want {
+		if got[id] != m {
+			t.Errorf("%s: menu %q, a fresh build has %q", id, got[id], m)
+		}
+	}
+}
+
+// refreshMenuScenario edits one page of the 50-restaurant world under a
+// System, refreshes it, and holds every restaurant's menu to a fresh
+// Build's over the edited pages. It does so for a System from Build and for
+// one Open reopens from a directory, which it then reopens again: a second
+// Open adds no menu.
+func refreshMenuScenario(t *testing.T, url string, edit func(string) string, check func(*testing.T, *System)) {
+	t.Run("Build", func(t *testing.T) {
+		w := menuWorld()
+		sys, err := Build(w.Fetch, w.SeedURLs(), WithLocalDomain(w.Cities(), webgen.Cuisines()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sys.Close()
+		editPage(t, w, url, edit)
+		if st, err := sys.Refresh([]string{url}); err != nil || st.PagesChanged != 1 {
+			t.Fatalf("refresh of %s: %+v, %v", url, st, err)
+		}
+		check(t, sys)
+		checkMenusLikeBuild(t, sys, w)
+	})
+	t.Run("Open", func(t *testing.T) {
+		dir := t.TempDir()
+		built, err := BuildDir(dir, Manifest{Profile: "default", Seed: 1, Size: 50}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := built.Close(); err != nil {
+			t.Fatal(err)
+		}
+		sys, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := menuWorld()
+		sys.builder.Fetcher = w // the manifest's world, edited below
+		editPage(t, w, url, edit)
+		if st, err := sys.Refresh([]string{url}); err != nil || st.PagesChanged != 1 {
+			sys.Close()
+			t.Fatalf("refresh of %s: %+v, %v", url, st, err)
+		}
+		check(t, sys)
+		refreshed := menus(t, sys)
+		if err := sys.Close(); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer again.Close()
+		if got := menus(t, again); !reflect.DeepEqual(got, refreshed) {
+			t.Errorf("menus after a reopen differ from the refreshed system's")
+		}
+		checkMenusLikeBuild(t, again, w)
+	})
+}
+
+const blueBarrel = "restaurant:bluebarrel:4085550107"
+
+// TestRefreshOfAggregatorPageKeepsMenus: an edit to an aggregator page
+// listing a restaurant rebuilds its record; the rebuilt record gets its menu
+// back, and "<name> menu" is answered from it.
+func TestRefreshOfAggregatorPageKeepsMenus(t *testing.T) {
+	refreshMenuScenario(t, "citysift.example/c/palo-alto-american",
+		func(html string) string { return webgen.EditText(html, "Patio seating now open.") },
+		func(t *testing.T, sys *System) {
+			r, err := sys.Record(blueBarrel)
+			if err != nil || r.Attrs["menu"] == "" {
+				t.Fatalf("%s after the refresh: %+v, %v; want a menu", blueBarrel, r, err)
+			}
+			page := sys.Search("Blue Barrel Steakhouse menu", 5)
+			if page.Box == nil || page.Box.RequestedKey != "menu" || page.Box.RequestedValue != r.Attrs["menu"] {
+				t.Errorf("menu query after the refresh: box %+v, want the requested menu %q", page.Box, r.Attrs["menu"])
+			}
+		})
+}
+
+// TestRefreshOfMenuPageRenamesDish: renaming a dish on a restaurant's menu
+// page shows in its record's menu after the refresh.
+func TestRefreshOfMenuPageRenamesDish(t *testing.T) {
+	const url, open, close = "blue-barrel-steakhouse.example/food", `<span class="dish-name">`, "</span>"
+	var dish string
+	rename := func(html string) string {
+		i := strings.Index(html, open) + len(open)
+		j := i + strings.Index(html[i:], close)
+		if i < len(open) || j < i {
+			return html
+		}
+		dish = html[i:j]
+		return html[:i] + "Zzyzx Platter" + html[j:]
+	}
+	refreshMenuScenario(t, url, rename,
+		func(t *testing.T, sys *System) {
+			r, err := sys.Record(blueBarrel)
+			if err != nil || !strings.Contains(r.Attrs["menu"], "Zzyzx Platter") || strings.Contains(r.Attrs["menu"], dish) {
+				t.Errorf("%s after the refresh: menu %q, want %q renamed to Zzyzx Platter", blueBarrel, r.Attrs["menu"], dish)
+			}
+		})
 }
