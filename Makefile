@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build loc test race bench benchshards benchscale scalecheck microbench bench-smoke profile crashtest servetest maintaintest querytest fuzz-smoke loadtest datasmoke fmt vet
+.PHONY: build loc test race bench benchscale scalecheck microbench bench-smoke profile crashtest servetest maintaintest querytest fuzz-smoke loadtest datasmoke fmt vet
 
 build:
 	$(GO) build ./...
@@ -27,14 +27,14 @@ race:
 # stores and of the framed log under them, under the race detector:
 # crash-at-every-truncation-point replay, write kills at every byte offset,
 # syscall faults on every Compact step, the codec corruption matrix, the
-# per-shard fault isolation suite (a write kill in one shard's WAL must
-# latch only that shard), the page store's torn-tail, crash-mid-write,
-# corrupt-segment and old-format suites, the forged-length allocation
-# bounds, and the fuzz targets' seed corpora. -count=1 defeats test caching
+# refusal of a directory the hash-sharded store of earlier builds wrote, the
+# page store's torn-tail, crash-mid-write, corrupt-segment and old-format
+# suites, the forged-length allocation bounds, and the fuzz targets' seed
+# corpora. -count=1 defeats test caching
 # so CI always re-proves the durability contract.
 crashtest:
 	$(GO) test -race -count=1 -v \
-		-run 'Crash|Fault|Torn|Recovery|Corrupt|Degraded|Killed|Seq|Frame|Shard|Manifest|Legacy|Compact|DiskStore|Alloc|Decode' \
+		-run 'Crash|Fault|Torn|Recovery|Corrupt|Degraded|Killed|Seq|Frame|Shard|Legacy|Compact|DiskStore|Alloc|Decode' \
 		./internal/framelog/ ./internal/lrec/ ./internal/webgraph/
 
 # servetest runs the serving-layer suites under the race detector: concurrent
@@ -46,13 +46,13 @@ servetest:
 	$(GO) test -race -count=1 -v ./internal/serving/ ./cmd/wocserve/
 
 # querytest re-proves the query path's equivalences under the race
-# detector: the one ranked query path (Sharded.SearchCost) against the
-# retained map-and-sort reference with its own statistics sum and k-way heap
-# merge (score bits, order, nil-ness, posting adjacency, at 1/4/16 shards,
-# on random and on mostly-tied corpora, where the integer ID-rank tie-break
-# decides the order); seeded searches racing adds, re-adds, removals and
-# compactions (every ranking ordered and duplicate-free, the reference's
-# answers once the writes stop; 1 and 4 shards); the document ranking that
+# detector: the one ranked query path (Index.SearchCost) against the
+# retained map-and-sort reference with its own statistics (score bits,
+# order, nil-ness, posting adjacency, on random and on mostly-tied corpora,
+# where the integer ID-rank tie-break decides the order); seeded searches
+# racing adds, re-adds, removals and compactions (every ranking ordered and
+# duplicate-free, the reference's answers once the writes stop); the
+# document ranking that
 # asks the index for k when no box triggered against the 4k+20 fetch it
 # replaced; and the shared-reference reads against the clone-everything
 # ConceptSearch/Trigger/Alternatives — plus the aliasing test, where readers
@@ -60,10 +60,10 @@ servetest:
 # the index's write side: Prepare's term frequencies merged by AddPrepared
 # against the retained token-stream merge, posting for posting — and the
 # record store's attribute and concept indexes against a filter over Scan
-# after every step of seeded put/delete/compact/reopen scripts (1 and 4
-# shards). The second run, without the race detector (under it sync.Pool
-# drops pooled scratch and the file is compiled out), pins a ranked query's
-# allocations at 1 and 4 shards: none grows with the documents scored.
+# after every step of seeded put/delete/compact/reopen scripts. The second
+# run, without the race detector (under it sync.Pool drops pooled scratch
+# and the file is compiled out), pins a ranked query's allocations: none
+# grows with the documents scored.
 querytest:
 	$(GO) test -race -count=1 -v \
 		-run 'KernelMatchesReference|SearchRacesWriters|RankDocsMatchesWideFetch|PreparedMergeMatchesReference|SharedReadsMatch|AlternativesMatch|ReturnedRecordsAreCallersToKeep|AttrIndexMatchesScan' \
@@ -76,8 +76,8 @@ querytest:
 # background sweeps with a page loss and resurrection, p99 read bound), the
 # delta-vs-rebuild equivalence matrix (incremental passes — the four
 # scripted ones and the seeded random schedules — must land on bit-identical
-# store content and search results as a fresh build, at every workers x
-# shards combination), the extraction memo against the retained whole-site
+# store content and search results as a fresh build, at every worker
+# count), the extraction memo against the retained whole-site
 # and whole-host extraction (seeded random page churn, candidate for
 # candidate), the page-task extract stage against the same whole-host oracle
 # (workers 1/2/8 x windows of one host, 64 pages and the whole corpus; fresh,
@@ -85,7 +85,7 @@ querytest:
 # recognise-once scan memo against the retained per-call recognisers, the
 # recognizer kernels against their retained regular expressions, and the
 # document index fed from the page tasks against a serial Add loop (workers x
-# windows x shards) with the streamed build's one-parse-per-page count, the
+# windows) with the streamed build's one-parse-per-page count, the
 # relink stage's link-feature memo against a re-parse of every page it
 # scores (scripted and seeded random churn, and a stale entry), enrichment's
 # homepage-hosts-only reads, and the page store's read path: every Get a
@@ -128,11 +128,6 @@ fuzz-smoke:
 # archived output records the host parallelism it was measured on.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkBuildPipeline' -benchtime=1x -count=3 -cpu 1,4,8 . | tee bench-pipeline.txt
-
-# benchshards sweeps the construction pipeline over the (workers x shards)
-# grid — the store/index partitioning cost curve archived as BENCH_PR7.json.
-benchshards:
-	$(GO) test -run '^$$' -bench 'BenchmarkBuildShards' -benchtime=1x -count=3 . | tee bench-shards.txt
 
 # benchscale measures the corpus-scale streamed build: heavy-tail worlds at
 # increasing page counts run through BuildStream (page bytes in the page
@@ -185,12 +180,12 @@ scalecheck:
 # collective resolution, the maintenance upsert's target scan (200 incoming ×
 # 1000 stored records) with the profile pair score under it, and the query
 # path: one ranked BM25F query (heavy-tail 2k-page index, instance / set /
-# attribute forms, k = 60, 1 and 4 shards, the same serial path at both),
+# attribute forms, k = 60),
 # one Alternatives call, and one index re-add at 2k and at 20k documents
 # (the two must read alike: a re-add
 # costs what the document holds, not what the index holds), and the index
-# build of the same 2k pages (Prepare + AddPreparedBatch at 1 and 4 shards,
-# with the merge's share as merge-us/doc), and each recognizer rule over every
+# build of the same 2k pages (Prepare + AddPrepared, with the merge's share
+# as merge-us/doc), and each recognizer rule over every
 # item text, span and body of that world, by its kernel and by its retained
 # regular expression (BenchmarkRecognizers, rule=<key>/kernel|regexp). These
 # are the functions the extract/link/resolve/upsert stages and a cold query

@@ -751,41 +751,9 @@ func BenchmarkBuildPipeline(b *testing.B) {
 
 // reportHostParallelism stamps the archive-bound benchmark output with the
 // host's core count and scheduler width, so archived numbers (BENCH_*.json)
-// are interpretable: a shard/worker sweep on a 1-core host measures overhead
+// are interpretable: a worker sweep on a 1-core host measures overhead
 // ceilings, not speedups.
 func reportHostParallelism(b *testing.B) {
 	b.ReportMetric(float64(runtime.NumCPU()), "numcpu")
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-}
-
-// BenchmarkBuildShards sweeps the (workers x shards) grid over the same
-// fixed world as BenchmarkBuildPipeline. Output is identical at every grid
-// point (the determinism matrix test proves it), so this curve isolates the
-// pure cost/benefit of partitioning: per-shard WAL/index lock contention
-// relief at high worker counts, routing and scatter-gather overhead at one.
-// Successive PRs archive the medians as BENCH_PR7.json.
-func BenchmarkBuildShards(b *testing.B) {
-	cfg := webgen.DefaultConfig()
-	cfg.Restaurants = 40
-	cfg.ReviewArticles = 10
-	cfg.TVArticles = 4
-	w := webgen.Generate(cfg)
-	for _, workers := range []int{1, 8} {
-		for _, shards := range []int{1, 4, 16} {
-			b.Run(fmt.Sprintf("workers=%d/shards=%d", workers, shards), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					reg := lrec.NewRegistry()
-					webgen.RegisterConcepts(reg)
-					c := core.StandardConfig(reg, w.Cities(), webgen.Cuisines())
-					c.Workers = workers
-					c.Shards = shards
-					bb := &core.Builder{Fetcher: w, Cfg: c}
-					if _, _, err := bb.Build(w.SeedURLs()); err != nil {
-						b.Fatal(err)
-					}
-				}
-				reportHostParallelism(b)
-			})
-		}
-	}
 }

@@ -3,7 +3,7 @@
 // statistics. With -out DIR it writes the built system into DIR, which
 // woc.Open, `wocserve -data DIR` and `wocsearch -data DIR` reopen:
 //
-//	DIR/records/       the concept store (lrec snapshot, one per shard)
+//	DIR/records/       the concept store (lrec.snap and an empty lrec.log)
 //	DIR/pages/         the page store (pages-NNNN.log segments)
 //	DIR/manifest.json  profile, seed, size and gazetteer; written last
 //
@@ -22,7 +22,7 @@
 //
 // Usage:
 //
-//	wocbuild [-seed 1] [-restaurants 120] [-workers N] [-shards N] [-out dir]
+//	wocbuild [-seed 1] [-restaurants 120] [-workers N] [-out dir]
 //	         [-world-profile default|heavytail] [-pages 100000]
 //	         [-stats-json file] [-rss-ceiling bytes]
 //	         [-v] [-cpuprofile build.pprof] [-memprofile mem.pprof]
@@ -66,7 +66,6 @@ func run() (err error) {
 	rssCeiling := flag.Int64("rss-ceiling", 0, "exit non-zero if peak RSS exceeds this many bytes (0 = unenforced)")
 	out := flag.String("out", "", "write the built system into this directory (absent or empty): records/, pages/, manifest.json")
 	workers := flag.Int("workers", 0, "worker-pool size for the extract/link/index stages (0 = GOMAXPROCS); output is identical at any value")
-	shards := flag.Int("shards", 0, "hash-partition count for the store and indexes (0 or 1 = single partition); output is identical at any value")
 	verbose := flag.Bool("v", false, "periodic progress lines on stderr, plus the per-stage timing table and per-concept record counts")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the build to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile (after the build) to this file")
@@ -106,7 +105,7 @@ func run() (err error) {
 		m.Size = *pages
 	}
 	built, err := woc.BuildDir(*out, m, func(cfg *core.Config) {
-		cfg.Workers, cfg.Shards = *workers, *shards
+		cfg.Workers = *workers
 		if *verbose {
 			cfg.Progress = progressPrinter()
 		}
@@ -169,7 +168,6 @@ func run() (err error) {
 			"records_stored": stats.RecordsStored,
 			"pages_linked":   stats.PagesLinked,
 			"workers":        stats.Workers,
-			"shards":         *shards,
 		}
 		if ms := stageMillis(stats.Trace); len(ms) > 0 {
 			rec["stage_ms"] = ms

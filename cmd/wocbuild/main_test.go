@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"conceptweb/internal/core"
 	"conceptweb/woc"
 )
 
@@ -34,15 +33,13 @@ func TestDefaultWorldSnapshotPinned(t *testing.T) {
 	}
 }
 
-// TestOutLayoutReopens writes a sharded heavy-tail build with woc.BuildDir,
-// as `wocbuild -out dir -shards 2` does, and reopens it with woc.Open: the
-// same records, and the manifest names the world, so refetching pages
-// finds them unchanged.
+// TestOutLayoutReopens writes a heavy-tail build with woc.BuildDir, as
+// `wocbuild -out dir` does, and reopens it with woc.Open: the same records,
+// and the manifest names the world, so refetching pages finds them
+// unchanged.
 func TestOutLayoutReopens(t *testing.T) {
-	const shards = 2
 	dir := t.TempDir()
-	built, err := woc.BuildDir(dir, woc.Manifest{Profile: "heavytail", Seed: 7, Size: 600},
-		func(cfg *core.Config) { cfg.Shards = shards })
+	built, err := woc.BuildDir(dir, woc.Manifest{Profile: "heavytail", Seed: 7, Size: 600}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,9 +53,8 @@ func TestOutLayoutReopens(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	if h := sys.StoreHealth(); len(h.Shards) != shards || h.SnapshotRecords != records {
-		t.Errorf("reopened store: %d shards, %d records; wrote %d shards, %d records",
-			len(h.Shards), h.SnapshotRecords, shards, records)
+	if h := sys.StoreHealth(); h.SnapshotRecords != records {
+		t.Errorf("reopened store: %d records, wrote %d", h.SnapshotRecords, records)
 	}
 	urls := sys.PageURLs()
 	st, err := sys.Refresh(urls[len(urls)-20:])

@@ -12,7 +12,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
+	"sort"
 
 	"conceptweb/woc"
 )
@@ -41,63 +44,86 @@ func main() {
 		if err != nil {
 			log.Fatalf("aggregate: %v", err)
 		}
-		fmt.Printf("== %s ==\n", page.Title)
-		for k, v := range page.Attrs {
-			fmt.Printf("  %-10s %s", k, v)
-			if c := page.Conflicts[k]; len(c) > 0 {
-				fmt.Printf("   (conflicts: %v)", c)
-			}
-			fmt.Println()
-		}
-		fmt.Println("sources:")
-		for _, s := range page.Sources {
-			fmt.Printf("  [%-10s trust=%.2f] %s\n", s.Kind, s.Trust, s.URL)
-		}
-		for i, r := range page.Reviews {
-			fmt.Printf("review %d: %s\n", i+1, r)
-		}
+		printAggregation(os.Stdout, page)
 	case *concept:
 		if *q == "" {
 			log.Fatal("need -q")
 		}
-		for i, h := range sys.ConceptSearch(*q, *k) {
-			fmt.Printf("%2d. [%5.2f] %s — %s, %s (%s)\n", i+1, h.Score,
-				h.Record.Attrs["name"], h.Record.Attrs["street"],
-				h.Record.Attrs["city"], h.Record.ID)
-		}
+		printHits(os.Stdout, sys.ConceptSearch(*q, *k))
 	default:
 		if *q == "" {
 			log.Fatal("need -q")
 		}
-		page := sys.Search(*q, *k)
-		if page.Box != nil {
-			fmt.Printf("┌─ %s", page.Box.Name)
-			if page.Box.Rating != "" {
-				fmt.Printf("  ★ %s", page.Box.Rating)
-			}
-			fmt.Println()
-			fmt.Printf("│  %s · %s\n", page.Box.Address, page.Box.Phone)
-			if page.Box.Homepage != "" {
-				fmt.Printf("│  official site: %s\n", page.Box.Homepage)
-			}
-			for _, r := range page.Box.Reviews {
-				snippet := r
-				if len(snippet) > 90 {
-					snippet = snippet[:90] + "…"
-				}
-				fmt.Printf("│  “%s”\n", snippet)
-			}
-			fmt.Println("└─")
+		printPage(os.Stdout, sys.Search(*q, *k))
+	}
+}
+
+// printAggregation writes an aggregation page, its attributes in key order.
+func printAggregation(w io.Writer, page *woc.Aggregation) {
+	fmt.Fprintf(w, "== %s ==\n", page.Title)
+	keys := make([]string, 0, len(page.Attrs))
+	for k := range page.Attrs {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		fmt.Fprintf(w, "  %-10s %s", k, page.Attrs[k])
+		if c := page.Conflicts[k]; len(c) > 0 {
+			fmt.Fprintf(w, "   (conflicts: %v)", c)
 		}
-		for i, d := range page.Results {
-			marker := "  "
-			if d.IsHomepage {
-				marker = "🏠"
+		fmt.Fprintln(w)
+	}
+	fmt.Fprintln(w, "sources:")
+	for _, s := range page.Sources {
+		fmt.Fprintf(w, "  [%-10s trust=%.2f] %s\n", s.Kind, s.Trust, s.URL)
+	}
+	for i, r := range page.Reviews {
+		fmt.Fprintf(w, "review %d: %s\n", i+1, r)
+	}
+}
+
+// printHits writes a concept search's ranked records.
+func printHits(w io.Writer, hits []woc.Hit) {
+	for i, h := range hits {
+		fmt.Fprintf(w, "%2d. [%5.2f] %s — %s, %s (%s)\n", i+1, h.Score,
+			h.Record.Attrs["name"], h.Record.Attrs["street"],
+			h.Record.Attrs["city"], h.Record.ID)
+	}
+}
+
+// printPage writes a web search result page: the concept box, with the
+// attribute the query asked for when it named one, then the documents.
+func printPage(w io.Writer, page *woc.Page) {
+	if box := page.Box; box != nil {
+		fmt.Fprintf(w, "┌─ %s", box.Name)
+		if box.Rating != "" {
+			fmt.Fprintf(w, "  ★ %s", box.Rating)
+		}
+		fmt.Fprintln(w)
+		fmt.Fprintf(w, "│  %s · %s\n", box.Address, box.Phone)
+		if box.RequestedKey != "" {
+			fmt.Fprintf(w, "│  %s: %s\n", box.RequestedKey, box.RequestedValue)
+		}
+		if box.Homepage != "" {
+			fmt.Fprintf(w, "│  official site: %s\n", box.Homepage)
+		}
+		for _, r := range box.Reviews {
+			snippet := r
+			if len(snippet) > 90 {
+				snippet = snippet[:90] + "…"
 			}
-			fmt.Printf("%2d. %s [%5.2f] %s\n", i+1, marker, d.Score, d.URL)
+			fmt.Fprintf(w, "│  “%s”\n", snippet)
 		}
-		if len(page.Assistance) > 0 {
-			fmt.Printf("related searches: %v\n", page.Assistance)
+		fmt.Fprintln(w, "└─")
+	}
+	for i, d := range page.Results {
+		marker := "  "
+		if d.IsHomepage {
+			marker = "🏠"
 		}
+		fmt.Fprintf(w, "%2d. %s [%5.2f] %s\n", i+1, marker, d.Score, d.URL)
+	}
+	if len(page.Assistance) > 0 {
+		fmt.Fprintf(w, "related searches: %v\n", page.Assistance)
 	}
 }

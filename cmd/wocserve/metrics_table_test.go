@@ -26,8 +26,8 @@ var endpoints = []string{"healthz", "search", "concepts", "record", "aggregate",
 // one maintenance pass that changes a page, and one request to every
 // wocserve endpoint (two to /search: a box, then a cache hit), and holds the names its registry then holds to the metric table
 // of DESIGN.md §6: every registered name is in the table, and every row not
-// marked "when it happens" was registered. Endpoint names, shard numbers
-// and status codes read as <endpoint>, <k> and <code>.
+// marked "when it happens" was registered. Endpoint names and status codes
+// read as <endpoint> and <code>.
 func TestMetricNamesMatchDesignTable(t *testing.T) {
 	always, onEvent := designMetricTable(t)
 
@@ -109,15 +109,11 @@ func sorted(set map[string]bool) []string {
 	return out
 }
 
-var (
-	shardNum   = regexp.MustCompile(`\.shard\.[0-9]+\.`)
-	statusCode = regexp.MustCompile(`\.[0-9]{3}$`)
-)
+var statusCode = regexp.MustCompile(`\.[0-9]{3}$`)
 
 // placeholders writes a registered name the way the table does: the
 // HTTP and serving layers' per-endpoint families with <endpoint>.
 func placeholders(name string) string {
-	name = shardNum.ReplaceAllString(name, ".shard.<k>.")
 	name = statusCode.ReplaceAllString(name, ".<code>")
 	if !strings.HasPrefix(name, "http.") && !strings.HasPrefix(name, "serve.") {
 		return name

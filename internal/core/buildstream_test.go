@@ -130,7 +130,7 @@ func TestHeavyTailBuildPinned(t *testing.T) {
 		queries := pinnedQueries(woc, w.Cities())
 		for _, c := range []struct {
 			what string
-			ix   *index.Sharded
+			ix   *index.Index
 			want string
 		}{
 			{"DocIndex", woc.DocIndex, "c08b625ee2e7acaef4500d67ce31379787b6e0ba3a0ca335b230a7200ddd7543"},
@@ -166,7 +166,7 @@ func pinnedQueries(woc *WebOfConcepts, cities []string) []string {
 // searchDigest hashes the top-10 results of every query, each result written
 // as its ID and the bits of its score, so a digest match means bit-identical
 // rankings.
-func searchDigest(ix *index.Sharded, queries []string) string {
+func searchDigest(ix *index.Index, queries []string) string {
 	h := sha256.New()
 	var bits [8]byte
 	for _, q := range queries {

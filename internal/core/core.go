@@ -45,14 +45,6 @@ type Config struct {
 	// results fan back in by task index, so the same seed and corpus yield
 	// identical stores and indexes whether Workers is 1 or 64.
 	Workers int
-	// Shards partitions the record store and both inverted indexes into
-	// hash-routed shards, letting the resolve and index stages write
-	// concurrently into disjoint partitions instead of queueing on one
-	// lock. 0 or 1 keeps the single-partition layout (and, for durable
-	// stores, the pre-sharding on-disk format). Like Workers, the value
-	// never changes output: store contents, version numbers, and search
-	// results are identical at any (workers × shards) combination.
-	Shards int
 	// Gate, when non-nil, admits a page to a concept's detail extraction;
 	// build one with ClassifierGate to route only relevant pages to each
 	// domain's extractor (§4.2 relational classification). The extract stage
@@ -86,9 +78,8 @@ type WebOfConcepts struct {
 	Pages    *webgraph.Store
 	// DocIndex indexes page text; RecIndex indexes flattened lrecs — the
 	// paper's stipulation that concept retrieval ride on inverted indexes.
-	// Both are hash-sharded (1 shard unless Config.Shards says otherwise).
-	DocIndex *index.Sharded
-	RecIndex *index.Sharded
+	DocIndex *index.Index
+	RecIndex *index.Index
 	// Assoc maps page URL -> record IDs the page is about; RevAssoc is the
 	// inverse. Both underlie the §5.1 ranking features and §5.4 pivots.
 	Assoc    map[string][]string
@@ -119,36 +110,28 @@ type WebOfConcepts struct {
 	// every maintenance pass that changes visible state (Refresh with
 	// changed or gone pages, Reconcile that trimmed records). The value
 	// serving layers actually key caches by is Epoch(), which folds this
-	// counter together with the per-shard epochs of the store and both
+	// counter together with the mutation epochs of the store and both
 	// indexes.
 	epoch atomic.Uint64
 }
 
 // Epoch returns the current data generation, composed from the maintenance
-// counter plus the per-shard mutation epochs of the record store and both
-// inverted indexes. Every shard epoch is monotonic, so the composed value
-// strictly increases on any visible mutation anywhere — the serving
-// contract — and an unchanged maintenance pass reproduces the previous
-// value, keeping epoch-keyed result caches warm. Each shard epoch counts
-// that shard's mutations, so the sum is invariant to how records hash
-// across shards: the same build yields the same epoch at any (workers ×
-// shards) combination.
+// counter plus the mutation epochs of the record store and both inverted
+// indexes. Every one of them is monotonic, so the composed value strictly
+// increases on any visible mutation anywhere — the serving contract — and an
+// unchanged maintenance pass reproduces the previous value, keeping
+// epoch-keyed result caches warm. The same build yields the same epoch at
+// any worker count.
 func (woc *WebOfConcepts) Epoch() uint64 {
 	e := woc.epoch.Load()
 	if woc.Records != nil {
-		for _, se := range woc.Records.ShardEpochs() {
-			e += se
-		}
+		e += woc.Records.Epoch()
 	}
 	if woc.DocIndex != nil {
-		for _, se := range woc.DocIndex.ShardEpochs() {
-			e += se
-		}
+		e += woc.DocIndex.Epoch()
 	}
 	if woc.RecIndex != nil {
-		for _, se := range woc.RecIndex.ShardEpochs() {
-			e += se
-		}
+		e += woc.RecIndex.Epoch()
 	}
 	return e
 }
@@ -291,14 +274,12 @@ func (b *Builder) build(memo *extractMemo, first string, fill func(*WebOfConcept
 
 // newWoc assembles the empty artifact a build fills: the record store
 // (memory or durable per StoreDir), the page store (Config.PageStore, or one
-// of its own in a temporary directory), and the indexes, sharded like the
-// record store.
+// of its own in a temporary directory), and the two indexes.
 func (b *Builder) newWoc() (*WebOfConcepts, error) {
 	if b.Cfg.Registry == nil {
 		return nil, fmt.Errorf("core: nil registry")
 	}
-	opts := []lrec.StoreOption{lrec.WithRegistry(b.Cfg.Registry),
-		lrec.WithMetrics(b.Cfg.Metrics), lrec.WithShards(b.Cfg.Shards)}
+	opts := []lrec.StoreOption{lrec.WithRegistry(b.Cfg.Registry), lrec.WithMetrics(b.Cfg.Metrics)}
 	var records *lrec.Store
 	var err error
 	if b.Cfg.StoreDir == "" {
@@ -310,8 +291,8 @@ func (b *Builder) newWoc() (*WebOfConcepts, error) {
 		Registry: b.Cfg.Registry,
 		Records:  records,
 		Pages:    b.Cfg.PageStore,
-		DocIndex: index.NewSharded(records.NumShards()),
-		RecIndex: index.NewSharded(records.NumShards()),
+		DocIndex: index.New(),
+		RecIndex: index.New(),
 		Assoc:    make(map[string][]string),
 		RevAssoc: make(map[string][]string),
 	}
@@ -433,8 +414,8 @@ func (b *Builder) extractHosts(woc *WebOfConcepts, only map[string]bool, cg *con
 // docFeed): the index is a by-product of the one read and one parse a page
 // gets, not a second pass over the corpus. The window's documents go to the
 // feed at the fold, in task order — sorted host, then site-page order — which
-// is what fixes the index's doc numbering at any worker count, shard count
-// and window size.
+// is what fixes the index's doc numbering at any worker count and window
+// size.
 //
 // memo, when non-nil, is read and filled per (host, domain); nil extracts
 // memo-less (the streamed build). A window's analyses die with it.
@@ -593,13 +574,10 @@ func (b *Builder) resolveAndStore(woc *WebOfConcepts, cg *conceptGroups, stats *
 	for _, concept := range cg.concepts() {
 		toStore, merged := b.resolveConcept(woc, cg, concept)
 		stats.ClustersMerged += merged
-		// Stores go through PutBatch: versions are assigned serially in
-		// cluster order before the writes fan out one goroutine per store
-		// shard, so the store contents — version numbers included — are
-		// identical to a serial Put loop at any (workers × shards)
-		// combination. Association bookkeeping stays serial, in the same
-		// order.
-		for i, err := range woc.Records.PutBatch(toStore, b.workers()) {
+		// Stores go through PutBatch: one lock hold, versions assigned in
+		// cluster order, exactly as a serial Put loop. Association
+		// bookkeeping follows in the same order.
+		for i, err := range woc.Records.PutBatch(toStore) {
 			if err == nil {
 				stats.RecordsStored++
 				b.associate(woc, toStore[i])
@@ -707,7 +685,7 @@ type docFeed struct {
 
 // feedDocIndex starts the merger goroutine of ix. The caller queues windows
 // through extractPages and must join.
-func feedDocIndex(ix *index.Sharded, only map[string]bool) *docFeed {
+func feedDocIndex(ix *index.Index, only map[string]bool) *docFeed {
 	f := &docFeed{
 		only:  only,
 		queue: make(chan []index.PreparedDoc, docFeedWindows),
@@ -717,7 +695,11 @@ func feedDocIndex(ix *index.Sharded, only map[string]bool) *docFeed {
 		defer close(f.done)
 		for docs := range f.queue {
 			start := time.Now()
-			ix.AddPreparedBatch(docs, 1)
+			for _, d := range docs {
+				if d.ID != "" { // the zero document: no page here
+					ix.AddPrepared(d)
+				}
+			}
 			f.busy += time.Since(start)
 		}
 	}()
@@ -780,12 +762,10 @@ func (b *Builder) finishIndexes(ctx context.Context, woc *WebOfConcepts, feed *d
 }
 
 // indexRecords fills the record inverted index. Analysis fans out over the
-// worker pool via index.Prepare; the prepared documents then merge with one
-// writer per index shard, each adding its shard's records in store scan
-// order, so internal doc and field numbering is identical at any (workers ×
-// shards) combination.
+// worker pool via index.Prepare; the prepared documents then merge in store
+// scan order, so internal doc and field numbering is identical at any worker
+// count.
 func (b *Builder) indexRecords(woc *WebOfConcepts) {
-	w := b.workers()
 	var recs []*lrec.Record
 	woc.Records.Scan(func(r *lrec.Record) bool {
 		if r.Concept != "review" { // reviews are reachable via their subject
@@ -794,27 +774,22 @@ func (b *Builder) indexRecords(woc *WebOfConcepts) {
 		return true
 	})
 	rdocs := make([]index.PreparedDoc, len(recs))
-	parallelEach(len(recs), w, func(i int) {
+	parallelEach(len(recs), b.workers(), func(i int) {
 		rdocs[i] = index.Prepare(recordDocument(recs[i]))
 	})
-	woc.RecIndex.AddPreparedBatch(rdocs, w)
+	for _, d := range rdocs {
+		woc.RecIndex.AddPrepared(d)
+	}
 	b.updateIndexGauges(woc)
 }
 
-// updateIndexGauges publishes each index shard's posting-entry count as the
-// index.shard.<k>.postings gauge (doc and record indexes summed per shard).
+// updateIndexGauges publishes the posting entries of both indexes as the
+// index.postings gauge.
 func (b *Builder) updateIndexGauges(woc *WebOfConcepts) {
 	if b.Cfg.Metrics == nil {
 		return
 	}
-	dp := woc.DocIndex.ShardPostings()
-	rp := woc.RecIndex.ShardPostings()
-	for i, n := range dp {
-		if i < len(rp) {
-			n += rp[i]
-		}
-		b.Cfg.Metrics.Gauge(fmt.Sprintf("index.shard.%d.postings", i)).Set(int64(n))
-	}
+	b.Cfg.Metrics.Gauge("index.postings").Set(int64(woc.DocIndex.Postings() + woc.RecIndex.Postings()))
 }
 
 // pageDocument shapes a page for the document index.

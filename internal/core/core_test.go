@@ -245,7 +245,7 @@ func TestReconcilePrefersSupportedValue(t *testing.T) {
 	reg := lrec.NewRegistry()
 	reg.Register(lrec.Concept{Name: "restaurant",
 		Attrs: []lrec.AttrSpec{{Key: "street", MaxValues: 1}}})
-	woc := &WebOfConcepts{Registry: reg, Records: lrec.NewMemStore(lrec.WithRegistry(reg)), RecIndex: index.NewSharded(1)}
+	woc := &WebOfConcepts{Registry: reg, Records: lrec.NewMemStore(lrec.WithRegistry(reg)), RecIndex: index.New()}
 	r := lrec.NewRecord("x", "restaurant")
 	r.Add("street", lrec.AttrValue{Value: "1 Fresh Ave", Confidence: 0.8, Support: 3,
 		Prov: lrec.Provenance{SourceURL: "a", Seq: 5}})
@@ -260,7 +260,7 @@ func TestReconcilePrefersSupportedValue(t *testing.T) {
 		t.Errorf("kept %q, want the 3-source value", got.Get("street"))
 	}
 	// PreferRecent keeps the newest instead.
-	woc2 := &WebOfConcepts{Registry: reg, Records: lrec.NewMemStore(lrec.WithRegistry(reg)), RecIndex: index.NewSharded(1)}
+	woc2 := &WebOfConcepts{Registry: reg, Records: lrec.NewMemStore(lrec.WithRegistry(reg)), RecIndex: index.New()}
 	woc2.Records.Put(r)
 	woc2.Reconcile("restaurant", PreferRecent)
 	got2, _ := woc2.Records.Get("x")

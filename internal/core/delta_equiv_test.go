@@ -95,8 +95,8 @@ func contentFingerprint(woc *WebOfConcepts) string {
 // bar (§7.3): a sequence of incremental passes over changed, gone, and
 // resurrected pages must land on the same store content, association maps,
 // and bit-identical search results as a from-scratch build over the final
-// corpus — at every (workers × shards) combination, starting from Build and
-// from BuildStream. This leans on the whole PR: physical index removal
+// corpus — at every worker count, starting from Build and from BuildStream
+// (the store is one partition; subtest names keep its shards=1). This leans on the whole PR: physical index removal
 // (stats shrink), the page-store delete (resurrection), the supersede stage
 // (no stale values), and the relink stage (free-text pages follow their new
 // content). A streamed build keeps no extraction memo, so from it the passes
@@ -109,16 +109,15 @@ func TestDeltaRefreshConvergesToRebuild(t *testing.T) {
 		"best thai", "restaurant review", "gochi", "phone",
 	}
 	type combo struct {
-		workers, shards int
-		stream, open    bool
+		workers      int
+		stream, open bool
 	}
-	combos := []combo{{1, 1, false, false}, {1, 4, false, false}, {8, 1, false, false}, {8, 4, false, false},
-		{1, 1, true, false}, {8, 1, true, false}, {8, 4, false, true}}
+	combos := []combo{{1, false, false}, {8, false, false}, {1, true, false}, {8, true, false}, {8, false, true}}
 
 	var baseFP string
 	for _, cb := range combos {
 		cb := cb
-		name := fmt.Sprintf("workers=%d shards=%d", cb.workers, cb.shards)
+		name := fmt.Sprintf("workers=%d shards=1", cb.workers)
 		if cb.stream {
 			name = "BuildStream " + name
 		}
@@ -132,7 +131,6 @@ func TestDeltaRefreshConvergesToRebuild(t *testing.T) {
 			mf := newMutableFetcher(w)
 			cfg := StandardConfig(reg, w.Cities(), webgen.Cuisines())
 			cfg.Workers = cb.workers
-			cfg.Shards = cb.shards
 			b := &Builder{Fetcher: mf, Cfg: cfg}
 			build := func() (*WebOfConcepts, *BuildStats, error) { return b.Build(w.SeedURLs()) }
 			if cb.stream {
@@ -148,7 +146,7 @@ func TestDeltaRefreshConvergesToRebuild(t *testing.T) {
 					if err != nil {
 						return nil, nil, err
 					}
-					saveDir(t, written, dir, cb.shards)
+					saveDir(t, written, dir)
 					b = &Builder{Fetcher: mf, Cfg: cfg}
 					return openDir(t, dir, b), nil, nil
 				}
@@ -185,7 +183,7 @@ func TestDeltaRefreshConvergesToRebuild(t *testing.T) {
 			if baseFP == "" {
 				baseFP = deltaFP
 			} else if deltaFP != baseFP {
-				t.Errorf("fingerprint diverges across the (workers × shards) matrix")
+				t.Errorf("fingerprint diverges across the matrix")
 			}
 		})
 	}
@@ -509,7 +507,7 @@ func randomChurn(seed int64, urls []string, valueEditable map[string]bool, fetch
 // the record is not retired: it keeps the confidence the page no longer
 // lends it, and the page's new candidate, with another synthesized ID,
 // upserts into it by entity match under the old ID, where a rebuild resolves
-// the two candidates to the lowest ID. DESIGN §13 lists it as a known edge.
+// the two candidates to the lowest ID. DESIGN §12 lists it as a known edge.
 func attributablePages(b *Builder, woc *WebOfConcepts) map[string]bool {
 	ok := make(map[string]bool)
 	for _, c := range b.refExtractHosts(woc.Pages, nil) {
@@ -525,7 +523,7 @@ func attributablePages(b *Builder, woc *WebOfConcepts) map[string]bool {
 // TestDeltaRefreshConvergesToRebuildRandomChurn is the equivalence bar on
 // unscripted input: seeded random passes over the heavy-tail world under the
 // scale configuration — edits, gone pages, resurrections, layout mutations —
-// at workers {1, 8} × shards {1, 4}, each landing on the store content,
+// at workers {1, 8}, each landing on the store content,
 // association maps and bit-identical search results of one from-scratch
 // build over the seed's final corpus. A failure names the seed.
 func TestDeltaRefreshConvergesToRebuildRandomChurn(t *testing.T) {
@@ -535,9 +533,9 @@ func TestDeltaRefreshConvergesToRebuildRandomChurn(t *testing.T) {
 	base := ScaleConfig(reg, w.Cities(), webgen.Cuisines())
 	city := w.Cities()[0]
 	queries := []string{"thai " + city, "pizza menu", "hotel " + city, "restaurants", "phone", "news kitchen", "directory"}
-	build := func(f webgraph.Fetcher, workers, shards int) (*Builder, *WebOfConcepts) {
+	build := func(f webgraph.Fetcher, workers int) (*Builder, *WebOfConcepts) {
 		cfg := base
-		cfg.Workers, cfg.Shards = workers, shards
+		cfg.Workers = workers
 		b := &Builder{Fetcher: f, Cfg: cfg}
 		woc, _, err := b.Build(w.SeedURLs())
 		if err != nil {
@@ -545,22 +543,21 @@ func TestDeltaRefreshConvergesToRebuildRandomChurn(t *testing.T) {
 		}
 		return b, woc
 	}
-	fb, first := build(corpus, 8, 1)
+	fb, first := build(corpus, 8)
 	urls := first.Pages.URLs()
 	valueEditable := attributablePages(fb, first)
 	first.Close()
 
-	type combo struct{ workers, shards int }
 	for _, seed := range []int64{2, 10} {
 		passes := randomChurn(seed, urls, valueEditable, func(u string) string { return corpus[u] }, 6)
 		final := newMutableFetcher(corpus)
 		final.overlay, final.gone = passes[len(passes)-1].overlay, passes[len(passes)-1].gone
-		_, rebuilt := build(final, 8, 1)
+		_, rebuilt := build(final, 8)
 
 		var reinduced, replayed int
-		for _, cb := range []combo{{1, 1}, {1, 4}, {8, 1}, {8, 4}} {
+		for _, workers := range []int{1, 8} {
 			mf := newMutableFetcher(corpus)
-			b, woc := build(mf, cb.workers, cb.shards)
+			b, woc := build(mf, workers)
 			for i, pass := range passes {
 				mf.mu.Lock()
 				mf.overlay, mf.gone = pass.overlay, pass.gone
@@ -578,7 +575,7 @@ func TestDeltaRefreshConvergesToRebuildRandomChurn(t *testing.T) {
 				for i, pass := range passes {
 					t.Logf("seed %d pass %d: %v", seed, i, pass.what)
 				}
-				t.Fatalf("seed %d, workers %d, shards %d: random churn diverges from the rebuild", seed, cb.workers, cb.shards)
+				t.Fatalf("seed %d, workers %d: random churn diverges from the rebuild", seed, workers)
 			}
 			woc.Close()
 		}

@@ -37,7 +37,7 @@ func heavyTailDiskStore(t testing.TB, corpus corpusFetcher) *webgraph.Store {
 // every query exactly — same documents, same order, same score bits — as an
 // index filled by a serial Add loop over the pages in fold order (sorted
 // host, then site-page order), at workers 1/2/8 × windows of one host, 64
-// pages and the whole corpus × 1 and 4 shards.
+// pages and the whole corpus.
 func TestDocIndexOrderIsWorkerAndWindowInvariant(t *testing.T) {
 	w, corpus, _ := heavyTailCorpus(t)
 	ps := heavyTailDiskStore(t, corpus)
@@ -54,7 +54,7 @@ func TestDocIndexOrderIsWorkerAndWindowInvariant(t *testing.T) {
 		ids  []string
 		bits []uint64
 	}
-	answers := func(ix *index.Sharded) []answer {
+	answers := func(ix *index.Index) []answer {
 		out := make([]answer, len(queries))
 		for i, q := range queries {
 			for _, r := range ix.Search(q, 0) {
@@ -65,44 +65,42 @@ func TestDocIndexOrderIsWorkerAndWindowInvariant(t *testing.T) {
 		return out
 	}
 
-	for _, shards := range []int{1, 4} {
-		serial := index.NewSharded(shards)
-		for _, host := range ps.Hosts() {
-			for _, u := range ps.HostPages(host) {
-				p, err := ps.Get(u)
-				if err != nil {
-					t.Fatal(err)
-				}
-				serial.Add(pageDocument(p))
+	serial := index.New()
+	for _, host := range ps.Hosts() {
+		for _, u := range ps.HostPages(host) {
+			p, err := ps.Get(u)
+			if err != nil {
+				t.Fatal(err)
 			}
+			serial.Add(pageDocument(p))
 		}
-		want := answers(serial)
-		hits := 0
-		for _, a := range want {
-			hits += len(a.ids)
-		}
-		if serial.Len() != len(corpus) || hits < 1000 {
-			t.Fatalf("the serial index holds %d of %d pages and the queries touch %d: the test would prove nothing",
-				serial.Len(), len(corpus), hits)
-		}
+	}
+	want := answers(serial)
+	hits := 0
+	for _, a := range want {
+		hits += len(a.ids)
+	}
+	if serial.Len() != len(corpus) || hits < 1000 {
+		t.Fatalf("the serial index holds %d of %d pages and the queries touch %d: the test would prove nothing",
+			serial.Len(), len(corpus), hits)
+	}
 
-		for _, workers := range []int{1, 2, 8} {
-			for _, window := range []int{1, 64, 1 << 30} {
-				point := fmt.Sprintf("shards %d, workers %d, window %d", shards, workers, window)
-				cfg.Workers, cfg.Shards = workers, shards
-				b := &Builder{Cfg: cfg, extractWindow: window}
-				ix := index.NewSharded(shards)
-				feed := feedDocIndex(ix, nil)
-				b.extractPages(ps, ps.Hosts(), nil, newConceptGroups(nil), feed)
-				feed.join(context.Background())
-				if ix.Len() != serial.Len() || ix.Postings() != serial.Postings() {
-					t.Fatalf("%s: %d documents and %d postings, serial loop %d and %d",
-						point, ix.Len(), ix.Postings(), serial.Len(), serial.Postings())
-				}
-				for i, got := range answers(ix) {
-					if !reflect.DeepEqual(got, want[i]) {
-						t.Fatalf("%s: query %q answers differently from the serial Add loop", point, queries[i])
-					}
+	for _, workers := range []int{1, 2, 8} {
+		for _, window := range []int{1, 64, 1 << 30} {
+			point := fmt.Sprintf("workers %d, window %d", workers, window)
+			cfg.Workers = workers
+			b := &Builder{Cfg: cfg, extractWindow: window}
+			ix := index.New()
+			feed := feedDocIndex(ix, nil)
+			b.extractPages(ps, ps.Hosts(), nil, newConceptGroups(nil), feed)
+			feed.join(context.Background())
+			if ix.Len() != serial.Len() || ix.Postings() != serial.Postings() {
+				t.Fatalf("%s: %d documents and %d postings, serial loop %d and %d",
+					point, ix.Len(), ix.Postings(), serial.Len(), serial.Postings())
+			}
+			for i, got := range answers(ix) {
+				if !reflect.DeepEqual(got, want[i]) {
+					t.Fatalf("%s: query %q answers differently from the serial Add loop", point, queries[i])
 				}
 			}
 		}
@@ -117,7 +115,7 @@ func TestDocIndexOrderIsWorkerAndWindowInvariant(t *testing.T) {
 		}
 	}
 	b := &Builder{Cfg: cfg}
-	ix := index.NewSharded(1)
+	ix := index.New()
 	feed := feedDocIndex(ix, only)
 	b.extractPages(ps, ps.Hosts(), nil, newConceptGroups(nil), feed)
 	feed.join(context.Background())

@@ -312,8 +312,8 @@ func TestUpsertTieBreakLowestID(t *testing.T) {
 		Registry: reg,
 		Records:  lrec.NewMemStore(lrec.WithRegistry(reg)),
 		Pages:    testPageStore(t),
-		DocIndex: index.NewSharded(1),
-		RecIndex: index.NewSharded(1),
+		DocIndex: index.New(),
+		RecIndex: index.New(),
 		Assoc:    map[string][]string{},
 		RevAssoc: map[string][]string{},
 	}
@@ -360,7 +360,7 @@ func TestReconcileDegradedStore(t *testing.T) {
 		if err := store.Put(r); err != nil {
 			t.Fatal(err)
 		}
-		return &WebOfConcepts{Registry: reg, Records: store, RecIndex: index.NewSharded(1)}
+		return &WebOfConcepts{Registry: reg, Records: store, RecIndex: index.New()}
 	}
 
 	// Healthy store: the over-full attribute trims and persists.

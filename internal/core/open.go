@@ -12,8 +12,8 @@ import (
 // record store in Cfg.StoreDir and the page store Cfg.PageStore — without
 // extracting, resolving or linking again. Assoc and RevAssoc are derived
 // from the records (reassociate), the document index is refilled from the
-// pages (indexPages) and the record index by the build's own index stage;
-// the indexes take the record store's shard count. Like a BuildStream
+// pages (indexPages) and the record index by the build's own index stage.
+// Like a BuildStream
 // system, it has no extraction or link-feature memo until a maintenance
 // pass touches a host.
 func (b *Builder) Open() (*WebOfConcepts, *BuildStats, error) {
@@ -74,11 +74,11 @@ func (b *Builder) reassociate(woc *WebOfConcepts) (reviews int) {
 	return reviews
 }
 
-// SaveRecords copies every record into a fresh durable store in dir with the
-// given shard count, compacts it to a snapshot and closes it; Open reopens
-// such a directory. The copy numbers versions anew, in scan order.
-func (woc *WebOfConcepts) SaveRecords(dir string, shards int) error {
-	durable, err := lrec.Open(dir, lrec.WithRegistry(woc.Registry), lrec.WithShards(shards))
+// SaveRecords copies every record into a fresh durable store in dir,
+// compacts it to a snapshot and closes it; Open reopens such a directory.
+// The copy numbers versions anew, in scan order.
+func (woc *WebOfConcepts) SaveRecords(dir string) error {
+	durable, err := lrec.Open(dir, lrec.WithRegistry(woc.Registry))
 	if err != nil {
 		return err
 	}

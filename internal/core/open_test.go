@@ -25,14 +25,14 @@ func openDirPages(t testing.TB, dir string, opts webgraph.DiskOptions) *webgraph
 }
 
 // saveDir persists built into dir the way `wocbuild -out dir` does — its
-// pages already live in dir/pages; its records are saved into dir/records at
-// the given shard count — and closes it.
-func saveDir(t testing.TB, built *WebOfConcepts, dir string, shards int) {
+// pages already live in dir/pages; its records are saved into dir/records —
+// and closes it.
+func saveDir(t testing.TB, built *WebOfConcepts, dir string) {
 	t.Helper()
 	if err := built.Pages.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := built.SaveRecords(filepath.Join(dir, "records"), shards); err != nil {
+	if err := built.SaveRecords(filepath.Join(dir, "records")); err != nil {
 		t.Fatal(err)
 	}
 	if err := built.Close(); err != nil {
@@ -69,7 +69,7 @@ func fingerprintSansVersions(woc *WebOfConcepts) string {
 // indexState is what a comparison of two indexes looks at: size, posting
 // count, the document frequency of every query term and the top-10 ranking
 // digest over the queries.
-func indexState(ix *index.Sharded, queries []string) string {
+func indexState(ix *index.Index, queries []string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d docs / %d postings / ranking %s / df", ix.Len(), ix.Postings(), searchDigest(ix, queries))
 	for _, q := range queries {
@@ -97,55 +97,50 @@ var stateParts = []string{"records", "Assoc", "RevAssoc", "DocIndex", "RecIndex"
 // versions are renumbered by the copy), the same Assoc/RevAssoc, both
 // indexes the same size with the same document frequencies and
 // bit-identical top-10 rankings over the pinned queries — at workers 1 and
-// 8 × shards 1 and 4.
+// 8.
 func TestOpenMatchesWriter(t *testing.T) {
 	w := webgen.NewStreamWorld(webgen.HeavyTailConfig(2000))
-	config := func(workers, shards int) Config {
+	config := func(workers int) Config {
 		reg := lrec.NewRegistry()
 		webgen.RegisterScaleConcepts(reg)
 		cfg := ScaleConfig(reg, w.Cities(), webgen.Cuisines())
-		cfg.Workers, cfg.Shards = workers, shards
+		cfg.Workers = workers
 		return cfg
 	}
-	for _, shards := range []int{1, 4} {
-		dir := t.TempDir()
-		cfg := config(0, shards)
-		cfg.PageStore = openDirPages(t, dir, webgraph.DiskOptions{})
-		writer, _, err := (&Builder{Fetcher: w, Cfg: cfg}).BuildStream(w)
-		if err != nil {
-			t.Fatal(err)
+	dir := t.TempDir()
+	cfg := config(0)
+	cfg.PageStore = openDirPages(t, dir, webgraph.DiskOptions{})
+	writer, _, err := (&Builder{Fetcher: w, Cfg: cfg}).BuildStream(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writer.Reconcile("restaurant", PreferSupport)
+	queries := pinnedQueries(writer, w.Cities())
+	var stamp uint64 // the writer's latest provenance stamp
+	writer.Records.Scan(func(r *lrec.Record) bool {
+		for _, k := range r.Keys() {
+			for _, v := range r.All(k) {
+				stamp = max(stamp, v.Prov.Seq)
+			}
 		}
-		writer.Reconcile("restaurant", PreferSupport)
-		queries := pinnedQueries(writer, w.Cities())
-		var stamp uint64 // the writer's latest provenance stamp
-		writer.Records.Scan(func(r *lrec.Record) bool {
-			for _, k := range r.Keys() {
-				for _, v := range r.All(k) {
-					stamp = max(stamp, v.Prov.Seq)
-				}
+		return true
+	})
+	want := systemState(writer, queries)
+	saveDir(t, writer, dir)
+	for _, workers := range []int{1, 8} {
+		woc := openDir(t, dir, &Builder{Fetcher: w, Cfg: config(workers)})
+		for i, got := range systemState(woc, queries) {
+			if got != want[i] {
+				t.Errorf("workers %d: reopened %s differ from the writer's", workers, stateParts[i])
 			}
-			return true
-		})
-		want := systemState(writer, queries)
-		saveDir(t, writer, dir, shards)
-		for _, workers := range []int{1, 8} {
-			woc := openDir(t, dir, &Builder{Fetcher: w, Cfg: config(workers, 0)})
-			for i, got := range systemState(woc, queries) {
-				if got != want[i] {
-					t.Errorf("workers %d shards %d: reopened %s differ from the writer's", workers, shards, stateParts[i])
-				}
-			}
-			if n := woc.Records.NumShards(); n != max(shards, 1) {
-				t.Errorf("workers %d shards %d: reopened store has %d shards", workers, shards, n)
-			}
-			if clock := woc.Records.AdvanceSeq(0); clock < stamp {
-				t.Errorf("workers %d shards %d: reopened clock %d is behind the stamp %d a record carries", workers, shards, clock, stamp)
-			}
-			if woc.memo != nil || woc.links != nil {
-				t.Errorf("workers %d shards %d: a reopened system must start memo-less", workers, shards)
-			}
-			woc.Close()
 		}
+		if clock := woc.Records.AdvanceSeq(0); clock < stamp {
+			t.Errorf("workers %d: reopened clock %d is behind the stamp %d a record carries", workers, clock, stamp)
+		}
+		if woc.memo != nil || woc.links != nil {
+			t.Errorf("workers %d: a reopened system must start memo-less", workers)
+		}
+		woc.Close()
 	}
 }
 
@@ -176,7 +171,7 @@ func TestOpenMatchesReconciledWriter(t *testing.T) {
 	writer.RecIndex.CompactTombstones()
 	queries := pinnedQueries(writer, w.Cities())
 	want := systemState(writer, queries)
-	saveDir(t, writer, dir, 0)
+	saveDir(t, writer, dir)
 	for i, got := range systemState(openDir(t, dir, &Builder{Fetcher: w, Cfg: config()}), queries) {
 		if got != want[i] {
 			t.Errorf("reopened %s differ from the reconciled writer's", stateParts[i])

@@ -99,7 +99,7 @@ func TestParallelBuildDeterminism(t *testing.T) {
 	for _, q := range probes {
 		for _, pair := range []struct {
 			name string
-			a, b *index.Sharded
+			a, b *index.Index
 		}{
 			{"doc", woc1.DocIndex, woc8.DocIndex},
 			{"rec", woc1.RecIndex, woc8.RecIndex},
@@ -113,7 +113,7 @@ func TestParallelBuildDeterminism(t *testing.T) {
 }
 
 // searchIDs flattens a ranked search into scored ID strings for comparison.
-func searchIDs(ix *index.Sharded, q string, k int) []string {
+func searchIDs(ix *index.Index, q string, k int) []string {
 	var out []string
 	for _, r := range ix.Search(q, k) {
 		out = append(out, fmt.Sprintf("%s@%.9f", r.ID, r.Score))

@@ -13,21 +13,20 @@ import (
 	"conceptweb/internal/webgen"
 )
 
-// buildMatrix runs the standard pipeline at the given worker-pool size and
-// shard count, optionally backing the store durably in dir.
-func buildMatrix(t *testing.T, workers, shards int, dir string) (*WebOfConcepts, *BuildStats) {
+// buildMatrix runs the standard pipeline at the given worker-pool size,
+// optionally backing the store durably in dir.
+func buildMatrix(t *testing.T, workers int, dir string) (*WebOfConcepts, *BuildStats) {
 	t.Helper()
 	w := smallWorld()
 	reg := lrec.NewRegistry()
 	webgen.RegisterConcepts(reg)
 	cfg := StandardConfig(reg, w.Cities(), webgen.Cuisines())
 	cfg.Workers = workers
-	cfg.Shards = shards
 	cfg.StoreDir = dir
 	b := &Builder{Fetcher: w, Cfg: cfg}
 	woc, stats, err := b.Build(w.SeedURLs())
 	if err != nil {
-		t.Fatalf("build (workers=%d shards=%d): %v", workers, shards, err)
+		t.Fatalf("build (workers=%d): %v", workers, err)
 	}
 	return woc, stats
 }
@@ -43,31 +42,27 @@ func fingerprint(woc *WebOfConcepts) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// TestShardWorkerMatrixDeterminism is the PR's determinism bar: the store
-// fingerprint and ranked search results must be byte-identical at every
-// (workers x shards) combination — partitioning is an execution detail, never
-// an output detail. CI runs this under -race, which also exercises the
-// concurrent per-shard writers.
+// TestShardWorkerMatrixDeterminism is the determinism bar: the store
+// fingerprint, associations, ranked search results and composed epoch must
+// be byte-identical at every worker count over the store's one partition —
+// the pool is an execution detail, never an output detail. CI runs this
+// under -race.
 func TestShardWorkerMatrixDeterminism(t *testing.T) {
-	workerCounts := []int{1, 8}
-	shardCounts := []int{1, 4, 16}
 	queries := []string{
 		"mexican cupertino", "pizza menu", "sushi san jose",
 		"best thai", "restaurant review", "gochi",
 	}
 
 	type run struct {
-		workers, shards int
-		woc             *WebOfConcepts
-		stats           *BuildStats
+		workers int
+		woc     *WebOfConcepts
+		stats   *BuildStats
 	}
 	var runs []run
-	for _, wk := range workerCounts {
-		for _, sh := range shardCounts {
-			woc, stats := buildMatrix(t, wk, sh, "")
-			defer woc.Close()
-			runs = append(runs, run{wk, sh, woc, stats})
-		}
+	for _, wk := range []int{1, 8} {
+		woc, stats := buildMatrix(t, wk, "")
+		defer woc.Close()
+		runs = append(runs, run{wk, woc, stats})
 	}
 	base := runs[0]
 	baseFP := fingerprint(base.woc)
@@ -79,12 +74,9 @@ func TestShardWorkerMatrixDeterminism(t *testing.T) {
 	baseEpoch := base.woc.Epoch()
 
 	for _, r := range runs[1:] {
-		tag := fmt.Sprintf("workers=%d shards=%d", r.workers, r.shards)
-		if r.woc.Records.NumShards() != r.shards {
-			t.Errorf("%s: NumShards = %d", tag, r.woc.Records.NumShards())
-		}
+		tag := fmt.Sprintf("workers=%d", r.workers)
 		if got := fingerprint(r.woc); got != baseFP {
-			t.Errorf("%s: store fingerprint diverges from workers=1 shards=1", tag)
+			t.Errorf("%s: store fingerprint diverges from workers=1", tag)
 		}
 		if r.stats.RecordsStored != base.stats.RecordsStored ||
 			r.stats.Candidates != base.stats.Candidates ||
@@ -109,50 +101,46 @@ func TestShardWorkerMatrixDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardWALByteIdentityAcrossWorkers: at a fixed shard count, the durable
-// on-disk artifacts (every shard WAL, snapshot, and the manifest) must be
-// byte-identical no matter how many workers built them — the strongest form
-// of the determinism contract.
+// TestShardWALByteIdentityAcrossWorkers: the store's durable on-disk
+// artifacts (WAL and snapshot) must be byte-identical no matter how many
+// workers built them — the strongest form of the determinism contract.
 func TestShardWALByteIdentityAcrossWorkers(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		dirs := map[int]string{}
-		for _, workers := range []int{1, 8} {
-			dir := t.TempDir()
-			woc, _ := buildMatrix(t, workers, shards, dir)
-			if err := woc.Close(); err != nil {
-				t.Fatalf("close (workers=%d shards=%d): %v", workers, shards, err)
-			}
-			dirs[workers] = dir
+	dirs := map[int]string{}
+	for _, workers := range []int{1, 8} {
+		dir := t.TempDir()
+		woc, _ := buildMatrix(t, workers, dir)
+		if err := woc.Close(); err != nil {
+			t.Fatalf("close (workers=%d): %v", workers, err)
 		}
-		files := func(dir string) []string {
-			ents, err := os.ReadDir(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var names []string
-			for _, e := range ents {
-				names = append(names, e.Name())
-			}
-			sort.Strings(names)
-			return names
+		dirs[workers] = dir
+	}
+	files := func(dir string) []string {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
 		}
-		f1, f8 := files(dirs[1]), files(dirs[8])
-		if !reflect.DeepEqual(f1, f8) {
-			t.Fatalf("shards=%d: directory listings diverge: %v vs %v", shards, f1, f8)
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
 		}
-		for _, name := range f1 {
-			a, err := os.ReadFile(filepath.Join(dirs[1], name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := os.ReadFile(filepath.Join(dirs[8], name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(a) != string(b) {
-				t.Errorf("shards=%d: %s differs between 1 and 8 workers (%d vs %d bytes)",
-					shards, name, len(a), len(b))
-			}
+		sort.Strings(names)
+		return names
+	}
+	f1, f8 := files(dirs[1]), files(dirs[8])
+	if !reflect.DeepEqual(f1, f8) {
+		t.Fatalf("directory listings diverge: %v vs %v", f1, f8)
+	}
+	for _, name := range f1 {
+		a, err := os.ReadFile(filepath.Join(dirs[1], name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(dirs[8], name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(a) != string(b) {
+			t.Errorf("%s differs between 1 and 8 workers (%d vs %d bytes)", name, len(a), len(b))
 		}
 	}
 }

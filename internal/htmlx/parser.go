@@ -77,13 +77,3 @@ func closeImplied(stack *[]*Node, incoming string) {
 	}
 	*stack = s
 }
-
-// ParseFragment parses src and returns the children that would be placed in
-// a <body>, convenient for parsing HTML snippets in tests.
-func ParseFragment(src string) []*Node {
-	doc := Parse(src)
-	if body := doc.FindFirst("body"); body != nil {
-		return body.Children
-	}
-	return doc.Children
-}

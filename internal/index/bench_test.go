@@ -15,10 +15,10 @@ import (
 // made from the world's own restaurants. Aggregator hosts carry about half
 // the pages, so at 2k pages a "cuisine city" or "name city" query touches
 // well over a thousand documents to rank sixty.
-func heavyTailFixture(tb testing.TB, pages, shards int) (*Sharded, []Document, map[string][]string) {
+func heavyTailFixture(tb testing.TB, pages int) (*Index, []Document, map[string][]string) {
 	tb.Helper()
 	w := webgen.NewStreamWorld(webgen.HeavyTailConfig(pages))
-	s := NewSharded(shards)
+	s := New()
 	var docs []Document
 	queries := map[string][]string{}
 	seen := map[string]bool{}
@@ -52,31 +52,29 @@ func heavyTailFixture(tb testing.TB, pages, shards int) (*Sharded, []Document, m
 
 var benchResults []Result
 
-func benchSearch(b *testing.B, search func(s *Sharded, query string, k int) []Result) {
-	for _, shards := range []int{1, 4} {
-		s, _, queries := heavyTailFixture(b, 2000, shards)
-		for _, form := range []string{"instance", "set", "attribute"} {
-			qs := queries[form]
-			b.Run(fmt.Sprintf("shards=%d/%s", shards, form), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					benchResults = search(s, qs[i%len(qs)], 60)
-				}
-			})
-		}
+func benchSearch(b *testing.B, search func(s *Index, query string, k int) []Result) {
+	s, _, queries := heavyTailFixture(b, 2000)
+	for _, form := range []string{"instance", "set", "attribute"} {
+		qs := queries[form]
+		b.Run(form, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchResults = search(s, qs[i%len(qs)], 60)
+			}
+		})
 	}
 }
 
 // BenchmarkIndexSearch is one ranked query at k = 60, the engine's
 // k*4+20 for a ten-result page.
 func BenchmarkIndexSearch(b *testing.B) {
-	benchSearch(b, (*Sharded).Search)
+	benchSearch(b, (*Index).Search)
 }
 
 // BenchmarkIndexSearchReference is the same query through the retained
 // map-and-sort kernel.
 func BenchmarkIndexSearchReference(b *testing.B) {
-	benchSearch(b, (*Sharded).refSearch)
+	benchSearch(b, (*Index).refSearch)
 }
 
 // BenchmarkIndexReAdd replaces one already-indexed document per iteration
@@ -86,7 +84,7 @@ func BenchmarkIndexSearchReference(b *testing.B) {
 // cost must not grow with the index: 20k pages should read like 2k.
 func BenchmarkIndexReAdd(b *testing.B) {
 	for _, pages := range []int{2000, 20000} {
-		s, docs, _ := heavyTailFixture(b, pages, 1)
+		s, docs, _ := heavyTailFixture(b, pages)
 		prepared := make([]PreparedDoc, len(docs))
 		for i, d := range docs {
 			prepared[i] = Prepare(d)
@@ -102,28 +100,25 @@ func BenchmarkIndexReAdd(b *testing.B) {
 
 // BenchmarkIndexBuild fills an empty index with the 2k-page heavy-tail
 // documents the way the build does: Prepare each document, then merge them
-// all with AddPreparedBatch, one writer per shard. Besides the whole, it
-// reports the merge alone (merge-us/doc): the part that holds an index lock
-// and, on one shard, runs on one goroutine.
+// all with AddPrepared. Besides the whole, it reports the merge alone
+// (merge-us/doc): the part that holds the index lock.
 func BenchmarkIndexBuild(b *testing.B) {
-	_, docs, _ := heavyTailFixture(b, 2000, 1)
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			var merge time.Duration
-			for i := 0; i < b.N; i++ {
-				s := NewSharded(shards)
-				prepared := make([]PreparedDoc, len(docs))
-				for j, d := range docs {
-					prepared[j] = Prepare(d)
-				}
-				start := time.Now()
-				s.AddPreparedBatch(prepared, shards)
-				merge += time.Since(start)
-			}
-			n := float64(b.N * len(docs))
-			b.ReportMetric(n/b.Elapsed().Seconds(), "docs/s")
-			b.ReportMetric(float64(merge.Microseconds())/n, "merge-us/doc")
-		})
+	_, docs, _ := heavyTailFixture(b, 2000)
+	b.ReportAllocs()
+	var merge time.Duration
+	for i := 0; i < b.N; i++ {
+		s := New()
+		prepared := make([]PreparedDoc, len(docs))
+		for j, d := range docs {
+			prepared[j] = Prepare(d)
+		}
+		start := time.Now()
+		for _, d := range prepared {
+			s.AddPrepared(d)
+		}
+		merge += time.Since(start)
 	}
+	n := float64(b.N * len(docs))
+	b.ReportMetric(n/b.Elapsed().Seconds(), "docs/s")
+	b.ReportMetric(float64(merge.Microseconds())/n, "merge-us/doc")
 }

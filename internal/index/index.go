@@ -1,5 +1,5 @@
 // Package index implements an in-memory inverted index with BM25F-style
-// ranked retrieval, hash-partitioned into shards.
+// ranked retrieval.
 //
 // The paper's premise (§2.2) is that a web of concepts should remain
 // "amenable to leveraging existing search engine infrastructure" — i.e. an
@@ -69,8 +69,7 @@ type Index struct {
 	ranks atomic.Pointer[[]int32]
 
 	// epoch counts visible mutations (adds and live-doc removals); the
-	// sharded wrapper folds per-shard epochs into one cache-invalidation
-	// signal for the serving layer.
+	// serving layer folds it into one cache-invalidation signal.
 	epoch atomic.Uint64
 }
 
@@ -88,6 +87,11 @@ func New() *Index {
 		fieldNum: make(map[string]int),
 	}
 }
+
+// NewSharded returns New(); its argument is ignored. It remains only because
+// the benchmark module (bench/probes.go) still calls it: once that calls New,
+// delete it.
+func NewSharded(int) *Index { return New() }
 
 // tokenize produces the index token stream: lowercased, stemmed, stopwords
 // retained (they count toward field lengths and match query stopwords, so
@@ -282,7 +286,7 @@ func (ix *Index) Epoch() uint64 {
 }
 
 // Postings returns the total number of posting entries held, a proxy for
-// the index's memory footprint used by the per-shard gauges.
+// the index's memory footprint (the index.postings gauge).
 func (ix *Index) Postings() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -291,6 +295,13 @@ func (ix *Index) Postings() int {
 		n += len(ps)
 	}
 	return n
+}
+
+// Terms returns the number of distinct terms with postings.
+func (ix *Index) Terms() int {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return len(ix.postings)
 }
 
 // Len returns the number of live (non-removed) documents.

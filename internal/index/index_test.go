@@ -16,8 +16,8 @@ func doc(id, title, body string) Document {
 	}}
 }
 
-func buildSmall() *Sharded {
-	ix := NewSharded(1)
+func buildSmall() *Index {
+	ix := New()
 	ix.Add(doc("d1", "Gochi Fusion Tapas", "japanese izakaya in cupertino with small plates and sake"))
 	ix.Add(doc("d2", "Birk's Steakhouse", "american steak house in santa clara near zipcode 95054"))
 	ix.Add(doc("d3", "Pizza My Heart", "pizza by the slice in cupertino and san jose"))
@@ -39,7 +39,7 @@ func TestSearchRanking(t *testing.T) {
 }
 
 func TestTitleBoost(t *testing.T) {
-	ix := NewSharded(1)
+	ix := New()
 	ix.Add(doc("title-hit", "salsa festival", "unrelated text about nothing"))
 	ix.Add(doc("body-hit", "unrelated heading", "salsa appears in the body text here"))
 	res := ix.Search("salsa", 2)
@@ -66,7 +66,7 @@ func TestSearchEmptyAndMissing(t *testing.T) {
 	if res := ix.Search("zzzzqqq", 5); len(res) != 0 {
 		t.Errorf("missing term gave %v", res)
 	}
-	if res := NewSharded(1).Search("anything", 5); res != nil {
+	if res := New().Search("anything", 5); res != nil {
 		t.Errorf("empty index gave %v", res)
 	}
 }
@@ -81,7 +81,7 @@ func TestSearchStems(t *testing.T) {
 }
 
 func TestReAddReplacesDocument(t *testing.T) {
-	ix := NewSharded(1)
+	ix := New()
 	ix.Add(doc("d1", "old title words", "old body"))
 	ix.Add(doc("d1", "new fresh heading", "new body content"))
 	if got := ix.Search("old", 0); len(got) != 0 {
@@ -122,7 +122,7 @@ func TestPostingIs12Bytes(t *testing.T) {
 func TestIDFOrdering(t *testing.T) {
 	// A rarer term must contribute more: query for it should rank the
 	// doc containing it above docs sharing only a common term.
-	ix := NewSharded(1)
+	ix := New()
 	for i := 0; i < 10; i++ {
 		ix.Add(doc(fmt.Sprintf("common%d", i), "filler", "cupertino dining spot"))
 	}
@@ -134,7 +134,7 @@ func TestIDFOrdering(t *testing.T) {
 }
 
 func TestConcurrentReadWrite(t *testing.T) {
-	ix := NewSharded(4)
+	ix := New()
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -166,7 +166,7 @@ func TestSearchNeverPanicsProperty(t *testing.T) {
 }
 
 func TestDeterministicTieBreak(t *testing.T) {
-	ix := NewSharded(1)
+	ix := New()
 	ix.Add(doc("b", "same words here", ""))
 	ix.Add(doc("a", "same words here", ""))
 	res := ix.Search("same words", 2)
@@ -226,12 +226,12 @@ func TestAddPreparedMatchesAdd(t *testing.T) {
 		doc("d3", "Pizza My Heart", "pizza by the slice in cupertino and san jose"),
 		doc("d4", "Cupertino city guide", "restaurants parks and schools of cupertino california"),
 	}
-	seq := NewSharded(1)
+	seq := New()
 	for _, d := range docs {
 		seq.Add(d)
 	}
 
-	par := NewSharded(1)
+	par := New()
 	prepared := make([]PreparedDoc, len(docs))
 	var wg sync.WaitGroup
 	for i := range docs {

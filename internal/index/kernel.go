@@ -8,20 +8,19 @@ import (
 	"sync"
 )
 
-// The BM25F query kernel. The one ranked query path, Sharded.SearchCost,
-// sums the corpus statistics of every shard into a pooled scratch (addStats)
-// and then scores shard after shard in searchLocked, which scores
-// exhaustively and allocates only the shard's result slice: accumulators are
+// The BM25F query kernel. The one ranked query path, SearchCost, takes the
+// index's read lock once for both of its phases: it counts the query's corpus
+// statistics into a pooled scratch and then scores in searchLocked, which
+// scores exhaustively and allocates only the result slice: accumulators are
 // dense per-doc-slot arrays in the scratch, the best k are kept in a bounded
 // heap, and one sort puts them in order. Selection and sort break score ties
 // on each slot's ID rank, an integer (slotRanks), never on the ID strings;
-// the first query after a write also allocates the shard's new rank array.
-// Scores, order and tie-breaks are bit-identical to the map-and-sort kernel
-// it replaced (kept as the test oracle in kernel_ref_test.go); DESIGN.md §12
-// gives the argument.
+// the first query after a write also allocates the new rank array. Scores,
+// order and tie-breaks are bit-identical to the map-and-sort kernel it
+// replaced (kept as the test oracle in kernel_ref_test.go).
 
 // Cost is the work one ranked query did: documents scored and posting
-// entries walked, summed over shards.
+// entries walked.
 type Cost struct {
 	Touched  int
 	Postings int
@@ -35,82 +34,55 @@ type cand struct {
 	doc   int32
 }
 
-// scratch is one query's working memory, handed from shard to shard. The
-// statistics phase fills ndocs, df and totals; between shards hit is all
-// false and touched is empty; everything else is overwritten before it is
-// read.
+// scratch is one query's working memory. Between queries hit is all false
+// and touched is empty; everything else is overwritten before it is read.
 type scratch struct {
-	ndocs   int          // live documents, summed over shards
-	df      []int        // by query token position, summed over shards
-	totals  []fieldTotal // field length totals, summed over shards
-	score   []float64    // by doc slot; meaningful only where hit
-	hit     []bool       // by doc slot
-	touched []int32      // doc slots scored, in first-touch order
-	avgLen  []float64    // by the shard's field number; 0 marks a field with no tokens
+	df      []int     // by query token position
+	score   []float64 // by doc slot; meaningful only where hit
+	hit     []bool    // by doc slot
+	touched []int32   // doc slots scored, in first-touch order
+	avgLen  []float64 // by field number; 0 marks a field with no tokens
 	heap    []cand
-}
-
-// fieldTotal is the token count of one field name across the corpus. A
-// corpus has a handful of field names, so a slice searched by name beats a
-// map.
-type fieldTotal struct {
-	name  string
-	total int
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// getScratch returns a scratch with zeroed statistics for a query of ntoks
-// tokens.
-func getScratch(ntoks int) *scratch {
-	sc := scratchPool.Get().(*scratch)
-	if cap(sc.df) < ntoks {
-		sc.df = make([]int, ntoks)
-	}
-	sc.df = sc.df[:ntoks]
-	clear(sc.df)
-	sc.ndocs, sc.totals = 0, sc.totals[:0]
-	return sc
+// Search runs a BM25F-ranked query; see SearchCost.
+func (ix *Index) Search(query string, k int) []Result {
+	out, _ := ix.SearchCost(query, k)
+	return out
 }
 
-// addStats adds this index's share of the query's corpus statistics to sc.
-// A document lives in exactly one shard, so the sums over shards are the
-// counts one index holding every document would have.
-func (ix *Index) addStats(sc *scratch, toks []string) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	sc.ndocs += len(ix.extIDs) - ix.ndead
-	for i, t := range toks {
-		sc.df[i] += ix.df(t)
-	}
-fields:
-	for _, fs := range ix.fields {
-		for i := range sc.totals {
-			if sc.totals[i].name == fs.name {
-				sc.totals[i].total += fs.totalLen
-				continue fields
-			}
-		}
-		sc.totals = append(sc.totals, fieldTotal{fs.name, fs.totalLen})
-	}
-}
-
-// search scores this index against the statistics summed in sc; nil when it
-// has no doc slots. See searchLocked.
-func (ix *Index) search(sc *scratch, toks []string, k int) ([]Result, Cost) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if len(ix.extIDs) == 0 {
+// SearchCost runs a BM25F-ranked query and returns up to k results (all when
+// k <= 0) in (score desc, ID asc) order, plus the work the query did, for
+// callers that publish it as a metric. The corpus statistics and the scores
+// are read under one read lock, so a write never lands between them. It
+// returns nil when the query has no tokens or the index no live documents.
+func (ix *Index) SearchCost(query string, k int) ([]Result, Cost) {
+	toks := tokenize(query)
+	if len(toks) == 0 {
 		return nil, Cost{}
 	}
-	return ix.searchLocked(sc, toks, k)
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	ndocs := len(ix.extIDs) - ix.ndead
+	if ndocs == 0 {
+		return nil, Cost{}
+	}
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	sc.df = sc.df[:0]
+	for _, t := range toks {
+		sc.df = append(sc.df, ix.df(t))
+	}
+	return ix.searchLocked(sc, toks, ndocs, k)
 }
 
-// searchLocked scores this index's documents against toks and returns the
-// best k (all of them when k <= 0) by (score desc, ID asc). The corpus
-// statistics — sc.ndocs, sc.df, sc.totals — span every shard. It leaves sc
-// ready for the next shard. Caller holds at least an RLock and has checked
-// that sc.ndocs > 0 and the index has doc slots.
+// searchLocked scores the index's documents against toks and returns the
+// best k (all of them when k <= 0) by (score desc, ID asc). sc.df holds each
+// token's document frequency and ndocs the live documents. It leaves sc
+// ready for the next query. Caller holds at least an RLock and has checked
+// that ndocs > 0.
 //
 // The arithmetic relies on one invariant: a document's postings for a term
 // are adjacent in the term's list. AddPrepared appends all of them under one
@@ -119,22 +91,17 @@ func (ix *Index) search(sc *scratch, toks []string, k int) ([]Result, Cost) {
 // So the boosted, length-normalized term frequency of a
 // document is the sum over one run, taken in posting order, and a document's
 // score grows by one addend per query token, in token order.
-func (ix *Index) searchLocked(sc *scratch, toks []string, k int) ([]Result, Cost) {
+func (ix *Index) searchLocked(sc *scratch, toks []string, ndocs, k int) ([]Result, Cost) {
 	if len(sc.hit) < len(ix.extIDs) {
 		sc.score = make([]float64, len(ix.extIDs))
 		sc.hit = make([]bool, len(ix.extIDs))
 	}
-	n := float64(sc.ndocs)
+	n := float64(ndocs)
 	sc.avgLen = sc.avgLen[:0]
 	for _, fs := range ix.fields {
 		avg := 0.0
-		for _, ft := range sc.totals {
-			if ft.name == fs.name {
-				if ft.total != 0 {
-					avg = float64(ft.total) / n
-				}
-				break
-			}
+		if fs.totalLen != 0 {
+			avg = float64(fs.totalLen) / n
 		}
 		sc.avgLen = append(sc.avgLen, avg)
 	}
@@ -263,7 +230,7 @@ func byRank(a, b cand) int {
 
 // topK selects the best k touched documents (all when k <= 0) with a bounded
 // heap whose root is the lowest-ranked one kept, then sorts what it kept into
-// rank order. A shard no query token touched returns before the ranks are
+// rank order. A query that touched nothing returns before the ranks are
 // looked at, so it never rebuilds them.
 func (ix *Index) topK(sc *scratch, k int) []Result {
 	if len(sc.touched) == 0 {

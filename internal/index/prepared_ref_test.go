@@ -152,83 +152,78 @@ func mergeDoc(rng *rand.Rand, id string) Document {
 // TestPreparedMergeMatchesReference drives the same seeded schedule of adds,
 // re-adds, removes and compactions (forced, and automatic past the tombstone
 // threshold) into an index filled by Prepare + AddPrepared and into one filled
-// by the retained token-stream merge, at 1, 4 and 16 shards, and requires
-// every shard to hold the same slots, statistics and posting lists, and
-// ranked retrieval to answer alike.
+// by the retained token-stream merge, and requires both to hold the same
+// slots, statistics and posting lists, and ranked retrieval to answer alike.
 func TestPreparedMergeMatchesReference(t *testing.T) {
-	for _, shards := range []int{1, 4, 16} {
-		for seed := int64(1); seed <= 3; seed++ {
-			rng := rand.New(rand.NewSource(seed*1000 + int64(shards)))
-			got, want := NewSharded(shards), NewSharded(shards)
-			add := func(d Document) {
-				got.AddPrepared(Prepare(d))
-				want.shardFor(d.ID).refAddPrepared(refPrepare(d))
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed*1000 + 1))
+		got, want := New(), New()
+		add := func(d Document) {
+			got.AddPrepared(Prepare(d))
+			want.refAddPrepared(refPrepare(d))
+		}
+		remove := func(id string) {
+			got.Remove(id)
+			want.Remove(id)
+		}
+		check := func(when string) {
+			t.Helper()
+			if err := sameIndex(got, want); err != nil {
+				t.Fatalf("seed=%d %s: %v", seed, when, err)
 			}
-			remove := func(id string) {
-				got.Remove(id)
-				want.Remove(id)
-			}
-			check := func(when string) {
-				t.Helper()
-				for si := range want.shards {
-					if err := sameIndex(got.shards[si], want.shards[si]); err != nil {
-						t.Fatalf("shards=%d seed=%d %s: shard %d: %v", shards, seed, when, si, err)
-					}
-					checkAdjacent(t, got.shards[si], when)
+			checkAdjacent(t, got, when)
+			for i := 0; i < 40; i++ {
+				words := make([]string, 1+rng.Intn(3))
+				for j := range words {
+					words[j] = mergeVocab[rng.Intn(len(mergeVocab))]
 				}
-				for i := 0; i < 40; i++ {
-					words := make([]string, 1+rng.Intn(3))
-					for j := range words {
-						words[j] = mergeVocab[rng.Intn(len(mergeVocab))]
-					}
-					q := strings.Join(words, " ")
-					if err := sameResults(got.Search(q, 10), want.refSearch(q, 10)); err != nil {
-						t.Fatalf("shards=%d seed=%d %s: Search(%q): %v", shards, seed, when, q, err)
-					}
+				q := strings.Join(words, " ")
+				if err := sameResults(got.Search(q, 10), want.refSearch(q, 10)); err != nil {
+					t.Fatalf("seed=%d %s: Search(%q): %v", seed, when, q, err)
 				}
 			}
+		}
 
-			const n = 300
-			id := func(i int) string { return fmt.Sprintf("doc-%03d", i) }
-			check("empty")
-			for i := 0; i < n; i++ {
-				add(mergeDoc(rng, id(i)))
-			}
-			check("after adds")
-			for i := 0; i < 50; i++ {
+		const n = 300
+		id := func(i int) string { return fmt.Sprintf("doc-%03d", i) }
+		check("empty")
+		for i := 0; i < n; i++ {
+			add(mergeDoc(rng, id(i)))
+		}
+		check("after adds")
+		for i := 0; i < 50; i++ {
+			add(mergeDoc(rng, id(rng.Intn(n))))
+		}
+		check("after re-adds")
+		for i := 0; i < 40; i++ {
+			remove(id(rng.Intn(n)))
+		}
+		if got.Tombstones() == 0 {
+			t.Fatal("the schedule left no tombstones")
+		}
+		check("after removes")
+		got.CompactTombstones()
+		want.CompactTombstones()
+		if got.Tombstones() != 0 {
+			t.Fatal("forced compaction left tombstones")
+		}
+		check("after forced compaction")
+		// A long re-add and remove phase: the index crosses the
+		// automatic compaction threshold at least once.
+		compacted := false
+		for i := 0; i < 6*n; i++ {
+			before := got.Tombstones()
+			if rng.Intn(5) == 0 {
+				remove(id(rng.Intn(n)))
+			} else {
 				add(mergeDoc(rng, id(rng.Intn(n))))
 			}
-			check("after re-adds")
-			for i := 0; i < 40; i++ {
-				remove(id(rng.Intn(n)))
-			}
-			if got.Tombstones() == 0 {
-				t.Fatal("the schedule left no tombstones")
-			}
-			check("after removes")
-			got.CompactTombstones()
-			want.CompactTombstones()
-			if got.Tombstones() != 0 {
-				t.Fatal("forced compaction left tombstones")
-			}
-			check("after forced compaction")
-			// A long re-add and remove phase: every shard crosses the
-			// automatic compaction threshold at least once.
-			compacted := false
-			for i := 0; i < 6*n; i++ {
-				before := got.Tombstones()
-				if rng.Intn(5) == 0 {
-					remove(id(rng.Intn(n)))
-				} else {
-					add(mergeDoc(rng, id(rng.Intn(n))))
-				}
-				compacted = compacted || got.Tombstones() < before
-			}
-			if !compacted {
-				t.Fatal("the schedule never compacted on its own")
-			}
-			check("after automatic compaction")
+			compacted = compacted || got.Tombstones() < before
 		}
+		if !compacted {
+			t.Fatal("the schedule never compacted on its own")
+		}
+		check("after automatic compaction")
 	}
 }
 

@@ -1,9 +1,51 @@
 package index
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 )
+
+// corpusDocs builds a deterministic synthetic corpus large enough that BM25
+// statistics differ meaningfully between documents.
+func corpusDocs(n int) []Document {
+	rng := rand.New(rand.NewSource(42))
+	words := []string{
+		"pizza", "sushi", "taco", "ramen", "curry", "cupertino", "jose",
+		"menu", "review", "spicy", "noodle", "grill", "bakery", "vegan",
+		"brunch", "patio", "delivery", "fusion", "izakaya", "tapas",
+	}
+	sentence := func(k int) string {
+		s := ""
+		for i := 0; i < k; i++ {
+			if i > 0 {
+				s += " "
+			}
+			s += words[rng.Intn(len(words))]
+		}
+		return s
+	}
+	docs := make([]Document, n)
+	for i := range docs {
+		docs[i] = Document{
+			ID: fmt.Sprintf("doc-%03d", i),
+			Fields: []Field{
+				{Name: "title", Text: sentence(3 + rng.Intn(3)), Boost: 2},
+				{Name: "body", Text: sentence(15 + rng.Intn(20))},
+			},
+		}
+	}
+	return docs
+}
+
+func buildIndex(docs []Document) *Index {
+	ix := New()
+	for _, d := range docs {
+		ix.Add(d)
+	}
+	return ix
+}
 
 // TestRemoveShrinksStats is the PR 8 regression bar: removal must shrink
 // the BM25 corpus statistics (ndocs, df, field totals) immediately, not
@@ -12,7 +54,7 @@ import (
 func TestRemoveShrinksStats(t *testing.T) {
 	docs := corpusDocs(120)
 	removed := map[string]bool{}
-	full := buildSharded(1, docs)
+	full := buildIndex(docs)
 	for i := 0; i < len(docs); i += 3 {
 		full.Remove(docs[i].ID)
 		removed[docs[i].ID] = true
@@ -23,7 +65,7 @@ func TestRemoveShrinksStats(t *testing.T) {
 			survivors = append(survivors, d)
 		}
 	}
-	fresh := buildSharded(1, survivors)
+	fresh := buildIndex(survivors)
 
 	if full.Len() != len(survivors) || full.Len() != fresh.Len() {
 		t.Fatalf("Len after removals = %d, want %d", full.Len(), len(survivors))
@@ -42,25 +84,6 @@ func TestRemoveShrinksStats(t *testing.T) {
 			t.Errorf("Search(%q) after removals diverges from fresh index:\n churned: %+v\n   fresh: %+v", q, a, b)
 		}
 	}
-
-	// The same must hold sharded: with removals, the stats summed over
-	// shards score like a freshly built sharded index, bit for bit.
-	full4 := buildSharded(4, docs)
-	for id := range removed {
-		full4.Remove(id)
-	}
-	fresh4 := buildSharded(4, survivors)
-	if full4.Len() != fresh4.Len() {
-		t.Fatalf("sharded Len = %d, want %d", full4.Len(), fresh4.Len())
-	}
-	for _, q := range queries {
-		if a, b := full4.Search(q, 0), fresh4.Search(q, 0); !reflect.DeepEqual(a, b) {
-			t.Errorf("sharded Search(%q) after removals diverges from fresh:\n churned: %+v\n   fresh: %+v", q, a, b)
-		}
-		if a, b := full4.Search(q, 0), fresh.Search(q, 0); !reflect.DeepEqual(a, b) {
-			t.Errorf("sharded-churned vs flat-fresh Search(%q) diverges:\n churned: %+v\n   fresh: %+v", q, a, b)
-		}
-	}
 }
 
 // TestTombstoneCompaction: enough removals trigger the automatic sweep
@@ -69,7 +92,7 @@ func TestRemoveShrinksStats(t *testing.T) {
 // working on a compacted index.
 func TestTombstoneCompaction(t *testing.T) {
 	docs := corpusDocs(200)
-	ix := buildSharded(1, docs)
+	ix := buildIndex(docs)
 	before := ix.Postings()
 	// Remove 80 docs one at a time: the 64-tombstone threshold fires
 	// mid-way (64*8 >= 200), reclaiming postings automatically.
@@ -87,7 +110,7 @@ func TestTombstoneCompaction(t *testing.T) {
 		t.Errorf("tombstones after manual compaction = %d", got)
 	}
 
-	fresh := buildSharded(1, docs[80:])
+	fresh := buildIndex(docs[80:])
 	if ix.Postings() != fresh.Postings() || ix.Terms() != fresh.Terms() || ix.Len() != fresh.Len() {
 		t.Errorf("compacted stats diverge from fresh: %d/%d/%d postings/terms/docs vs %d/%d/%d",
 			ix.Postings(), ix.Terms(), ix.Len(), fresh.Postings(), fresh.Terms(), fresh.Len())
@@ -103,7 +126,7 @@ func TestTombstoneCompaction(t *testing.T) {
 	if !ix.Has(docs[0].ID) || ix.Len() != fresh.Len()+1 {
 		t.Fatalf("revival after compaction failed: has=%v len=%d", ix.Has(docs[0].ID), ix.Len())
 	}
-	freshPlus := buildSharded(1, append(append([]Document{}, docs[80:]...), docs[0]))
+	freshPlus := buildIndex(append(append([]Document{}, docs[80:]...), docs[0]))
 	for _, q := range []string{"pizza", "taco delivery menu"} {
 		if a, b := ix.Search(q, 0), freshPlus.Search(q, 0); !reflect.DeepEqual(a, b) {
 			t.Errorf("Search(%q) after revival diverges:\n churned: %+v\n   fresh: %+v", q, a, b)
@@ -116,11 +139,11 @@ func TestTombstoneCompaction(t *testing.T) {
 // every later score).
 func TestRemoveUnknownAndDoubleRemove(t *testing.T) {
 	docs := corpusDocs(10)
-	ix := buildSharded(1, docs)
+	ix := buildIndex(docs)
 	ix.Remove("no-such-doc")
 	ix.Remove(docs[3].ID)
 	ix.Remove(docs[3].ID) // double remove: stats must not shrink twice
-	fresh := buildSharded(1, append(append([]Document{}, docs[:3]...), docs[4:]...))
+	fresh := buildIndex(append(append([]Document{}, docs[:3]...), docs[4:]...))
 	for _, q := range []string{"pizza", "sushi", "menu review"} {
 		if a, b := ix.Search(q, 0), fresh.Search(q, 0); !reflect.DeepEqual(a, b) {
 			t.Errorf("Search(%q) after double remove diverges:\n got: %+v\nwant: %+v", q, a, b)

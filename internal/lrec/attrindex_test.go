@@ -41,13 +41,13 @@ func (r *scriptReader) next() int {
 	return int(c)
 }
 
-// runAttrScript applies script to a durable store of the given shard count,
-// checking the secondary indexes against Scan after every operation.
-func runAttrScript(t *testing.T, shards int, script []byte) {
+// runAttrScript applies script to a durable store, checking the secondary
+// indexes against Scan after every operation.
+func runAttrScript(t *testing.T, script []byte) {
 	t.Helper()
 	dir := t.TempDir()
 	open := func() *Store {
-		s, err := Open(dir, WithShards(shards))
+		s, err := Open(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func runAttrScript(t *testing.T, shards int, script []byte) {
 			s = open()
 		}
 		if err := checkAttrIndex(s); err != nil {
-			t.Fatalf("step %d (%s), %d shards: %v", step, op, shards, err)
+			t.Fatalf("step %d (%s): %v", step, op, err)
 		}
 	}
 }
@@ -123,27 +123,21 @@ func checkAttrIndex(s *Store) error {
 		}
 		return stamps(out)
 	}
-	// Each shard holds exactly the keys its records hold: a key goes with
+	// The index holds exactly the keys the records hold: a key goes with
 	// its last ID.
-	keys := map[*shardEngine]map[string]bool{}
+	keys := map[string]bool{}
 	for _, r := range recs {
-		sh := s.shardFor(r.ID)
-		if keys[sh] == nil {
-			keys[sh] = map[string]bool{}
-		}
 		for k, vals := range r.Attrs {
 			for _, v := range vals {
-				keys[sh][attrKey(r.Concept, k, textproc.Normalize(v.Value))] = true
+				keys[attrKey(r.Concept, k, textproc.Normalize(v.Value))] = true
 			}
 		}
 	}
-	for i, sh := range s.shards {
-		sh.mu.RLock()
-		got := len(sh.byAttr)
-		sh.mu.RUnlock()
-		if got != len(keys[sh]) {
-			return fmt.Errorf("shard %d indexes %d attribute keys, its records hold %d", i, got, len(keys[sh]))
-		}
+	s.mu.RLock()
+	got := len(s.byAttr)
+	s.mu.RUnlock()
+	if got != len(keys) {
+		return fmt.Errorf("the store indexes %d attribute keys, its records hold %d", got, len(keys))
 	}
 	for _, c := range attrConcepts {
 		want := filter(func(r *Record) bool { return r.Concept == c })
@@ -186,31 +180,24 @@ func randomScript(seed int64, n int) []byte {
 }
 
 // TestAttrIndexMatchesScan runs seeded random operation scripts (seeds 1-3
-// and 41) at 1 and 4 shards.
+// and 41). The store is one partition: the subtests keep the name shards=1.
 func TestAttrIndexMatchesScan(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		for _, seed := range []int64{1, 2, 3, 41} {
-			t.Run(fmt.Sprintf("shards=%d/seed=%d", shards, seed), func(t *testing.T) {
-				runAttrScript(t, shards, randomScript(seed, 600))
-			})
-		}
+	for _, seed := range []int64{1, 2, 3, 41} {
+		t.Run(fmt.Sprintf("shards=1/seed=%d", seed), func(t *testing.T) {
+			runAttrScript(t, randomScript(seed, 600))
+		})
 	}
 }
 
-// FuzzAttrIndex decodes arbitrary bytes into the same operation script; the
-// first byte picks 1 or 4 shards.
+// FuzzAttrIndex decodes arbitrary bytes into the same operation script.
 func FuzzAttrIndex(f *testing.F) {
 	for seed := int64(1); seed <= 3; seed++ {
 		f.Add(randomScript(seed, 200))
 	}
 	f.Fuzz(func(t *testing.T, script []byte) {
-		if len(script) == 0 {
-			return
-		}
-		shards := 1 + 3*(int(script[0])&1)
 		if len(script) > 256 {
 			script = script[:256]
 		}
-		runAttrScript(t, shards, script[1:])
+		runAttrScript(t, script)
 	})
 }

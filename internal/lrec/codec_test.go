@@ -25,7 +25,7 @@ func frameBytes(t *testing.T, op byte, r *Record) []byte {
 // errTornTail is readFrameFrom's report that replay found a torn tail.
 var errTornTail = errors.New("torn tail")
 
-// replayBytes replays b as a whole WAL, exactly as Open replays a shard's
+// replayBytes replays b as a whole WAL, exactly as Open replays the store's
 // log (torn tail cut, mid-log corruption refused), and returns every op it
 // decoded plus what the replay found.
 func replayBytes(t *testing.T, b []byte) (ops []byte, recs []*Record, sizes []int64, rec framelog.Recovery, err error) {

@@ -25,7 +25,7 @@ type faultFS struct {
 }
 
 // fileBudget kills writes to one file after limit bytes, independent of the
-// global budget — the shape of a single shard's disk going bad.
+// global budget — the shape of one log file's disk going bad.
 type fileBudget struct {
 	limit   int64
 	written int64

@@ -435,7 +435,8 @@ func TestStoreModelBased(t *testing.T) {
 }
 
 // TestStoreMetrics checks the observability wiring: a durable store with a
-// metrics registry counts puts, gets, deletes, WAL appends, and compactions.
+// metrics registry counts puts, gets, deletes, WAL appends, and compactions,
+// and gauges the bytes in its WAL.
 func TestStoreMetrics(t *testing.T) {
 	m := obs.NewRegistry()
 	s, err := Open(t.TempDir(), WithMetrics(m))
@@ -475,6 +476,17 @@ func TestStoreMetrics(t *testing.T) {
 		if got := snap.Counters[name]; got != n {
 			t.Errorf("%s = %d, want %d", name, got, n)
 		}
+	}
+	// The WAL gauge is back to zero after the compaction and grows with the
+	// next put.
+	if got := snap.Gauges["lrec.wal_bytes"]; got != 0 {
+		t.Errorf("lrec.wal_bytes = %d after compact, want 0", got)
+	}
+	if err := s.Put(testRecord("r9", "N", "C")); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Snapshot().Gauges["lrec.wal_bytes"]; got <= 0 {
+		t.Errorf("lrec.wal_bytes = %d after a put, want > 0", got)
 	}
 
 	// An un-instrumented store keeps working with zero metric overhead.

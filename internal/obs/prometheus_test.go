@@ -20,7 +20,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 	r.Counter("serve.hit.search").Add(42)
 	r.Counter("http.req.search").Add(50)
 	r.Gauge("http.inflight").Set(3)
-	// Per-shard store/index gauges, as published by the partitioned store.
+	// Gauges whose names hold numeric segments.
 	r.Gauge("store.shard.0.wal_bytes").Set(4096)
 	r.Gauge("store.shard.1.wal_bytes").Set(8192)
 	r.Gauge("index.shard.0.postings").Set(1234)

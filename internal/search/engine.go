@@ -185,7 +185,7 @@ var workBuckets = []float64{1, 4, 16, 64, 256, 1024, 4096, 16384, 65536, 262144}
 
 // ranked runs a BM25F query against ix and publishes what it cost: documents
 // scored and postings walked, one observation each per query.
-func (e *Engine) ranked(ix *index.Sharded, query string, k int) []index.Result {
+func (e *Engine) ranked(ix *index.Index, query string, k int) []index.Result {
 	hits, cost := ix.SearchCost(query, k)
 	e.Metrics.HistogramWith("index.search.touched", workBuckets).Observe(float64(cost.Touched))
 	e.Metrics.HistogramWith("index.search.postings", workBuckets).Observe(float64(cost.Postings))

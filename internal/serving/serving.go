@@ -36,10 +36,9 @@ import (
 // substitute fakes to drive epochs and slow computations deterministically.
 type Source interface {
 	// Epoch is the data generation; it must advance whenever a maintenance
-	// pass changes visible state (the cache-invalidation contract). With a
-	// hash-partitioned source it is composed from the per-shard store and
-	// index epochs (a sum of monotonic counters), so a mutation in any one
-	// shard advances the whole generation.
+	// pass changes visible state (the cache-invalidation contract). A
+	// woc.System composes it from the store's and both indexes' epochs (a
+	// sum of monotonic counters), so a mutation anywhere advances it.
 	Epoch() uint64
 	Search(query string, k int) *woc.Page
 	ConceptSearch(query string, k int) []woc.Hit

@@ -3,62 +3,6 @@ package textproc
 // String-similarity measures used by entity matching (§6). All measures
 // return a score in [0, 1] with 1 meaning identical.
 
-// Levenshtein returns the edit distance between a and b (insertions,
-// deletions, substitutions, unit cost), computed over bytes. Inputs are
-// expected to be normalized first.
-func Levenshtein(a, b string) int {
-	if a == b {
-		return 0
-	}
-	if len(a) == 0 {
-		return len(b)
-	}
-	if len(b) == 0 {
-		return len(a)
-	}
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(a); i++ {
-		cur[0] = i
-		for j := 1; j <= len(b); j++ {
-			cost := 1
-			if a[i-1] == b[j-1] {
-				cost = 0
-			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(b)]
-}
-
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
-}
-
-// LevenshteinSim converts edit distance into a [0,1] similarity:
-// 1 - dist/max(len). Empty-vs-empty is 1.
-func LevenshteinSim(a, b string) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	d := Levenshtein(a, b)
-	m := len(a)
-	if len(b) > m {
-		m = len(b)
-	}
-	return 1 - float64(d)/float64(m)
-}
-
 // Jaro returns the Jaro similarity of a and b.
 func Jaro(a, b string) float64 {
 	if a == b {
@@ -150,11 +94,6 @@ func Jaccard(a, b map[string]bool) float64 {
 		return 1
 	}
 	return float64(inter) / float64(union)
-}
-
-// JaccardTokens is Jaccard over the distinct tokens of two strings.
-func JaccardTokens(a, b string) float64 {
-	return Jaccard(TokenSet(Tokenize(a)), TokenSet(Tokenize(b)))
 }
 
 // Dice returns the Sørensen–Dice coefficient 2|A∩B| / (|A|+|B|).

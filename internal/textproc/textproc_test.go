@@ -45,22 +45,6 @@ func TestRemoveStopwords(t *testing.T) {
 	}
 }
 
-func TestNGrams(t *testing.T) {
-	toks := []string{"a", "b", "c", "d"}
-	if got := NGrams(toks, 2); !reflect.DeepEqual(got, []string{"a b", "b c", "c d"}) {
-		t.Errorf("bigrams = %v", got)
-	}
-	if got := NGrams(toks, 5); !reflect.DeepEqual(got, []string{"a b c d"}) {
-		t.Errorf("oversize gram = %v", got)
-	}
-	if got := NGrams(nil, 2); got != nil {
-		t.Errorf("empty = %v", got)
-	}
-	if got := NGrams(toks, 0); got != nil {
-		t.Errorf("n=0 = %v", got)
-	}
-}
-
 func TestCharNGrams(t *testing.T) {
 	grams := CharNGrams("ab", 3)
 	want := []string{"^ab", "ab$"}
@@ -91,52 +75,6 @@ func TestStem(t *testing.T) {
 	}
 }
 
-func TestLevenshtein(t *testing.T) {
-	cases := []struct {
-		a, b string
-		want int
-	}{
-		{"", "", 0},
-		{"abc", "abc", 0},
-		{"abc", "", 3},
-		{"kitten", "sitting", 3},
-		{"gochi", "gouchi", 1},
-	}
-	for _, c := range cases {
-		if got := Levenshtein(c.a, c.b); got != c.want {
-			t.Errorf("Levenshtein(%q,%q) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestLevenshteinProperties(t *testing.T) {
-	// Symmetry and triangle-ish bounds via quick check on short strings.
-	f := func(a, b string) bool {
-		if len(a) > 30 {
-			a = a[:30]
-		}
-		if len(b) > 30 {
-			b = b[:30]
-		}
-		d1, d2 := Levenshtein(a, b), Levenshtein(b, a)
-		if d1 != d2 {
-			return false
-		}
-		diff := len(a) - len(b)
-		if diff < 0 {
-			diff = -diff
-		}
-		maxLen := len(a)
-		if len(b) > maxLen {
-			maxLen = len(b)
-		}
-		return d1 >= diff && d1 <= maxLen
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestJaroWinkler(t *testing.T) {
 	if got := JaroWinkler("martha", "marhta"); math.Abs(got-0.9611) > 0.001 {
 		t.Errorf("JW(martha,marhta) = %f", got)
@@ -162,8 +100,7 @@ func TestSimilarityRange(t *testing.T) {
 			b = b[:40]
 		}
 		for _, s := range []float64{
-			LevenshteinSim(a, b), Jaro(a, b), JaroWinkler(a, b),
-			JaccardTokens(a, b), TrigramSim(a, b),
+			Jaro(a, b), JaroWinkler(a, b), TrigramSim(a, b),
 		} {
 			if s < 0 || s > 1.0000001 || math.IsNaN(s) {
 				return false

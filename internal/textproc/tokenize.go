@@ -1,6 +1,7 @@
 // Package textproc provides the text-processing substrate for the web of
-// concepts: tokenization, normalization, n-grams, string-similarity measures
-// (Levenshtein, Jaro–Winkler, Jaccard, cosine), and TF-IDF vectorization.
+// concepts: tokenization, normalization, character n-grams, string-similarity
+// measures (Jaro–Winkler, Jaccard, Dice, trigram, cosine), and TF-IDF
+// vectorization.
 //
 // Entity matching (§6 of the paper) is built on attribute-similarity scores,
 // and both the inverted index and the review→record language model consume
@@ -228,25 +229,6 @@ func NormalizeKey(s string) string {
 // owns those rules (e.g. intra-word apostrophes).
 func NormalizeQuery(s string) string {
 	return strings.ToLower(strings.Join(strings.Fields(s), " "))
-}
-
-// NGrams returns the n-grams of the token slice. If fewer than n tokens
-// exist, it returns a single gram joining all of them.
-func NGrams(toks []string, n int) []string {
-	if n <= 0 {
-		return nil
-	}
-	if len(toks) == 0 {
-		return nil
-	}
-	if len(toks) < n {
-		return []string{strings.Join(toks, " ")}
-	}
-	out := make([]string, 0, len(toks)-n+1)
-	for i := 0; i+n <= len(toks); i++ {
-		out = append(out, strings.Join(toks[i:i+n], " "))
-	}
-	return out
 }
 
 // CharNGrams returns the character n-grams of s (after key normalization),

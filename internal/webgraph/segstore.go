@@ -29,7 +29,7 @@ import (
 // HTML stays on disk. Frames are written unbuffered (so preads see every
 // append) and fsynced on segment roll, Flush and Close. Reopen cuts a torn
 // tail off the last segment; rolled segments are sealed. A write failure
-// latches the store read-only, like lrec's per-shard degraded latch.
+// latches the store read-only, like lrec's degraded latch.
 
 // ErrCorrupt reports segment damage that is not a torn tail of the last
 // segment.

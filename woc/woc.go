@@ -218,7 +218,7 @@ type Built struct {
 // the manifest last, atomically, so a directory holding one is a finished
 // build that Open reopens. dir must be absent or empty; without it the
 // pages go to a temporary directory and nothing is saved. tune, when
-// non-nil, adjusts the configuration first (workers, shards, progress). The
+// non-nil, adjusts the configuration first (workers, progress). The
 // records are saved before enrichment, which Open adds.
 func BuildDir(dir string, m Manifest, tune func(*core.Config)) (*Built, error) {
 	w, err := m.World()
@@ -248,7 +248,7 @@ func BuildDir(dir string, m Manifest, tune func(*core.Config)) (*Built, error) {
 	}
 	err = built.Pages.Flush()
 	if err == nil {
-		err = built.SaveRecords(filepath.Join(dir, "records"), cfg.Shards)
+		err = built.SaveRecords(filepath.Join(dir, "records"))
 	}
 	if err == nil {
 		err = framelog.WriteFile(framelog.OS{}, filepath.Join(dir, manifestName), func(f io.Writer) error {
@@ -266,8 +266,7 @@ func BuildDir(dir string, m Manifest, tune func(*core.Config)) (*Built, error) {
 // associations derived from the records, both inverted indexes refilled —
 // what the build served, with nothing extracted, resolved or linked again
 // (see core.Builder.Open) — finished like every System, its menus written
-// through on the first Open. The shard count is the directory's. Refresh
-// fetches from the world the manifest names and writes through to the
+// through on the first Open. Refresh fetches from the world the manifest names and writes through to the
 // directory. Close the System when done.
 func Open(dir string) (*System, error) {
 	var m Manifest
@@ -347,25 +346,10 @@ type StoreHealth struct {
 	// unacknowledged (never-synced) bytes are ever dropped.
 	TornTailRepaired bool
 	TruncatedBytes   int64
-	// SnapshotRecords and LogFrames describe the recovery replay; for a
-	// sharded store they aggregate across shards.
+	// SnapshotRecords and LogFrames describe the concept store's recovery
+	// replay.
 	SnapshotRecords int
 	LogFrames       int
-	// Shards holds the per-partition breakdown when the store has more than
-	// one shard: a write failure latches only its shard, so the store can be
-	// partially degraded — some partitions read-only, the rest serving
-	// writes. Empty for single-shard stores.
-	Shards []ShardHealth
-}
-
-// ShardHealth is one store partition's durability state.
-type ShardHealth struct {
-	Shard            int
-	Records          int
-	Degraded         string // empty while the shard accepts writes
-	TornTailRepaired bool
-	TruncatedBytes   int64
-	WALBytes         int64
 }
 
 // StoreHealth returns the current durability state of both stores.
@@ -381,18 +365,6 @@ func (s *System) StoreHealth() StoreHealth {
 	}
 	if err := errors.Join(s.woc.Records.Degraded(), s.woc.Pages.Err()); err != nil {
 		h.Degraded = err.Error()
-	}
-	if s.woc.Records.NumShards() > 1 {
-		for _, st := range s.woc.Records.ShardStates() {
-			h.Shards = append(h.Shards, ShardHealth{
-				Shard:            st.Shard,
-				Records:          st.Records,
-				Degraded:         st.Degraded,
-				TornTailRepaired: st.Recovery.TornTail,
-				TruncatedBytes:   st.Recovery.TruncatedBytes,
-				WALBytes:         st.WALBytes,
-			})
-		}
 	}
 	return h
 }

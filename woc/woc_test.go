@@ -448,6 +448,39 @@ func TestStoreHealthCoversPageStore(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesShardedDirectory: a system directory whose records/ the
+// hash-sharded store of earlier builds wrote (lrec.manifest beside
+// lrec-NN.wal) does not open as an empty system: Open returns the store's
+// rebuild error.
+func TestOpenRefusesShardedDirectory(t *testing.T) {
+	dir := t.TempDir()
+	records := filepath.Join(dir, "records")
+	files := map[string]string{
+		manifestName: `{"profile":"default","seed":1,"size":50,"cities":["Cupertino"],"cuisines":["thai"]}`,
+		filepath.Join("records", "lrec.manifest"): "lrec manifest v1\nshards 4\n",
+		filepath.Join("records", "lrec-00.wal"):   "",
+	}
+	if err := os.MkdirAll(records, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys, err := Open(dir)
+	if err == nil {
+		sys.Close()
+		t.Fatal("a directory with a sharded store opened")
+	}
+	if msg := err.Error(); !strings.Contains(msg, records) || !strings.Contains(msg, "wocbuild -out") {
+		t.Errorf("error %q does not name the store directory and the rebuild", msg)
+	}
+	if _, err := os.Stat(filepath.Join(records, "lrec.log")); !os.IsNotExist(err) {
+		t.Errorf("the refused Open created an empty store (stat err = %v)", err)
+	}
+}
+
 // menuWorld is the 50-restaurant default world the menu tests edit.
 func menuWorld() *webgen.World {
 	wc := webgen.DefaultConfig()
