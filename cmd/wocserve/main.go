@@ -17,7 +17,7 @@
 //	GET /debug/slowlog           per-endpoint top-K slowest traces
 //	GET /debug/trace?id=...      one recent trace by X-Woc-Trace ID
 //	GET /debug/maintain          maintenance-loop status (passes, sweeps,
-//	                             cumulative refresh totals)
+//	                             the last pass's RefreshStats)
 //	GET /debug/pprof/...         CPU/heap/goroutine profiling (with -pprof)
 //
 // Every request is traced: the response carries X-Woc-Trace (the trace ID,
@@ -45,7 +45,8 @@
 // the -refresh-batch least-recently-checked pages from the world DIR's
 // manifest names and folds content changes, disappearances, and
 // resurrections into the live system (and DIR) while reads keep flowing.
-// Watch it at /debug/maintain and in the maintain.* metrics.
+// Watch it at /debug/maintain, whose LastStats is the last pass's counts,
+// and in /metrics, whose refresh.* counters are their running totals.
 package main
 
 import (
@@ -105,7 +106,8 @@ func main() {
 		log.Fatalf("open: %v", err)
 	}
 	defer sys.Close()
-	log.Printf("opened %s: %+v", *data, sys.Stats())
+	st := sys.Stats()
+	log.Printf("opened %s: %d pages, %d records", *data, st.PagesFetched, st.RecordsStored)
 	if sh := sys.StoreHealth(); sh.TornTailRepaired {
 		log.Printf("store recovery: truncated %d-byte torn log tail (previous process crashed mid-append)", sh.TruncatedBytes)
 	}
@@ -175,7 +177,7 @@ func main() {
 		// Let any in-flight maintenance pass commit before the store closes.
 		loop.Stop()
 		st := loop.Status()
-		log.Printf("maintenance loop: %d passes, %d full sweeps, totals %+v", st.Passes, st.Sweeps, st.Totals)
+		log.Printf("maintenance loop: %d passes, %d full sweeps (totals: refresh.* in the final metrics)", st.Passes, st.Sweeps)
 	}
 	snap, _ := json.Marshal(sys.Metrics().Snapshot())
 	log.Printf("uptime %s, final metrics: %s", time.Since(start).Round(time.Millisecond), snap)

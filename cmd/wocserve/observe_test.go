@@ -236,16 +236,16 @@ func TestDebugMaintainEndpoint(t *testing.T) {
 		Enabled bool   `json:"enabled"`
 		Epoch   uint64 `json:"epoch"`
 		Status  struct {
-			Passes uint64 `json:"Passes"`
-			Totals struct {
+			Passes    uint64 `json:"Passes"`
+			LastStats struct {
 				PagesChecked int `json:"PagesChecked"`
-			} `json:"Totals"`
+			} `json:"LastStats"`
 		} `json:"status"`
 	}
 	if code := getJSON(t, srv2, "/debug/maintain", &on); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
-	if !on.Enabled || on.Status.Passes != 1 || on.Status.Totals.PagesChecked != 4 {
+	if !on.Enabled || on.Status.Passes != 1 || on.Status.LastStats.PagesChecked != 4 {
 		t.Fatalf("unexpected maintain status: %+v", on)
 	}
 }

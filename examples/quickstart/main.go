@@ -26,7 +26,9 @@ func main() {
 		log.Fatal(err)
 	}
 	defer sys.Close() // removes the system's temporary page store
-	fmt.Printf("built: %+v\n\n", sys.Stats())
+	st := sys.Stats()
+	fmt.Printf("built: %d pages, %d candidates, %d records, %d pages linked\n\n",
+		st.PagesFetched, st.Candidates, st.RecordsStored, st.PagesLinked)
 
 	// 3. Search for a specific restaurant the way the paper's §5.1 example
 	// searches for "gochi cupertino".

@@ -262,13 +262,6 @@ func (b *Builder) build(memo *extractMemo, first string, fill func(*WebOfConcept
 	stats.Trace = root.Report()
 	stats.Epoch = woc.BumpEpoch()
 	stats.PageParses += int(woc.Pages.Stats().Parses - parsed)
-	m := b.Cfg.Metrics
-	m.Counter("build.runs").Inc()
-	m.Counter("build.pages.fetched").Add(int64(stats.PagesFetched))
-	m.Counter("build.pages.parsed").Add(int64(stats.PageParses))
-	m.Counter("build.candidates").Add(int64(stats.Candidates))
-	m.Counter("build.records.stored").Add(int64(stats.RecordsStored))
-	m.Counter("build.pages.linked").Add(int64(stats.PagesLinked))
 	return woc, stats, nil
 }
 

@@ -98,6 +98,8 @@ func (b *Builder) Refresh(woc *WebOfConcepts, urls []string) (*RefreshStats, err
 		m.Counter("refresh.pages.unchanged").Add(int64(stats.PagesUnchanged))
 		m.Counter("refresh.pages.changed").Add(int64(stats.PagesChanged))
 		m.Counter("refresh.pages.gone").Add(int64(stats.PagesGone))
+		m.Counter("refresh.records.updated").Add(int64(stats.RecordsUpdated))
+		m.Counter("refresh.records.created").Add(int64(stats.RecordsCreated))
 		m.Counter("refresh.records.superseded").Add(int64(stats.RecordsSuperseded))
 		m.Counter("refresh.records.deleted").Add(int64(stats.RecordsDeleted))
 		m.Counter("refresh.pages.relinked").Add(int64(stats.PagesRelinked))

@@ -40,9 +40,6 @@ type Store struct {
 	// it, sorted and without duplicates. Most values are held by one record,
 	// so a slice costs a fraction of a per-key set.
 	byAttr map[string][]string
-	// history holds superseded versions, newest last, maxVersions per
-	// record.
-	history map[string][]*Record
 
 	// seq is the logical clock: every mutation takes the next value as its
 	// version, and NextSeq/AdvanceSeq hand values out for provenance stamps.
@@ -115,7 +112,6 @@ func newStore(opts []StoreOption) *Store {
 		recs:      make(map[string]*Record),
 		byConcept: make(map[string]map[string]bool),
 		byAttr:    make(map[string][]string),
-		history:   make(map[string][]*Record),
 	}
 	for _, o := range opts {
 		o(s)
@@ -358,21 +354,9 @@ func (s *Store) putLocked(cp *Record) error {
 func (s *Store) applyPut(cp *Record) {
 	if old, ok := s.recs[cp.ID]; ok {
 		s.unindex(old)
-		s.pushHistory(old)
 	}
 	s.recs[cp.ID] = cp
 	s.indexRec(cp)
-}
-
-// maxVersions is how many superseded versions a record keeps.
-const maxVersions = 4
-
-func (s *Store) pushHistory(old *Record) {
-	h := append(s.history[old.ID], old)
-	if len(h) > maxVersions {
-		h = h[len(h)-maxVersions:]
-	}
-	s.history[old.ID] = h
 }
 
 // Delete removes the record (a tombstone is logged so replay converges).
@@ -407,7 +391,6 @@ func (s *Store) applyDelete(id string) {
 		return
 	}
 	s.unindex(old)
-	s.pushHistory(old)
 	delete(s.recs, id)
 }
 
@@ -581,19 +564,6 @@ func (s *Store) Scan(fn func(*Record) bool) {
 			return
 		}
 	}
-}
-
-// Versions returns copies of superseded versions of id, oldest first.
-// The live version is not included.
-func (s *Store) Versions(id string) []*Record {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	h := s.history[id]
-	out := make([]*Record, len(h))
-	for i, r := range h {
-		out[i] = r.Clone()
-	}
-	return out
 }
 
 // Concepts returns the concept names with at least one live record, sorted.

@@ -144,29 +144,6 @@ func TestStoreScan(t *testing.T) {
 	}
 }
 
-func TestStoreVersions(t *testing.T) {
-	s := NewMemStore()
-	for i := 0; i < maxVersions+2; i++ {
-		s.Put(testRecord("r1", fmt.Sprintf("Name v%d", i), "C"))
-	}
-	hist := s.Versions("r1")
-	if len(hist) != maxVersions {
-		t.Fatalf("history len = %d, want %d (capped)", len(hist), maxVersions)
-	}
-	if hist[0].Get("name") != "Name v1" || hist[maxVersions-1].Get("name") != fmt.Sprintf("Name v%d", maxVersions) {
-		t.Errorf("history = %v … %v", hist[0], hist[maxVersions-1])
-	}
-	cur, _ := s.Get("r1")
-	if cur.Get("name") != fmt.Sprintf("Name v%d", maxVersions+1) {
-		t.Errorf("live = %v", cur)
-	}
-	for i, h := range append(hist, cur)[1:] {
-		if h.Version <= hist[i].Version {
-			t.Errorf("version %d after %d: not increasing", h.Version, hist[i].Version)
-		}
-	}
-}
-
 func TestStoreSeqMonotonic(t *testing.T) {
 	s := NewMemStore()
 	a := s.NextSeq()
@@ -177,6 +154,16 @@ func TestStoreSeqMonotonic(t *testing.T) {
 	s.Put(testRecord("r", "N", "C"))
 	if c := s.NextSeq(); c <= b {
 		t.Errorf("seq went backwards after put: %d", c)
+	}
+	// A re-Put of the same ID gets a strictly larger Version each time.
+	prev, _ := s.Get("r")
+	for i := 0; i < 3; i++ {
+		s.Put(testRecord("r", fmt.Sprintf("N v%d", i), "C"))
+		cur, _ := s.Get("r")
+		if cur.Version <= prev.Version {
+			t.Errorf("re-put version %d after %d: not increasing", cur.Version, prev.Version)
+		}
+		prev = cur
 	}
 }
 

@@ -64,25 +64,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Totals accumulates refresh counters across all passes of a Loop.
-type Totals struct {
-	PagesChecked      int
-	PagesUnchanged    int
-	PagesChanged      int
-	PagesGone         int
-	PagesRelinked     int
-	RecordsUpdated    int
-	RecordsCreated    int
-	RecordsSuperseded int
-	RecordsDeleted    int
-	RecordsReconciled int
-	UpsertCompared    int
-	UpsertPruned      int
-	PagesAnalyzed     int
-	PagesReplayed     int
-	HostsReinduced    int
-}
-
 // Status is a point-in-time snapshot of the loop, safe to read while a pass
 // is in flight (the pass's results land after it commits).
 type Status struct {
@@ -103,7 +84,6 @@ type Status struct {
 	LastPassAt   time.Time
 	LastErr      string
 	LastStats    woc.RefreshStats
-	Totals       Totals
 }
 
 // Loop schedules refresh cohorts oldest-first over the corpus. Create with
@@ -213,7 +193,6 @@ func (l *Loop) RunPass() (woc.RefreshStats, error) {
 	}
 	l.status.LastErr = ""
 	l.status.LastStats = st
-	l.accumulate(st)
 
 	// Reconcile scheduling state with the store: a cohort URL that is no
 	// longer stored went (or stayed) gone — it keeps a decremented probe
@@ -260,15 +239,6 @@ func (l *Loop) RunPass() (woc.RefreshStats, error) {
 	}
 
 	m.Counter("maintain.passes").Inc()
-	m.Counter("maintain.pages.checked").Add(int64(st.PagesChecked))
-	m.Counter("maintain.pages.unchanged").Add(int64(st.PagesUnchanged))
-	m.Counter("maintain.pages.changed").Add(int64(st.PagesChanged))
-	m.Counter("maintain.pages.gone").Add(int64(st.PagesGone))
-	m.Counter("maintain.pages.relinked").Add(int64(st.PagesRelinked))
-	m.Counter("maintain.records.updated").Add(int64(st.RecordsUpdated))
-	m.Counter("maintain.records.created").Add(int64(st.RecordsCreated))
-	m.Counter("maintain.records.superseded").Add(int64(st.RecordsSuperseded))
-	m.Counter("maintain.records.deleted").Add(int64(st.RecordsDeleted))
 	l.mu.Unlock()
 
 	// A pass that wrote records may have left a concept over its multiplicity
@@ -285,7 +255,6 @@ func (l *Loop) RunPass() (woc.RefreshStats, error) {
 		l.mu.Lock()
 		l.status.Reconciles++
 		l.status.LastReconciled = trimmed
-		l.status.Totals.RecordsReconciled += trimmed
 		l.mu.Unlock()
 	}
 	return st, nil
@@ -335,23 +304,4 @@ func (l *Loop) pickCohort() ([]string, uint64) {
 		cand = cand[:l.opts.Batch]
 	}
 	return cand, l.status.Passes + 1
-}
-
-// accumulate folds one pass's stats into the running totals.
-func (l *Loop) accumulate(st woc.RefreshStats) {
-	t := &l.status.Totals
-	t.PagesChecked += st.PagesChecked
-	t.PagesUnchanged += st.PagesUnchanged
-	t.PagesChanged += st.PagesChanged
-	t.PagesGone += st.PagesGone
-	t.PagesRelinked += st.PagesRelinked
-	t.RecordsUpdated += st.RecordsUpdated
-	t.RecordsCreated += st.RecordsCreated
-	t.RecordsSuperseded += st.RecordsSuperseded
-	t.RecordsDeleted += st.RecordsDeleted
-	t.UpsertCompared += st.UpsertCompared
-	t.UpsertPruned += st.UpsertPruned
-	t.PagesAnalyzed += st.PagesAnalyzed
-	t.PagesReplayed += st.PagesReplayed
-	t.HostsReinduced += st.HostsReinduced
 }

@@ -168,15 +168,16 @@ var (
 	heavyEng  *Engine
 )
 
-// heavyTailEngine builds a 2k-page heavy-tail world: aggregator hosts carry
-// about half the pages, so set queries touch most of the record index.
+// heavyTailEngine builds a 2k-page heavy-tail world with the heavytail
+// profile's concepts and configuration (woc.Manifest.World): aggregator hosts
+// carry about half the pages, so set queries touch most of the record index.
 func heavyTailEngine(t *testing.T) *Engine {
 	t.Helper()
 	onceHeavy.Do(func() {
 		w := webgen.NewStreamWorld(webgen.HeavyTailConfig(2000))
 		reg := lrec.NewRegistry()
-		webgen.RegisterConcepts(reg)
-		b := &core.Builder{Cfg: core.StandardConfig(reg, w.Cities(), webgen.Cuisines())}
+		webgen.RegisterScaleConcepts(reg)
+		b := &core.Builder{Cfg: core.ScaleConfig(reg, w.Cities(), webgen.Cuisines())}
 		woc, _, err := b.BuildStream(w)
 		if err != nil {
 			panic(err)

@@ -27,8 +27,8 @@ type Cache struct {
 	// now is swappable so TTL expiry is testable without sleeping.
 	now func() time.Time
 
-	hits, misses, evictions, expirations *obs.Counter
-	size                                 *obs.Gauge
+	evictions, expirations *obs.Counter
+	size                   *obs.Gauge
 }
 
 type cacheShard struct {
@@ -54,8 +54,6 @@ func NewCache(capacity int, ttl time.Duration, reg *obs.Registry) *Cache {
 		perShard:    (capacity + cacheShards - 1) / cacheShards,
 		ttl:         ttl,
 		now:         time.Now,
-		hits:        reg.Counter("serve.cache.hits"),
-		misses:      reg.Counter("serve.cache.misses"),
 		evictions:   reg.Counter("serve.cache.evictions"),
 		expirations: reg.Counter("serve.cache.expirations"),
 		size:        reg.Gauge("serve.cache.size"),
@@ -89,7 +87,6 @@ func (c *Cache) Get(key string) (any, bool) {
 	defer s.mu.Unlock()
 	el, ok := s.items[key]
 	if !ok {
-		c.misses.Inc()
 		return nil, false
 	}
 	e := el.Value.(*cacheEntry)
@@ -98,11 +95,9 @@ func (c *Cache) Get(key string) (any, bool) {
 		delete(s.items, key)
 		c.size.Add(-1)
 		c.expirations.Inc()
-		c.misses.Inc()
 		return nil, false
 	}
 	s.lru.MoveToFront(el)
-	c.hits.Inc()
 	return e.val, true
 }
 

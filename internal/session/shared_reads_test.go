@@ -72,14 +72,15 @@ func alternativesWholeConcept(rc *Recommender, recordID string, k int) ([]Recomm
 	return out, nil
 }
 
-// heavyTailWoc builds a 2k-page heavy-tail world, where a city or cuisine
-// holds hundreds of restaurants.
+// heavyTailWoc builds a 2k-page heavy-tail world with the heavytail
+// profile's concepts and configuration (woc.Manifest.World), where a city or
+// cuisine holds hundreds of restaurants.
 func heavyTailWoc(t testing.TB) (*core.WebOfConcepts, *search.Parser) {
 	t.Helper()
 	w := webgen.NewStreamWorld(webgen.HeavyTailConfig(2000))
 	reg := lrec.NewRegistry()
-	webgen.RegisterConcepts(reg)
-	b := &core.Builder{Cfg: core.StandardConfig(reg, w.Cities(), webgen.Cuisines())}
+	webgen.RegisterScaleConcepts(reg)
+	b := &core.Builder{Cfg: core.ScaleConfig(reg, w.Cities(), webgen.Cuisines())}
 	woc, _, err := b.BuildStream(w)
 	if err != nil {
 		t.Fatal(err)

@@ -312,23 +312,12 @@ func (s *System) Metrics() *obs.Registry { return s.metrics }
 // (crawl/extract/resolve/link/index); render it with Table().
 func (s *System) BuildTrace() *obs.TraceReport { return s.stats.Trace }
 
-// Stats summarizes what the build did.
-type Stats struct {
-	PagesFetched  int
-	Candidates    int
-	RecordsStored int
-	PagesLinked   int
-}
+// Stats summarizes what the build (or, for a System from Open, the reopen)
+// did: the builder's own run counts.
+type Stats = core.BuildStats
 
 // Stats returns the build statistics.
-func (s *System) Stats() Stats {
-	return Stats{
-		PagesFetched:  s.stats.PagesFetched,
-		Candidates:    s.stats.Candidates,
-		RecordsStored: s.stats.RecordsStored,
-		PagesLinked:   s.stats.PagesLinked,
-	}
-}
+func (s *System) Stats() Stats { return *s.stats }
 
 // StoreHealth reports the durability state of the concept store and the
 // page store: whether the last open had to repair a torn log tail (the
@@ -586,41 +575,10 @@ func (s *System) Lineage(id string) ([]string, error) {
 	return lines, nil
 }
 
-// RefreshStats reports an incremental maintenance pass.
-type RefreshStats struct {
-	PagesChecked   int
-	PagesUnchanged int
-	PagesChanged   int
-	// PagesGone counts URLs whose fetch failed: the page left the corpus
-	// and its lineage was retired (it may resurrect on a later pass).
-	PagesGone      int
-	RecordsUpdated int
-	RecordsCreated int
-	// RecordsSuperseded counts records retired and rebuilt from their
-	// re-extracted hosts; RecordsDeleted counts records the new corpus no
-	// longer supports.
-	RecordsSuperseded int
-	RecordsDeleted    int
-	// PagesRelinked counts free-text pages whose concept link changed in
-	// the pass's relink stage.
-	PagesRelinked int
-	// UpsertCompared and UpsertPruned count the (rebuilt, stored) record
-	// pairs entity matching scored exactly and the pairs its upper bound
-	// skipped while looking for merge targets.
-	UpsertCompared int
-	UpsertPruned   int
-	// PagesAnalyzed and PagesReplayed split the pages of the re-extracted
-	// hosts into those the pass read and analysed and those it answered
-	// from the extraction memo. HostsReinduced counts re-extracted hosts
-	// whose trusted template signatures changed, so that the whole site
-	// went through the propagate and detail passes again: wrapper drift.
-	PagesAnalyzed  int
-	PagesReplayed  int
-	HostsReinduced int
-	// Epoch is the data generation after the pass; it advanced only if the
-	// pass changed visible state.
-	Epoch uint64
-}
+// RefreshStats reports an incremental maintenance pass: the builder's own
+// per-pass counts, whose running totals are the registry's refresh.*
+// counters.
+type RefreshStats = core.RefreshStats
 
 // Refresh re-fetches the given URLs, skipping extraction on unmodified pages
 // and folding changes into existing records. It holds the maintenance lock:
@@ -637,16 +595,7 @@ func (s *System) Refresh(urls []string) (RefreshStats, error) {
 		// A rebuilt restaurant record comes back without its menu.
 		s.builder.EnrichMenus(s.woc)
 	}
-	return RefreshStats{
-		PagesChecked: st.PagesChecked, PagesUnchanged: st.PagesUnchanged,
-		PagesChanged: st.PagesChanged, PagesGone: st.PagesGone,
-		RecordsUpdated: st.RecordsUpdated, RecordsCreated: st.RecordsCreated,
-		RecordsSuperseded: st.RecordsSuperseded, RecordsDeleted: st.RecordsDeleted,
-		UpsertCompared: st.UpsertCompared, UpsertPruned: st.UpsertPruned,
-		PagesAnalyzed: st.PagesAnalyzed, PagesReplayed: st.PagesReplayed,
-		HostsReinduced: st.HostsReinduced,
-		PagesRelinked:  st.PagesRelinked, Epoch: st.Epoch,
-	}, nil
+	return *st, nil
 }
 
 // PageURLs returns every URL currently in the page store, sorted. The
