@@ -88,14 +88,19 @@ querytest:
 # windows) with the streamed build's one-parse-per-page count, the
 # relink stage's link-feature memo against a re-parse of every page it
 # scores (scripted and seeded random churn, and a stale entry), enrichment's
-# homepage-hosts-only reads, and the page store's read path: every Get a
+# homepage-hosts-only reads, the page store's read path: every Get a
 # parse, PutRaw none, and NewPage's fuzz seeds (two parses of the same bytes
-# agree). -count=1 defeats test caching.
+# agree), and the text kernels and pre-test under every page: the one-pass
+# tokenizer and Normalize against the retained rune-by-rune tokenizer and
+# Join-based Normalize, Node.Text's one-pass whitespace collapse against
+# strings.Fields, and the propagate pass with its pre-test against the pass
+# without it (seeded random input and each fuzz target's seeds).
+# -count=1 defeats test caching.
 maintaintest:
 	$(GO) test -race -count=1 -v ./internal/maintain/
 	$(GO) test -race -count=1 -v \
-		-run 'TestDeltaRefreshConvergesToRebuild|TestRefresh|TestRemove|TestStoreDelete|TestSiteMemo|TestSitePages|TestBuildStreamKeepsNoMemo|TestWindowScheduler|TestRecognizeOnce|TestParsersMatchPerCall|TestKernelsMatchRegexp|TestDocIndexOrder|TestStreamedBuildParses|TestRelinkMemo|TestBuildStreamKeepsNoLinkMemo|TestEnrichMenusReadsOnly|GetParsesEveryTime|TestPutRawMatchesPut|FuzzNewPageDeterministic' \
-		./internal/core/ ./internal/extract/ ./internal/index/ ./internal/webgraph/
+		-run 'TestDeltaRefreshConvergesToRebuild|TestRefresh|TestRemove|TestStoreDelete|TestSiteMemo|TestSitePages|TestBuildStreamKeepsNoMemo|TestWindowScheduler|TestRecognizeOnce|TestParsersMatchPerCall|TestKernelsMatchRegexp|TestDocIndexOrder|TestStreamedBuildParses|TestRelinkMemo|TestBuildStreamKeepsNoLinkMemo|TestEnrichMenusReadsOnly|GetParsesEveryTime|TestPutRawMatchesPut|FuzzNewPageDeterministic|TestTokenizeMatchesReference|FuzzTokenize|FuzzNormalize|TestNodeTextMatchesReference|FuzzNodeText|TestPropagatePretest|FuzzPropagatePretest' \
+		./internal/core/ ./internal/extract/ ./internal/index/ ./internal/webgraph/ ./internal/textproc/ ./internal/htmlx/
 
 # fuzz-smoke runs every native fuzz target in the tree for a bounded time
 # (FUZZTIME each, one target per invocation as `go test -fuzz` requires).
@@ -111,7 +116,9 @@ FUZZ_TARGETS = ./internal/extract/:FuzzSitePageMemo ./internal/extract/:FuzzReco
 	./internal/extract/:FuzzRecognizerKernels \
 	./internal/index/:FuzzPrepare ./internal/framelog/:FuzzFrames ./internal/lrec/:FuzzDecodeRecord \
 	./internal/lrec/:FuzzAttrIndex ./internal/webgraph/:FuzzNewPageDeterministic \
-	./internal/textproc/:FuzzTokenize ./internal/textproc/:FuzzEqualsNormalized
+	./internal/textproc/:FuzzTokenize ./internal/textproc/:FuzzEqualsNormalized \
+	./internal/textproc/:FuzzNormalize ./internal/htmlx/:FuzzNodeText \
+	./internal/extract/:FuzzPropagatePretest
 
 fuzz-smoke:
 	@set -e; for entry in $(FUZZ_TARGETS); do \
@@ -176,7 +183,9 @@ scalecheck:
 	$(GO) run ./cmd/scalecheck -curve $(SCALE_CURVE) -baseline $(SCALE_BASELINE)
 
 # microbench runs the hot-path microbenchmarks with allocation stats:
-# tokenization, repeated-group discovery, TF-IDF scoring, §5.4 text matching,
+# tokenization (ASCII and with non-ASCII runes), normalization, a page's
+# whole text, repeated-group discovery, the propagate pass over an
+# aggregator page no trusted single is on, TF-IDF scoring, §5.4 text matching,
 # collective resolution, the maintenance upsert's target scan (200 incoming ×
 # 1000 stored records) with the profile pair score under it, and the query
 # path: one ranked BM25F query (heavy-tail 2k-page index, instance / set /
@@ -199,8 +208,8 @@ scalecheck:
 # the archive and not a claim.
 microbench:
 	$(GO) test -run '^$$' \
-		-bench 'BenchmarkTokenize|BenchmarkTokenizeInto|BenchmarkTopTerms|BenchmarkRepeatedGroups|BenchmarkMatchTokens|BenchmarkResolve|BenchmarkUpsertScan|BenchmarkScoreProfiles|BenchmarkIndexSearch|BenchmarkIndexReAdd|BenchmarkIndexBuild|BenchmarkAlternatives|BenchmarkRecognizers' \
-		-benchmem ./internal/textproc/ ./internal/extract/ ./internal/match/ ./internal/index/ ./internal/session/ | tee bench-micro.txt
+		-bench 'BenchmarkTokenize|BenchmarkTokenizeInto|BenchmarkNormalize|BenchmarkNodeText|BenchmarkTopTerms|BenchmarkRepeatedGroups|BenchmarkPropagatePage|BenchmarkMatchTokens|BenchmarkResolve|BenchmarkUpsertScan|BenchmarkScoreProfiles|BenchmarkIndexSearch|BenchmarkIndexReAdd|BenchmarkIndexBuild|BenchmarkAlternatives|BenchmarkRecognizers' \
+		-benchmem ./internal/textproc/ ./internal/htmlx/ ./internal/extract/ ./internal/match/ ./internal/index/ ./internal/session/ | tee bench-micro.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkExtractStage' -cpu 1,2 -benchtime 5x -benchmem ./internal/core/ | tee -a bench-micro.txt
 
 # bench-smoke proves the repository's benchmark (bench/, a module of its own

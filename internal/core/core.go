@@ -530,14 +530,15 @@ func (b *Builder) beginSite(memo *extract.SiteMemo, site extract.Site, d extract
 // officialSiteLink finds an outlink labeled as the official site.
 func officialSiteLink(p *webgraph.Page) string {
 	for _, a := range p.Doc.FindAll("a") {
-		txt := textproc.Normalize(a.Text())
+		text := a.Text()
+		txt := textproc.Normalize(text)
 		if strings.Contains(txt, "official site") || strings.Contains(txt, "official website") {
 			if href, ok := a.AttrVal("href"); ok {
 				return canonicalURL(href)
 			}
 		}
 		// Table-style sites label the row and link the raw URL.
-		if href, ok := a.AttrVal("href"); ok && textproc.NormalizeKey(a.Text()) == textproc.NormalizeKey(href) && href != "" {
+		if href, ok := a.AttrVal("href"); ok && textproc.NormalizeKey(text) == textproc.NormalizeKey(href) && href != "" {
 			return canonicalURL(href)
 		}
 	}

@@ -26,9 +26,13 @@ import (
 type PageAnalysis struct {
 	Page *webgraph.Page
 
+	siblingsOnce sync.Once
+	groups       [][]*htmlx.Node // repeated groups at minItems=2
+	steps        []slotStep      // see mayHoldTrusted
+	anyStep      bool            // steps is not known: some tag holds a '.'
+
 	groupsOnce sync.Once
-	groups     [][]*htmlx.Node // repeated groups at minItems=2
-	groupCPS   []string        // ClassPathSignature of each group's first item
+	groupCPS   []string // ClassPathSignature of each group's first item
 
 	// scanMu guards items (once groupsOnce has run), every item's scans and
 	// bodyScans. The item parser and the detail extractor hold it for the
@@ -97,9 +101,52 @@ func AnalyzeAll(pages []*webgraph.Page) []*PageAnalysis {
 	return pas
 }
 
+// slotStep is a class-path step of the page's sibling structure and the
+// size of the smallest sibling group a node of that step is in.
+type slotStep struct {
+	step     string
+	smallest int
+}
+
+// ensureSiblings is the one walk of the page's sibling structure: its
+// repeated groups and the class-path steps of every node Singles can return.
+func (pa *PageAnalysis) ensureSiblings() {
+	pa.siblingsOnce.Do(func() {
+		slots := make(map[string]int)
+		pa.groups, pa.anyStep = siblingGroups(pa.Page.Doc, 2, slots)
+		if pa.anyStep {
+			return
+		}
+		pa.steps = make([]slotStep, 0, len(slots))
+		for sig, smallest := range slots {
+			tag, class, _ := strings.Cut(sig, ".") // no tag holds a '.'
+			pa.steps = append(pa.steps, slotStep{internStep(tag, class), smallest})
+		}
+	})
+}
+
+// mayHoldTrusted is the propagate pass's pre-test: whether a node
+// Singles(minItems) can return has its class-path step in tails — the
+// "/"-suffixes of the site's trusted signatures (trustedTails). A single's
+// signature ends in its own step, after a '/', so a single whose signature
+// is trusted has its step in tails; false means no single of the page is
+// trusted, and the singles need not be collected.
+func (pa *PageAnalysis) mayHoldTrusted(tails map[string]bool, minItems int) bool {
+	pa.ensureSiblings()
+	if pa.anyStep {
+		return true
+	}
+	for _, s := range pa.steps {
+		if s.smallest < minItems && tails[s.step] {
+			return true
+		}
+	}
+	return false
+}
+
 func (pa *PageAnalysis) ensureGroups() {
 	pa.groupsOnce.Do(func() {
-		pa.groups = repeatedGroups(pa.Page.Doc, 2)
+		pa.ensureSiblings()
 		pa.groupCPS = make([]string, len(pa.groups))
 		pa.items = make(map[*htmlx.Node]*itemAnalysis)
 		for gi, g := range pa.groups {
@@ -291,7 +338,7 @@ func (pa *PageAnalysis) MainText() string {
 			}
 		}
 		walk(pa.Page.Doc)
-		pa.mainTxt = strings.Join(strings.Fields(b.String()), " ")
+		pa.mainTxt = htmlx.CollapseSpace(b.String())
 	})
 	return pa.mainTxt
 }

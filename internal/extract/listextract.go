@@ -55,18 +55,36 @@ func (e *ListExtractor) ExtractAnalyzed(pa *PageAnalysis) []*Candidate {
 // repeatedGroups finds maximal runs of sibling elements sharing a tag and
 // class signature — the page's repeated template slots.
 func repeatedGroups(doc *htmlx.Node, minItems int) [][]*htmlx.Node {
-	var groups [][]*htmlx.Node
+	groups, _ := siblingGroups(doc, minItems, nil)
+	return groups
+}
+
+// siblingGroups is repeatedGroups' walk. Given a non-nil slots it also
+// records there, for the sibling signature of every element whose parent is
+// an element — of every node collectSingles can return, at any minItems —
+// the size of the smallest sibling group it heads, and reports whether one
+// of those elements has a '.' in its tag name, which makes its signature
+// ambiguous. The parser never makes such a tag.
+func siblingGroups(doc *htmlx.Node, minItems int, slots map[string]int) (groups [][]*htmlx.Node, dotted bool) {
 	doc.Walk(func(n *htmlx.Node) bool {
 		if n.Type != htmlx.ElementNode && n.Type != htmlx.DocumentNode {
 			return true
 		}
 		kids := n.ChildElements()
-		if len(kids) < minItems {
+		record := slots != nil && n.Type == htmlx.ElementNode
+		if len(kids) < 2 || len(kids) < minItems && !record {
+			if record && len(kids) == 1 {
+				dotted = dotted || strings.IndexByte(kids[0].Data, '.') >= 0
+				noteSlot(slots, internSig(kids[0].Data, kids[0].Class()), 1)
+			}
 			return true
 		}
 		bySig := make(map[string][]*htmlx.Node)
 		var order []string
 		for _, k := range kids {
+			if record {
+				dotted = dotted || strings.IndexByte(k.Data, '.') >= 0
+			}
 			sig := internSig(k.Data, k.Class())
 			if _, seen := bySig[sig]; !seen {
 				order = append(order, sig)
@@ -75,13 +93,24 @@ func repeatedGroups(doc *htmlx.Node, minItems int) [][]*htmlx.Node {
 		}
 		for _, sig := range order {
 			g := bySig[sig]
+			if record {
+				noteSlot(slots, sig, len(g))
+			}
 			if len(g) >= minItems && !isHeaderGroup(g) {
 				groups = append(groups, g)
 			}
 		}
 		return true
 	})
-	return groups
+	return groups, dotted
+}
+
+// noteSlot records that sig heads a sibling group of size members: slots
+// keeps each signature's smallest.
+func noteSlot(slots map[string]int, sig string, size int) {
+	if old, ok := slots[sig]; !ok || size < old {
+		slots[sig] = size
+	}
 }
 
 // isHeaderGroup filters groups made of table header rows.
@@ -411,7 +440,7 @@ func mainText(body *htmlx.Node) string {
 		b.WriteString(c.Text())
 		b.WriteByte(' ')
 	}
-	return strings.Join(strings.Fields(b.String()), " ")
+	return htmlx.CollapseSpace(b.String())
 }
 
 // cleanHeading strips site-name decorations like " - welp.example" and

@@ -109,3 +109,65 @@ func TestRepeatedGroupsAllocs(t *testing.T) {
 		t.Errorf("repeatedGroups = %.1f allocs/run, want <= 700", allocs)
 	}
 }
+
+// aggregatorPage is the first category page of the heavy-tail world: an
+// aggregator listing whose repeated result group the restaurant domain
+// trusts, and whose singles that trust does not reach.
+func aggregatorPage(b *testing.B) (*webgraph.Page, Domain) {
+	w := webgen.NewStreamWorld(webgen.HeavyTailConfig(2000))
+	var page *webgraph.Page
+	w.EachPage(func(p *webgen.Page) error { //nolint:errcheck // fn returns nil
+		if page == nil && p.Truth.Kind == webgen.KindCategory {
+			page = webgraph.NewPage(p.URL, p.HTML)
+		}
+		return nil
+	})
+	if page == nil {
+		b.Fatal("world has no category page")
+	}
+	return page, RestaurantDomain(w.Cities(), webgen.Cuisines())
+}
+
+// BenchmarkPropagatePage is the propagate pass over one aggregator page,
+// with the trusted set the page's own list pass vouches for, on a fresh
+// analysis each op. pass=propagate runs the pass alone, so it pays for
+// whatever page walk the pass needs; pass=list+propagate runs the list pass
+// first, as the build does, so that work moved from one pass to the other
+// shows.
+func BenchmarkPropagatePage(b *testing.B) {
+	page, d := aggregatorPage(b)
+	prop := &SitePropagator{Inner: &ListExtractor{Domain: d}}
+	list, sigs := prop.listPage(Analyze(page))
+	if len(sigs) == 0 {
+		b.Fatal("the page vouches for no signature")
+	}
+	trusted := make(map[string]bool)
+	for _, s := range sigs {
+		trusted[s] = true
+	}
+	tails := trustedTails(trusted)
+	_, cps := Analyze(page).Singles(2)
+	for _, cp := range cps {
+		if trusted[cp] {
+			b.Fatalf("single %s is trusted", cp)
+		}
+	}
+	b.Run("pass=propagate", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if got := prop.propagatePage(Analyze(page), trusted, tails, list); len(got) != 0 {
+				b.Fatalf("propagated %d candidates", len(got))
+			}
+		}
+	})
+	b.Run("pass=list+propagate", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			pa := Analyze(page)
+			list, _ := prop.listPage(pa)
+			if got := prop.propagatePage(pa, trusted, tails, list); len(got) != 0 {
+				b.Fatalf("propagated %d candidates", len(got))
+			}
+		}
+	})
+}

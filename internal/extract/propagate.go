@@ -80,16 +80,37 @@ func (s *SitePropagator) listPage(pa *PageAnalysis) (cands []*Candidate, sigs []
 	return cands, sigs
 }
 
+// trustedTails returns every "/"-suffix of every trusted signature: the
+// signature itself and what follows each '/' in it. A single's signature is
+// trusted only if its own class-path step is one of them (mayHoldTrusted).
+// A class name may hold a '/', so a signature's last step is not simply
+// what follows its last '/'.
+func trustedTails(trusted map[string]bool) map[string]bool {
+	tails := make(map[string]bool, 2*len(trusted))
+	for sig := range trusted {
+		tails[sig] = true
+		for i := 0; i < len(sig); i++ {
+			if sig[i] == '/' {
+				tails[sig[i+1:]] = true
+			}
+		}
+	}
+	return tails
+}
+
 // propagatePage is the propagate pass over one page: unrepeated items whose
 // signature the site trusts are parsed as records, deduped among themselves
-// and against the page's list candidates.
-func (s *SitePropagator) propagatePage(pa *PageAnalysis, trusted map[string]bool, list []*Candidate) []*Candidate {
-	if len(trusted) == 0 {
+// and against the page's list candidates. tails is trustedTails(trusted):
+// on a page where no node that could be a single has its step in tails, no
+// single is trusted, and the singles are not collected.
+func (s *SitePropagator) propagatePage(pa *PageAnalysis, trusted, tails map[string]bool, list []*Candidate) []*Candidate {
+	minItems := s.minItems()
+	if len(trusted) == 0 || !pa.mayHoldTrusted(tails, minItems) {
 		return nil
 	}
 	var out []*Candidate
 	var seen map[string]bool
-	items, cps := pa.Singles(s.minItems())
+	items, cps := pa.Singles(minItems)
 	for i, item := range items {
 		if !trusted[cps[i]] {
 			continue

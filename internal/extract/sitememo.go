@@ -166,6 +166,7 @@ type SiteRun struct {
 	fresh   []bool
 
 	trusted map[string]bool // set by Induce: the union of the pages' signatures
+	tails   map[string]bool // set by Induce: trustedTails(trusted)
 	whole   bool            // set by Induce: the memo was filled under another trusted set
 }
 
@@ -207,7 +208,9 @@ func (r *SiteRun) ListPage(i int) {
 
 // Induce is the barrier between the passes: the site's trusted set is the
 // union of what its pages vouch for, and if the memo's propagated and detail
-// candidates were computed under another, none of them can be replayed.
+// candidates were computed under another, none of them can be replayed. The
+// set's "/"-suffixes are taken here, once per site and domain, for the
+// propagate pass's pre-test.
 func (r *SiteRun) Induce() {
 	r.trusted = make(map[string]bool)
 	for _, e := range r.entries {
@@ -217,6 +220,7 @@ func (r *SiteRun) Induce() {
 			}
 		}
 	}
+	r.tails = trustedTails(r.trusted)
 	r.whole = r.m != nil && !maps.Equal(r.trusted, r.m.trusted)
 }
 
@@ -237,7 +241,7 @@ func (r *SiteRun) FinishPage(i int) {
 		r.entries[i] = nil
 		return
 	}
-	f.propagated, f.detail = r.prop.propagatePage(pa, r.trusted, f.list), nil
+	f.propagated, f.detail = r.prop.propagatePage(pa, r.trusted, r.tails, f.list), nil
 	if r.detail != nil && len(f.list)+len(f.propagated) == 0 {
 		f.detail = r.detail(pa)
 	}

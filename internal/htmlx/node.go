@@ -2,6 +2,8 @@ package htmlx
 
 import (
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // NodeType identifies the kind of a DOM node.
@@ -69,7 +71,7 @@ func (n *Node) AppendChild(c *Node) {
 func (n *Node) Text() string {
 	var b strings.Builder
 	n.appendText(&b)
-	return collapseSpace(b.String())
+	return CollapseSpace(b.String())
 }
 
 func (n *Node) appendText(b *strings.Builder) {
@@ -87,8 +89,77 @@ func (n *Node) appendText(b *strings.Builder) {
 	}
 }
 
-func collapseSpace(s string) string {
-	return strings.Join(strings.Fields(s), " ")
+// CollapseSpace returns the whitespace-separated fields of s joined by
+// single spaces — strings.Join(strings.Fields(s), " ") — in one pass over s.
+// While the output is a prefix of s nothing is written, so text that is
+// already collapsed, or is so but for trailing whitespace (what Text's walk
+// leaves), comes back as s or a prefix of it; otherwise the output is built
+// in one allocation.
+func CollapseSpace(s string) string {
+	var b strings.Builder
+	n := 0 // while b is empty: the output so far is s[:n]
+	for i := 0; ; {
+		start, end := nextField(s, i)
+		if start == len(s) {
+			break
+		}
+		i = end
+		if b.Len() == 0 {
+			if n == 0 && start == 0 || n > 0 && start == n+1 && s[n] == ' ' {
+				n = end
+				continue
+			}
+			b.Grow(n + 1 + len(s) - start) // all that is left of s fits
+			b.WriteString(s[:n])
+		}
+		if b.Len() > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteString(s[start:end])
+	}
+	if b.Len() == 0 {
+		return s[:n]
+	}
+	return b.String()
+}
+
+// asciiSpace is strings.Fields' ASCII whitespace; beyond ASCII it uses
+// unicode.IsSpace.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// nextField finds the first field of s at or after byte i, as strings.Fields
+// splits s: s[start:end] is a maximal run of non-space runes, and start is
+// len(s) when none is left.
+func nextField(s string, i int) (start, end int) {
+	for i < len(s) {
+		if c := s[i]; c < utf8.RuneSelf {
+			if !asciiSpace[c] {
+				break
+			}
+			i++
+			continue
+		}
+		r, w := utf8.DecodeRuneInString(s[i:])
+		if !unicode.IsSpace(r) {
+			break
+		}
+		i += w
+	}
+	for start = i; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if asciiSpace[c] {
+				break
+			}
+			i++
+			continue
+		}
+		r, w := utf8.DecodeRuneInString(s[i:])
+		if unicode.IsSpace(r) {
+			break
+		}
+		i += w
+	}
+	return start, i
 }
 
 // ChildElements returns only the element-typed children of n.
@@ -174,16 +245,22 @@ func (n *Node) PathSignature() string {
 func (n *Node) ClassPathSignature() string {
 	var parts []string
 	for m := n; m != nil && m.Type == ElementNode; m = m.Parent {
-		p := m.Data
-		if cl := m.Class(); cl != "" {
-			p += "." + strings.Join(strings.Fields(cl), ".")
-		}
-		parts = append(parts, p)
+		parts = append(parts, ClassPathStep(m.Data, m.Class()))
 	}
 	for i, j := 0, len(parts)-1; i < j; i, j = i+1, j-1 {
 		parts[i], parts[j] = parts[j], parts[i]
 	}
 	return strings.Join(parts, "/")
+}
+
+// ClassPathStep is one element's step of a ClassPathSignature, the last
+// one of its own: the tag, then each name of the class attribute after a
+// '.' ("li.item.featured").
+func ClassPathStep(tag, class string) string {
+	if class == "" {
+		return tag
+	}
+	return tag + "." + strings.Join(strings.Fields(class), ".")
 }
 
 // Links returns the href values of all <a> descendants, in document order.

@@ -100,7 +100,7 @@ func (r *Record) Add(key string, v AttrValue) {
 	}
 	norm := textproc.Normalize(v.Value)
 	for i, old := range r.Attrs[key] {
-		if textproc.Normalize(old.Value) == norm {
+		if textproc.EqualsNormalized(old.Value, norm) {
 			if v.Confidence > old.Confidence {
 				old.Confidence = v.Confidence
 				old.Value = v.Value

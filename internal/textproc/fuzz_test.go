@@ -1,7 +1,9 @@
 package textproc
 
 import (
+	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -21,9 +23,10 @@ var normalizeSeeds = []string{
 	"K kelvin",
 }
 
-// FuzzTokenize: on any input, TokenizeInto — whose ASCII fast path answers
-// every input without a byte >= 0x80 — returns what the Unicode tokenizer
-// returns, appended after whatever dst already held, nil-ness included.
+// FuzzTokenize: on any input, TokenizeInto — bytewise over ASCII, rune by
+// rune only at non-ASCII bytes — returns what the retained rune-by-rune
+// tokenizer returns, appended after whatever dst already held, nil-ness
+// included.
 func FuzzTokenize(f *testing.F) {
 	for _, s := range normalizeSeeds {
 		f.Add(s)
@@ -39,6 +42,59 @@ func FuzzTokenize(f *testing.F) {
 			t.Fatalf("TokenizeInto(%q, [kept]) = %q, unicode path %q", s, got, want)
 		}
 	})
+}
+
+// FuzzNormalize: on any input the one-pass Normalize returns what joining
+// the tokens did, and the tokens the retained rune-by-rune tokenizer finds.
+func FuzzNormalize(f *testing.F) {
+	for _, s := range normalizeSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got := Normalize(s)
+		if want := refNormalize(s); got != want {
+			t.Fatalf("Normalize(%q) = %q, reference %q", s, got, want)
+		}
+		if want := strings.Join(tokenizeUnicode(s, nil), " "); got != want {
+			t.Fatalf("Normalize(%q) = %q, rune-by-rune tokens joined %q", s, got, want)
+		}
+	})
+}
+
+// mixedAlphabet is what randomText draws from: ASCII letters of both cases,
+// digits, apostrophes, separators, non-ASCII letters whose lowercase is
+// narrower or wider than they are, non-letters, and bytes that are not UTF-8.
+var mixedAlphabet = []string{"a", "b", "z", "A", "Q", "Z", "0", "7", "'", " ", " ", "  ", ",", "-", "\t",
+	"é", "É", "ß", "İ", "Ⱥ", "ǅ", "寿", "٣", "©", "—", "\u00a0", "\u2003", "\ufffd", "\xff", "\xc3", "\xe5\xaf"}
+
+// randomText is a seeded random string over mixedAlphabet.
+func randomText(rng *rand.Rand) string {
+	var b strings.Builder
+	for n := rng.Intn(24); n > 0; n-- {
+		b.WriteString(mixedAlphabet[rng.Intn(len(mixedAlphabet))])
+	}
+	return b.String()
+}
+
+// TestTokenizeMatchesReference: on seeded random mixed text, TokenizeInto,
+// Normalize and EqualsNormalized agree with the retained rune-by-rune
+// tokenizer and the retained Normalize.
+func TestTokenizeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for i := 0; i < 20000; i++ {
+		s := randomText(rng)
+		want := tokenizeUnicode(s, nil)
+		if got := TokenizeInto(s, nil); !reflect.DeepEqual(got, want) {
+			t.Fatalf("TokenizeInto(%q) = %q, reference %q", s, got, want)
+		}
+		norm := Normalize(s)
+		if ref := refNormalize(s); norm != ref || norm != strings.Join(want, " ") {
+			t.Fatalf("Normalize(%q) = %q, reference %q", s, norm, ref)
+		}
+		if !EqualsNormalized(s, norm) {
+			t.Fatalf("EqualsNormalized(%q, %q) is false", s, norm)
+		}
+	}
 }
 
 // FuzzEqualsNormalized: EqualsNormalized(s, n) is Normalize(s) == n, for n

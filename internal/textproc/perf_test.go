@@ -133,3 +133,40 @@ func BenchmarkTopTerms(b *testing.B) {
 		benchTerms = TopTerms(c.Vectorize(docs[i%len(docs)]), 10)
 	}
 }
+
+// normalizeBench are attribute values as extraction and the record store
+// normalize them: already normal, mixed case with punctuation, and non-ASCII.
+var normalizeBench = []string{
+	"pizza",
+	"san jose",
+	"Birk's Steakhouse",
+	"123 Main St, Suite 4B",
+	"(408) 555-0123",
+	"Café Rouge — Cupertino",
+}
+
+var benchNorm string
+
+// BenchmarkNormalize: one op normalizes every value of normalizeBench.
+func BenchmarkNormalize(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, s := range normalizeBench {
+			benchNorm = Normalize(s)
+		}
+	}
+}
+
+// mixedText is whole-page text as the generated sites render it: ASCII prose
+// with a footer carrying "©" and "—", so that the text is not pure ASCII.
+var mixedText = strings.ToLower(benchText) + "© 2024 guide — all rights reserved"
+
+// BenchmarkTokenizeMixed is BenchmarkTokenize on text with a few non-ASCII
+// runes in it.
+func BenchmarkTokenizeMixed(b *testing.B) {
+	b.ReportAllocs()
+	b.SetBytes(int64(len(mixedText)))
+	for i := 0; i < b.N; i++ {
+		benchTokens = Tokenize(mixedText)
+	}
+}

@@ -19,11 +19,12 @@ import (
 // letters or digits; everything else is a separator. Apostrophes inside words
 // ("birk's") are dropped rather than splitting the word.
 //
-// ASCII input takes a two-pass fast path: the first pass counts tokens (so
-// the result slice is allocated once, at exact capacity) and the second
-// emits each token as a direct slice of s when no case-folding or apostrophe
-// stripping is needed — pure-ASCII lowercase input costs exactly one
-// allocation. Any non-ASCII byte falls back to the full Unicode path.
+// The scan is bytewise over ASCII and decodes a rune only at a non-ASCII
+// byte, so a "©" in a page footer costs that rune and not the page. A first
+// pass counts tokens (so the result slice is allocated once, at exact
+// capacity) and the second emits each token as a direct slice of s when it
+// is already lowercase and holds no apostrophe — lowercase input costs
+// exactly one allocation, whatever non-letters it carries.
 func Tokenize(s string) []string {
 	return TokenizeInto(s, nil)
 }
@@ -33,24 +34,27 @@ func Tokenize(s string) []string {
 // features) pass a reused buffer to avoid a slice allocation per call; a nil
 // dst behaves like Tokenize.
 func TokenizeInto(s string, dst []string) []string {
-	// Pass 1: count tokens, bailing to the Unicode path on any non-ASCII
-	// byte. A token starts at a letter/digit; an apostrophe extends a token
-	// it is inside of but never starts one.
+	// Pass 1 counts the tokens: the rules of nextToken, without the bounds.
 	n := 0
 	inTok := false
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c >= utf8.RuneSelf {
-			return tokenizeUnicode(s, dst)
-		}
-		if isASCIIAlnum(c) {
-			if !inTok {
-				n++
-				inTok = true
+	for i := 0; i < len(s); {
+		var word bool
+		if c := s[i]; c < utf8.RuneSelf {
+			i++
+			k := asciiKind[c]
+			if k == kindApostrophe && inTok {
+				continue
 			}
-		} else if c != '\'' || !inTok {
-			inTok = false
+			word = k >= kindLower
+		} else {
+			r, w := utf8.DecodeRuneInString(s[i:])
+			i += w
+			word = isWordRune(r)
 		}
+		if word && !inTok {
+			n++
+		}
+		inTok = word
 	}
 	if n == 0 {
 		return dst
@@ -60,79 +64,116 @@ func TokenizeInto(s string, dst []string) []string {
 		copy(grown, dst)
 		dst = grown
 	}
-	// Pass 2: emit. A clean token (no uppercase, no apostrophe) is a
-	// zero-copy slice of s; otherwise it is rewritten into a fresh string.
-	for i := 0; i < len(s); {
-		if !isASCIIAlnum(s[i]) {
+	for i := 0; ; {
+		start, end, clean := nextToken(s, i)
+		if start == len(s) {
+			return dst
+		}
+		if clean {
+			dst = append(dst, s[start:end])
+		} else {
+			var b strings.Builder
+			b.Grow(end - start)
+			writeFolded(&b, s[start:end])
+			dst = append(dst, b.String())
+		}
+		i = end
+	}
+}
+
+// nextToken finds the first token of s at or after byte i: s[start:end] is
+// its letters and digits with the apostrophes among them, and clean reports
+// that it is already its own token — no uppercase rune, no apostrophe — so
+// a slice of s can stand for it. start is len(s) when no token is left.
+// An apostrophe extends a token it is inside of but never starts one.
+func nextToken(s string, i int) (start, end int, clean bool) {
+	for i < len(s) {
+		if c := s[i]; c < utf8.RuneSelf {
+			if asciiKind[c] >= kindLower {
+				break
+			}
 			i++
 			continue
 		}
-		j := i
-		clean := true
-		for j < len(s) {
-			cj := s[j]
-			if isASCIIAlnum(cj) {
-				if cj >= 'A' && cj <= 'Z' {
-					clean = false
-				}
-				j++
-				continue
-			}
-			if cj == '\'' {
-				clean = false
-				j++
-				continue
-			}
+		r, w := utf8.DecodeRuneInString(s[i:])
+		if isWordRune(r) {
 			break
 		}
-		if clean {
-			dst = append(dst, s[i:j])
-		} else {
-			buf := make([]byte, 0, j-i)
-			for k := i; k < j; k++ {
-				ck := s[k]
-				if ck == '\'' {
-					continue
-				}
-				if ck >= 'A' && ck <= 'Z' {
-					ck += 'a' - 'A'
-				}
-				buf = append(buf, ck)
-			}
-			dst = append(dst, string(buf))
-		}
-		i = j
+		i += w
 	}
-	return dst
+	start, clean = i, true
+	for i < len(s) {
+		if c := s[i]; c < utf8.RuneSelf {
+			k := asciiKind[c]
+			if k == kindSeparator {
+				return start, i, clean
+			}
+			if k&1 != 0 { // uppercase or apostrophe
+				clean = false
+			}
+			i++
+			continue
+		}
+		r, w := utf8.DecodeRuneInString(s[i:])
+		if !isWordRune(r) {
+			return start, i, clean
+		}
+		if unicode.ToLower(r) != r {
+			clean = false
+		}
+		i += w
+	}
+	return start, i, clean
+}
+
+// writeFolded writes token t as a token: lowercased, apostrophes dropped.
+func writeFolded(b *strings.Builder, t string) {
+	for i := 0; i < len(t); {
+		c := t[i]
+		if c < utf8.RuneSelf {
+			if c >= 'A' && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			if c != '\'' {
+				b.WriteByte(c)
+			}
+			i++
+			continue
+		}
+		r, w := utf8.DecodeRuneInString(t[i:])
+		b.WriteRune(unicode.ToLower(r))
+		i += w
+	}
 }
 
 func isASCIIAlnum(c byte) bool {
 	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9'
 }
 
-// tokenizeUnicode is the full rune-by-rune tokenizer, kept as the fallback
-// for input containing any non-ASCII byte.
-func tokenizeUnicode(s string, dst []string) []string {
-	var b strings.Builder
-	flush := func() {
-		if b.Len() > 0 {
-			dst = append(dst, b.String())
-			b.Reset()
-		}
-	}
-	for _, r := range s {
+// What an ASCII byte is to the tokenizer. A kind >= kindLower is part of a
+// word; an odd kind keeps a token from being its own normal form.
+const (
+	kindSeparator uint8 = iota
+	kindApostrophe
+	kindLower // a lowercase letter or a digit
+	kindUpper
+)
+
+var asciiKind = func() (t [utf8.RuneSelf]uint8) {
+	for c := range t {
 		switch {
-		case unicode.IsLetter(r) || unicode.IsDigit(r):
-			b.WriteRune(unicode.ToLower(r))
-		case r == '\'' && b.Len() > 0:
-			// skip intra-word apostrophe
-		default:
-			flush()
+		case c >= 'A' && c <= 'Z':
+			t[c] = kindUpper
+		case isASCIIAlnum(byte(c)):
+			t[c] = kindLower
+		case c == '\'':
+			t[c] = kindApostrophe
 		}
 	}
-	flush()
-	return dst
-}
+	return t
+}()
+
+func isWordRune(r rune) bool { return unicode.IsLetter(r) || unicode.IsDigit(r) }
 
 // stopwords is a compact English stopword list. It intentionally excludes
 // words that carry meaning in queries for concepts (e.g. "best", "near").
@@ -172,9 +213,43 @@ func RemoveStopwordsInPlace(toks []string) []string {
 }
 
 // Normalize lowercases s, strips punctuation, and collapses whitespace —
-// the canonical form used when comparing attribute values across sources.
+// the canonical form used when comparing attribute values across sources:
+// the tokens of s joined by single spaces. It is one pass over s. While the
+// output is a prefix of s nothing is written, so an already-normal s (or
+// one that differs from its normal form only by trailing separators) comes
+// back as s itself, or a prefix of it; otherwise the output is built once,
+// in a buffer sized to what is left of s, which only a lowercase rune wider
+// than its uppercase can outgrow.
 func Normalize(s string) string {
-	return strings.Join(Tokenize(s), " ")
+	var b strings.Builder
+	n := 0 // while b is empty: the output so far is s[:n]
+	for i := 0; ; {
+		start, end, clean := nextToken(s, i)
+		if start == len(s) {
+			break
+		}
+		i = end
+		if b.Len() == 0 {
+			if clean && (n == 0 && start == 0 || n > 0 && start == n+1 && s[n] == ' ') {
+				n = end
+				continue
+			}
+			b.Grow(n + 1 + len(s) - start)
+			b.WriteString(s[:n])
+		}
+		if b.Len() > 0 {
+			b.WriteByte(' ')
+		}
+		if clean {
+			b.WriteString(s[start:end])
+		} else {
+			writeFolded(&b, s[start:end])
+		}
+	}
+	if b.Len() == 0 {
+		return s[:n]
+	}
+	return b.String()
 }
 
 // EqualsNormalized reports whether Normalize(s) == norm. On ASCII s it
